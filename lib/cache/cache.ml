@@ -4,16 +4,42 @@ exception Cache_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Cache_error s)) fmt
 
-(* A frame caches one block.  Data blocks are identified by the owning
-   disk's id plus their block address, tagged with the allocation
-   generation of the extent that covered them when they were loaded;
-   metadata blocks (directory / B+tree nodes) by a (namespace, node id)
-   pair.  Node ids are never reused, so metadata frames cannot go
-   stale; data frames go stale when the extent is freed and the address
-   reallocated (generation mismatch).  The disk id in data keys lets a
-   single pool [state] back several disks (a shared pool across
-   {!Wave_sim.Multi_disk} arms) without address collisions. *)
-type key = Data of { dsk : int; addr : int } | Meta of { dir : int; node : int }
+(* A frame caches one block, named by a packed int key (DESIGN.md §5c):
+
+     key = ns lsl 33  lor  (field land 0xFFFF_FFFF) lsl 1  lor  tag
+
+   Data blocks have tag 0, [ns] the owning disk's id and [field] the
+   block address; they are tagged with the allocation generation of the
+   extent that covered them when loaded, and go stale when the extent is
+   freed and the address reallocated (generation mismatch).  Metadata
+   blocks (directory / B+tree nodes) have tag 1, [ns] the directory's
+   namespace and [field] the node id; node ids are never reused, so
+   metadata frames cannot go stale.  The disk id lets a single pool
+   [state] back several disks (a shared pool across
+   {!Wave_sim.Multi_disk} arms) without address collisions.  Block
+   addresses must lie in [0, 2^31), node ids in [-2^31, 2^31) and
+   namespaces in [0, 2^29), so every key is a distinct non-negative
+   int. *)
+let field_limit = 1 lsl 31
+let ns_limit = 1 lsl 29
+let free_key = -1 (* key of an unoccupied frame; never a packed key *)
+
+let check_ns what ns =
+  if ns < 0 || ns >= ns_limit then
+    fail "%s %d outside the pool's key range [0, 2^29)" what ns
+
+let data_key uid addr =
+  if addr < 0 || addr >= field_limit then
+    fail "block address %d outside the pool's key range [0, 2^31)" addr;
+  (uid lsl 33) lor (addr lsl 1)
+
+let meta_key dir node =
+  if node < -field_limit || node >= field_limit then
+    fail "node id %d outside the pool's key range [-2^31, 2^31)" node;
+  (dir lsl 33) lor ((node land 0xFFFF_FFFF) lsl 1) lor 1
+
+let is_data key = key land 1 = 0
+let addr_of_key key = (key lsr 1) land 0xFFFF_FFFF
 
 type stats = {
   hits : int;
@@ -54,30 +80,32 @@ type acc = {
   mutable meta_seconds : float;
 }
 
-type frame = {
-  mutable key : key;
-  mutable occupied : bool;
-  mutable gen : int;
-  mutable pins : int;
-  mutable refbit : bool;
-  mutable dirty : bool; (* deferred (write-back) contents not yet on disk *)
-  mutable owner : t option; (* view whose disk the deferred write targets *)
-}
-
-(* Shared pool state: the frames and their policy.  Several views (one
-   per attached disk) may share one state. *)
-and state = {
-  frames : frame array;
-  map : (key, int) Hashtbl.t;
+(* Shared pool state: the frames, as parallel arrays indexed by frame
+   number, and their policy.  Several views (one per attached disk) may
+   share one state. *)
+type state = {
+  keys : int array; (* packed key, [free_key] when unoccupied *)
+  gens : int array;
+  pins : int array;
+  refbits : Bytes.t; (* '\001' = referenced since the hand last passed *)
+  dirty : Bytes.t; (* '\001' = deferred (write-back) contents not on disk *)
+  owners : int array; (* view slot the deferred write targets, or -1 *)
+  map : Key_table.t; (* packed key -> frame number *)
   readahead : int;
   write_back : bool;
   mutable in_flush : bool; (* reentrancy guard: eviction inside a flush
                               must not start a nested drain *)
   mutable hand : int;
   global : acc;
+  mutable views : t array; (* by view slot *)
+  mutable pending : int array;
+      (* stack of block addresses a charged read has yet to install;
+         each read pushes above [top] and pops back on exit, so a read
+         re-entered from a disk-operation observer keeps its own span *)
+  mutable top : int;
 }
 
-and t = { st : state; disk : Disk.t; uid : int; local : acc }
+and t = { st : state; disk : Disk.t; uid : int; slot : int; local : acc }
 
 let acc_create () =
   {
@@ -135,7 +163,8 @@ let acc_stats (a : acc) : stats =
   }
 
 (* Mirror every counter mutation into both the view's local slice and
-   the pool-wide accumulator. *)
+   the pool-wide accumulator.  Callers pass closed functions (no free
+   variables), which the compiler allocates statically. *)
 let bump t f =
   f t.local;
   f t.st.global
@@ -158,26 +187,29 @@ let state_create ~frames ~readahead ~write_back =
   if frames < 1 then fail "create: need at least one frame (got %d)" frames;
   if readahead < 0 then fail "create: negative readahead";
   {
-    frames =
-      Array.init frames (fun _ ->
-          {
-            key = Data { dsk = -1; addr = -1 };
-            occupied = false;
-            gen = 0;
-            pins = 0;
-            refbit = false;
-            dirty = false;
-            owner = None;
-          });
-    map = Hashtbl.create (2 * frames);
+    keys = Array.make frames free_key;
+    gens = Array.make frames 0;
+    pins = Array.make frames 0;
+    refbits = Bytes.make frames '\000';
+    dirty = Bytes.make frames '\000';
+    owners = Array.make frames (-1);
+    map = Key_table.create frames;
     readahead;
     write_back;
     in_flush = false;
     hand = 0;
     global = acc_create ();
+    views = [||];
+    pending = Array.make 64 0;
+    top = 0;
   }
 
-let view st disk = { st; disk; uid = Disk.id disk; local = acc_create () }
+let view st disk =
+  let uid = Disk.id disk in
+  check_ns "disk id" uid;
+  let v = { st; disk; uid; slot = Array.length st.views; local = acc_create () } in
+  st.views <- Array.append st.views [| v |];
+  v
 
 let create disk ~frames ?(readahead = 0) ?(write_back = false) () =
   view (state_create ~frames ~readahead ~write_back) disk
@@ -214,81 +246,81 @@ let detach disk = Hashtbl.remove pools (Disk.id disk)
 
 (* --- frame management ----------------------------------------------- *)
 
+let occupied st i = st.keys.(i) <> free_key
+let referenced st i = Bytes.get st.refbits i <> '\000'
+let set_refbit st i b = Bytes.set st.refbits i (if b then '\001' else '\000')
+let is_dirty st i = Bytes.get st.dirty i <> '\000'
+
+(* Mark a frame clean and ownerless. *)
+let clean st i =
+  Bytes.set st.dirty i '\000';
+  st.owners.(i) <- -1
+
 let params t = Disk.params t.disk
 
 let block_seconds t blocks =
   float_of_int (blocks * (params t).Disk.block_size)
   /. (params t).Disk.transfer_rate
 
+let note_discard v =
+  bump v (fun a -> a.dirty_discards <- a.dirty_discards + 1);
+  Wave_obs.Metrics.inc m_dirty_discards
+
 (* Deferred write of one dirty frame, performed at eviction (or
    discarded if the covering extent is gone or reallocated — its
    contents belong to a dead extent and must never reach the disk). *)
-let evict_dirty f =
-  match (f.owner, f.key) with
-  | Some v, Data { addr; _ } ->
-    (match Disk.extent_covering v.disk ~addr with
+let evict_dirty st i =
+  let key = st.keys.(i) and owner = st.owners.(i) in
+  if owner >= 0 && is_data key then begin
+    let v = st.views.(owner) and addr = addr_of_key key in
+    match Disk.extent_covering v.disk ~addr with
     | Some ext
-      when Disk.generation_at v.disk ~start:ext.Disk.start = Some f.gen ->
+      when Disk.generation_at v.disk ~start:ext.Disk.start = Some st.gens.(i) ->
       Disk.write_run v.disk ext ~off:(addr - ext.Disk.start) ~blocks:1;
       bump v (fun a -> a.dirty_evictions <- a.dirty_evictions + 1);
       Wave_obs.Metrics.inc m_dirty_evictions
-    | _ ->
-      bump v (fun a -> a.dirty_discards <- a.dirty_discards + 1);
-      Wave_obs.Metrics.inc m_dirty_discards);
-    f.dirty <- false;
-    f.owner <- None
-  | _ ->
-    f.dirty <- false;
-    f.owner <- None
+    | _ -> note_discard v
+  end;
+  clean st i
 
 (* CLOCK second chance: sweep from the hand, skipping pinned frames and
    giving referenced frames one more revolution.  Two full revolutions
    guarantee a victim unless every frame is pinned. *)
 let victim st =
-  let n = Array.length st.frames in
-  let budget = ref (2 * n) in
-  let rec go () =
-    if !budget = 0 then fail "no evictable frame: all %d frames pinned" n;
-    decr budget;
+  let n = Array.length st.keys in
+  let rec go budget =
+    if budget = 0 then fail "no evictable frame: all %d frames pinned" n;
     let i = st.hand in
-    st.hand <- (st.hand + 1) mod n;
-    let f = st.frames.(i) in
-    if not f.occupied then i
-    else if f.pins > 0 then go ()
-    else if f.refbit then begin
-      f.refbit <- false;
-      go ()
+    st.hand <- (if i + 1 = n then 0 else i + 1);
+    if not (occupied st i) then i
+    else if st.pins.(i) > 0 then go (budget - 1)
+    else if referenced st i then begin
+      set_refbit st i false;
+      go (budget - 1)
     end
     else i
   in
-  go ()
+  go (2 * n)
 
 let install t key ~gen ~refbit =
   let st = t.st in
   let i = victim st in
-  let f = st.frames.(i) in
-  if f.occupied then begin
-    if f.dirty then evict_dirty f;
-    Hashtbl.remove st.map f.key;
+  if occupied st i then begin
+    if is_dirty st i then evict_dirty st i;
+    Key_table.remove st.map st.keys st.keys.(i);
     bump t (fun a -> a.evictions <- a.evictions + 1);
     Wave_obs.Metrics.inc m_evictions
   end;
-  f.key <- key;
-  f.occupied <- true;
-  f.gen <- gen;
-  f.pins <- 0;
-  f.refbit <- refbit;
-  f.dirty <- false;
-  f.owner <- None;
-  Hashtbl.replace st.map key i;
-  f
+  st.keys.(i) <- key;
+  st.gens.(i) <- gen;
+  st.pins.(i) <- 0;
+  set_refbit st i refbit;
+  clean st i;
+  Key_table.replace st.map st.keys key i;
+  i
 
-let frame_of t key =
-  match Hashtbl.find_opt t.st.map key with
-  | None -> None
-  | Some i -> Some t.st.frames.(i)
-
-let dkey t addr = Data { dsk = t.uid; addr }
+let lookup st key = Key_table.find st.map st.keys key
+let data_frame t addr = lookup t.st (data_key t.uid addr)
 
 let live_gen t (ext : Disk.extent) =
   match Disk.generation_at t.disk ~start:ext.Disk.start with
@@ -297,45 +329,116 @@ let live_gen t (ext : Disk.extent) =
 
 (* A stale frame refreshed in place carries deferred contents of a
    {e dead} extent: discard them, never write them. *)
-let drop_stale_dirty t f =
-  if f.dirty then begin
-    f.dirty <- false;
-    f.owner <- None;
-    bump t (fun a -> a.dirty_discards <- a.dirty_discards + 1);
-    Wave_obs.Metrics.inc m_dirty_discards
+let drop_stale_dirty t i =
+  if is_dirty t.st i then begin
+    clean t.st i;
+    note_discard t
   end
 
-(* Classify one data block against the pool.  Hits get their reference
-   bit set here; stale and absent blocks are returned for the caller to
-   fetch in one batched charge. *)
-type presence = P_hit | P_stale | P_absent
-
+(* Classify one data block against the pool: a hit gets its reference
+   bit set and answers [true]; a stale or absent block answers [false]
+   and is left for the caller to fetch in one batched charge. *)
 let classify t addr ~gen =
-  match frame_of t (dkey t addr) with
-  | Some f when f.gen = gen ->
-    f.refbit <- true;
-    P_hit
-  | Some _ -> P_stale
-  | None -> P_absent
+  let st = t.st in
+  let i = data_frame t addr in
+  if i >= 0 && st.gens.(i) = gen then begin
+    set_refbit st i true;
+    true
+  end
+  else false
 
+(* Install a fetched block.  The block is looked up again rather than
+   trusted to its classification: an install earlier in the same read
+   may have evicted a frame the read classified as stale, and a read
+   re-entered from a disk-operation observer may have installed it. *)
 let settle t addr ~gen ~refbit =
-  match frame_of t (dkey t addr) with
-  | Some f ->
+  let st = t.st in
+  let i = data_frame t addr in
+  if i >= 0 then begin
     (* Stale frame refreshed in place: same key, new generation. *)
-    drop_stale_dirty t f;
-    f.gen <- gen;
-    f.refbit <- refbit;
+    drop_stale_dirty t i;
+    st.gens.(i) <- gen;
+    set_refbit st i refbit;
     bump t (fun a -> a.stale_drops <- a.stale_drops + 1)
-  | None -> ignore (install t (dkey t addr) ~gen ~refbit)
+  end
+  else ignore (install t (data_key t.uid addr) ~gen ~refbit)
 
-let note_data t ~hits ~misses =
-  bump t (fun a ->
-      a.hits <- a.hits + hits;
-      a.misses <- a.misses + misses);
+let push st x =
+  if st.top = Array.length st.pending then begin
+    let bigger = Array.make (2 * st.top) 0 in
+    Array.blit st.pending 0 bigger 0 st.top;
+    st.pending <- bigger
+  end;
+  st.pending.(st.top) <- x;
+  st.top <- st.top + 1
+
+(* Run [f] with the pending stack's height restored afterwards, also
+   when a charge raises. *)
+let with_pending t f x =
+  let st = t.st in
+  let mark = st.top in
+  match f t x mark with
+  | () -> st.top <- mark
+  | exception e ->
+    st.top <- mark;
+    raise e
+
+(* [saved] accumulates as [saved + uncached - charged], in that order,
+   so the float totals repeat the uncached model's rounding. *)
+let note_data t ~hits ~misses ~uncached ~charged =
+  let add (a : acc) =
+    a.saved_seconds <- a.saved_seconds +. uncached -. charged;
+    a.hits <- a.hits + hits;
+    a.misses <- a.misses + misses
+  in
+  add t.local;
+  add t.st.global;
   if hits > 0 then Wave_obs.Metrics.inc ~by:(float_of_int hits) m_hits;
   if misses > 0 then Wave_obs.Metrics.inc ~by:(float_of_int misses) m_misses
 
+let note_readaheads t n =
+  t.local.readaheads <- t.local.readaheads + n;
+  t.st.global.readaheads <- t.st.global.readaheads + n;
+  if n > 0 then Wave_obs.Metrics.inc ~by:(float_of_int n) m_readaheads
+
 (* --- charged accesses ----------------------------------------------- *)
+
+(* The body of [read_range] for a live, readable extent: demand misses
+   and then readahead candidates are pushed above [mark], charged as
+   one seek plus one transfer, and installed in address order. *)
+let read_blocks t ((ext : Disk.extent), off, blocks) mark =
+  let st = t.st in
+  let gen = live_gen t ext in
+  let base = ext.Disk.start + off in
+  let hits = ref 0 in
+  for a = base to base + blocks - 1 do
+    if classify t a ~gen then incr hits else push st a
+  done;
+  let m = st.top - mark in
+  if m > 0 && st.readahead > 0 then begin
+    (* Prefetch up to [readahead] blocks following the demand range
+       inside the same extent — the arm is already positioned, so they
+       ride the same seek (extra transfer only). *)
+    let last = ext.Disk.start + min ext.Disk.length (off + blocks + st.readahead) - 1 in
+    for a = base + blocks to last do
+      if not (classify t a ~gen) then push st a
+    done
+  end;
+  let n_ra = st.top - mark - m in
+  if m > 0 then begin
+    Disk.charge_seek t.disk;
+    Disk.charge_read_transfer t.disk ~blocks:(m + n_ra);
+    for k = 0 to m + n_ra - 1 do
+      settle t st.pending.(mark + k) ~gen ~refbit:(k < m)
+    done;
+    note_readaheads t n_ra
+  end;
+  (* Saved versus the uncached charge (seek + whole range), net of any
+     readahead transfer spent speculatively. *)
+  let seek = (params t).Disk.seek_time in
+  let uncached = seek +. block_seconds t blocks in
+  let charged = if m = 0 then 0.0 else seek +. block_seconds t (m + n_ra) in
+  note_data t ~hits:!hits ~misses:m ~uncached ~charged
 
 let read_range t (ext : Disk.extent) ~off ~blocks =
   if off < 0 || blocks < 0 || off + blocks > ext.Disk.length then
@@ -343,101 +446,58 @@ let read_range t (ext : Disk.extent) ~off ~blocks =
       ext.Disk.length;
   if blocks > 0 then begin
     Disk.assert_readable t.disk ext;
-    let gen = live_gen t ext in
-    let base = ext.Disk.start + off in
-    let missing = ref [] in
-    let hits = ref 0 in
-    for i = blocks - 1 downto 0 do
-      match classify t (base + i) ~gen with
-      | P_hit -> incr hits
-      | P_stale | P_absent -> missing := (base + i) :: !missing
-    done;
-    let m = List.length !missing in
-    let ra =
-      if m = 0 || t.st.readahead = 0 then []
-      else begin
-        (* Prefetch up to [readahead] blocks following the demand range
-           inside the same extent — the arm is already positioned, so
-           they ride the same seek (extra transfer only). *)
-        let upto =
-          min ext.Disk.length (off + blocks + t.st.readahead)
-          - 1 + ext.Disk.start
-        in
-        let out = ref [] in
-        for a = upto downto base + blocks do
-          match classify t a ~gen with
-          | P_hit -> ()
-          | P_stale | P_absent -> out := a :: !out
-        done;
-        !out
-      end
-    in
-    if m > 0 then begin
-      Disk.charge_seek t.disk;
-      Disk.charge_read_transfer t.disk ~blocks:(m + List.length ra);
-      List.iter (fun a -> settle t a ~gen ~refbit:true) !missing;
-      List.iter (fun a -> settle t a ~gen ~refbit:false) ra;
-      let n_ra = List.length ra in
-      bump t (fun a -> a.readaheads <- a.readaheads + n_ra);
-      if n_ra > 0 then Wave_obs.Metrics.inc ~by:(float_of_int n_ra) m_readaheads
-    end;
-    (* Saved versus the uncached charge (seek + whole range), net of any
-       readahead transfer spent speculatively. *)
-    let seek = (params t).Disk.seek_time in
-    let uncached = seek +. block_seconds t blocks in
-    let charged =
-      if m = 0 then 0.0 else seek +. block_seconds t (m + List.length ra)
-    in
-    bump t (fun a -> a.saved_seconds <- a.saved_seconds +. uncached -. charged);
-    note_data t ~hits:!hits ~misses:m
+    with_pending t read_blocks (ext, off, blocks)
   end
 
 let read t ext = read_range t ext ~off:0 ~blocks:ext.Disk.length
 
+(* The body of [sequential_read]: every missing block of every extent is
+   pushed above [mark] as an (address, generation) pair, then the lot
+   is charged behind one seek and installed cold in scan order. *)
+let scan_blocks t exts mark =
+  let st = t.st in
+  let total = ref 0 and hits = ref 0 and runs = ref 0 and in_run = ref false in
+  List.iter
+    (fun (e : Disk.extent) ->
+      let gen = live_gen t e in
+      for a = e.Disk.start to e.Disk.start + e.Disk.length - 1 do
+        incr total;
+        if classify t a ~gen then begin
+          incr hits;
+          in_run := false
+        end
+        else begin
+          push st a;
+          push st gen;
+          if not !in_run then begin
+            incr runs;
+            in_run := true
+          end
+        end
+      done)
+    exts;
+  let m = (st.top - mark) / 2 in
+  if m > 0 then begin
+    Disk.charge_seek t.disk;
+    Disk.charge_read_transfer t.disk ~blocks:m;
+    (* Scan-loaded frames enter cold (reference bit clear): a scan
+       longer than the pool drains behind itself instead of evicting
+       the probe working set — drop-behind readahead. *)
+    for k = 0 to m - 1 do
+      let p = mark + (2 * k) in
+      settle t st.pending.(p) ~gen:st.pending.(p + 1) ~refbit:false
+    done;
+    note_readaheads t (m - !runs)
+  end;
+  let seek = (params t).Disk.seek_time in
+  let uncached = seek +. block_seconds t !total in
+  let charged = if m = 0 then 0.0 else seek +. block_seconds t m in
+  note_data t ~hits:!hits ~misses:m ~uncached ~charged
+
 let sequential_read t exts =
   if exts <> [] then begin
     List.iter (fun e -> Disk.assert_readable t.disk e) exts;
-    let gens = List.map (fun e -> (e, live_gen t e)) exts in
-    let total = ref 0 in
-    let missing = ref [] (* reversed (addr, gen) demand list *) in
-    let hits = ref 0 in
-    let runs = ref 0 in
-    let in_run = ref false in
-    List.iter
-      (fun ((e : Disk.extent), gen) ->
-        for i = 0 to e.Disk.length - 1 do
-          incr total;
-          match classify t (e.Disk.start + i) ~gen with
-          | P_hit ->
-            incr hits;
-            in_run := false
-          | P_stale | P_absent ->
-            missing := (e.Disk.start + i, gen) :: !missing;
-            if not !in_run then begin
-              incr runs;
-              in_run := true
-            end
-        done)
-      gens;
-    let m = List.length !missing in
-    if m > 0 then begin
-      Disk.charge_seek t.disk;
-      Disk.charge_read_transfer t.disk ~blocks:m;
-      (* Scan-loaded frames enter cold (reference bit clear): a scan
-         longer than the pool drains behind itself instead of evicting
-         the probe working set — drop-behind readahead. *)
-      List.iter
-        (fun (a, gen) -> settle t a ~gen ~refbit:false)
-        (List.rev !missing);
-      let ra = m - !runs in
-      bump t (fun a -> a.readaheads <- a.readaheads + ra);
-      if ra > 0 then Wave_obs.Metrics.inc ~by:(float_of_int ra) m_readaheads
-    end;
-    let seek = (params t).Disk.seek_time in
-    let uncached = seek +. block_seconds t !total in
-    let charged = if m = 0 then 0.0 else seek +. block_seconds t m in
-    bump t (fun a -> a.saved_seconds <- a.saved_seconds +. uncached -. charged);
-    note_data t ~hits:!hits ~misses:m
+    with_pending t scan_blocks exts
   end
 
 (* Write-back: dirty the resident frames instead of charging the disk;
@@ -445,49 +505,51 @@ let sequential_read t exts =
    next {!flush} drain, where contiguous dirty runs coalesce into one
    physical write each. *)
 let write_back_range t (ext : Disk.extent) ~off ~blocks =
+  let st = t.st in
   if not (Disk.live_at t.disk ~start:ext.Disk.start ~length:ext.Disk.length)
   then raise (Disk.Disk_error "write: extent is not live");
   if blocks > 0 then
-    if blocks > Array.length t.st.frames then begin
+    if blocks > Array.length st.keys then begin
       (* The range cannot be held dirty: fall back to write-through for
          this one write (same cost and fault point as uncached). *)
-      Disk.write_blocks t.disk ext ~blocks;
+      Disk.write_run t.disk ext ~off ~blocks;
       let gen = live_gen t ext in
       let base = ext.Disk.start + off in
-      for i = 0 to blocks - 1 do
-        match frame_of t (dkey t (base + i)) with
-        | Some f ->
-          drop_stale_dirty t f;
-          f.gen <- gen;
-          f.refbit <- true
-        | None -> ()
+      for a = base to base + blocks - 1 do
+        let i = data_frame t a in
+        if i >= 0 then begin
+          drop_stale_dirty t i;
+          st.gens.(i) <- gen;
+          set_refbit st i true
+        end
       done
     end
     else begin
       let gen = live_gen t ext in
       let base = ext.Disk.start + off in
-      for i = 0 to blocks - 1 do
-        let addr = base + i in
-        let f =
-          match frame_of t (dkey t addr) with
-          | Some f when f.gen = gen ->
-            if f.dirty then begin
+      for a = base to base + blocks - 1 do
+        let i = data_frame t a in
+        let i =
+          if i < 0 then install t (data_key t.uid a) ~gen ~refbit:true
+          else if st.gens.(i) = gen then begin
+            if is_dirty st i then begin
               (* A rewrite absorbed by an already-dirty frame: the
                  whole point of write-back. *)
               bump t (fun a -> a.writes_coalesced <- a.writes_coalesced + 1);
               Wave_obs.Metrics.inc m_writes_coalesced
             end;
-            f
-          | Some f ->
-            drop_stale_dirty t f;
-            f.gen <- gen;
+            i
+          end
+          else begin
+            drop_stale_dirty t i;
+            st.gens.(i) <- gen;
             bump t (fun a -> a.stale_drops <- a.stale_drops + 1);
-            f
-          | None -> install t (dkey t addr) ~gen ~refbit:true
+            i
+          end
         in
-        f.refbit <- true;
-        f.dirty <- true;
-        f.owner <- Some t
+        set_refbit st i true;
+        Bytes.set st.dirty i '\001';
+        st.owners.(i) <- t.slot
       done
     end
 
@@ -500,16 +562,18 @@ let write_range t (ext : Disk.extent) ~off ~blocks =
     (* Write-through: the disk is charged exactly as an uncached write —
        same seek, same write op, same fault point.  Only if it succeeds
        do resident frames pick up the new contents (and generation). *)
-    Disk.write_blocks t.disk ext ~blocks;
+    Disk.write_run t.disk ext ~off ~blocks;
     if blocks > 0 then begin
+      let st = t.st in
       let gen = live_gen t ext in
       let base = ext.Disk.start + off in
-      for i = 0 to blocks - 1 do
-        match frame_of t (dkey t (base + i)) with
-        | Some f ->
-          f.gen <- gen;
-          f.refbit <- true
-        | None -> () (* no write allocation *)
+      for a = base to base + blocks - 1 do
+        let i = data_frame t a in
+        if i >= 0 then begin
+          st.gens.(i) <- gen;
+          set_refbit st i true
+        end
+        (* no write allocation *)
       done
     end
   end
@@ -518,10 +582,14 @@ let write t ext = write_range t ext ~off:0 ~blocks:ext.Disk.length
 
 (* --- flush ----------------------------------------------------------- *)
 
-let dirty_frames t =
-  Array.fold_left
-    (fun acc f -> if f.occupied && f.dirty then acc + 1 else acc)
-    0 t.st.frames
+let count_frames st p =
+  let n = ref 0 in
+  for i = 0 to Array.length st.keys - 1 do
+    if p st i then incr n
+  done;
+  !n
+
+let dirty_frames t = count_frames t.st (fun st i -> occupied st i && is_dirty st i)
 
 let write_back t = t.st.write_back
 
@@ -537,15 +605,14 @@ let flush t =
   let st = t.st in
   if st.write_back && not st.in_flush then begin
     let dirty = ref [] in
-    Array.iter
-      (fun f ->
-        if f.occupied && f.dirty then
-          match (f.owner, f.key) with
-          | Some v, Data { addr; _ } -> dirty := (v, addr, f) :: !dirty
-          | _ ->
-            (* Dirty frame with no owner cannot be written anywhere. *)
-            f.dirty <- false)
-      st.frames;
+    for i = 0 to Array.length st.keys - 1 do
+      if occupied st i && is_dirty st i then
+        if st.owners.(i) >= 0 && is_data st.keys.(i) then
+          dirty := (st.views.(st.owners.(i)), addr_of_key st.keys.(i), i) :: !dirty
+        else
+          (* Dirty frame with no owner cannot be written anywhere. *)
+          Bytes.set st.dirty i '\000'
+    done;
     let dirty =
       List.sort
         (fun (v1, a1, _) (v2, a2, _) ->
@@ -566,17 +633,15 @@ let flush t =
              whose extent is gone or reallocated is discarded. *)
           let writable =
             List.filter_map
-              (fun (v, addr, f) ->
+              (fun (v, addr, i) ->
                 match Disk.extent_covering v.disk ~addr with
                 | Some ext
                   when Disk.generation_at v.disk ~start:ext.Disk.start
-                       = Some f.gen ->
-                  Some (v, addr, f, ext)
+                       = Some st.gens.(i) ->
+                  Some (v, addr, i, ext)
                 | _ ->
-                  f.dirty <- false;
-                  f.owner <- None;
-                  bump v (fun a -> a.dirty_discards <- a.dirty_discards + 1);
-                  Wave_obs.Metrics.inc m_dirty_discards;
+                  clean st i;
+                  note_discard v;
                   None)
               dirty
           in
@@ -589,14 +654,11 @@ let flush t =
               Disk.write_run v.disk ext
                 ~off:(addr0 - ext.Disk.start)
                 ~blocks:n;
-              List.iter
-                (fun (_, _, f, _) ->
-                  f.dirty <- false;
-                  f.owner <- None)
-                group;
-              bump v (fun a ->
-                  a.flush_writes <- a.flush_writes + 1;
-                  a.flushed_blocks <- a.flushed_blocks + n);
+              List.iter (fun (_, _, i, _) -> clean st i) group;
+              v.local.flush_writes <- v.local.flush_writes + 1;
+              v.local.flushed_blocks <- v.local.flushed_blocks + n;
+              st.global.flush_writes <- st.global.flush_writes + 1;
+              st.global.flushed_blocks <- st.global.flushed_blocks + n;
               Wave_obs.Metrics.inc ~by:(float_of_int n) m_flushed_blocks
           in
           let rec drain group = function
@@ -618,77 +680,92 @@ let flush t =
   end
 
 let discard_dirty t =
+  let st = t.st in
   let n = ref 0 in
-  Array.iter
-    (fun f ->
-      if f.occupied && f.dirty then begin
-        (match f.owner with
-        | Some v ->
-          bump v (fun a -> a.dirty_discards <- a.dirty_discards + 1);
-          Wave_obs.Metrics.inc m_dirty_discards
-        | None -> ());
-        f.dirty <- false;
-        f.owner <- None;
-        incr n
-      end)
-    t.st.frames;
+  for i = 0 to Array.length st.keys - 1 do
+    if occupied st i && is_dirty st i then begin
+      if st.owners.(i) >= 0 then note_discard st.views.(st.owners.(i));
+      clean st i;
+      incr n
+    end
+  done;
   !n
 
+let add_meta_miss (a : acc) ~seek ~block =
+  a.meta_seconds <- a.meta_seconds +. seek +. block;
+  a.meta_misses <- a.meta_misses + 1
+
+let rec meta_read_nodes t dir = function
+  | [] -> ()
+  | node :: rest ->
+    let st = t.st in
+    let key = meta_key dir node in
+    let i = lookup st key in
+    if i >= 0 then begin
+      set_refbit st i true;
+      bump t (fun a -> a.meta_hits <- a.meta_hits + 1);
+      Wave_obs.Metrics.inc m_meta_hits
+    end
+    else begin
+      (* A cold upper-level block: pointer-chased, so each miss pays
+         its own seek — exactly the term a warm pool removes. *)
+      Disk.charge_seek t.disk;
+      Disk.charge_read_transfer t.disk ~blocks:1;
+      let seek = (params t).Disk.seek_time and block = block_seconds t 1 in
+      add_meta_miss t.local ~seek ~block;
+      add_meta_miss st.global ~seek ~block;
+      Wave_obs.Metrics.inc m_meta_misses;
+      ignore (install t key ~gen:0 ~refbit:true)
+    end;
+    meta_read_nodes t dir rest
+
 let meta_read t ~dir ~nodes =
-  let seek = (params t).Disk.seek_time in
-  List.iter
-    (fun node ->
-      let key = Meta { dir; node } in
-      match frame_of t key with
-      | Some f ->
-        f.refbit <- true;
-        bump t (fun a -> a.meta_hits <- a.meta_hits + 1);
-        Wave_obs.Metrics.inc m_meta_hits
-      | None ->
-        (* A cold upper-level block: pointer-chased, so each miss pays
-           its own seek — exactly the term a warm pool removes. *)
-        Disk.charge_seek t.disk;
-        Disk.charge_read_transfer t.disk ~blocks:1;
-        bump t (fun a ->
-            a.meta_seconds <- a.meta_seconds +. seek +. block_seconds t 1;
-            a.meta_misses <- a.meta_misses + 1);
-        Wave_obs.Metrics.inc m_meta_misses;
-        ignore (install t key ~gen:0 ~refbit:true))
-    nodes
+  check_ns "directory namespace" dir;
+  meta_read_nodes t dir nodes
 
 (* --- pinning --------------------------------------------------------- *)
 
+(* Frame of every block in [start, start+length) whose frame satisfies
+   [ok], or the first block that does not. *)
+let first_block_not t ~start ~length ok =
+  let rec go a =
+    if a = start + length then -1
+    else
+      let i = data_frame t a in
+      if i >= 0 && ok i then go (a + 1) else a
+  in
+  go start
+
 let pin_extent t (ext : Disk.extent) =
   read t ext;
+  let st = t.st in
   let gen = live_gen t ext in
-  let pinned = ref [] in
-  try
-    for i = 0 to ext.Disk.length - 1 do
-      match frame_of t (dkey t (ext.Disk.start + i)) with
-      | Some f when f.gen = gen ->
-        f.pins <- f.pins + 1;
-        pinned := f :: !pinned
-      | Some _ | None ->
-        fail "pin_extent: extent of %d blocks does not fit the pool"
-          ext.Disk.length
-    done
-  with e ->
-    List.iter (fun f -> f.pins <- f.pins - 1) !pinned;
-    raise e
+  (* Validate the whole extent first so a failed pin changes nothing. *)
+  if
+    first_block_not t ~start:ext.Disk.start ~length:ext.Disk.length (fun i ->
+        st.gens.(i) = gen)
+    >= 0
+  then fail "pin_extent: extent of %d blocks does not fit the pool" ext.Disk.length;
+  for a = ext.Disk.start to ext.Disk.start + ext.Disk.length - 1 do
+    let i = data_frame t a in
+    st.pins.(i) <- st.pins.(i) + 1
+  done
 
 let unpin_extent t (ext : Disk.extent) =
+  let st = t.st in
   (* Validate the whole range first so a failed unpin changes nothing. *)
-  let frames =
-    List.init ext.Disk.length (fun i ->
-        match frame_of t (dkey t (ext.Disk.start + i)) with
-        | Some f when f.pins > 0 -> f
-        | Some _ ->
-          fail "unpin_extent: block %d pin count would drop below zero"
-            (ext.Disk.start + i)
-        | None ->
-          fail "unpin_extent: block %d is not resident" (ext.Disk.start + i))
+  let bad =
+    first_block_not t ~start:ext.Disk.start ~length:ext.Disk.length (fun i ->
+        st.pins.(i) > 0)
   in
-  List.iter (fun f -> f.pins <- f.pins - 1) frames
+  if bad >= 0 then
+    if data_frame t bad >= 0 then
+      fail "unpin_extent: block %d pin count would drop below zero" bad
+    else fail "unpin_extent: block %d is not resident" bad;
+  for a = ext.Disk.start to ext.Disk.start + ext.Disk.length - 1 do
+    let i = data_frame t a in
+    st.pins.(i) <- st.pins.(i) - 1
+  done
 
 (* Epoch pinning: keep what is already resident of a snapshot extent in
    the pool for the epoch's lifetime, without charging any I/O (unlike
@@ -704,62 +781,53 @@ let unpin_extent t (ext : Disk.extent) =
    retired-but-undrained epoch survives any amount of cache pressure
    until the epoch's last reader drains and unpins it. *)
 let pin_resident_blocks t (ext : Disk.extent) ~budget =
+  let st = t.st in
   let gen = live_gen t ext in
   let pinned = ref [] in
   let left = ref budget in
-  for i = 0 to ext.Disk.length - 1 do
+  for a = ext.Disk.start to ext.Disk.start + ext.Disk.length - 1 do
     if !left > 0 then begin
-      let addr = ext.Disk.start + i in
-      match frame_of t (dkey t addr) with
-      | Some f when f.gen = gen ->
-        f.pins <- f.pins + 1;
+      let i = data_frame t a in
+      if i >= 0 && st.gens.(i) = gen then begin
+        st.pins.(i) <- st.pins.(i) + 1;
         decr left;
-        pinned := addr :: !pinned
-      | Some _ | None -> ()
+        pinned := a :: !pinned
+      end
     end
   done;
   List.rev !pinned
 
 let unpin_blocks t addrs =
+  let st = t.st in
   (* Validate first so a failed unpin changes nothing; pinned frames
      cannot be evicted, so every address must still be resident. *)
-  let frames =
-    List.map
-      (fun addr ->
-        match frame_of t (dkey t addr) with
-        | Some f when f.pins > 0 -> f
-        | Some _ ->
-          fail "unpin_blocks: block %d pin count would drop below zero" addr
-        | None -> fail "unpin_blocks: pinned block %d is not resident" addr)
-      addrs
-  in
-  List.iter (fun f -> f.pins <- f.pins - 1) frames
+  List.iter
+    (fun addr ->
+      let i = data_frame t addr in
+      if i < 0 then fail "unpin_blocks: pinned block %d is not resident" addr
+      else if st.pins.(i) <= 0 then
+        fail "unpin_blocks: block %d pin count would drop below zero" addr)
+    addrs;
+  List.iter
+    (fun addr ->
+      let i = data_frame t addr in
+      st.pins.(i) <- st.pins.(i) - 1)
+    addrs
 
-let pinned_frames t =
-  Array.fold_left
-    (fun acc f -> if f.pins > 0 then acc + 1 else acc)
-    0 t.st.frames
+let pinned_frames t = count_frames t.st (fun st i -> st.pins.(i) > 0)
 
 (* --- observation ----------------------------------------------------- *)
 
-let capacity t = Array.length t.st.frames
-
-let resident t =
-  Array.fold_left
-    (fun acc f -> if f.occupied then acc + 1 else acc)
-    0 t.st.frames
+let capacity t = Array.length t.st.keys
+let resident t = count_frames t.st occupied
 
 let contains t (ext : Disk.extent) =
   match Disk.generation_at t.disk ~start:ext.Disk.start with
   | None -> false
   | Some gen ->
-    let ok = ref true in
-    for i = 0 to ext.Disk.length - 1 do
-      match frame_of t (dkey t (ext.Disk.start + i)) with
-      | Some f when f.gen = gen -> ()
-      | Some _ | None -> ok := false
-    done;
-    !ok
+    first_block_not t ~start:ext.Disk.start ~length:ext.Disk.length (fun i ->
+        t.st.gens.(i) = gen)
+    < 0
 
 let stats t = acc_stats t.st.global
 let local_stats t = acc_stats t.local

@@ -147,7 +147,7 @@ val sequential_read : t -> Disk.extent list -> unit
     missed blocks, batched per contiguous run. *)
 
 val write_range : t -> Disk.extent -> off:int -> blocks:int -> unit
-(** Write-through pool: charges {!Disk.write_blocks} [~blocks] verbatim
+(** Write-through pool: charges {!Disk.write_run} [~off ~blocks] verbatim
     (same cost and fault points as uncached), then refreshes resident
     frames in [off, off+blocks); never allocates frames.  Write-back
     pool: dirties the range's frames (allocating on demand) and charges

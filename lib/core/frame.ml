@@ -60,22 +60,33 @@ let length t =
 let slot_in_range s ~t1 ~t2 =
   Dayset.exists (fun d -> d >= t1 && d <= t2) s.days
 
-let timed_index_probe t ~t1 ~t2 ~value =
-  Array.fold_left
-    (fun acc s ->
-      if slot_in_range s ~t1 ~t2 then
-        acc @ Index.probe_timed s.index value ~t1 ~t2
-      else acc)
-    [] t.slots
+(* Constituents are charged in slot order, each before the recursion
+   reaches the next; the answer is then built on the way back, from the
+   last slot to the first, so every entry is consed exactly once. *)
+let rec probe_from t j ~t1 ~t2 ~value =
+  if j = Array.length t.slots then []
+  else
+    let s = t.slots.(j) in
+    if slot_in_range s ~t1 ~t2 then
+      let bucket = Index.probe_bucket s.index value in
+      Index.timed_onto bucket ~t1 ~t2 (probe_from t (j + 1) ~t1 ~t2 ~value)
+    else probe_from t (j + 1) ~t1 ~t2 ~value
+
+let timed_index_probe t ~t1 ~t2 ~value = probe_from t 0 ~t1 ~t2 ~value
 
 let index_probe t ~value = timed_index_probe t ~t1:min_int ~t2:max_int ~value
 
-let timed_segment_scan t ~t1 ~t2 =
-  Array.fold_left
-    (fun acc s ->
-      if slot_in_range s ~t1 ~t2 then acc @ Index.scan_timed s.index ~t1 ~t2
-      else acc)
-    [] t.slots
+let rec scan_from t j ~t1 ~t2 =
+  if j = Array.length t.slots then []
+  else
+    let s = t.slots.(j) in
+    if slot_in_range s ~t1 ~t2 then begin
+      Index.scan_charge s.index;
+      Index.scan_onto s.index ~t1 ~t2 (scan_from t (j + 1) ~t1 ~t2)
+    end
+    else scan_from t (j + 1) ~t1 ~t2
+
+let timed_segment_scan t ~t1 ~t2 = scan_from t 0 ~t1 ~t2
 
 let segment_scan t = timed_segment_scan t ~t1:min_int ~t2:max_int
 

@@ -10,31 +10,6 @@
 let magic = "WVBK"
 let stamp_bytes = 40
 
-(* Local CRC-32 (IEEE, reflected).  Codec has one, but wave_storage
-   depends on wave_disk, so the stamp codec keeps its own table. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 buf off len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  for i = off to off + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get buf i)))) 0xFFl)
-    in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
-  done;
-  Int32.logxor !c 0xFFFFFFFFl
-
 type t = {
   path : string;
   block_size : int;
@@ -113,7 +88,8 @@ let stamp_into buf ~boff ~block ~ext_start ~gen ~seq =
   Bytes.set_int64_le buf (boff + 12) (Int64.of_int gen);
   Bytes.set_int64_le buf (boff + 20) (Int64.of_int block);
   Bytes.set_int64_le buf (boff + 28) (Int64.of_int seq);
-  Bytes.set_int32_le buf (boff + 36) (crc32 buf boff 36)
+  Bytes.set_int32_le buf (boff + 36)
+    (Int32.of_int (Wave_util.Crc32.bytes buf ~off:boff ~len:36))
 
 let stamped_buffer t ~start ~blocks ~ext_start ~gen ~seq =
   let buf = Bytes.make (blocks * t.block_size) '\000' in
@@ -141,12 +117,17 @@ let write_torn_prefix t ~start ~blocks ~ext_start ~gen ~seq =
   end;
   torn
 
+let has_magic buf boff =
+  let rec go i = i = 4 || (Bytes.get buf (boff + i) = magic.[i] && go (i + 1)) in
+  go 0
+
 let block_intact t buf ~boff ~block ~ext_start ~gen =
   let rec all_zero i =
     i >= t.block_size || (Bytes.get buf (boff + i) = '\000' && all_zero (i + 1))
   in
-  (Bytes.sub_string buf boff 4 = magic
-  && Bytes.get_int32_le buf (boff + 36) = crc32 buf boff 36
+  (has_magic buf boff
+  && Int32.to_int (Bytes.get_int32_le buf (boff + 36)) land 0xFFFF_FFFF
+     = Wave_util.Crc32.bytes buf ~off:boff ~len:36
   && Bytes.get_int64_le buf (boff + 4) = Int64.of_int ext_start
   && Bytes.get_int64_le buf (boff + 12) = Int64.of_int gen
   && Bytes.get_int64_le buf (boff + 20) = Int64.of_int block)

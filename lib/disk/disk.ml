@@ -397,30 +397,13 @@ let read_blocks t ext ~blocks =
 
 let read t ext = read_blocks t ext ~blocks:ext.length
 
-let write_blocks t ext ~blocks =
-  lookup_live t ext;
-  if blocks < 0 || blocks > ext.length then
-    raise (Disk_error "write_blocks: out of extent bounds");
-  write_fault_check t ext ~off:0 ~blocks;
-  charge_seek t;
-  t.write_ops <- t.write_ops + 1;
-  t.blocks_written <- t.blocks_written + blocks;
-  t.elapsed <- t.elapsed +. block_seconds t blocks;
-  Wave_obs.Trace.on_write ~blocks ~bytes:(blocks * t.params.block_size);
-  Wave_obs.Trace.on_model_seconds (block_seconds t blocks);
-  (* A complete rewrite of the extent replaces any torn contents. *)
-  if blocks = ext.length then Hashtbl.remove t.torn ext.start;
-  backed_write t ext ~off:0 ~blocks;
-  notify t
-
-let write t ext = write_blocks t ext ~blocks:ext.length
-
-(* Deferred (write-back) flush of a sub-range: like [write_blocks] but
-   the written run may start at any offset inside the extent, as a
-   coalesced drain of dirty buffer frames does.  Same cost (one seek,
-   one write op, the run's transfer) and the same fault point; a torn
-   fault marks the whole destination extent, and only a complete
-   rewrite clears an existing tear. *)
+(* Charged write of a run inside a live extent, starting [off] blocks
+   in: one seek, one write op (the fault point), the run's transfer.  A
+   torn fault marks the whole destination extent, and only a complete
+   rewrite ([off = 0], [blocks = length]) clears an existing tear.
+   Buffer-pool flushes drain coalesced dirty runs through it, and every
+   partial write (a bucket append, a write-through sub-range) lands at
+   its true offset. *)
 let write_run t ext ~off ~blocks =
   lookup_live t ext;
   if off < 0 || blocks < 0 || off + blocks > ext.length then
@@ -435,6 +418,9 @@ let write_run t ext ~off ~blocks =
   if off = 0 && blocks = ext.length then Hashtbl.remove t.torn ext.start;
   backed_write t ext ~off ~blocks;
   notify t
+
+let write_blocks t ext ~blocks = write_run t ext ~off:0 ~blocks
+let write t ext = write_run t ext ~off:0 ~blocks:ext.length
 
 (* One buffer-pool flush drain.  The drain itself moves no bytes (its
    runs charge their own seeks and transfers through [write_run]); it

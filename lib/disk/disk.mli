@@ -145,13 +145,16 @@ val write : t -> extent -> unit
 (** Charge one seek plus the transfer of the whole extent. *)
 
 val write_blocks : t -> extent -> blocks:int -> unit
+(** [write_run t ext ~off:0 ~blocks]: a prefix write. *)
 
 val write_run : t -> extent -> off:int -> blocks:int -> unit
 (** Charge one seek plus the transfer of [blocks] starting [off] blocks
-    into a live extent — a coalesced run of deferred (write-back) frame
-    writes.  Bounds-checked ([off + blocks <= length]); a full rewrite
-    ([off = 0], [blocks = length]) replaces torn contents exactly as
-    {!write} does, a partial one does not. *)
+    into a live extent — a bucket append, a write-through sub-range, or
+    a coalesced run of deferred (write-back) frame writes.  On a
+    file-backed disk the stamps land at [\[off, off+blocks)].
+    Bounds-checked ([off + blocks <= length]); a full rewrite
+    ([off = 0], [blocks = length]) replaces torn contents, a partial one
+    does not. *)
 
 val note_flush : t -> unit
 (** Record one buffer-pool flush drain.  Charges nothing (the drain's

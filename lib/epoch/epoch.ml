@@ -337,20 +337,34 @@ let check_readable e =
   if e.e_state = Drained then
     fail "Epoch.probe: epoch %d is drained" e.e_gen
 
+(* As in [Frame]: charge the snapshot's constituents in order on the
+   way down, cons each one's answer onto the rest on the way back. *)
+let rec probe_slots slots ~value ~t1 ~t2 =
+  match slots with
+  | [] -> []
+  | (idx, in_range) :: rest ->
+    if in_range ~t1 ~t2 then
+      let bucket = Index.probe_bucket idx value in
+      Index.timed_onto bucket ~t1 ~t2 (probe_slots rest ~value ~t1 ~t2)
+    else probe_slots rest ~value ~t1 ~t2
+
+let rec scan_slots slots ~t1 ~t2 =
+  match slots with
+  | [] -> []
+  | (idx, in_range) :: rest ->
+    if in_range ~t1 ~t2 then begin
+      Index.scan_charge idx;
+      Index.scan_onto idx ~t1 ~t2 (scan_slots rest ~t1 ~t2)
+    end
+    else scan_slots rest ~t1 ~t2
+
 let probe e ~value ~t1 ~t2 =
   check_readable e;
-  List.fold_left
-    (fun acc (idx, in_range) ->
-      if in_range ~t1 ~t2 then acc @ Index.probe_timed idx value ~t1 ~t2
-      else acc)
-    [] e.e_slots
+  probe_slots e.e_slots ~value ~t1 ~t2
 
 let scan e ~t1 ~t2 =
   check_readable e;
-  List.fold_left
-    (fun acc (idx, in_range) ->
-      if in_range ~t1 ~t2 then acc @ Index.scan_timed idx ~t1 ~t2 else acc)
-    [] e.e_slots
+  scan_slots e.e_slots ~t1 ~t2
 
 (* --- interleaved execution ------------------------------------------- *)
 

@@ -375,6 +375,25 @@ let fold t ~init ~f =
   iter t (fun k v -> acc := f !acc k v);
   !acc
 
+(* Right-to-left walk of the node structure (leaves are chained only
+   left to right), so a caller can build a key-ordered list by consing. *)
+let fold_descending t ~init ~f =
+  let rec walk acc = function
+    | Leaf l ->
+      let acc = ref acc in
+      for i = l.lsize - 1 downto 0 do
+        acc := f !acc l.lkeys.(i) (Option.get l.lvals.(i))
+      done;
+      !acc
+    | Internal n ->
+      let acc = ref acc in
+      for i = n.isize downto 0 do
+        acc := walk !acc n.children.(i)
+      done;
+      !acc
+  in
+  match t.root with None -> init | Some r -> walk init r
+
 let range t ~lo ~hi =
   match t.root with
   | None -> []

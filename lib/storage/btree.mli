@@ -52,6 +52,9 @@ val iter : 'a t -> (int -> 'a -> unit) -> unit
 
 val fold : 'a t -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
 
+val fold_descending : 'a t -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
+(** Like {!fold}, visiting bindings in decreasing key order. *)
+
 val range : 'a t -> lo:int -> hi:int -> (int * 'a) list
 (** Bindings with [lo <= key <= hi], in increasing key order. *)
 

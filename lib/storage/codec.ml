@@ -41,28 +41,10 @@ let get_signed r = unzigzag (get_varint r)
 
 (* --- batch ---------------------------------------------------------- *)
 
-(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table driven.
-   The previous additive checksum missed transpositions and many
-   two-bit flips; CRC-32 detects all single-burst errors up to 32 bits
-   and any odd number of bit flips. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let checksum_of buf_contents =
-  let table = Lazy.force crc_table in
-  let crc = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch ->
-      crc := table.((!crc lxor Char.code ch) land 0xFF) lxor (!crc lsr 8))
-    buf_contents;
-  !crc lxor 0xFFFFFFFF
-
+(* The payload's checksum is CRC-32 ({!Wave_util.Crc32}).  The previous
+   additive checksum missed transpositions and many two-bit flips;
+   CRC-32 detects all single-burst errors up to 32 bits and any odd
+   number of bit flips. *)
 let encode_batch (b : Entry.batch) =
   let buf = Buffer.create (64 + (Entry.batch_size b * 6)) in
   put_signed buf b.Entry.day;
@@ -77,7 +59,7 @@ let encode_batch (b : Entry.batch) =
   let out = Buffer.create (String.length payload + 12) in
   Buffer.add_string out magic;
   Buffer.add_string out payload;
-  put_varint out (checksum_of payload);
+  put_varint out (Wave_util.Crc32.string payload ~off:0 ~len:(String.length payload));
   Buffer.contents out
 
 let decode_batch_reader r =
@@ -96,9 +78,11 @@ let decode_batch_reader r =
         let info = get_signed r in
         { Entry.value; entry = { Entry.rid; day; info } })
   in
-  let payload = String.sub r.data payload_start (r.pos - payload_start) in
+  let crc =
+    Wave_util.Crc32.string r.data ~off:payload_start ~len:(r.pos - payload_start)
+  in
   let expect = get_varint r in
-  if checksum_of payload <> expect then raise (Malformed "checksum mismatch");
+  if crc <> expect then raise (Malformed "checksum mismatch");
   ignore start;
   Entry.batch_create ~day postings
 

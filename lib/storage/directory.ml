@@ -64,5 +64,15 @@ let fold_ordered t ~init ~f =
   iter_ordered t (fun k v -> acc := f !acc k v);
   !acc
 
+let fold_descending t ~init ~f =
+  match t.impl with
+  | Bplus_dir b -> Btree.fold_descending b ~init ~f
+  | Hash_dir h ->
+    let keys = Hashtbl.fold (fun k _ acc -> k :: acc) h [] in
+    List.fold_left
+      (fun acc k -> f acc k (Hashtbl.find h k))
+      init
+      (List.sort (fun a b -> Int.compare b a) keys)
+
 let values_ordered t =
   List.rev (fold_ordered t ~init:[] ~f:(fun acc k _ -> k :: acc))

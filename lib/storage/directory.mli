@@ -36,4 +36,9 @@ val iter_ordered : 'a t -> (int -> 'a -> unit) -> unit
     (the hash directory sorts its keys first: O(n log n)). *)
 
 val fold_ordered : 'a t -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
+
+val fold_descending : 'a t -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
+(** Visits bindings in decreasing value order, so consing builds an
+    increasing list. *)
+
 val values_ordered : 'a t -> int list

@@ -186,13 +186,12 @@ let charged_sequential_read t exts =
     | Some c -> Cache.sequential_read c exts
 
 (* Write-through: the disk sees the identical write (cost, counters,
-   fault points) whether or not a pool is attached; resident frames in
-   the written range are refreshed, never allocated.  [off] is the
-   written range's offset inside the extent — the uncached path charges
-   the same [blocks] regardless. *)
+   fault points, file offset) whether or not a pool is attached;
+   resident frames in the written range are refreshed, never
+   allocated. *)
 let charged_write_blocks t ext ~off ~blocks =
   match t.cache with
-  | None -> Disk.write_blocks t.dsk ext ~blocks
+  | None -> Disk.write_run t.dsk ext ~off ~blocks
   | Some c -> Cache.write_range c ext ~off ~blocks
 
 let install_packed t groups =
@@ -257,17 +256,26 @@ let allocated_blocks t = t.total_alloc
 (* Queries                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let probe t v =
+let probe_bucket t v =
   span "index.probe" (fun () ->
       dir_read_charge t v;
       match Directory.find t.dir v with
-      | None -> []
+      | None -> [||]
       | Some b ->
         bucket_read_charge t b;
-        Array.to_list b.entries)
+        b.entries)
 
-let probe_timed t v ~t1 ~t2 =
-  List.filter (fun (e : Entry.t) -> e.Entry.day >= t1 && e.Entry.day <= t2) (probe t v)
+let probe t v = Array.to_list (probe_bucket t v)
+
+let timed_onto (es : Entry.t array) ~t1 ~t2 tail =
+  let acc = ref tail in
+  for i = Array.length es - 1 downto 0 do
+    let e = es.(i) in
+    if e.Entry.day >= t1 && e.Entry.day <= t2 then acc := e :: !acc
+  done;
+  !acc
+
+let probe_timed t v ~t1 ~t2 = timed_onto (probe_bucket t v) ~t1 ~t2 []
 
 let scan_extents t =
   (* Every extent this index holds: the shared home (live part or not —
@@ -281,16 +289,24 @@ let scan_extents t =
 
 let extents t = scan_extents t
 
-let scan t =
+let scan_charge t =
   span "index.scan" (fun () ->
       if t.total_used > 0 || t.total_alloc > 0 then
-        charged_sequential_read t (scan_extents t);
-      Directory.fold_ordered t.dir ~init:[] ~f:(fun acc _ b ->
-          Array.fold_left (fun acc e -> e :: acc) acc b.entries)
-      |> List.rev)
+        charged_sequential_read t (scan_extents t))
+
+(* Buckets from the highest value down, each consed from its end, so
+   the result is in value order then bucket order. *)
+let scan_onto t ~t1 ~t2 tail =
+  Directory.fold_descending t.dir ~init:tail ~f:(fun acc _ b ->
+      timed_onto b.entries ~t1 ~t2 acc)
+
+let scan t =
+  scan_charge t;
+  scan_onto t ~t1:min_int ~t2:max_int []
 
 let scan_timed t ~t1 ~t2 =
-  List.filter (fun (e : Entry.t) -> e.Entry.day >= t1 && e.Entry.day <= t2) (scan t)
+  scan_charge t;
+  scan_onto t ~t1 ~t2 []
 
 (* ------------------------------------------------------------------ *)
 (* Mutation                                                           *)

@@ -133,6 +133,30 @@ val scan_timed : t -> t1:int -> t2:int -> Entry.t list
 (** [TimedSegmentScan] on this constituent: full scan cost, filtered to
     the day range. *)
 
+(** {2 Composing answers across constituents}
+
+    A wave query charges its constituents in slot order and returns
+    their answers concatenated.  These split each access into its
+    charge and its answer, so the caller can charge front to back and
+    then build the concatenation back to front, consing every returned
+    entry once. *)
+
+val probe_bucket : t -> int -> Entry.t array
+(** Charge exactly what {!probe} charges and return the bucket
+    ([[||]] when the value is absent).  The array is the index's own:
+    do not mutate it. *)
+
+val timed_onto : Entry.t array -> t1:int -> t2:int -> Entry.t list -> Entry.t list
+(** [timed_onto es ~t1 ~t2 tail] is the entries of [es] with
+    [t1 <= day <= t2], in array order, followed by [tail]. *)
+
+val scan_charge : t -> unit
+(** Charge exactly what {!scan} charges. *)
+
+val scan_onto : t -> t1:int -> t2:int -> Entry.t list -> Entry.t list
+(** The entries {!scan_timed} returns, followed by [tail]; charges
+    nothing. *)
+
 (** {1 Observation} *)
 
 val entry_count : t -> int

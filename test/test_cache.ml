@@ -766,6 +766,655 @@ let prop_cache_transparent =
       in
       entries off = entries on)
 
+(* --- reference model ------------------------------------------------------ *)
+
+(* The pool's algorithm in its plainest form — a record per frame, a
+   [Hashtbl] from structured keys to frame numbers, the same CLOCK
+   sweep — for one disk.  [Cache] must agree with it step for step:
+   same stats, residency, pins, dirty set and disk charges. *)
+module Ref_pool = struct
+  type key = Data of int | Meta of int * int
+
+  type frame = {
+    mutable key : key;
+    mutable occupied : bool;
+    mutable gen : int;
+    mutable pins : int;
+    mutable refbit : bool;
+    mutable dirty : bool;
+  }
+
+  type t = {
+    disk : Disk.t;
+    frames : frame array;
+    map : (key, int) Hashtbl.t;
+    readahead : int;
+    write_back : bool;
+    mutable hand : int;
+    mutable in_flush : bool;
+    mutable s : Cache.stats;
+    mutable stale_evicted : int;
+        (* blocks a read classified stale that its own earlier installs
+           evicted before they were settled *)
+  }
+
+  let create disk ~frames ~readahead ~write_back =
+    {
+      disk;
+      frames =
+        Array.init frames (fun _ ->
+            {
+              key = Data (-1);
+              occupied = false;
+              gen = 0;
+              pins = 0;
+              refbit = false;
+              dirty = false;
+            });
+      map = Hashtbl.create 16;
+      readahead;
+      write_back;
+      hand = 0;
+      in_flush = false;
+      s =
+        {
+          Cache.hits = 0;
+          misses = 0;
+          meta_hits = 0;
+          meta_misses = 0;
+          evictions = 0;
+          readaheads = 0;
+          stale_drops = 0;
+          writes_coalesced = 0;
+          dirty_evictions = 0;
+          flushes = 0;
+          flush_writes = 0;
+          flushed_blocks = 0;
+          dirty_discards = 0;
+          saved_seconds = 0.0;
+          meta_seconds = 0.0;
+        };
+      stale_evicted = 0;
+    }
+
+  let fail fmt = Printf.ksprintf (fun s -> raise (Cache.Cache_error s)) fmt
+  let params t = Disk.params t.disk
+
+  let block_seconds t blocks =
+    float_of_int (blocks * (params t).Disk.block_size) /. (params t).Disk.transfer_rate
+
+  let frame_of t key = Option.map (fun i -> t.frames.(i)) (Hashtbl.find_opt t.map key)
+
+  let live_gen t (ext : Disk.extent) =
+    match Disk.generation_at t.disk ~start:ext.Disk.start with
+    | Some g -> g
+    | None -> fail "extent at %d is not live" ext.Disk.start
+
+  let discard t = t.s <- { t.s with dirty_discards = t.s.dirty_discards + 1 }
+
+  let evict_dirty t f =
+    (match f.key with
+    | Data addr -> (
+      match Disk.extent_covering t.disk ~addr with
+      | Some ext when Disk.generation_at t.disk ~start:ext.Disk.start = Some f.gen ->
+        Disk.write_run t.disk ext ~off:(addr - ext.Disk.start) ~blocks:1;
+        t.s <- { t.s with dirty_evictions = t.s.dirty_evictions + 1 }
+      | _ -> discard t)
+    | Meta _ -> ());
+    f.dirty <- false
+
+  let victim t =
+    let n = Array.length t.frames in
+    let rec go budget =
+      if budget = 0 then fail "no evictable frame: all %d frames pinned" n;
+      let i = t.hand in
+      t.hand <- (t.hand + 1) mod n;
+      let f = t.frames.(i) in
+      if not f.occupied then i
+      else if f.pins > 0 then go (budget - 1)
+      else if f.refbit then begin
+        f.refbit <- false;
+        go (budget - 1)
+      end
+      else i
+    in
+    go (2 * n)
+
+  let install t key ~gen ~refbit =
+    let i = victim t in
+    let f = t.frames.(i) in
+    if f.occupied then begin
+      if f.dirty then evict_dirty t f;
+      Hashtbl.remove t.map f.key;
+      t.s <- { t.s with evictions = t.s.evictions + 1 }
+    end;
+    f.key <- key;
+    f.occupied <- true;
+    f.gen <- gen;
+    f.pins <- 0;
+    f.refbit <- refbit;
+    f.dirty <- false;
+    Hashtbl.replace t.map key i;
+    f
+
+  let drop_stale_dirty t f =
+    if f.dirty then begin
+      f.dirty <- false;
+      discard t
+    end
+
+  (* [`Hit], [`Stale] or [`Absent]; hits get their reference bit. *)
+  let classify t addr ~gen =
+    match frame_of t (Data addr) with
+    | Some f when f.gen = gen ->
+      f.refbit <- true;
+      `Hit
+    | Some _ -> `Stale
+    | None -> `Absent
+
+  let settle t (addr, cls) ~gen ~refbit =
+    match frame_of t (Data addr) with
+    | Some f ->
+      drop_stale_dirty t f;
+      f.gen <- gen;
+      f.refbit <- refbit;
+      t.s <- { t.s with stale_drops = t.s.stale_drops + 1 }
+    | None ->
+      if cls = `Stale then t.stale_evicted <- t.stale_evicted + 1;
+      ignore (install t (Data addr) ~gen ~refbit)
+
+  let note_data t ~hits ~misses ~uncached ~charged =
+    t.s <-
+      {
+        t.s with
+        saved_seconds = t.s.saved_seconds +. uncached -. charged;
+        hits = t.s.hits + hits;
+        misses = t.s.misses + misses;
+      }
+
+  let read_range t (ext : Disk.extent) ~off ~blocks =
+    if blocks > 0 then begin
+      Disk.assert_readable t.disk ext;
+      let gen = live_gen t ext in
+      let base = ext.Disk.start + off in
+      let missing = ref [] and hits = ref 0 in
+      for a = base to base + blocks - 1 do
+        match classify t a ~gen with
+        | `Hit -> incr hits
+        | cls -> missing := (a, cls) :: !missing
+      done;
+      let missing = List.rev !missing in
+      let m = List.length missing in
+      let ra = ref [] in
+      if m > 0 then
+        for a = base + blocks to min ext.Disk.length (off + blocks + t.readahead) - 1 + ext.Disk.start do
+          match classify t a ~gen with `Hit -> () | cls -> ra := (a, cls) :: !ra
+        done;
+      let ra = List.rev !ra in
+      let n_ra = List.length ra in
+      if m > 0 then begin
+        Disk.charge_seek t.disk;
+        Disk.charge_read_transfer t.disk ~blocks:(m + n_ra);
+        List.iter (fun b -> settle t b ~gen ~refbit:true) missing;
+        List.iter (fun b -> settle t b ~gen ~refbit:false) ra;
+        t.s <- { t.s with readaheads = t.s.readaheads + n_ra }
+      end;
+      let seek = (params t).Disk.seek_time in
+      let uncached = seek +. block_seconds t blocks in
+      let charged = if m = 0 then 0.0 else seek +. block_seconds t (m + n_ra) in
+      note_data t ~hits:!hits ~misses:m ~uncached ~charged
+    end
+
+  let sequential_read t exts =
+    if exts <> [] then begin
+      List.iter (fun e -> Disk.assert_readable t.disk e) exts;
+      let missing = ref [] and total = ref 0 and hits = ref 0 in
+      let runs = ref 0 and in_run = ref false in
+      List.iter
+        (fun (e : Disk.extent) ->
+          let gen = live_gen t e in
+          for a = e.Disk.start to e.Disk.start + e.Disk.length - 1 do
+            incr total;
+            match classify t a ~gen with
+            | `Hit ->
+              incr hits;
+              in_run := false
+            | cls ->
+              missing := ((a, cls), gen) :: !missing;
+              if not !in_run then incr runs;
+              in_run := true
+          done)
+        exts;
+      let missing = List.rev !missing in
+      let m = List.length missing in
+      if m > 0 then begin
+        Disk.charge_seek t.disk;
+        Disk.charge_read_transfer t.disk ~blocks:m;
+        List.iter (fun (b, gen) -> settle t b ~gen ~refbit:false) missing;
+        t.s <- { t.s with readaheads = t.s.readaheads + m - !runs }
+      end;
+      let seek = (params t).Disk.seek_time in
+      let uncached = seek +. block_seconds t !total in
+      let charged = if m = 0 then 0.0 else seek +. block_seconds t m in
+      note_data t ~hits:!hits ~misses:m ~uncached ~charged
+    end
+
+  let write_range t (ext : Disk.extent) ~off ~blocks =
+    if not t.write_back then begin
+      Disk.write_run t.disk ext ~off ~blocks;
+      if blocks > 0 then begin
+        let gen = live_gen t ext in
+        for a = ext.Disk.start + off to ext.Disk.start + off + blocks - 1 do
+          match frame_of t (Data a) with
+          | Some f ->
+            f.gen <- gen;
+            f.refbit <- true
+          | None -> ()
+        done
+      end
+    end
+    else begin
+      if not (Disk.live_at t.disk ~start:ext.Disk.start ~length:ext.Disk.length) then
+        raise (Disk.Disk_error "write: extent is not live");
+      if blocks > Array.length t.frames then begin
+        Disk.write_run t.disk ext ~off ~blocks;
+        let gen = live_gen t ext in
+        for a = ext.Disk.start + off to ext.Disk.start + off + blocks - 1 do
+          match frame_of t (Data a) with
+          | Some f ->
+            drop_stale_dirty t f;
+            f.gen <- gen;
+            f.refbit <- true
+          | None -> ()
+        done
+      end
+      else if blocks > 0 then begin
+        let gen = live_gen t ext in
+        for a = ext.Disk.start + off to ext.Disk.start + off + blocks - 1 do
+          let f =
+            match frame_of t (Data a) with
+            | Some f when f.gen = gen ->
+              if f.dirty then
+                t.s <- { t.s with writes_coalesced = t.s.writes_coalesced + 1 };
+              f
+            | Some f ->
+              drop_stale_dirty t f;
+              f.gen <- gen;
+              t.s <- { t.s with stale_drops = t.s.stale_drops + 1 };
+              f
+            | None -> install t (Data a) ~gen ~refbit:true
+          in
+          f.refbit <- true;
+          f.dirty <- true
+        done
+      end
+    end
+
+  let meta_read t ~dir ~nodes =
+    List.iter
+      (fun node ->
+        match frame_of t (Meta (dir, node)) with
+        | Some f ->
+          f.refbit <- true;
+          t.s <- { t.s with meta_hits = t.s.meta_hits + 1 }
+        | None ->
+          Disk.charge_seek t.disk;
+          Disk.charge_read_transfer t.disk ~blocks:1;
+          t.s <-
+            {
+              t.s with
+              meta_seconds =
+                t.s.meta_seconds +. (params t).Disk.seek_time +. block_seconds t 1;
+              meta_misses = t.s.meta_misses + 1;
+            };
+          ignore (install t (Meta (dir, node)) ~gen:0 ~refbit:true))
+      nodes
+
+  let flush t =
+    if t.write_back && not t.in_flush then begin
+      let dirty = ref [] in
+      Array.iter
+        (fun f ->
+          if f.occupied && f.dirty then
+            match f.key with Data a -> dirty := (a, f) :: !dirty | Meta _ -> ())
+        t.frames;
+      let dirty = List.sort (fun (a, _) (b, _) -> Int.compare a b) !dirty in
+      if dirty <> [] then begin
+        Disk.note_flush t.disk;
+        t.s <- { t.s with flushes = t.s.flushes + 1 };
+        let writable =
+          List.filter_map
+            (fun (a, f) ->
+              match Disk.extent_covering t.disk ~addr:a with
+              | Some ext when Disk.generation_at t.disk ~start:ext.Disk.start = Some f.gen
+                ->
+                Some (a, f, ext)
+              | _ ->
+                f.dirty <- false;
+                discard t;
+                None)
+            dirty
+        in
+        let write_group = function
+          | [] -> ()
+          | (a0, _, (ext : Disk.extent)) :: _ as group ->
+            let n = List.length group in
+            Disk.write_run t.disk ext ~off:(a0 - ext.Disk.start) ~blocks:n;
+            List.iter (fun (_, f, _) -> f.dirty <- false) group;
+            t.s <-
+              {
+                t.s with
+                flush_writes = t.s.flush_writes + 1;
+                flushed_blocks = t.s.flushed_blocks + n;
+              }
+        in
+        let rec drain group = function
+          | [] -> write_group (List.rev group)
+          | ((a, _, (ext : Disk.extent)) as item) :: rest -> (
+            match group with
+            | (prev, _, (ext0 : Disk.extent)) :: _
+              when a = prev + 1 && ext0.Disk.start = ext.Disk.start ->
+              drain (item :: group) rest
+            | [] -> drain [ item ] rest
+            | _ ->
+              write_group (List.rev group);
+              drain [ item ] rest)
+        in
+        drain [] writable
+      end
+    end
+
+  let pin_extent t (ext : Disk.extent) =
+    read_range t ext ~off:0 ~blocks:ext.Disk.length;
+    let gen = live_gen t ext in
+    let frames =
+      List.init ext.Disk.length (fun i ->
+          match frame_of t (Data (ext.Disk.start + i)) with
+          | Some f when f.gen = gen -> f
+          | _ -> fail "pin_extent: extent of %d blocks does not fit the pool" ext.Disk.length)
+    in
+    List.iter (fun f -> f.pins <- f.pins + 1) frames
+
+  let unpin_extent t (ext : Disk.extent) =
+    let frames =
+      List.init ext.Disk.length (fun i ->
+          let a = ext.Disk.start + i in
+          match frame_of t (Data a) with
+          | Some f when f.pins > 0 -> f
+          | Some _ -> fail "unpin_extent: block %d pin count would drop below zero" a
+          | None -> fail "unpin_extent: block %d is not resident" a)
+    in
+    List.iter (fun f -> f.pins <- f.pins - 1) frames
+
+  let pin_resident_blocks t (ext : Disk.extent) ~budget =
+    let gen = live_gen t ext in
+    let pinned = ref [] and left = ref budget in
+    for a = ext.Disk.start to ext.Disk.start + ext.Disk.length - 1 do
+      match frame_of t (Data a) with
+      | Some f when !left > 0 && f.gen = gen ->
+        f.pins <- f.pins + 1;
+        decr left;
+        pinned := a :: !pinned
+      | _ -> ()
+    done;
+    List.rev !pinned
+
+  let unpin_blocks t addrs =
+    let frames =
+      List.map
+        (fun a ->
+          match frame_of t (Data a) with
+          | Some f when f.pins > 0 -> f
+          | Some _ -> fail "unpin_blocks: block %d pin count would drop below zero" a
+          | None -> fail "unpin_blocks: pinned block %d is not resident" a)
+        addrs
+    in
+    List.iter (fun f -> f.pins <- f.pins - 1) frames
+
+  let count t p = Array.fold_left (fun n f -> if p f then n + 1 else n) 0 t.frames
+  let resident t = count t (fun f -> f.occupied)
+  let pinned_frames t = count t (fun f -> f.pins > 0)
+  let dirty_frames t = count t (fun f -> f.occupied && f.dirty)
+end
+
+(* One step of a random trace.  Extents are named by their allocation
+   index; an operation on an extent that is gone is still issued (both
+   sides must refuse it the same way). *)
+type op =
+  | Alloc of int
+  | Free of int
+  | Read of int * int * int (* extent, off, blocks (clamped) *)
+  | Scan of int list
+  | Write of int * int * int
+  | Meta of int * int list
+  | Pin of int
+  | Unpin of int
+  | Pin_resident of int * int (* extent, budget *)
+  | Unpin_resident
+  | Flush
+
+let pp_op = function
+  | Alloc n -> Printf.sprintf "alloc %d" n
+  | Free e -> Printf.sprintf "free #%d" e
+  | Read (e, o, b) -> Printf.sprintf "read #%d +%d x%d" e o b
+  | Scan es -> Printf.sprintf "scan [%s]" (String.concat ";" (List.map string_of_int es))
+  | Write (e, o, b) -> Printf.sprintf "write #%d +%d x%d" e o b
+  | Meta (d, ns) ->
+    Printf.sprintf "meta %d [%s]" d (String.concat ";" (List.map string_of_int ns))
+  | Pin e -> Printf.sprintf "pin #%d" e
+  | Unpin e -> Printf.sprintf "unpin #%d" e
+  | Pin_resident (e, b) -> Printf.sprintf "pin-resident #%d budget %d" e b
+  | Unpin_resident -> "unpin-resident"
+  | Flush -> "flush"
+
+type trace = { frames : int; readahead : int; wb : bool; ops : op list }
+
+let gen_trace =
+  let open QCheck2.Gen in
+  let ext = int_bound 7 in
+  let op =
+    frequency
+      [
+        (3, map (fun n -> Alloc n) (int_range 1 6));
+        (2, map (fun e -> Free e) ext);
+        (6, map3 (fun e o b -> Read (e, o, b)) ext (int_bound 5) (int_range 1 6));
+        (2, map (fun es -> Scan es) (list_size (int_range 1 3) ext));
+        (4, map3 (fun e o b -> Write (e, o, b)) ext (int_bound 5) (int_range 0 6));
+        (2, map2 (fun d ns -> Meta (d, ns)) (int_range 1 2) (list_size (int_range 1 3) (int_range (-2) 4)));
+        (1, map (fun e -> Pin e) ext);
+        (1, map (fun e -> Unpin e) ext);
+        (1, map2 (fun e b -> Pin_resident (e, b)) ext (int_range 1 3));
+        (1, pure Unpin_resident);
+        (1, pure Flush);
+      ]
+  in
+  let* frames = int_range 1 6 in
+  let* readahead = int_range 0 2 in
+  let* wb = bool in
+  let+ ops = list_size (int_range 1 60) op in
+  { frames; readahead; wb; ops }
+
+let print_trace tr =
+  Printf.sprintf "frames=%d readahead=%d write_back=%b\n%s" tr.frames tr.readahead tr.wb
+    (String.concat "\n" (List.map pp_op tr.ops))
+
+let outcome f = match f () with () -> "ok" | exception e -> Printexc.to_string e
+
+(* Run the trace on [Cache] over one disk and on [Ref_pool] over a twin
+   disk; [Error] names the first step where they disagree. *)
+let run_against_reference tr =
+  let disk = mk_disk () and twin = mk_disk () in
+  let pool = Cache.create disk ~frames:tr.frames ~readahead:tr.readahead ~write_back:tr.wb () in
+  let rf = Ref_pool.create twin ~frames:tr.frames ~readahead:tr.readahead ~write_back:tr.wb in
+  let exts = ref [] (* (ours, theirs), in allocation order *) in
+  let ext i = List.nth_opt !exts i in
+  let resident_pins = ref [] in
+  let clamp (e : Disk.extent) off blocks =
+    let off = min off (e.Disk.length - 1) in
+    (off, min blocks (e.Disk.length - off))
+  in
+  let both f g = (outcome f, outcome g) in
+  let step op =
+    match op with
+    | Alloc n ->
+      let e = Disk.alloc disk ~blocks:n and e' = Disk.alloc twin ~blocks:n in
+      exts := !exts @ [ (e, e') ];
+      ("ok", "ok")
+    | Free i -> (
+      match ext i with
+      | Some (e, e') -> both (fun () -> Disk.free disk e) (fun () -> Disk.free twin e')
+      | None -> ("ok", "ok"))
+    | Read (i, off, blocks) -> (
+      match ext i with
+      | Some (e, e') ->
+        let off, blocks = clamp e off blocks in
+        both
+          (fun () -> Cache.read_range pool e ~off ~blocks)
+          (fun () -> Ref_pool.read_range rf e' ~off ~blocks)
+      | None -> ("ok", "ok"))
+    | Scan is ->
+      let picked = List.filter_map ext is in
+      both
+        (fun () -> Cache.sequential_read pool (List.map fst picked))
+        (fun () -> Ref_pool.sequential_read rf (List.map snd picked))
+    | Write (i, off, blocks) -> (
+      match ext i with
+      | Some (e, e') ->
+        let off, blocks = clamp e off blocks in
+        both
+          (fun () -> Cache.write_range pool e ~off ~blocks)
+          (fun () -> Ref_pool.write_range rf e' ~off ~blocks)
+      | None -> ("ok", "ok"))
+    | Meta (dir, nodes) ->
+      both
+        (fun () -> Cache.meta_read pool ~dir ~nodes)
+        (fun () -> Ref_pool.meta_read rf ~dir ~nodes)
+    | Pin i -> (
+      match ext i with
+      | Some (e, e') ->
+        both (fun () -> Cache.pin_extent pool e) (fun () -> Ref_pool.pin_extent rf e')
+      | None -> ("ok", "ok"))
+    | Unpin i -> (
+      match ext i with
+      | Some (e, e') ->
+        both (fun () -> Cache.unpin_extent pool e) (fun () -> Ref_pool.unpin_extent rf e')
+      | None -> ("ok", "ok"))
+    | Pin_resident (i, budget) -> (
+      match ext i with
+      | Some (e, e') ->
+        let ours = ref [] and theirs = ref [] in
+        let r =
+          both
+            (fun () -> ours := Cache.pin_resident_blocks pool e ~budget)
+            (fun () -> theirs := Ref_pool.pin_resident_blocks rf e' ~budget)
+        in
+        if !ours <> !theirs then ("pinned " ^ String.concat "," (List.map string_of_int !ours), "differs")
+        else begin
+          if !ours <> [] then resident_pins := !ours :: !resident_pins;
+          r
+        end
+      | None -> ("ok", "ok"))
+    | Unpin_resident -> (
+      match !resident_pins with
+      | [] -> ("ok", "ok")
+      | addrs :: rest ->
+        resident_pins := rest;
+        both (fun () -> Cache.unpin_blocks pool addrs) (fun () -> Ref_pool.unpin_blocks rf addrs))
+    | Flush -> both (fun () -> Cache.flush pool) (fun () -> Ref_pool.flush rf)
+  in
+  let observe () =
+    ( Cache.stats pool,
+      (Cache.resident pool, Cache.pinned_frames pool, Cache.dirty_frames pool),
+      Disk.counters disk )
+  and observe_ref () =
+    ( rf.Ref_pool.s,
+      (Ref_pool.resident rf, Ref_pool.pinned_frames rf, Ref_pool.dirty_frames rf),
+      Disk.counters twin )
+  in
+  let rec go k = function
+    | [] -> Ok rf.Ref_pool.stale_evicted
+    | op :: rest ->
+      let ours, theirs = step op in
+      if ours <> theirs then
+        Error (Printf.sprintf "step %d (%s): cache %s, reference %s" k (pp_op op) ours theirs)
+      else if observe () <> observe_ref () then
+        Error (Printf.sprintf "step %d (%s): state differs" k (pp_op op))
+      else go (k + 1) rest
+  in
+  go 1 tr.ops
+
+let prop_matches_reference =
+  QCheck2.Test.make ~name:"pool agrees with the reference model" ~count:400
+    ~print:print_trace gen_trace (fun tr ->
+      match run_against_reference tr with
+      | Ok _ -> true
+      | Error msg -> QCheck2.Test.fail_report msg)
+
+(* The same comparison over a fixed sample of traces, which must also
+   reach the case the pool re-looks blocks up for: an install in a read
+   evicting a frame the same read classified as stale. *)
+let test_reference_sample () =
+  let traces =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 14 |]) ~n:300 gen_trace
+  in
+  let stale_evicted =
+    List.fold_left
+      (fun acc tr ->
+        match run_against_reference tr with
+        | Ok n -> acc + n
+        | Error msg -> Alcotest.failf "%s\n%s" msg (print_trace tr))
+      0 traces
+  in
+  Alcotest.(check bool) "a read evicted a block it classified stale" true
+    (stale_evicted > 0)
+
+(* --- the residency table alone --------------------------------------- *)
+
+(* Keys whose home is the last slot of a 4-key (8-slot) table, so most
+   probe sequences run off the end and wrap around to slot 0. *)
+let wrapping_keys =
+  let t = Key_table.create 4 in
+  assert (Key_table.slots t = 8);
+  let rec pick k acc =
+    if List.length acc = 6 then acc
+    else pick (k + 1) (if Key_table.home t k = Key_table.slots t - 1 then k :: acc else acc)
+  in
+  pick 0 []
+
+let prop_key_table =
+  QCheck2.Test.make ~name:"key table agrees with Hashtbl" ~count:500
+    QCheck2.Gen.(
+      list_size (int_range 1 80)
+        (pair (int_bound 2) (oneof [ oneofl wrapping_keys; int_bound 40 ])))
+    (fun ops ->
+      let t = Key_table.create 4 in
+      let keys = Array.make 4 (-1) and model = Hashtbl.create 8 in
+      List.for_all
+        (fun (op, k) ->
+          (match op with
+          | 0 -> (
+            (* insert, when there is a free frame *)
+            if not (Hashtbl.mem model k) then
+              match List.find_opt (fun f -> keys.(f) < 0) [ 0; 1; 2; 3 ] with
+              | Some f ->
+                keys.(f) <- k;
+                Key_table.replace t keys k f;
+                Hashtbl.replace model k f
+              | None -> ())
+          | 1 -> (
+            Key_table.remove t keys k;
+            match Hashtbl.find_opt model k with
+            | Some f ->
+              keys.(f) <- -1;
+              Hashtbl.remove model k
+            | None -> ())
+          | _ -> ());
+          Key_table.find t keys k = Option.value ~default:(-1) (Hashtbl.find_opt model k)
+          && List.for_all
+               (fun k -> Key_table.find t keys k = Option.value ~default:(-1) (Hashtbl.find_opt model k))
+               (wrapping_keys @ List.init 41 Fun.id))
+        ops)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -832,4 +1481,8 @@ let suites =
       ] );
     ( "cache.property",
       qcheck [ prop_cache_transparent; prop_write_back_transparent ] );
+    ( "cache.reference",
+      Alcotest.test_case "fixed traces match the reference" `Quick
+        test_reference_sample
+      :: qcheck [ prop_matches_reference; prop_key_table ] );
   ]

@@ -428,6 +428,198 @@ let qcheck_interleaving =
     epoch_interleaving_prop
 
 (* ------------------------------------------------------------------ *)
+(* Answer order: Frame and Epoch queries against the filter-then-append *)
+(* composition                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A wave query's answer is each in-range constituent's bucket (or
+   scan), filtered to [t1, t2], concatenated in slot order, with every
+   constituent charged in slot order.  The oracle below is that
+   definition written the direct way, over a model of each index's
+   contents kept beside the real index: a value's bucket is its entries
+   in insertion order (an append keeps the old ones first, a deletion
+   keeps the survivors' order) and a scan is the buckets in increasing
+   value order. *)
+type model_index = { m_idx : Index.t; mutable m_buckets : (int * Entry.t list) list }
+
+type slot_plan = {
+  p_days : int list; (* days the slot's index holds *)
+  p_mode : [ `Packed | `Appended | `Expired ];
+}
+
+let day_batch rng day =
+  let postings =
+    List.concat_map
+      (fun v ->
+        List.init (Wave_util.Prng.int rng 3) (fun i ->
+            {
+              Entry.value = v;
+              entry = { Entry.rid = (day * 1000) + (v * 10) + i; day; info = i };
+            }))
+      [ 1; 2; 3; 4 ]
+  in
+  Entry.batch_create ~day (Array.of_list postings)
+
+let model_append buckets (b : Entry.batch) =
+  Array.fold_left
+    (fun acc (p : Entry.posting) ->
+      let old = Option.value ~default:[] (List.assoc_opt p.Entry.value acc) in
+      (p.Entry.value, old @ [ p.Entry.entry ]) :: List.remove_assoc p.Entry.value acc)
+    buckets b.Entry.postings
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+(* One twin: a fresh disk (optionally pooled) with the planned indexes
+   in a frame.  Built from the seed alone, so two calls give identical
+   twins. *)
+let build_twin ~seed ~pool plans =
+  let icfg =
+    match pool with
+    | None -> icfg
+    | Some (frames, readahead) ->
+      { icfg with Index.cache_blocks = Some frames; cache_readahead = readahead }
+  in
+  let disk = Index.make_disk icfg in
+  let rng = Wave_util.Prng.create seed in
+  let env =
+    Env.create ~disk ~icfg ~store:(fun day -> day_batch rng day) ~w:4
+      ~n:(List.length plans) ()
+  in
+  let frame = Frame.create env in
+  let models =
+    List.mapi
+      (fun j plan ->
+        let batches = List.map (day_batch rng) plan.p_days in
+        let m =
+          match (plan.p_mode, batches) with
+          | _, [] -> { m_idx = Index.create_empty disk icfg; m_buckets = [] }
+          | `Packed, _ ->
+            {
+              m_idx = Index.build disk icfg batches;
+              m_buckets = List.fold_left model_append [] batches;
+            }
+          | (`Appended | `Expired), first :: rest ->
+            let m =
+              { m_idx = Index.build disk icfg [ first ]; m_buckets = model_append [] first }
+            in
+            List.iter
+              (fun b ->
+                Index.add_batch m.m_idx b;
+                m.m_buckets <- model_append m.m_buckets b)
+              rest;
+            m
+        in
+        (if plan.p_mode = `Expired && plan.p_days <> [] then
+           let oldest = List.fold_left min max_int plan.p_days in
+           let expired d = d = oldest in
+           ignore (Index.delete_days m.m_idx expired);
+           m.m_buckets <-
+             List.filter_map
+               (fun (v, es) ->
+                 match List.filter (fun (e : Entry.t) -> not (expired e.Entry.day)) es with
+                 | [] -> None
+                 | es -> Some (v, es))
+               m.m_buckets);
+        Frame.set_slot frame (j + 1) m.m_idx (Dayset.of_int_list plan.p_days);
+        m)
+      plans
+  in
+  (disk, frame, models)
+
+let in_window ~t1 ~t2 (e : Entry.t) = e.Entry.day >= t1 && e.Entry.day <= t2
+
+let slot_live days ~t1 ~t2 = Dayset.exists (fun d -> d >= t1 && d <= t2) days
+
+(* The filter-then-append composition, charging through the
+   single-index calls. *)
+let expected_probe models plans ~value ~t1 ~t2 =
+  List.fold_left2
+    (fun acc m plan ->
+      if slot_live (Dayset.of_int_list plan.p_days) ~t1 ~t2 then begin
+        ignore (Index.probe m.m_idx value);
+        let bucket = Option.value ~default:[] (List.assoc_opt value m.m_buckets) in
+        acc @ List.filter (in_window ~t1 ~t2) bucket
+      end
+      else acc)
+    [] models plans
+
+let expected_scan models plans ~t1 ~t2 =
+  List.fold_left2
+    (fun acc m plan ->
+      if slot_live (Dayset.of_int_list plan.p_days) ~t1 ~t2 then begin
+        ignore (Index.scan m.m_idx);
+        acc @ List.filter (in_window ~t1 ~t2) (List.concat_map snd m.m_buckets)
+      end
+      else acc)
+    [] models plans
+
+type query = Frame_probe | Frame_scan | Epoch_probe | Epoch_scan
+
+let epoch_of disk frame =
+  Epoch.attach disk;
+  Epoch.open_ disk
+    ~slots:
+      (List.map
+         (fun (idx, days) -> (idx, fun ~t1 ~t2 -> slot_live days ~t1 ~t2))
+         (Frame.snapshot frame))
+
+let answer_order_prop (seed, pool, plans, queries) =
+  let disk_a, frame, _ = build_twin ~seed ~pool plans in
+  let disk_b, frame_b, models = build_twin ~seed ~pool plans in
+  (* Both twins open an epoch, so both pools hold the same pins. *)
+  let ea = epoch_of disk_a frame in
+  ignore (epoch_of disk_b frame_b);
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun d ->
+          Epoch.on_crash d;
+          Cache.detach d)
+        [ disk_a; disk_b ])
+    (fun () ->
+      List.for_all
+        (fun (q, value, t1, t2) ->
+          let got =
+            match q with
+            | Frame_probe -> Frame.timed_index_probe frame ~t1 ~t2 ~value
+            | Frame_scan -> Frame.timed_segment_scan frame ~t1 ~t2
+            | Epoch_probe -> Epoch.probe ea ~value ~t1 ~t2
+            | Epoch_scan -> Epoch.scan ea ~t1 ~t2
+          in
+          let want =
+            match q with
+            | Frame_probe | Epoch_probe -> expected_probe models plans ~value ~t1 ~t2
+            | Frame_scan | Epoch_scan -> expected_scan models plans ~t1 ~t2
+          in
+          List.equal Entry.equal got want
+          && Disk.elapsed disk_a = Disk.elapsed disk_b)
+        queries)
+
+let qcheck_answer_order =
+  let open QCheck2.Gen in
+  let plan =
+    let* days = list_size (int_range 0 3) (int_range 1 8) in
+    let+ mode = oneofl [ `Packed; `Appended; `Expired ] in
+    { p_days = List.sort_uniq Int.compare days; p_mode = mode }
+  in
+  let query =
+    let* q = oneofl [ Frame_probe; Frame_scan; Epoch_probe; Epoch_scan ] in
+    let* value = int_range 0 5 in
+    let* t1 = int_range 0 9 in
+    let+ len = int_range (-1) 8 in
+    (q, value, t1, t1 + len)
+  in
+  QCheck2.Test.make ~name:"frame and epoch answers keep slot order" ~count:150
+    (let* seed = int_bound 10_000 in
+     let* pool =
+       oneof
+         [ pure None; map2 (fun f r -> Some (f, r)) (int_range 1 24) (int_range 0 2) ]
+     in
+     let* plans = list_size (int_range 1 4) plan in
+     let+ queries = list_size (int_range 1 12) query in
+     (seed, pool, plans, queries))
+    answer_order_prop
+
+(* ------------------------------------------------------------------ *)
 (* Runner: concurrent serving                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -616,7 +808,7 @@ let suites =
         Alcotest.test_case "interleave observer removed on raise" `Quick
           test_interleave_removed_on_raise;
       ] );
-    ("epoch.prop", qcheck [ qcheck_interleaving ]);
+    ("epoch.prop", qcheck [ qcheck_interleaving; qcheck_answer_order ]);
     ( "epoch.concurrent",
       [
         Alcotest.test_case "off: day_metrics bit-identical" `Quick

@@ -219,6 +219,101 @@ let test_file_disk_truncated_tail_detected () =
     (Disk.torn_at d2 ~start:e.Disk.start);
   Disk.close d2
 
+(* The stamp format is pinned by known answers: these are the 40 bytes
+   the encoder wrote while the block file kept its own boxed-Int32 CRC. *)
+let read_block path ~block_size block =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let len = in_channel_length ic in
+      let off = block * block_size in
+      if off + Block_file.stamp_bytes > len then String.make Block_file.stamp_bytes '\000'
+      else begin
+        seek_in ic off;
+        really_input_string ic Block_file.stamp_bytes
+      end)
+
+let hex s = String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+let test_stamp_known_answer () =
+  with_dir "rd_stamp" @@ fun dir ->
+  let path = Filename.concat dir "BLOCKS" in
+  let bf = Block_file.create ~path ~block_size:64 in
+  Block_file.write_range bf ~start:5 ~blocks:1 ~ext_start:3 ~gen:7 ~seq:11;
+  Block_file.write_range bf ~start:6 ~blocks:1 ~ext_start:0x123456789
+    ~gen:0x7FFFFFFF ~seq:(-1);
+  Alcotest.(check bool) "verifies" true
+    (Block_file.verify_range bf ~start:5 ~blocks:1 ~ext_start:3 ~gen:7);
+  Block_file.close bf;
+  Alcotest.(check string) "small fields"
+    "5756424b0300000000000000070000000000000005000000000000000b00000000000000a957c165"
+    (hex (read_block path ~block_size:64 5));
+  Alcotest.(check string) "wide fields"
+    "5756424b8967452301000000ffffff7f000000000600000000000000ffffffffffffffffb583d6bc"
+    (hex (read_block path ~block_size:64 6))
+
+(* (block index, write sequence) stamped into one block, [None] if the
+   block is all zero. *)
+let stamp_at path ~block_size block =
+  let s = read_block path ~block_size block in
+  if String.for_all (fun c -> c = '\000') s then None
+  else
+    Some
+      ( Int64.to_int (String.get_int64_le s 20),
+        Int64.to_int (String.get_int64_le s 28) )
+
+(* Two appends into a 6-block extent — 3 blocks, then 2 — must leave
+   the second write's stamps at blocks 3-4, not over blocks 0-1.  Every
+   charged path that writes a sub-range is checked: the uncached index,
+   the write-through pool and the write-back pool's oversized-write
+   fallback. *)
+let test_partial_writes_land_at_offset () =
+  with_dir "rd_offsets" @@ fun dir ->
+  let expect name path ~block_size =
+    let want =
+      [ Some (0, 1); Some (1, 1); Some (2, 1); Some (3, 2); Some (4, 2); None ]
+    in
+    List.iteri
+      (fun b w ->
+        Alcotest.(check (option (pair int int)))
+          (Printf.sprintf "%s: block %d" name b)
+          w (stamp_at path ~block_size b))
+      want
+  in
+  (* uncached index: a new bucket of 3 entries gets a 6-block extent,
+     the second batch appends 2 in place *)
+  let path = Filename.concat dir "INDEX" in
+  let cfg = { Index.default_config with Index.disk_backend = Disk.File path } in
+  let d = Index.make_disk cfg in
+  let idx = Index.create_empty d cfg in
+  let batch day n =
+    Entry.batch_create ~day
+      (Array.init n (fun i ->
+           { Entry.value = 7; entry = { Entry.rid = (day * 10) + i; day; info = 0 } }))
+  in
+  Index.add_batch idx (batch 1 3);
+  Index.add_batch idx (batch 2 2);
+  Alcotest.(check (list int)) "one 6-block bucket at block 0" [ 0 ]
+    (List.map (fun (e : Disk.extent) -> e.Disk.start) (Index.extents idx));
+  List.iter (Disk.read d) (Index.extents idx);
+  Disk.close d;
+  expect "uncached index" path ~block_size:cfg.Index.entry_bytes;
+  (* the pool's two sub-range write paths *)
+  List.iter
+    (fun (name, frames, write_back) ->
+      let path = Filename.concat dir name in
+      let d = Disk.create_file ~params:small_params ~path () in
+      let e = Disk.alloc d ~blocks:6 in
+      let pool = Cache.create d ~frames ~write_back () in
+      Cache.write_range pool e ~off:0 ~blocks:3;
+      Cache.write_range pool e ~off:3 ~blocks:2;
+      Alcotest.(check int) (name ^ ": nothing deferred") 0 (Cache.dirty_frames pool);
+      Disk.read d e;
+      Disk.close d;
+      expect name path ~block_size:small_params.Disk.block_size)
+    [ ("write-through", 8, false); ("write-back fallback", 1, true) ]
+
 let test_file_disk_missing_sidecar () =
   with_dir "rd_nosidecar" @@ fun dir ->
   let path = Filename.concat dir "BLOCKS" in
@@ -574,6 +669,10 @@ let suites =
           test_file_disk_truncated_tail_detected;
         Alcotest.test_case "missing sidecar refused" `Quick
           test_file_disk_missing_sidecar;
+        Alcotest.test_case "stamp format known answer" `Quick
+          test_stamp_known_answer;
+        Alcotest.test_case "partial writes land at their offset" `Quick
+          test_partial_writes_land_at_offset;
       ] );
     ( "disk.fault_queue",
       [

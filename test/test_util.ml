@@ -329,6 +329,18 @@ let prop_percentile_bounded =
       let s = Stats.summarize xs in
       v >= s.Stats.min -. 1e-9 && v <= s.Stats.max +. 1e-9)
 
+(* --- CRC-32 ------------------------------------------------------------ *)
+
+let test_crc32_known_answer () =
+  Alcotest.(check int) "CRC-32 check value" 0xCBF43926
+    (Crc32.string "123456789" ~off:0 ~len:9);
+  Alcotest.(check int) "sub-range" 0xCBF43926
+    (Crc32.bytes (Bytes.of_string "xx123456789y") ~off:2 ~len:9);
+  Alcotest.(check int) "empty" 0 (Crc32.string "" ~off:0 ~len:0);
+  Alcotest.check_raises "range outside the buffer"
+    (Invalid_argument "Crc32: range outside the buffer") (fun () ->
+      ignore (Crc32.string "abc" ~off:2 ~len:2))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -376,6 +388,7 @@ let suites =
         Alcotest.test_case "ratio series" `Quick test_stats_ratio_series;
       ]
       @ qcheck [ prop_percentile_bounded ] );
+    ("util.crc32", [ Alcotest.test_case "known answer" `Quick test_crc32_known_answer ]);
     ( "util.table_print",
       [
         Alcotest.test_case "render" `Quick test_table_render;
