@@ -1809,6 +1809,73 @@ let recover_cmd =
   in
   Cmd.v (Cmd.info "recover" ~doc) Term.(const run $ file)
 
+module Crash_harness = Wave_sim.Crash_harness
+
+(* One crash sweep per scheme x technique x day, printed as a
+   pass/fail matrix (one cell per scheme x technique, summing its
+   days).  Artifacts and reopen directories are per cell:
+   [<root>/<scheme>_<technique>_d<day>].  Returns the failing cells. *)
+let sweep_matrix ~title ~verbose ?icfg ?artifacts ~op ~kill ~w ~n ~days () =
+  let techniques = [ Env.In_place; Env.Simple_shadow; Env.Packed_shadow ] in
+  print_string title;
+  Printf.printf "%-10s" "scheme";
+  List.iter (fun t -> Printf.printf " %18s" (Env.technique_name t)) techniques;
+  print_newline ();
+  let failures = ref 0 and total = ref 0 and recovered = ref 0 in
+  List.iter
+    (fun scheme ->
+      Printf.printf "%-10s" (Scheme.name scheme);
+      List.iter
+        (fun technique ->
+          let reports =
+            List.map
+              (fun day ->
+                let cell root =
+                  Filename.concat root
+                    (Printf.sprintf "%s_%s_d%d" (Scheme.name scheme)
+                       (Env.technique_name technique) day)
+                in
+                let kill =
+                  match kill with
+                  | Crash_harness.Reopen root -> Crash_harness.Reopen (cell root)
+                  | k -> k
+                in
+                Crash_harness.sweep ?icfg
+                  ?artifact_dir:(Option.map cell artifacts)
+                  ~op ~kill ~scheme ~technique ~w ~n ~day ())
+              days
+          in
+          let points =
+            List.concat_map (fun r -> r.Crash_harness.points) reports
+          in
+          total := !total + List.length points;
+          recovered :=
+            !recovered
+            + List.length (List.filter Crash_harness.point_passed points);
+          let ok = List.for_all (fun r -> r.Crash_harness.passed) reports in
+          if not ok then incr failures;
+          Printf.printf " %13s %4s"
+            (Printf.sprintf "%d pts" (List.length points))
+            (if ok then "ok" else "FAIL");
+          List.iter
+            (fun r ->
+              if verbose || not r.Crash_harness.passed then
+                print_string (Format.asprintf "@.%a" Crash_harness.pp_report r))
+            reports)
+        techniques;
+      print_newline ())
+    Scheme.all;
+  Printf.printf "%d fault points, %d recovered, %d failed\n" !total !recovered
+    (!total - !recovered);
+  !failures
+
+let finish_sweeps failures =
+  if failures > 0 then begin
+    Printf.printf "\n%d combination(s) FAILED\n" failures;
+    exit 1
+  end
+  else print_string "\nall combinations recovered consistently\n"
+
 let crashtest_cmd =
   let doc =
     "Crash-consistency sweep: inject a fault at every seek and write of a \
@@ -1868,10 +1935,11 @@ let crashtest_cmd =
       & opt (some string) None
       & info [ "artifacts" ] ~docv:"DIR"
           ~doc:
-            "simulated sweeps: write a flight-recorder dump \
-             (waveidx-flight/1 JSONL) per failing point under DIR \
-             (--kill mode already keeps each failing point's directory \
-             with a flight.jsonl inside)")
+            "in-memory and double sweeps: write a flight-recorder dump \
+             (waveidx-flight/1 JSONL) per failing point to \
+             DIR/<scheme>_<technique>_d<day>/<point>_<mode>.flight.jsonl \
+             (--kill mode instead keeps each failing point's directory, \
+             with a flight.jsonl inside, at the same place under its DIR)")
   in
   let concurrent =
     Arg.(
@@ -1899,7 +1967,6 @@ let crashtest_cmd =
       Printf.eprintf "crashtest: need at least one day to sweep\n";
       exit 2
     end;
-    let techniques = [ Env.In_place; Env.Simple_shadow; Env.Packed_shadow ] in
     let icfg =
       Option.map
         (fun frames ->
@@ -1912,130 +1979,46 @@ let crashtest_cmd =
         cache_blocks
     in
     let sweep_days = List.init days (fun i -> w + 2 + i) in
-    Printf.printf "crash sweep%s%s: W=%d n=%d days %d..%d, every fault point%s%s\n\n"
-      (match kill_dir with None -> "" | Some _ -> " (kill-and-recover)")
-      (if concurrent then " (concurrent probes in flight)" else "")
-      w n
-      (List.hd sweep_days)
-      (List.nth sweep_days (days - 1))
-      (match cache_blocks with
-      | None -> ""
-      | Some b ->
-        Printf.sprintf ", %d-frame buffer pool%s" b
-          (if write_back then " (write-back)" else ""))
-      (match kill_dir with
-      | None -> ""
-      | Some d -> Printf.sprintf ", block files under %s" d);
-    Printf.printf "%-10s" "scheme";
-    List.iter
-      (fun t -> Printf.printf " %18s" (Env.technique_name t))
-      techniques;
-    print_newline ();
-    let failures = ref 0 in
-    List.iter
-      (fun scheme ->
-        Printf.printf "%-10s" (Scheme.name scheme);
-        List.iter
-          (fun technique ->
-            let reports =
-              List.map
-                (fun day ->
-                  match kill_dir with
-                  | None ->
-                    let artifact_dir =
-                      Option.map
-                        (fun root ->
-                          Filename.concat root
-                            (Printf.sprintf "%s_%s_d%d" (Scheme.name scheme)
-                               (Env.technique_name technique) day))
-                        artifacts
-                    in
-                    Wave_sim.Crash_harness.sweep ?icfg ?artifact_dir
-                      ~concurrent ~scheme ~technique ~w ~n ~day ()
-                  | Some root ->
-                    let dir =
-                      Filename.concat root
-                        (Printf.sprintf "%s_%s_d%d" (Scheme.name scheme)
-                           (Env.technique_name technique) day)
-                    in
-                    Wave_sim.Crash_harness.kill_sweep ?icfg ~concurrent ~scheme
-                      ~technique ~w ~n ~day ~dir ())
-                sweep_days
-            in
-            let points =
-              List.fold_left
-                (fun a r -> a + List.length r.Wave_sim.Crash_harness.points)
-                0 reports
-            in
-            let ok = List.for_all (fun r -> r.Wave_sim.Crash_harness.passed) reports in
-            if not ok then incr failures;
-            Printf.printf " %13s %4s"
-              (Printf.sprintf "%d pts" points)
-              (if ok then "ok" else "FAIL");
-            if verbose || not ok then
-              List.iter
-                (fun r ->
-                  if verbose || not r.Wave_sim.Crash_harness.passed then
-                    print_string
-                      (Format.asprintf "@.%a" Wave_sim.Crash_harness.pp_report
-                         r))
-                reports)
-          techniques;
-        print_newline ())
-      Scheme.all;
-    if double then begin
-      Printf.printf
-        "\ndouble faults (crash recovery, recover again; 0 pts = recovery \
-         charges no I/O)\n";
-      Printf.printf "%-10s" "scheme";
-      List.iter
-        (fun t -> Printf.printf " %18s" (Env.technique_name t))
-        techniques;
-      print_newline ();
-      List.iter
-        (fun scheme ->
-          Printf.printf "%-10s" (Scheme.name scheme);
-          List.iter
-            (fun technique ->
-              let reports =
-                List.map
-                  (fun day ->
-                    Wave_sim.Crash_harness.sweep_double ?icfg ~scheme
-                      ~technique ~w ~n ~day ())
-                  sweep_days
-              in
-              let points =
-                List.fold_left
-                  (fun a r ->
-                    a + List.length r.Wave_sim.Crash_harness.dr_points)
-                  0 reports
-              in
-              let ok =
-                List.for_all
-                  (fun r -> r.Wave_sim.Crash_harness.dr_passed)
-                  reports
-              in
-              if not ok then incr failures;
-              Printf.printf " %13s %4s"
-                (Printf.sprintf "%d pts" points)
-                (if ok then "ok" else "FAIL");
-              if verbose || not ok then
-                List.iter
-                  (fun r ->
-                    if verbose || not r.Wave_sim.Crash_harness.dr_passed then
-                      print_string
-                        (Format.asprintf "@.%a"
-                           Wave_sim.Crash_harness.pp_double_report r))
-                  reports)
-            techniques;
-          print_newline ())
-        Scheme.all
-    end;
-    if !failures > 0 then begin
-      Printf.printf "\n%d combination(s) FAILED\n" !failures;
-      exit 1
-    end
-    else print_string "\nall combinations recovered consistently\n"
+    let title =
+      Printf.sprintf
+        "crash sweep%s%s: W=%d n=%d days %d..%d, every fault point%s%s\n\n"
+        (match kill_dir with None -> "" | Some _ -> " (kill-and-recover)")
+        (if concurrent then " (concurrent probes in flight)" else "")
+        w n
+        (List.hd sweep_days)
+        (List.nth sweep_days (days - 1))
+        (match cache_blocks with
+        | None -> ""
+        | Some b ->
+          Printf.sprintf ", %d-frame buffer pool%s" b
+            (if write_back then " (write-back)" else ""))
+        (match kill_dir with
+        | None -> ""
+        | Some d -> Printf.sprintf ", block files under %s" d)
+    in
+    let failures =
+      sweep_matrix ~title ~verbose ?icfg ?artifacts
+        ~op:
+          (if concurrent then Crash_harness.Concurrent_transition
+           else Crash_harness.Transition)
+        ~kill:
+          (match kill_dir with
+          | Some d -> Crash_harness.Reopen d
+          | None -> Crash_harness.In_memory)
+        ~w ~n ~days:sweep_days ()
+    in
+    let failures =
+      if double then
+        failures
+        + sweep_matrix
+            ~title:
+              "\ndouble faults (crash recovery, recover again; 0 pts = recovery \
+               charges no I/O)\n"
+            ~verbose ?icfg ?artifacts ~op:Crash_harness.Transition
+            ~kill:Crash_harness.Double ~w ~n ~days:sweep_days ()
+      else failures
+    in
+    finish_sweeps failures
   in
   Cmd.v (Cmd.info "crashtest" ~doc)
     Term.(
@@ -2071,7 +2054,9 @@ let shardtest_cmd =
       & info [ "artifacts" ] ~docv:"DIR"
           ~doc:
             "write each failing point's flight-recorder dump (waveidx-flight/1 \
-             JSONL) under $(docv); nothing is written when the sweep passes")
+             JSONL) to $(docv)/<scheme>_<technique>_d<day>/<point>_<mode>\
+             .flight.jsonl, sibling-disk points prefixed sibling_; nothing \
+             is written when the sweep passes")
   in
   let run w n partition shards artifacts =
     if n < 1 || n > w then begin
@@ -2082,40 +2067,17 @@ let shardtest_cmd =
       Printf.eprintf "shardtest: need at least 2 shards\n";
       exit 2
     end;
-    let results, table =
-      Wave_shard.Sweep.sweep_matrix ?artifact_dir:artifacts ~shards ~partition
-        ~w ~n ()
+    let title =
+      Printf.sprintf
+        "shard-split crash sweep (%s partition, %d arms): W=%d n=%d day %d, \
+         every fault point on the victim and sibling disks\n\n"
+        (Wave_shard.Partition.kind_name partition)
+        shards w n (w + 1)
     in
-    print_string table;
-    let total =
-      List.fold_left
-        (fun a r -> a + List.length r.Wave_shard.Sweep.points)
-        0 results
-    in
-    let failed =
-      List.concat_map
-        (fun r ->
-          List.filter_map
-            (fun p ->
-              if Wave_shard.Sweep.point_passed p then None
-              else
-                Some
-                  (Format.asprintf "%s/%s %s %a"
-                     (Scheme.name r.Wave_shard.Sweep.scheme)
-                     (Env.technique_name r.Wave_shard.Sweep.technique)
-                     (if p.Wave_shard.Sweep.on_sibling then "sibling"
-                      else "victim")
-                     Wave_disk.Disk.pp_fault_point p.Wave_shard.Sweep.point))
-            r.Wave_shard.Sweep.points)
-        results
-    in
-    Printf.printf "\n%d fault points, %d recovered, %d failed\n" total
-      (total - List.length failed)
-      (List.length failed);
-    if failed <> [] then begin
-      List.iter (fun f -> Printf.eprintf "FAILED %s\n" f) failed;
-      exit 1
-    end
+    finish_sweeps
+      (sweep_matrix ~title ~verbose:false ?artifacts
+         ~op:(Crash_harness.Split { partition; shards })
+         ~kill:Crash_harness.In_memory ~w ~n ~days:[ w + 1 ] ())
   in
   Cmd.v (Cmd.info "shardtest" ~doc)
     Term.(const run $ w $ n $ partition $ shards $ artifacts)

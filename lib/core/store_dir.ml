@@ -12,25 +12,6 @@ let rec init dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* Durable whole-file write: tmp + fsync + atomic rename into place. *)
-let write_file path contents =
-  let tmp = path ^ ".tmp" in
-  let fd =
-    try Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    with Unix.Unix_error (e, _, _) ->
-      raise
-        (Disk.Disk_error
-           (Printf.sprintf "open %s: %s" tmp (Unix.error_message e)))
-  in
-  (try
-     Io.pwrite fd (Bytes.of_string contents) ~off:0;
-     Io.fsync fd;
-     Unix.close fd
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  Io.rename tmp path
-
 let read_file path =
   match open_in_bin path with
   | exception Sys_error _ -> None
@@ -46,12 +27,13 @@ let remove_if_exists path =
 let write_manifest dir m =
   let path = manifest_path dir in
   let tmp = path ^ ".tmp" in
-  write_file tmp (Manifest.to_string m);
-  (* write_file committed the contents to [MANIFEST.tmp] (its own temp
+  Io.write_file tmp (Manifest.to_string m);
+  (* Io.write_file committed the contents to [MANIFEST.tmp] (its own temp
      was [MANIFEST.tmp.tmp]); now rotate and swap.  A kill between the
      renames leaves only [.prev] — still a committed checkpoint. *)
   if Sys.file_exists path then Io.rename path (manifest_prev_path dir);
-  Io.rename tmp path
+  Io.rename tmp path;
+  Io.fsync_dir dir
 
 let read_manifest dir =
   remove_if_exists (manifest_path dir ^ ".tmp");
@@ -72,7 +54,7 @@ let read_manifest dir =
         (Disk.Disk_error
            (Printf.sprintf "read_manifest: no readable manifest in %s" dir)))
 
-let write_journal dir j = write_file (journal_path dir) (Journal.to_string j)
+let write_journal dir j = Io.write_file (journal_path dir) (Journal.to_string j)
 
 let read_journal dir =
   remove_if_exists (journal_path dir ^ ".tmp");

@@ -36,7 +36,8 @@ val init : string -> unit
 (** Create the directory (and parents) if missing. *)
 
 val write_manifest : string -> Manifest.t -> unit
-(** Durable commit: tmp + fsync + rotate + rename. *)
+(** Durable commit: {!Wave_disk.Io.write_file} of [MANIFEST.tmp],
+    rotate, rename, then fsync the directory. *)
 
 val read_manifest : string -> Manifest.t * bool
 (** The newest readable committed manifest, cleaning up a stale
@@ -45,7 +46,8 @@ val read_manifest : string -> Manifest.t * bool
     when neither parses. *)
 
 val write_journal : string -> Journal.t -> unit
-(** Whole-file atomic rewrite (tmp + fsync + rename). *)
+(** Whole-file atomic rewrite ({!Wave_disk.Io.write_file}: tmp +
+    fsync + rename + directory fsync). *)
 
 val read_journal : string -> Journal.t
 (** Missing or unparseable — a torn non-atomic write lost the race —

@@ -553,9 +553,9 @@ let alloc_sidecar path = path ^ ".alloc"
 
 (* Allocator snapshot: a versioned line-oriented sidecar naming the
    frontier, sequence counters and every live extent with its
-   generation.  Written with the durable tmp + fsync + rename dance so
-   a crash leaves either the old snapshot or the new one, never a
-   partial file. *)
+   generation.  Written with {!Io.write_file} (tmp, fsync, rename,
+   directory fsync) so a crash leaves either the old snapshot or the
+   new one, never a partial file. *)
 let checkpoint_alloc t =
   match t.backing with
   | None -> ()
@@ -576,21 +576,7 @@ let checkpoint_alloc t =
         Printf.ksprintf (Buffer.add_string buf) "extent %d %d %d\n" start
           length g)
       t.live;
-    let tmp = path ^ ".tmp" in
-    let fd =
-      try Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-      with Unix.Unix_error (e, _, _) ->
-        raise
-          (Disk_error (Printf.sprintf "open %s: %s" tmp (Unix.error_message e)))
-    in
-    (try
-       Io.pwrite fd (Buffer.to_bytes buf) ~off:0;
-       Io.fsync fd;
-       Unix.close fd
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    Io.rename tmp path
+    Io.write_file path (Buffer.contents buf)
 
 let open_file ?(params = default_params) ~path () =
   let sidecar = alloc_sidecar path in

@@ -247,17 +247,25 @@ let pwrite fd buf ~off =
         Done n);
   R.record_io ~syscall:"pwrite" ~outcome:"ok" ~bytes:len
 
+(* A failed fsync may already have dropped the dirty pages and cleared
+   the error, so a retry that succeeds proves nothing: EIO from fsync
+   is fail-stop, never retried. *)
+let fsync_eio () =
+  R.record_io ~syscall:"fsync" ~outcome:"fault" ~bytes:0;
+  raise (Io_error "fsync: EIO (not retried: the dirty pages may be lost)")
+
 let fsync fd =
   let injection = fire_plan Fsync in
   M.inc m_fsyncs;
   with_wall @@ fun () ->
   retry_exact ~what:"fsync" ~len:1 (fun _ ->
       match injection with
-      | Inject_transient ((Eintr | Eio | Short), k) when !k > 0 ->
+      | Inject_transient (Eio, k) when !k > 0 -> fsync_eio ()
+      | Inject_transient ((Eintr | Short), k) when !k > 0 ->
         decr k;
         Again "injected transient"
       | _ ->
-        Unix.fsync fd;
+        (try Unix.fsync fd with Unix.Unix_error (Unix.EIO, _, _) -> fsync_eio ());
         Done 1);
   R.record_io ~syscall:"fsync" ~outcome:"ok" ~bytes:0
 
@@ -275,3 +283,30 @@ let rename src dst =
          with Sys_error e -> raise (Io_error (Printf.sprintf "rename: %s" e)));
         Done 1);
   R.record_io ~syscall:"rename" ~outcome:"ok" ~bytes:0
+
+(* --- durable whole-file writes --------------------------------------- *)
+
+let fsync_dir dir =
+  let fd =
+    try Unix.openfile dir [ Unix.O_RDONLY ] 0
+    with Unix.Unix_error (e, _, _) ->
+      raise (Io_error (Printf.sprintf "open %s: %s" dir (Unix.error_message e)))
+  in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> fsync fd)
+
+let write_file path contents =
+  let tmp = path ^ ".tmp" in
+  let fd =
+    try Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    with Unix.Unix_error (e, _, _) ->
+      raise (Io_error (Printf.sprintf "open %s: %s" tmp (Unix.error_message e)))
+  in
+  (try
+     pwrite fd (Bytes.of_string contents) ~off:0;
+     fsync fd;
+     Unix.close fd
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  rename tmp path;
+  fsync_dir (Filename.dirname path)

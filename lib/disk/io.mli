@@ -10,7 +10,8 @@
       transient [EIO]), or stall for a wall-clock delay;
     - {e bounded retry with backoff}: transient failures are retried up
       to {!retry_policy}[.max_retries] times with exponentially growing
-      sleeps, after which the shim gives up and raises {!Io_error};
+      sleeps, after which the shim gives up and raises {!Io_error}
+      ([EIO] from {!fsync} is never retried: it is fail-stop);
     - {e metrics}: every call, byte, retry, giveup and stall is counted
       in {!Wave_obs.Metrics} under the [disk.file.*] names below, and
       per-call wall seconds land in the [disk.file.io_wall_s]
@@ -110,5 +111,23 @@ val armed : unit -> (syscall * fault * int) option
 
 val pread : Unix.file_descr -> bytes -> off:int -> unit
 val pwrite : Unix.file_descr -> bytes -> off:int -> unit
+
 val fsync : Unix.file_descr -> unit
+(** [EINTR] retries like any transient, but [EIO] — real or an
+    injected [Transient (Eio, _)] — is fail-stop: after a failed fsync
+    the kernel may already have dropped the dirty pages and cleared the
+    error, so a retry that succeeds would report lost data durable. *)
+
 val rename : string -> string -> unit
+
+(** {1 Durable whole-file writes} *)
+
+val fsync_dir : string -> unit
+(** Fsync a directory, making the renames committed in it durable. *)
+
+val write_file : string -> string -> unit
+(** [write_file path contents] replaces [path] durably: write
+    [path.tmp], fsync it, rename it over [path], then fsync the parent
+    directory so the rename itself survives power loss.  A crash leaves
+    either the old file or the new one, plus at worst a stale
+    [path.tmp]. *)

@@ -1,30 +1,43 @@
 open Wave_core
 open Wave_disk
 open Wave_storage
+open Wave_shard
 
 (* Deterministic day batches: 8 postings per day over 6 values, same
    shape as the unit-test stores, so every run of a configuration is
    bit-identical and twin comparison is exact. *)
+let vocab = 6
+
 let default_store day =
   Entry.batch_create ~day
     (Array.init 8 (fun i ->
          {
-           Entry.value = 1 + ((day + i) mod 6);
+           Entry.value = 1 + ((day + i) mod vocab);
            entry = { Entry.rid = (day * 100) + i; day; info = i + 1 };
          }))
+
+type operation =
+  | Transition
+  | Concurrent_transition
+  | Split of { partition : Partition.kind; shards : int }
+
+type kill = In_memory | Reopen of string | Double
 
 type point_result = {
   point : Disk.fault_point;
   mode : Disk.fault_mode;
+  on_sibling : bool;
+  second : Disk.fault_point option;
+  torn_tail : bool;
   fired : bool;
   rolled_forward : bool;
   recovered_day : int;
   consistent : bool;
   space_ok : bool;
   iso_ok : bool;
+  redo_ok : bool;
   recovery_seconds : float;
   wasted_seconds : float;
-  torn_tail : bool; (* kill sweep: block file tail truncated behind the kill *)
 }
 
 type report = {
@@ -37,10 +50,299 @@ type report = {
   passed : bool;
 }
 
-(* Canonical answers of the wave at its current day: every value's
-   window-bounded TimedIndexProbe plus the window TimedSegmentScan,
-   each sorted by rid (packed rebuilds may reorder equal keys). *)
-type reference = { ref_day : int; probes : (int * int list) list; scan : int list }
+(* --- the sweep ------------------------------------------------------- *)
+
+(* A recovered instance (a reopen kill replaces the crashed one),
+   whether recovery rolled the operation forward, and its model cost. *)
+type 'i recovered = { survivor : 'i; forward : bool; seconds : float }
+
+(* What the sweep needs of an operation under test.  ['i] is one live
+   instance, ['r] a capture of the answers it serves. *)
+type ('i, 'r) subject = {
+  start : string option -> 'i;
+      (* a fresh instance brought up to just before the operation,
+         file-backed in the directory when one is given *)
+  disk : 'i -> Disk.t;  (* the disk the operation runs on *)
+  day : 'i -> int;
+  capture : 'i -> 'r;
+  operate : 'i -> sibling:(Disk.t -> unit) -> unit;
+      (* raises [Disk.Disk_error] where an armed fault fires; [sibling]
+         sees every disk the operation creates *)
+  isolation : 'i -> before:'r -> 'i -> bool;
+      (* given the twin after the operation: the served-probe oracle *)
+  rolls_forward : bool;  (* recovery may complete the operation *)
+  recover : tail:bool -> 'i -> 'i recovered;
+      (* by the sweep's kill mode; [tail] also truncates the block
+         file behind a reopen kill *)
+  space_ok : 'i -> bool;
+  redo : ('i -> unit) option;
+      (* re-run the operation after recovery; it must reach the twin *)
+  release : 'i -> unit;
+}
+
+(* One point of the sweep: the fault, where it is armed, and the kill
+   mode's variants (a recovery-time second fault, a truncated tail). *)
+type plan = {
+  p_point : Disk.fault_point;
+  p_mode : Disk.fault_mode;
+  p_sibling : bool;
+  p_second : Disk.fault_point option;
+  p_tail : bool;
+}
+
+(* Run [operate] bracketed by counter snapshots of [disk] and of every
+   disk it creates: the operation's fault points, each tagged with
+   whether it lands on a created (sibling) disk. *)
+let discover disk operate =
+  let sibling = ref None in
+  let before = Disk.counters disk in
+  operate ~sibling:(fun d -> sibling := Some (d, Disk.counters d));
+  let points d before on_sibling =
+    List.map
+      (fun p -> (p, on_sibling))
+      (Disk.fault_schedule ~before ~after:(Disk.counters d))
+  in
+  points disk before false
+  @ match !sibling with Some (d, b) -> points d b true | None -> []
+
+(* Seeks and flushes fail-stop; writes fail-stop and tear. *)
+let modes (p : Disk.fault_point) =
+  match p.Disk.target with
+  | Disk.On_write -> [ Disk.Fail_stop; Disk.Torn ]
+  | Disk.On_seek | Disk.On_flush -> [ Disk.Fail_stop ]
+
+(* First, middle and last of a list — the bounded selection that keeps
+   the quadratic double kill affordable while still covering both
+   edges and the bulk of each schedule. *)
+let ends_and_middle = function
+  | [] -> []
+  | [ x ] -> [ x ]
+  | l ->
+    let n = List.length l in
+    List.sort_uniq compare
+      [ List.nth l 0; List.nth l (n / 2); List.nth l (n - 1) ]
+
+(* A fresh instance run into [plan]'s fault: the instance, whether the
+   fault fired, the model time the doomed operation burnt, and a
+   disarm for every disk the point armed. *)
+let crash_at s ~dir plan =
+  (* Each point gets a fresh flight-recorder window, so a failing
+     point's dump holds exactly the events of that point's run. *)
+  Wave_obs.Recorder.clear ();
+  let inst = s.start dir in
+  (* Replay the twin's pre-operation capture: with a buffer pool
+     attached those probes and scans change the pool's residency, and
+     the instance must enter the operation with the exact pool state
+     the twin had when the schedule was discovered. *)
+  ignore (s.capture inst);
+  let disk = s.disk inst in
+  let faults =
+    (plan.p_point, plan.p_mode)
+    :: List.map (fun p -> (p, Disk.Fail_stop)) (Option.to_list plan.p_second)
+  in
+  if not plan.p_sibling then Disk.arm_faults disk faults;
+  let armed = ref [ disk ] in
+  let sibling d =
+    armed := d :: !armed;
+    if plan.p_sibling then Disk.arm_faults d faults
+  in
+  let t0 = Disk.elapsed disk in
+  let fired =
+    match s.operate inst ~sibling with
+    | () -> false
+    | exception Disk.Disk_error _ -> true
+  in
+  ( inst,
+    fired,
+    Disk.elapsed disk -. t0,
+    fun () -> List.iter Disk.clear_fault !armed )
+
+let run_point s ~before ~after ~isolated ~dir plan =
+  let inst, fired, wasted_seconds, disarm = crash_at s ~dir plan in
+  (* Double kill: the fault queue popped to the second plan when the
+     first fired, so recovery itself crashes at its own point. *)
+  let fired =
+    fired
+    && (plan.p_second = None
+       ||
+       match s.recover ~tail:false inst with
+       | _ -> false
+       | exception Disk.Disk_error _ -> true)
+  in
+  disarm ();
+  let iso_ok = isolated inst in
+  (* Without a fire the schedule was not exact — the twin and the
+     instance diverged; the point is reported as failed. *)
+  let r =
+    if fired then s.recover ~tail:plan.p_tail inst
+    else { survivor = inst; forward = false; seconds = 0.0 }
+  in
+  let inst = r.survivor in
+  let now = s.capture inst in
+  let res =
+    {
+      point = plan.p_point;
+      mode = plan.p_mode;
+      on_sibling = plan.p_sibling;
+      second = plan.p_second;
+      torn_tail = plan.p_tail;
+      fired;
+      rolled_forward = r.forward;
+      recovered_day = s.day inst;
+      consistent = now = before || (s.rolls_forward && now = after);
+      space_ok = s.space_ok inst;
+      iso_ok;
+      redo_ok =
+        (match s.redo with
+        | None -> true
+        | Some redo -> (
+          match redo inst with
+          | () -> s.capture inst = after && s.space_ok inst
+          | exception _ -> false));
+      recovery_seconds = r.seconds;
+      wasted_seconds;
+    }
+  in
+  s.release inst;
+  res
+
+let point_passed r =
+  r.fired && r.consistent && r.space_ok && r.iso_ok && r.redo_ok
+
+(* Double kill: crash at [first] once and enumerate the fault points of
+   the recovery that follows. *)
+let recovery_points s first =
+  let inst, fired, _, disarm = crash_at s ~dir:None first in
+  disarm ();
+  let points =
+    if fired then
+      discover (s.disk inst) (fun ~sibling:_ ->
+          ignore (s.recover ~tail:false inst))
+    else []
+  in
+  s.release inst;
+  List.map fst points
+
+let plans s ~kill schedule =
+  let single (p_point, p_sibling) =
+    List.map
+      (fun p_mode ->
+        { p_point; p_mode; p_sibling; p_second = None; p_tail = false })
+      (modes p_point)
+  in
+  match kill with
+  | In_memory -> List.concat_map single schedule
+  | Reopen _ ->
+    (* The last write's torn point also runs with the block file's tail
+       truncated behind the kill. *)
+    let last_write =
+      List.fold_left
+        (fun acc ((p : Disk.fault_point), _) ->
+          if p.Disk.target = Disk.On_write then Some p else acc)
+        None schedule
+    in
+    List.concat_map
+      (fun pl ->
+        if pl.p_mode = Disk.Torn && Some pl.p_point = last_write then
+          [ pl; { pl with p_tail = true } ]
+        else [ pl ])
+      (List.concat_map single schedule)
+  | Double ->
+    List.concat_map
+      (fun first ->
+        List.map
+          (fun p -> { first with p_second = Some p })
+          (ends_and_middle (recovery_points s first)))
+      (List.concat_map single (ends_and_middle schedule))
+
+let mode_name = function
+  | Disk.Fail_stop -> "fail-stop"
+  | Disk.Torn -> "torn"
+  | Disk.Stall _ -> "stall"
+
+let slug pl =
+  Format.asprintf "%s%a_%s%s%s"
+    (if pl.p_sibling then "sibling_" else "")
+    Disk.pp_fault_point pl.p_point (mode_name pl.p_mode)
+    (if pl.p_tail then "_tail" else "")
+    (match pl.p_second with
+    | None -> ""
+    | Some p -> Format.asprintf "_then_%a" Disk.pp_fault_point p)
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error _ -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter
+      (fun name -> rm_rf (Filename.concat path name))
+      (Sys.readdir path);
+    (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Sys.remove path with Sys_error _ -> ())
+
+(* A failing point's flight dump, creating missing parent directories.
+   It never fails the sweep: a dump that cannot be written is reported
+   on stderr. *)
+let dump_flight ~reason path =
+  match
+    Store_dir.init (Filename.dirname path);
+    Wave_obs.Recorder.dump_to ~reason path
+  with
+  | () -> ()
+  | exception ((Sys_error _ | Unix.Unix_error _) as e) ->
+    Printf.eprintf "crash sweep: flight dump %s not written: %s\n%!" path
+      (Printexc.to_string e)
+
+let drive s ~kill ~artifact_dir =
+  (* Under a reopen kill every instance — the twin included — lives in
+     its own checkpoint directory under the kill directory. *)
+  let root =
+    match kill with Reopen dir -> Some dir | In_memory | Double -> None
+  in
+  Option.iter Store_dir.init root;
+  let twin_dir = Option.map (fun d -> Filename.concat d "twin") root in
+  Option.iter rm_rf twin_dir;
+  (* Uncrashed twin: the operation's fault points and the reference
+     answers on both sides of it. *)
+  let twin = s.start twin_dir in
+  let before = s.capture twin in
+  let schedule = discover (s.disk twin) (s.operate twin) in
+  let after = s.capture twin in
+  let isolated = s.isolation twin ~before in
+  s.release twin;
+  Option.iter rm_rf twin_dir;
+  List.map
+    (fun pl ->
+      let slug = slug pl in
+      let dir = Option.map (fun d -> Filename.concat d slug) root in
+      Option.iter rm_rf dir;
+      let res = run_point s ~before ~after ~isolated ~dir pl in
+      (* Passing points clean up after themselves; a failing point
+         keeps its checkpoint directory with the flight dump inside, or
+         leaves the dump under [artifact_dir]. *)
+      (if point_passed res then Option.iter rm_rf dir
+       else
+         let flight =
+           match dir with
+           | Some d -> Some (Filename.concat d "flight.jsonl")
+           | None ->
+             Option.map
+               (fun a -> Filename.concat a (slug ^ ".flight.jsonl"))
+               artifact_dir
+         in
+         Option.iter (dump_flight ~reason:("sweep failure: " ^ slug)) flight);
+      res)
+    (plans s ~kill schedule)
+
+(* --- the wave transition -------------------------------------------- *)
+
+(* Canonical answers of the wave at a day: every value's window-bounded
+   TimedIndexProbe plus the window TimedSegmentScan, each sorted by rid
+   (packed rebuilds may reorder equal keys). *)
+type reference = {
+  ref_day : int;
+  probes : (int * int list) list;
+  scan : int list;
+}
 
 let rids entries =
   List.sort compare (List.map (fun (e : Entry.t) -> e.Entry.rid) entries)
@@ -50,36 +352,28 @@ let capture ~w frame day =
   {
     ref_day = day;
     probes =
-      List.init 6 (fun v ->
+      List.init vocab (fun v ->
           (v + 1, rids (Frame.timed_index_probe frame ~t1 ~t2 ~value:(v + 1))));
     scan = rids (Frame.timed_segment_scan frame ~t1 ~t2);
   }
 
-let matches ~w frame (r : reference) =
-  let t1 = r.ref_day - w + 1 and t2 = r.ref_day in
-  rids (Frame.timed_segment_scan frame ~t1 ~t2) = r.scan
-  && List.for_all
-       (fun (v, expect) ->
-         rids (Frame.timed_index_probe frame ~t1 ~t2 ~value:v) = expect)
-       r.probes
-
-let fresh_instance ?icfg ~scheme ~technique ~w ~n ~store () =
-  let env = Env.create ?icfg ~technique ~store ~w ~n () in
-  Checkpoint.start scheme env
-
-(* --- concurrent serving during the sweep ----------------------------- *)
-
 (* Probes a concurrent sweep serves mid-transition all use the
    pre-transition window [day-w, day-1] — the window a reader that
    arrived before the swap is entitled to; that is exactly the window
-   [capture ~w frame (day-1)] records, so [before_ref.probes] doubles
-   as the snapshot-isolation reference. *)
+   the pre-transition capture records, so its probes double as the
+   snapshot-isolation reference. *)
 let old_window_probes ~w frame day =
-  List.init 6 (fun v ->
+  List.init vocab (fun v ->
       ( v + 1,
         rids
           (Frame.timed_index_probe frame ~t1:(day - w) ~t2:(day - 1)
              ~value:(v + 1)) ))
+
+(* A wave instance and the probes it served as [(value, rids,
+   against_snapshot)]. *)
+type wave = { cp : Checkpoint.t; mutable served : (int * int list * bool) list }
+
+let wave_disk i = (Checkpoint.env i.cp).Env.disk
 
 (* Drive one transition with a deterministic mid-transition arrival
    schedule under epoch isolation: six probes (one per value), 0.05
@@ -88,16 +382,14 @@ let old_window_probes ~w frame day =
    completed disk operation and drain the stragglers against the
    retired epoch after the commit; In_place cannot isolate readers from
    its own mutation, so its arrivals queue until the commit and run
-   against the new wave.  Returns [(fired, served)]: whether an armed
-   fault fired anywhere in the transition-plus-drain window, and every
-   answered probe as [(value, rids, against_snapshot)].  The drain runs
-   with the fault still armed, so the discovered schedule — the twin
-   runs this same driver — includes points inside the epoch-swap and
-   reader-drain window, not just the transition proper. *)
-let drive_concurrent cp ~w ~day =
-  let env = Checkpoint.env cp in
-  let disk = env.Env.disk in
-  let in_place = env.Env.technique = Env.In_place in
+   against the new wave.  The drain runs with the fault still armed,
+   so the discovered schedule — the twin runs this same function —
+   includes points inside the epoch-swap and reader-drain window, not
+   just the transition proper. *)
+let drive_concurrent i ~w ~day =
+  let cp = i.cp in
+  let disk = wave_disk i in
+  let in_place = (Checkpoint.env cp).Env.technique = Env.In_place in
   Wave_epoch.Epoch.attach disk;
   let slots =
     List.map
@@ -111,15 +403,14 @@ let drive_concurrent cp ~w ~day =
   let arrivals =
     ref (List.init 6 (fun i -> (t0 +. (0.05 *. float_of_int (i + 1)), i + 1)))
   in
-  let served = ref [] in
   let serve_snapshot v =
     Wave_epoch.Epoch.acquire ep;
     Fun.protect
       ~finally:(fun () -> Wave_epoch.Epoch.release ep)
       (fun () ->
-        served :=
+        i.served <-
           (v, rids (Wave_epoch.Epoch.probe ep ~value:v ~t1 ~t2), true)
-          :: !served)
+          :: i.served)
   in
   let rec tick () =
     match !arrivals with
@@ -140,26 +431,26 @@ let drive_concurrent cp ~w ~day =
     List.iter
       (fun (_, v) ->
         if in_place then
-          served :=
+          i.served <-
             ( v,
               rids
                 (Frame.timed_index_probe (Checkpoint.frame cp) ~t1 ~t2
                    ~value:v),
               false )
-            :: !served
+            :: i.served
         else serve_snapshot v)
       !arrivals;
     arrivals := [];
     Wave_epoch.Epoch.release ep;
     Wave_epoch.Epoch.detach disk
   with
-  | () -> (false, List.rev !served)
-  | exception Disk.Disk_error _ ->
+  | () -> ()
+  | exception (Disk.Disk_error _ as e) ->
     (* A mid-transition fault already ran the checkpoint crash path
        (which tears the epoch down); a fault in the drain above did
        not — make the teardown unconditional (idempotent). *)
     Wave_epoch.Epoch.on_crash disk;
-    (true, List.rev !served)
+    raise e
 
 (* Snapshot isolation held iff every probe served against the snapshot
    matches the pre-transition reference and every queued (In_place)
@@ -177,10 +468,6 @@ let iso_consistent disk ~before_ref ~after_conc served =
          | None -> false)
        served
 
-(* Each instance's disk dies with it; free its buffer-pool registry
-   slot (a no-op when running uncached). *)
-let release cp = Wave_cache.Cache.detach (Checkpoint.env cp).Env.disk
-
 (* No leaked and no double-freed space: the allocator's live count is
    exactly what the surviving constituents claim, and nothing is left
    marked torn. *)
@@ -193,539 +480,214 @@ let space_consistent cp =
   done;
   Disk.live_blocks disk = !claimed && Disk.torn_count disk = 0
 
-let run_point ?icfg ~scheme ~technique ~w ~n ~store ~day ~before_ref ~after_ref
-    ~concurrent ~after_conc ~mode point =
-  (* Each point gets a fresh flight-recorder window, so a failing
-     point's dump holds exactly the events of that point's run. *)
-  Wave_obs.Recorder.clear ();
-  let cp = fresh_instance ?icfg ~scheme ~technique ~w ~n ~store () in
-  Checkpoint.advance_to cp (day - 1);
-  (* Replay the twin's pre-transition reference capture: with a buffer
-     pool attached those probes and scans change the pool's residency,
-     and the instance must enter the transition with the exact pool
-     state the twin had when the fault schedule was discovered.
-     Without a pool this is a no-op for the schedule (points are
-     relative to arming). *)
-  ignore (capture ~w (Checkpoint.frame cp) (day - 1));
-  let disk = (Checkpoint.env cp).Env.disk in
-  Disk.arm_fault disk ~mode point;
-  let t0 = Disk.elapsed disk in
-  let fired, served =
-    if concurrent then drive_concurrent cp ~w ~day
-    else
-      ( (match Checkpoint.transition cp with
-        | () -> false
-        | exception Disk.Disk_error _ -> true),
-        [] )
+(* Each instance's disk dies with it: free its buffer-pool registry
+   slot (a no-op when running uncached) and close its block file (a
+   no-op on the simulated disk). *)
+let release_wave i =
+  let disk = wave_disk i in
+  Wave_cache.Cache.detach disk;
+  Disk.close disk
+
+let transition_subject ~store ?icfg ~concurrent ~kill ~scheme ~technique ~w
+    ~n ~day () =
+  let file_icfg dir =
+    {
+      (Option.value icfg ~default:Index.default_config) with
+      Index.disk_backend = Disk.File (Store_dir.blocks_path dir);
+    }
   in
-  let wasted_seconds = Disk.elapsed disk -. t0 in
-  Disk.clear_fault disk;
-  let iso = iso_consistent disk ~before_ref ~after_conc served in
-  if fired then begin
-    (* A fault in the post-commit drain window fires outside
-       [Checkpoint.transition]: the transition is durable, but the
-       process still dies there — model it before recovering. *)
-    if not (Checkpoint.crashed cp) then Checkpoint.kill cp;
-    let r = Checkpoint.recover cp in
-    let reference =
-      if r.Checkpoint.recovered_day = day then after_ref else before_ref
+  let start dir =
+    Option.iter Store_dir.init dir;
+    let icfg = match dir with Some d -> Some (file_icfg d) | None -> icfg in
+    let cp =
+      Checkpoint.start ?dir scheme (Env.create ?icfg ~technique ~store ~w ~n ())
     in
-    let res =
-      {
-        point;
-        mode;
-        fired;
-        rolled_forward = r.Checkpoint.rolled_forward;
-        recovered_day = r.Checkpoint.recovered_day;
-        consistent =
-          r.Checkpoint.recovered_day = reference.ref_day
-          && matches ~w (Checkpoint.frame cp) reference;
-        space_ok = space_consistent cp;
-        iso_ok = iso;
-        recovery_seconds = r.Checkpoint.recovery_seconds;
-        wasted_seconds;
-        torn_tail = false;
-      }
+    Checkpoint.advance_to cp (day - 1);
+    { cp; served = [] }
+  in
+  let recover ~tail i =
+    let cp, r =
+      match kill with
+      | In_memory | Double ->
+        (* A fault in the post-commit drain window fires outside
+           [Checkpoint.transition]: the transition is durable, but the
+           process still dies there — model it before recovering. *)
+        if not (Checkpoint.crashed i.cp) then Checkpoint.kill i.cp;
+        (i.cp, Checkpoint.recover i.cp)
+      | Reopen _ ->
+        (* The kill: the process dies here.  Scheme, buffer pool, epoch
+           registry and allocator evaporate; only the checkpoint
+           directory survives. *)
+        Wave_epoch.Epoch.on_crash (wave_disk i);
+        release_wave i;
+        let dir = Option.get (Checkpoint.dir i.cp) in
+        let icfg = file_icfg dir in
+        if tail then begin
+          (* The platter also lost the tail of the block file — the
+             torn last write taken to its worst case. *)
+          let blocks = Store_dir.blocks_path dir in
+          let size = (Unix.stat blocks).Unix.st_size in
+          let bs = icfg.Index.entry_bytes in
+          Unix.truncate blocks (size / bs / 2 * bs)
+        end;
+        Checkpoint.reopen ~icfg ~dir ~store ()
     in
-    release cp;
-    res
-  end
-  else begin
-    (* The schedule is exact, so this branch means the twin and the
-       instance diverged — report it as a failed point. *)
-    let res =
-      {
-        point;
-        mode;
-        fired;
-        rolled_forward = false;
-        recovered_day = Checkpoint.current_day cp;
-        consistent = matches ~w (Checkpoint.frame cp) after_ref;
-        space_ok = space_consistent cp;
-        iso_ok = iso;
-        recovery_seconds = 0.0;
-        wasted_seconds;
-        torn_tail = false;
-      }
-    in
-    release cp;
-    res
-  end
-
-(* Best-effort flight dump for a failing point; never a new failure
-   mode of its own. *)
-let dump_flight ~reason path =
-  try Wave_obs.Recorder.dump_to ~reason path with Sys_error _ -> ()
-
-let ensure_dir dir =
-  try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-let point_slug mode truncate_tail (p : Disk.fault_point) =
-  Format.asprintf "%a_%s%s" Disk.pp_fault_point p
-    (match mode with
-    | Disk.Torn -> "torn"
-    | Disk.Stall _ -> "stall"
-    | Disk.Fail_stop -> "failstop")
-    (if truncate_tail then "_tail" else "")
-
-let point_passed r = r.fired && r.consistent && r.space_ok && r.iso_ok
-
-let sweep ?(store = default_store) ?icfg ?artifact_dir ?(concurrent = false)
-    ~scheme ~technique ~w ~n ~day () =
-  if day <= w then invalid_arg "Crash_harness.sweep: day must exceed w";
-  (* Uncrashed twin: discover the transition's fault points and capture
-     the reference answers on both sides of it.  With a buffer pool in
-     [icfg], the twin and every fault instance charge the disk through
-     identical pool states, so the discovered schedule stays exact.  A
-     concurrent twin runs the same interleaved driver the instances do,
-     so the schedule also covers the served probes and the epoch
-     swap/drain window. *)
-  let twin = fresh_instance ?icfg ~scheme ~technique ~w ~n ~store () in
-  Checkpoint.advance_to twin (day - 1);
-  let twin_disk = (Checkpoint.env twin).Env.disk in
-  let before_ref = capture ~w (Checkpoint.frame twin) (day - 1) in
-  let before = Disk.counters twin_disk in
-  if concurrent then ignore (drive_concurrent twin ~w ~day)
-  else Checkpoint.transition twin;
-  let after = Disk.counters twin_disk in
-  let after_ref = capture ~w (Checkpoint.frame twin) day in
-  let after_conc =
-    if concurrent then old_window_probes ~w (Checkpoint.frame twin) day else []
+    {
+      survivor = { cp; served = [] };
+      forward = r.Checkpoint.rolled_forward;
+      seconds = r.Checkpoint.recovery_seconds;
+    }
   in
-  let schedule = Disk.fault_schedule ~before ~after in
-  let points =
-    List.concat_map
-      (fun (p : Disk.fault_point) ->
-        let modes =
-          match p.Disk.target with
-          | Disk.On_seek -> [ Disk.Fail_stop ]
-          | Disk.On_write -> [ Disk.Fail_stop; Disk.Torn ]
-          | Disk.On_flush -> [ Disk.Fail_stop ]
-        in
-        List.map
-          (fun mode ->
-            let res =
-              run_point ?icfg ~scheme ~technique ~w ~n ~store ~day ~before_ref
-                ~after_ref ~concurrent ~after_conc ~mode p
-            in
-            (* The simulated sweep has no per-point directory of its
-               own; with [artifact_dir] set, a failing point still
-               leaves its flight-recorder dump behind. *)
-            (match artifact_dir with
-            | Some adir when not (point_passed res) ->
-              ensure_dir adir;
-              let slug = point_slug mode false p in
-              dump_flight ~reason:("sweep failure: " ^ slug)
-                (Filename.concat adir (slug ^ ".flight.jsonl"))
-            | _ -> ());
-            res)
-          modes)
-      schedule
-  in
-  release twin;
-  let passed = points <> [] && List.for_all point_passed points in
-  { scheme; technique; w; n; day; points; passed }
-
-(* --- kill-and-recover sweep on the file backend ---------------------- *)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error _ -> ()
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter
-      (fun name -> rm_rf (Filename.concat path name))
-      (Sys.readdir path);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-
-let file_instance ?icfg ~scheme ~technique ~w ~n ~store dir =
-  Store_dir.init dir;
-  let icfg = match icfg with Some c -> c | None -> Index.default_config in
-  let icfg =
-    { icfg with Index.disk_backend = Disk.File (Store_dir.blocks_path dir) }
-  in
-  let disk = Index.make_disk icfg in
-  let env = Env.create ~disk ~icfg ~technique ~store ~w ~n () in
-  (Checkpoint.start ~dir scheme env, icfg)
-
-let run_kill_point ?icfg ~scheme ~technique ~w ~n ~store ~day ~before_ref
-    ~after_ref ~concurrent ~after_conc ~mode ~truncate_tail subdir point =
-  rm_rf subdir;
-  Wave_obs.Recorder.clear ();
-  let cp, icfg = file_instance ?icfg ~scheme ~technique ~w ~n ~store subdir in
-  Checkpoint.advance_to cp (day - 1);
-  ignore (capture ~w (Checkpoint.frame cp) (day - 1));
-  let disk = (Checkpoint.env cp).Env.disk in
-  Disk.arm_fault disk ~mode point;
-  let t0 = Disk.elapsed disk in
-  let fired, served =
-    if concurrent then drive_concurrent cp ~w ~day
-    else
-      ( (match Checkpoint.transition cp with
-        | () -> false
-        | exception Disk.Disk_error _ -> true),
-        [] )
-  in
-  let wasted_seconds = Disk.elapsed disk -. t0 in
-  Disk.clear_fault disk;
-  let iso = iso_consistent disk ~before_ref ~after_conc served in
-  if not fired then begin
-    (* Twin/instance divergence: report without killing so the frame is
-       still queryable. *)
-    let res =
-      {
-        point;
-        mode;
-        fired;
-        rolled_forward = false;
-        recovered_day = Checkpoint.current_day cp;
-        consistent = matches ~w (Checkpoint.frame cp) after_ref;
-        space_ok = space_consistent cp;
-        iso_ok = iso;
-        recovery_seconds = 0.0;
-        wasted_seconds;
-        torn_tail = false;
-      }
-    in
-    release cp;
-    Disk.close disk;
-    res
-  end
-  else begin
-    (* The kill: the process dies here.  Scheme, buffer pool, epoch
-       registry and allocator evaporate; only the checkpoint directory
-       survives. *)
-    Wave_epoch.Epoch.on_crash disk;
-    release cp;
-    Disk.close disk;
-    if truncate_tail then begin
-      (* The platter also lost the tail of the block file — the torn
-         last write taken to its worst case. *)
-      let blocks = Store_dir.blocks_path subdir in
-      let size = (Unix.stat blocks).Unix.st_size in
-      let bs = icfg.Index.entry_bytes in
-      Unix.truncate blocks (size / bs / 2 * bs)
-    end;
-    let cp2, r = Checkpoint.reopen ~icfg ~dir:subdir ~store () in
-    let reference =
-      if r.Checkpoint.recovered_day = day then after_ref else before_ref
-    in
-    let res =
-      {
-        point;
-        mode;
-        fired;
-        rolled_forward = r.Checkpoint.rolled_forward;
-        recovered_day = r.Checkpoint.recovered_day;
-        consistent =
-          r.Checkpoint.recovered_day = reference.ref_day
-          && matches ~w (Checkpoint.frame cp2) reference;
-        space_ok = space_consistent cp2;
-        iso_ok = iso;
-        recovery_seconds = r.Checkpoint.recovery_seconds;
-        wasted_seconds;
-        torn_tail = truncate_tail;
-      }
-    in
-    release cp2;
-    Disk.close (Checkpoint.env cp2).Env.disk;
-    res
-  end
-
-let kill_sweep ?(store = default_store) ?icfg ?(concurrent = false) ~scheme
-    ~technique ~w ~n ~day ~dir () =
-  if day <= w then invalid_arg "Crash_harness.kill_sweep: day must exceed w";
-  Store_dir.init dir;
-  (* File-backed uncrashed twin: the backing adds no model operations,
-     so the discovered schedule is the simulator's, but discovering it
-     on the real backend keeps the two paths honest about each other. *)
-  let twin_dir = Filename.concat dir "twin" in
-  rm_rf twin_dir;
-  let twin, _ = file_instance ?icfg ~scheme ~technique ~w ~n ~store twin_dir in
-  Checkpoint.advance_to twin (day - 1);
-  let twin_disk = (Checkpoint.env twin).Env.disk in
-  let before_ref = capture ~w (Checkpoint.frame twin) (day - 1) in
-  let before = Disk.counters twin_disk in
-  if concurrent then ignore (drive_concurrent twin ~w ~day)
-  else Checkpoint.transition twin;
-  let after = Disk.counters twin_disk in
-  let after_ref = capture ~w (Checkpoint.frame twin) day in
-  let after_conc =
-    if concurrent then old_window_probes ~w (Checkpoint.frame twin) day else []
-  in
-  let schedule = Disk.fault_schedule ~before ~after in
-  release twin;
-  Disk.close twin_disk;
-  rm_rf twin_dir;
-  let last_write =
-    List.fold_left
-      (fun acc (p : Disk.fault_point) ->
-        if p.Disk.target = Disk.On_write then Some p else acc)
-      None schedule
-  in
-  let points =
-    List.concat_map
-      (fun (p : Disk.fault_point) ->
-        let modes =
-          match p.Disk.target with
-          | Disk.On_seek -> [ Disk.Fail_stop ]
-          | Disk.On_write -> [ Disk.Fail_stop; Disk.Torn ]
-          | Disk.On_flush -> [ Disk.Fail_stop ]
-        in
-        List.concat_map
-          (fun mode ->
-            (* The last write point additionally runs a torn-tail
-               variant: the file is truncated behind the kill. *)
-            let variants =
-              if mode = Disk.Torn && last_write = Some p then [ false; true ]
-              else [ false ]
-            in
-            List.map
-              (fun truncate_tail ->
-                let slug = point_slug mode truncate_tail p in
-                let subdir = Filename.concat dir slug in
-                let res =
-                  run_kill_point ?icfg ~scheme ~technique ~w ~n ~store ~day
-                    ~before_ref ~after_ref ~concurrent ~after_conc ~mode
-                    ~truncate_tail subdir p
-                in
-                (* Passing points clean up after themselves; a failing
-                   point keeps its directory — torn block file, sidecar,
-                   manifests, and the flight-recorder dump of the run
-                   that died there — as the debugging artifact. *)
-                if point_passed res then rm_rf subdir
-                else
-                  dump_flight ~reason:("kill_sweep failure: " ^ slug)
-                    (Filename.concat subdir "flight.jsonl");
-                res)
-              variants)
-          modes)
-      schedule
-  in
-  let passed = points <> [] && List.for_all point_passed points in
-  { scheme; technique; w; n; day; points; passed }
-
-(* --- double-fault sweep: crash during recovery ----------------------- *)
-
-type double_point = {
-  d_first : Disk.fault_point * Disk.fault_mode;
-  d_second : Disk.fault_point * Disk.fault_mode;
-  d_fired_both : bool;
-  d_rolled_forward : bool;
-  d_recovered_day : int;
-  d_consistent : bool;
-  d_space_ok : bool;
-}
-
-type double_report = {
-  dr_scheme : Scheme.kind;
-  dr_technique : Env.technique;
-  dr_w : int;
-  dr_n : int;
-  dr_day : int;
-  dr_points : double_point list;
-  dr_passed : bool;
-}
-
-(* First, middle and last of a list — the bounded selection that keeps
-   the quadratic double sweep affordable while still covering both
-   edges and the bulk of each schedule. *)
-let ends_and_middle = function
-  | [] -> []
-  | [ x ] -> [ x ]
-  | l ->
-    let n = List.length l in
-    List.sort_uniq compare [ List.nth l 0; List.nth l (n / 2); List.nth l (n - 1) ]
-
-let run_double_point ?icfg ~scheme ~technique ~w ~n ~store ~day ~before_ref
-    ~after_ref (p1, m1) (p2, m2) =
-  let cp = fresh_instance ?icfg ~scheme ~technique ~w ~n ~store () in
-  Checkpoint.advance_to cp (day - 1);
-  ignore (capture ~w (Checkpoint.frame cp) (day - 1));
-  let disk = (Checkpoint.env cp).Env.disk in
-  Disk.arm_faults disk [ (p1, m1); (p2, m2) ];
-  let fired1 =
-    match Checkpoint.transition cp with
-    | () -> false
-    | exception Disk.Disk_error _ -> true
-  in
-  (* The queue popped to the second plan when the first fired; recovery
-     now crashes at its own enumerated point and must be re-entrant. *)
-  let fired2 =
-    fired1
-    &&
-    match Checkpoint.recover cp with
-    | _ -> false
-    | exception Disk.Disk_error _ -> true
-  in
-  Disk.clear_fault disk;
-  let res =
-    if not (fired1 && fired2) then
-      {
-        d_first = (p1, m1);
-        d_second = (p2, m2);
-        d_fired_both = false;
-        d_rolled_forward = false;
-        d_recovered_day = -1;
-        d_consistent = false;
-        d_space_ok = false;
-      }
-    else begin
-      let r = Checkpoint.recover cp in
-      let reference =
-        if r.Checkpoint.recovered_day = day then after_ref else before_ref
-      in
-      {
-        d_first = (p1, m1);
-        d_second = (p2, m2);
-        d_fired_both = true;
-        d_rolled_forward = r.Checkpoint.rolled_forward;
-        d_recovered_day = r.Checkpoint.recovered_day;
-        d_consistent =
-          r.Checkpoint.recovered_day = reference.ref_day
-          && matches ~w (Checkpoint.frame cp) reference;
-        d_space_ok = space_consistent cp;
-      }
-    end
-  in
-  release cp;
-  res
-
-let sweep_double ?(store = default_store) ?icfg ~scheme ~technique ~w ~n ~day
-    () =
-  if day <= w then invalid_arg "Crash_harness.sweep_double: day must exceed w";
-  let twin = fresh_instance ?icfg ~scheme ~technique ~w ~n ~store () in
-  Checkpoint.advance_to twin (day - 1);
-  let twin_disk = (Checkpoint.env twin).Env.disk in
-  let before_ref = capture ~w (Checkpoint.frame twin) (day - 1) in
-  let before = Disk.counters twin_disk in
-  Checkpoint.transition twin;
-  let after = Disk.counters twin_disk in
-  let after_ref = capture ~w (Checkpoint.frame twin) day in
-  let schedule = Disk.fault_schedule ~before ~after in
-  release twin;
-  let firsts =
-    List.concat_map
-      (fun (p : Disk.fault_point) ->
-        match p.Disk.target with
-        | Disk.On_write -> [ (p, Disk.Fail_stop); (p, Disk.Torn) ]
-        | Disk.On_seek | Disk.On_flush -> [ (p, Disk.Fail_stop) ])
-      (ends_and_middle schedule)
-  in
-  let points =
-    List.concat_map
-      (fun (p1, m1) ->
-        (* Recovery twin for this first fault: crash there once, then
-           bracket the recovery to enumerate its own fault points.  A
-           roll-back with zero charged I/O has an empty schedule — no
-           second fault can land inside it, so the pair is skipped. *)
-        let cp = fresh_instance ?icfg ~scheme ~technique ~w ~n ~store () in
-        Checkpoint.advance_to cp (day - 1);
-        ignore (capture ~w (Checkpoint.frame cp) (day - 1));
-        let disk = (Checkpoint.env cp).Env.disk in
-        Disk.arm_fault disk ~mode:m1 p1;
-        let fired =
-          match Checkpoint.transition cp with
-          | () -> false
-          | exception Disk.Disk_error _ -> true
-        in
-        Disk.clear_fault disk;
-        let rec_schedule =
-          if not fired then []
-          else begin
-            let rb = Disk.counters disk in
-            ignore (Checkpoint.recover cp);
-            Disk.fault_schedule ~before:rb ~after:(Disk.counters disk)
-          end
-        in
-        release cp;
-        List.map
-          (fun p2 ->
-            run_double_point ?icfg ~scheme ~technique ~w ~n ~store ~day
-              ~before_ref ~after_ref (p1, m1) (p2, Disk.Fail_stop))
-          (ends_and_middle rec_schedule))
-      firsts
-  in
-  (* Vacuously passes when every pair was skipped (a technique whose
-     recovery is always a pure roll-back): the single-fault sweep
-     already covers those; there is no recovery I/O to interrupt. *)
-  let passed =
-    List.for_all
-      (fun r -> r.d_fired_both && r.d_consistent && r.d_space_ok)
-      points
-  in
+  let day_of i = Checkpoint.current_day i.cp in
   {
-    dr_scheme = scheme;
-    dr_technique = technique;
-    dr_w = w;
-    dr_n = n;
-    dr_day = day;
-    dr_points = points;
-    dr_passed = passed;
+    start;
+    disk = wave_disk;
+    day = day_of;
+    capture = (fun i -> capture ~w (Checkpoint.frame i.cp) (day_of i));
+    operate =
+      (fun i ~sibling:_ ->
+        if concurrent then drive_concurrent i ~w ~day
+        else Checkpoint.transition i.cp);
+    isolation =
+      (fun twin ~before ->
+        let after_conc =
+          if concurrent then old_window_probes ~w (Checkpoint.frame twin.cp) day
+          else []
+        in
+        fun i ->
+          iso_consistent (wave_disk i) ~before_ref:before ~after_conc i.served);
+    rolls_forward = true;
+    recover;
+    space_ok = (fun i -> space_consistent i.cp);
+    redo = None;
+    release = release_wave;
   }
 
+(* --- the router split ----------------------------------------------- *)
+
+(* The router's answers at its current day, plus its committed shard
+   map as (partition generation, arms, completed splits). *)
+type shard_reference = {
+  map : int * int * int;
+  shard_probes : Entry.t list array;
+  shard_scan : Entry.t list;
+}
+
+let capture_router ~w r =
+  let day = Router.current_day r in
+  let t1 = day - w + 1 and t2 = day in
+  {
+    map =
+      (Partition.generation (Router.partition r), Router.arms r, Router.splits r);
+    shard_probes =
+      Array.init vocab (fun i -> fst (Router.probe r ~value:(i + 1) ~t1 ~t2));
+    shard_scan = fst (Router.scan r ~t1 ~t2);
+  }
+
+(* Split arm 0 at [day].  Recovery always lands on the pre-split map: a
+   fault on the victim's disk or on the fresh sibling's must roll back,
+   serve mid-split probes from the pre-split snapshot, leak nothing,
+   and leave a split that re-runs to the twin's post-split answers. *)
+let split_subject ~store ?icfg ~partition ~shards ~scheme ~technique ~w ~n ~day
+    () =
+  (* Two mid-split probes of values the victim owns. *)
+  let serve =
+    let p0 = Partition.create partition ~arms:shards ~vocab in
+    List.init vocab (fun i -> i + 1)
+    |> List.filter (fun v -> Partition.arm_of_value p0 v = 0)
+    |> List.filteri (fun i _ -> i < 2)
+    |> List.map (fun v -> (v, day - w + 1, day))
+  in
+  let split r ~sibling =
+    ignore (Router.split r ~arm:0 ~serve ~on_sibling:sibling)
+  in
+  let no_leaks r =
+    match Router.check_no_leaks r with
+    | () -> true
+    | exception Failure _ -> false
+  in
+  {
+    start =
+      (fun _ ->
+        let r =
+          Router.create ?icfg ~kind:scheme ~technique ~partition ~shards ~vocab
+            ~store ~w ~n ()
+        in
+        while Router.current_day r < day do
+          ignore (Router.advance r)
+        done;
+        r);
+    disk = (fun r -> Router.arm_disk r 0);
+    day = Router.current_day;
+    capture = capture_router ~w;
+    operate = split;
+    isolation =
+      (fun _ ~before ->
+        let expected =
+          List.map (fun (v, _, _) -> before.shard_probes.(v - 1)) serve
+        in
+        fun r ->
+          let served = Router.last_served r in
+          List.filteri (fun i _ -> i < List.length served) expected = served);
+    rolls_forward = false;
+    recover =
+      (fun ~tail:_ r ->
+        Router.recover r;
+        { survivor = r; forward = false; seconds = 0.0 });
+    space_ok = no_leaks;
+    redo = Some (fun r -> split r ~sibling:ignore);
+    release = ignore;
+  }
+
+let sweep ?(store = default_store) ?icfg ?artifact_dir ?(op = Transition)
+    ?(kill = In_memory) ~scheme ~technique ~w ~n ~day () =
+  if day <= w then invalid_arg "Crash_harness.sweep: day must exceed w";
+  let points =
+    match op with
+    | Transition | Concurrent_transition ->
+      let concurrent = op = Concurrent_transition in
+      if concurrent && kill = Double then
+        invalid_arg
+          "Crash_harness.sweep: a double kill runs no concurrent probes";
+      drive ~kill ~artifact_dir
+        (transition_subject ~store ?icfg ~concurrent ~kill ~scheme ~technique ~w
+           ~n ~day ())
+    | Split { partition; shards } ->
+      if kill <> In_memory then
+        invalid_arg "Crash_harness.sweep: a split is killed in memory only";
+      drive ~kill ~artifact_dir
+        (split_subject ~store ?icfg ~partition ~shards ~scheme ~technique ~w ~n
+           ~day ())
+  in
+  (* A double kill whose recoveries charge no I/O has no second fault to
+     inject: it passes vacuously, the single-fault sweep covers it. *)
+  let passed =
+    (points <> [] || kill = Double) && List.for_all point_passed points
+  in
+  { scheme; technique; w; n; day; points; passed }
+
 let pp_point_result ppf r =
-  Format.fprintf ppf "%a %s%s: %s day=%d recover=%.3fs wasted=%.3fs%s%s"
-    Disk.pp_fault_point r.point
-    (match r.mode with
-    | Disk.Fail_stop -> "fail-stop"
-    | Disk.Torn -> "torn"
-    | Disk.Stall _ -> "stall")
+  let flags =
+    List.filter_map
+      (fun (ok, flag) -> if ok then None else Some (" " ^ flag))
+      [
+        (r.fired, "DID-NOT-FIRE");
+        (r.consistent, "INCONSISTENT");
+        (r.space_ok, "SPACE-LEAK");
+        (r.iso_ok, "ISO-VIOLATION");
+        (r.redo_ok, "REDO-FAILED");
+      ]
+  in
+  Format.fprintf ppf "%s%a %s%s%s: %s day=%d recover=%.3fs wasted=%.3fs%s"
+    (if r.on_sibling then "sibling " else "")
+    Disk.pp_fault_point r.point (mode_name r.mode)
     (if r.torn_tail then "+tail" else "")
+    (match r.second with
+    | None -> ""
+    | Some p -> Format.asprintf " then %a fail-stop" Disk.pp_fault_point p)
     (if r.rolled_forward then "roll-forward" else "roll-back")
     r.recovered_day r.recovery_seconds r.wasted_seconds
-    (if r.consistent then "" else " INCONSISTENT")
-    ((if r.space_ok then "" else " SPACE-LEAK")
-    ^ if r.iso_ok then "" else " ISO-VIOLATION")
-
-let pp_double_point ppf r =
-  let mode = function
-    | Disk.Fail_stop -> "fail-stop"
-    | Disk.Torn -> "torn"
-    | Disk.Stall _ -> "stall"
-  in
-  Format.fprintf ppf "%a %s then %a %s: %s day=%d%s%s%s"
-    Disk.pp_fault_point (fst r.d_first)
-    (mode (snd r.d_first))
-    Disk.pp_fault_point (fst r.d_second)
-    (mode (snd r.d_second))
-    (if r.d_rolled_forward then "roll-forward" else "roll-back")
-    r.d_recovered_day
-    (if r.d_fired_both then "" else " DID-NOT-FIRE")
-    (if r.d_consistent then "" else " INCONSISTENT")
-    (if r.d_space_ok then "" else " SPACE-LEAK")
-
-let pp_double_report ppf t =
-  Format.fprintf ppf "%s x %s (W=%d n=%d day=%d): %d double points %s@."
-    (Scheme.name t.dr_scheme)
-    (Env.technique_name t.dr_technique)
-    t.dr_w t.dr_n t.dr_day (List.length t.dr_points)
-    (if t.dr_passed then "PASS" else "FAIL");
-  List.iter
-    (fun r ->
-      if not (r.d_fired_both && r.d_consistent && r.d_space_ok) then
-        Format.fprintf ppf "  %a@." pp_double_point r)
-    t.dr_points
+    (String.concat "" flags)
 
 let pp_report ppf t =
   Format.fprintf ppf "%s x %s (W=%d n=%d day=%d): %d points %s@."
@@ -734,5 +696,6 @@ let pp_report ppf t =
     t.w t.n t.day (List.length t.points)
     (if t.passed then "PASS" else "FAIL");
   List.iter
-    (fun r -> if not (point_passed r) then Format.fprintf ppf "  %a@." pp_point_result r)
+    (fun r ->
+      if not (point_passed r) then Format.fprintf ppf "  %a@." pp_point_result r)
     t.points

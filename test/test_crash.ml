@@ -272,7 +272,7 @@ let sweep_case scheme technique () =
 (* PR 1's guarantee must survive PR 3's buffer pool: sweep every fault
    point of every scheme x technique with a pool attached.  Write-through
    keeps the write fault points identical; the capture replay keeps the
-   seek schedule exact (see Crash_harness.run_point). *)
+   seek schedule exact (see Crash_harness.crash_at). *)
 let test_sweep_cache_enabled_all () =
   let icfg =
     {
@@ -349,6 +349,29 @@ let test_sweep_counts_both_targets () =
   Alcotest.(check bool) "torn mode swept" true
     (List.exists (fun p -> p.Crash_harness.mode = Disk.Torn) writes)
 
+(* The sweep runs every operation under every kill mode except a split
+   under a reopen or double kill and a concurrent transition under a
+   double kill; those are refused up front rather than half run. *)
+let test_sweep_rejects_unsupported_combinations () =
+  let rejected op kill =
+    match
+      Crash_harness.sweep ~op ~kill ~scheme:Scheme.Del
+        ~technique:Env.Simple_shadow ~w:4 ~n:2 ~day:5 ()
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let split =
+    Crash_harness.Split { partition = Wave_shard.Partition.Hash; shards = 2 }
+  in
+  Alcotest.(check bool) "split x reopen" true
+    (rejected split (Crash_harness.Reopen "unused"));
+  Alcotest.(check bool) "split x double" true
+    (rejected split Crash_harness.Double);
+  Alcotest.(check bool) "concurrent x double" true
+    (rejected Crash_harness.Concurrent_transition Crash_harness.Double);
+  Alcotest.(check bool) "nothing written" false (Sys.file_exists "unused")
+
 (* --- Flight-recorder artifacts on sweep failure ---------------------- *)
 
 let rec rm_rf path =
@@ -385,32 +408,39 @@ let test_sweep_failure_writes_flight_artifacts () =
   let adir = "crash_sweep_artifacts" in
   rm_rf adir;
   Fun.protect ~finally:(fun () -> rm_rf adir) @@ fun () ->
-  (* In-place always rolls forward, so every point replays the poisoned
-     day 7 batch into the recovered wave and fails consistency. *)
-  let r =
-    Crash_harness.sweep
-      ~store:(divergent_store ~poison_day:7)
-      ~artifact_dir:adir ~scheme:Scheme.Del ~technique:Env.In_place ~w:6 ~n:3
-      ~day:7 ()
-  in
-  Alcotest.(check bool) "sweep fails by construction" false
-    r.Crash_harness.passed;
-  let failing = List.filter point_failed r.Crash_harness.points in
-  Alcotest.(check bool) "has failing points" true (failing <> []);
-  let dumps = Array.to_list (Sys.readdir adir) in
-  Alcotest.(check int) "one dump per failing point" (List.length failing)
-    (List.length dumps);
+  (* A flat artifact directory, then a nested one whose parents do not
+     exist yet. *)
   List.iter
-    (fun f ->
-      Alcotest.(check bool) (f ^ " named *.flight.jsonl") true
-        (Filename.check_suffix f ".flight.jsonl");
-      match Wave_obs.Sink.validate_flight_file (Filename.concat adir f) with
-      | Ok n ->
-        (* The per-point ring was cleared at replay start, so the dump
-           is that point's own tail — at minimum the injected fault. *)
-        Alcotest.(check bool) (f ^ " holds the fatal event") true (n > 0)
-      | Error e -> Alcotest.failf "%s invalid: %s" f e)
-    dumps;
+    (fun dir ->
+      (* In-place always rolls forward, so every point replays the
+         poisoned day 7 batch into the recovered wave and fails
+         consistency. *)
+      let r =
+        Crash_harness.sweep
+          ~store:(divergent_store ~poison_day:7)
+          ~artifact_dir:dir ~scheme:Scheme.Del ~technique:Env.In_place ~w:6
+          ~n:3 ~day:7 ()
+      in
+      Alcotest.(check bool) "sweep fails by construction" false
+        r.Crash_harness.passed;
+      let failing = List.filter point_failed r.Crash_harness.points in
+      Alcotest.(check bool) "has failing points" true (failing <> []);
+      let dumps = Array.to_list (Sys.readdir dir) in
+      Alcotest.(check int) "one dump per failing point" (List.length failing)
+        (List.length dumps);
+      List.iter
+        (fun f ->
+          Alcotest.(check bool) (f ^ " named *.flight.jsonl") true
+            (Filename.check_suffix f ".flight.jsonl");
+          match Wave_obs.Sink.validate_flight_file (Filename.concat dir f) with
+          | Ok n ->
+            (* The per-point ring was cleared at replay start, so the
+               dump is that point's own tail — at minimum the injected
+               fault. *)
+            Alcotest.(check bool) (f ^ " holds the fatal event") true (n > 0)
+          | Error e -> Alcotest.failf "%s invalid: %s" f e)
+        dumps)
+    [ adir; Filename.concat adir "nested/DEL_in-place_d7" ];
   (* A passing sweep with an artifact dir armed writes nothing — the
      directory is not even created. *)
   let clean = Filename.concat adir "clean" in
@@ -462,5 +492,7 @@ let suites =
           test_sweep_write_back_has_flush_points;
         Alcotest.test_case "failing sweep writes flight artifacts" `Quick
           test_sweep_failure_writes_flight_artifacts;
+        Alcotest.test_case "unsupported combinations rejected" `Quick
+          test_sweep_rejects_unsupported_combinations;
       ] );
   ]

@@ -754,8 +754,8 @@ let test_concurrent_crash_sweep () =
   List.iter
     (fun (scheme, technique) ->
       let r =
-        Crash_harness.sweep ~concurrent:true ~scheme ~technique ~w:6 ~n:3
-          ~day:7 ()
+        Crash_harness.sweep ~op:Crash_harness.Concurrent_transition ~scheme
+          ~technique ~w:6 ~n:3 ~day:7 ()
       in
       if not r.Crash_harness.passed then
         Alcotest.failf "%s/%s failed:\n%s" (Scheme.name scheme)

@@ -125,6 +125,26 @@ let test_io_stall () =
   Alcotest.(check (float 0.)) "counted" 1.0 stalls;
   Alcotest.(check bool) "plan consumed" true (Io.armed () = None)
 
+(* EIO from fsync is fail-stop: the kernel may already have dropped the
+   dirty pages and cleared the error, so a retried fsync that succeeds
+   proves nothing.  EINTR still retries. *)
+let test_io_fsync_eio_fail_stop () =
+  with_recorded_sleeps @@ fun sleeps ->
+  with_scratch_fd @@ fun fd ->
+  Io.arm Io.Fsync (Io.Transient (Io.Eio, 1));
+  let raised, retries =
+    counter_delta "disk.file.retries" (fun () ->
+        match Io.fsync fd with
+        | () -> false
+        | exception Io.Io_error _ -> true)
+  in
+  Alcotest.(check bool) "fsync EIO raised" true raised;
+  Alcotest.(check (float 0.)) "not retried" 0.0 retries;
+  Alcotest.(check (list (float 0.))) "no backoff" [] (sleeps ());
+  Io.arm Io.Fsync (Io.Transient (Io.Eintr, 1));
+  Io.fsync fd;
+  Alcotest.(check (list (float 1e-9))) "EINTR retried" [ 0.001 ] (sleeps ())
+
 let test_io_torn_write_visible () =
   with_recorded_sleeps @@ fun _ ->
   with_scratch_fd @@ fun fd ->
@@ -510,6 +530,33 @@ let test_checkpoint_syscall_kill_matrix () =
     run_point Io.Rename at (Printf.sprintf "rename%d" at)
   done
 
+(* A durable whole-file write ends with a directory fsync, so the
+   committed rename survives power loss — for the journal and manifest
+   rewrites and the allocator sidecar alike. *)
+let test_durable_write_fsyncs_directory () =
+  with_recorded_sleeps @@ fun _ ->
+  with_dir "rd_dirsync" @@ fun dir ->
+  let syscalls f =
+    Wave_obs.Recorder.clear ();
+    f ();
+    List.filter_map
+      (fun (e : Wave_obs.Recorder.event) ->
+        match e.Wave_obs.Recorder.kind with
+        | Wave_obs.Recorder.Io { io_syscall; _ } -> Some io_syscall
+        | _ -> None)
+      (Wave_obs.Recorder.events ())
+  in
+  Alcotest.(check (list string))
+    "journal rewrite" [ "pwrite"; "fsync"; "rename"; "fsync" ]
+    (syscalls (fun () -> Store_dir.write_journal dir (Journal.create ())));
+  let d =
+    Disk.create_file ~params:small_params ~path:(Store_dir.blocks_path dir) ()
+  in
+  Alcotest.(check (list string))
+    "allocator sidecar" [ "pwrite"; "fsync"; "rename"; "fsync" ]
+    (syscalls (fun () -> Disk.checkpoint_alloc d));
+  Disk.close d
+
 let test_checkpoint_stale_tmp_cleanup () =
   with_recorded_sleeps @@ fun _ ->
   with_dir "rd_tmp" @@ fun dir ->
@@ -554,8 +601,8 @@ let test_kill_sweep_packed_shadow () =
   with_recorded_sleeps @@ fun _ ->
   with_dir "rd_kill" @@ fun dir ->
   check_kill_report
-    (Crash_harness.kill_sweep ~scheme:Scheme.Del ~technique:Env.Packed_shadow
-       ~w:6 ~n:3 ~day:9 ~dir ())
+    (Crash_harness.sweep ~kill:(Crash_harness.Reopen dir) ~scheme:Scheme.Del
+       ~technique:Env.Packed_shadow ~w:6 ~n:3 ~day:9 ())
 
 let test_kill_sweep_write_back () =
   with_recorded_sleeps @@ fun _ ->
@@ -568,8 +615,8 @@ let test_kill_sweep_write_back () =
     }
   in
   check_kill_report
-    (Crash_harness.kill_sweep ~icfg ~scheme:Scheme.Del
-       ~technique:Env.Packed_shadow ~w:6 ~n:3 ~day:9 ~dir ())
+    (Crash_harness.sweep ~icfg ~kill:(Crash_harness.Reopen dir)
+       ~scheme:Scheme.Del ~technique:Env.Packed_shadow ~w:6 ~n:3 ~day:9 ())
 
 (* A store that poisons [poison_day]'s batch for every instantiation
    after the first: the twin sees canonical data, every kill replay an
@@ -592,9 +639,10 @@ let test_kill_sweep_failure_keeps_flight () =
   with_recorded_sleeps @@ fun _ ->
   with_dir "rd_kill_fail" @@ fun dir ->
   let r =
-    Crash_harness.kill_sweep
+    Crash_harness.sweep
       ~store:(divergent_store ~poison_day:7)
-      ~scheme:Scheme.Del ~technique:Env.In_place ~w:6 ~n:3 ~day:7 ~dir ()
+      ~kill:(Crash_harness.Reopen dir) ~scheme:Scheme.Del
+      ~technique:Env.In_place ~w:6 ~n:3 ~day:7 ()
   in
   Alcotest.(check bool) "sweep fails by construction" false
     r.Crash_harness.passed;
@@ -623,25 +671,24 @@ let test_double_fault_sweep () =
   (* In-place updating always rolls forward, so recovery charges real
      I/O and the second fault has somewhere to land. *)
   let r =
-    Crash_harness.sweep_double ~scheme:Scheme.Del ~technique:Env.In_place ~w:6
-      ~n:3 ~day:9 ()
+    Crash_harness.sweep ~kill:Crash_harness.Double ~scheme:Scheme.Del
+      ~technique:Env.In_place ~w:6 ~n:3 ~day:9 ()
   in
-  if not r.Crash_harness.dr_passed then
-    Alcotest.failf "double-fault sweep failed:@\n%a" Crash_harness.pp_double_report
-      r;
+  if not r.Crash_harness.passed then
+    Alcotest.failf "double-fault sweep failed:@\n%a" Crash_harness.pp_report r;
   Alcotest.(check bool) "has double points" true
-    (r.Crash_harness.dr_points <> [])
+    (r.Crash_harness.points <> [])
 
 let test_double_fault_rollback_vacuous () =
   (* Packed shadow's recovery is a pure roll-back: every pair is
      skipped and the sweep passes vacuously with zero points. *)
   let r =
-    Crash_harness.sweep_double ~scheme:Scheme.Del ~technique:Env.Packed_shadow
-      ~w:6 ~n:3 ~day:9 ()
+    Crash_harness.sweep ~kill:Crash_harness.Double ~scheme:Scheme.Del
+      ~technique:Env.Packed_shadow ~w:6 ~n:3 ~day:9 ()
   in
-  Alcotest.(check bool) "passes" true r.Crash_harness.dr_passed;
+  Alcotest.(check bool) "passes" true r.Crash_harness.passed;
   Alcotest.(check bool) "all pairs skipped" true
-    (r.Crash_harness.dr_points = [])
+    (r.Crash_harness.points = [])
 
 let suites =
   [
@@ -655,6 +702,8 @@ let suites =
         Alcotest.test_case "stall" `Quick test_io_stall;
         Alcotest.test_case "torn write visible in file" `Quick
           test_io_torn_write_visible;
+        Alcotest.test_case "fsync EIO is fail-stop" `Quick
+          test_io_fsync_eio_fail_stop;
         Alcotest.test_case "arm validation" `Quick test_io_arm_validation;
       ] );
     ( "disk.file_backend",
@@ -690,6 +739,8 @@ let suites =
       [
         Alcotest.test_case "syscall kill matrix" `Quick
           test_checkpoint_syscall_kill_matrix;
+        Alcotest.test_case "durable write fsyncs the directory" `Quick
+          test_durable_write_fsyncs_directory;
         Alcotest.test_case "stale tmp cleanup" `Quick
           test_checkpoint_stale_tmp_cleanup;
         Alcotest.test_case "corrupt manifest falls back" `Quick

@@ -5,6 +5,7 @@
 
 open Wave_core
 open Wave_shard
+module Crash_harness = Wave_sim.Crash_harness
 module Parallel = Wave_model.Parallel
 
 let store ?(vocab = 6) ?(postings = 8) day =
@@ -311,27 +312,74 @@ let test_recover_without_split_is_noop () =
   Alcotest.(check int) "arms unchanged" 2 (Router.arms r);
   Alcotest.(check bool) "answers unchanged" true (split_probes r ~w:4 = before)
 
+(* Router.run's skew trigger: a Zipf probe stream loads the arms that
+   own the hottest values, the busy skew crosses the threshold at a day
+   boundary, and the run splits the busiest splittable arm.  Afterwards
+   the router still answers exactly like a 1-arm router over the same
+   store. *)
+let test_run_skew_triggers_split () =
+  let w = 6 and n = 3 in
+  let make shards =
+    Router.create ~kind:Scheme.Rata_star ~technique:Env.Packed_shadow
+      ~partition:Partition.Hash ~shards ~vocab
+      ~store:(store ~vocab ~postings:12) ~w ~n ()
+  in
+  let spec =
+    {
+      Wave_workload.Query_gen.seed = 7;
+      probes_per_day = 60;
+      probe_range = Wave_workload.Query_gen.Whole_window;
+      scans_per_day = 1;
+      scan_range = Wave_workload.Query_gen.Whole_window;
+      value_dist = Wave_workload.Query_gen.Zipfian { vocab; s = 1.2 };
+    }
+  in
+  let r = make 4 in
+  let res = Router.run ~split_threshold:1.3 r ~spec ~days:4 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d split(s) committed" res.Router.splits_done)
+    true
+    (res.Router.splits_done >= 1 && Router.arms r > 4);
+  let one = make 1 in
+  while Router.current_day one < Router.current_day r do
+    ignore (Router.advance one)
+  done;
+  let day = Router.current_day r in
+  let t1 = day - w + 1 and t2 = day in
+  List.iter
+    (fun v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "probe %d equals the 1-arm router" v)
+        true
+        (fst (Router.probe r ~value:v ~t1 ~t2)
+        = fst (Router.probe one ~value:v ~t1 ~t2)))
+    (List.init vocab (fun i -> i + 1));
+  Alcotest.(check bool) "scan equals the 1-arm router" true
+    (fst (Router.scan r ~t1 ~t2) = fst (Router.scan one ~t1 ~t2))
+
 (* One cell of the rebalance-under-fault sweep per partition kind (the
    full 6x3 matrix runs under @shard via `waveidx shardtest`): the
    split killed at every fault point — victim and sibling disks — must
    recover to exactly one committed shard map. *)
 let test_split_fault_sweep_hash () =
   let r =
-    Sweep.sweep ~scheme:Scheme.Del ~technique:Env.Simple_shadow
-      ~partition:Partition.Hash ~w:4 ~n:2 ()
+    Crash_harness.sweep
+      ~op:(Crash_harness.Split { partition = Partition.Hash; shards = 2 })
+      ~scheme:Scheme.Del ~technique:Env.Simple_shadow ~w:4 ~n:2 ~day:5 ()
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%d points all recover" (List.length r.Sweep.points))
-    true (Sweep.result_passed r)
+    (Printf.sprintf "%d points all recover" (List.length r.Crash_harness.points))
+    true r.Crash_harness.passed
 
 let test_split_fault_sweep_range () =
   let r =
-    Sweep.sweep ~scheme:Scheme.Rata_star ~technique:Env.Packed_shadow
-      ~partition:Partition.Range ~w:4 ~n:2 ()
+    Crash_harness.sweep
+      ~op:(Crash_harness.Split { partition = Partition.Range; shards = 2 })
+      ~scheme:Scheme.Rata_star ~technique:Env.Packed_shadow ~w:4 ~n:2 ~day:5 ()
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%d points all recover" (List.length r.Sweep.points))
-    true (Sweep.result_passed r)
+    (Printf.sprintf "%d points all recover" (List.length r.Crash_harness.points))
+    true r.Crash_harness.passed
 
 (* --- Throughput scaling -------------------------------------------- *)
 
@@ -483,6 +531,8 @@ let suites =
           `Quick test_split_preserves_answers;
         Alcotest.test_case "recover without a split is a no-op" `Quick
           test_recover_without_split_is_noop;
+        Alcotest.test_case "run splits the hottest arm on skew" `Quick
+          test_run_skew_triggers_split;
         Alcotest.test_case "fault sweep: hash, DEL x simple-shadow" `Slow
           test_split_fault_sweep_hash;
         Alcotest.test_case "fault sweep: range, RATA* x packed-shadow" `Slow
