@@ -92,18 +92,28 @@ let segment_scan t = timed_segment_scan t ~t1:min_int ~t2:max_int
 
 type aggregate = Count | Sum_info | Min_info | Max_info
 
+(* Charged slot by slot as [timed_segment_scan] charges, then folded
+   over the buckets in place: no answer list is built. *)
 let timed_aggregate t ~t1 ~t2 ~op =
-  let entries = timed_segment_scan t ~t1 ~t2 in
-  let fold f init =
-    List.fold_left (fun acc (e : Entry.t) -> f acc e.Entry.info) init entries
+  let slots =
+    List.filter (fun s -> slot_in_range s ~t1 ~t2) (Array.to_list t.slots)
   in
+  List.iter (fun s -> Index.scan_charge s.index) slots;
+  let fold f init =
+    List.fold_left
+      (fun acc s -> Index.fold_timed s.index ~t1 ~t2 ~init:acc ~f)
+      init slots
+  in
+  let count () = fold (fun n _ -> n + 1) 0 in
   match op with
-  | Count -> Some (List.length entries)
-  | Sum_info -> Some (fold ( + ) 0)
-  | Min_info -> (
-    match entries with [] -> None | _ -> Some (fold min max_int))
-  | Max_info -> (
-    match entries with [] -> None | _ -> Some (fold max min_int))
+  | Count -> Some (count ())
+  | Sum_info -> Some (fold (fun acc (e : Entry.t) -> acc + e.Entry.info) 0)
+  | Min_info ->
+    if count () = 0 then None
+    else Some (fold (fun acc (e : Entry.t) -> Int.min acc e.Entry.info) max_int)
+  | Max_info ->
+    if count () = 0 then None
+    else Some (fold (fun acc (e : Entry.t) -> Int.max acc e.Entry.info) min_int)
 
 let allocated_bytes t =
   Array.fold_left (fun acc s -> acc + Index.allocated_bytes s.index) 0 t.slots

@@ -65,10 +65,11 @@ type aggregate = Count | Sum_info | Min_info | Max_info
     scanning the whole index. *)
 
 val timed_aggregate : t -> t1:int -> t2:int -> op:aggregate -> int option
-(** [TimedSegmentScan] folded into an aggregate without materialising
-    the entry list.  [Count]/[Sum_info] return [Some 0] on an empty
-    range; [Min_info]/[Max_info] return [None].  Charges exactly the
-    scan's disk accesses. *)
+(** [TimedSegmentScan] folded into an aggregate.  Charges every
+    constituent exactly as {!timed_segment_scan} does, in slot order,
+    then folds the buckets in place ({!Wave_storage.Index.fold_timed})
+    without building the entry list.  [Count]/[Sum_info] return
+    [Some 0] on an empty range; [Min_info]/[Max_info] return [None]. *)
 
 (** {1 Accounting} *)
 

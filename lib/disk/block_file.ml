@@ -7,6 +7,8 @@
     36  CRC-32 of bytes 0..35
     40  zeros to block_size *)
 
+module Crc32 = Wave_util.Crc32
+
 let magic = "WVBK"
 let stamp_bytes = 40
 
@@ -82,20 +84,34 @@ let zero_range t ~start ~blocks =
         ~off:(start * t.block_size)
   end
 
-let stamp_into buf ~boff ~block ~ext_start ~gen ~seq =
-  Bytes.blit_string magic 0 buf boff 4;
-  Bytes.set_int64_le buf (boff + 4) (Int64.of_int ext_start);
-  Bytes.set_int64_le buf (boff + 12) (Int64.of_int gen);
-  Bytes.set_int64_le buf (boff + 20) (Int64.of_int block);
-  Bytes.set_int64_le buf (boff + 28) (Int64.of_int seq);
-  Bytes.set_int32_le buf (boff + 36)
-    (Int32.of_int (Wave_util.Crc32.bytes buf ~off:boff ~len:36))
+(* The stamp bytes every block of a range shares — magic, extent start
+   and generation, bytes [0, 20) — built once per range together with
+   the CRC state after them.  Per block only the index and sequence
+   remain, so a block's CRC continues that state over 16 bytes. *)
+let prefix_bytes = 20
+
+type prefix = { bytes : Bytes.t; crc : Crc32.state }
+
+let prefix ~ext_start ~gen =
+  let bytes = Bytes.create prefix_bytes in
+  Bytes.blit_string magic 0 bytes 0 4;
+  Bytes.set_int64_le bytes 4 (Int64.of_int ext_start);
+  Bytes.set_int64_le bytes 12 (Int64.of_int gen);
+  { bytes; crc = Crc32.update Crc32.init bytes ~off:0 ~len:prefix_bytes }
+
+let stamp_crc p buf boff =
+  Crc32.finish
+    (Crc32.update p.crc buf ~off:(boff + prefix_bytes) ~len:(36 - prefix_bytes))
 
 let stamped_buffer t ~start ~blocks ~ext_start ~gen ~seq =
   let buf = Bytes.make (blocks * t.block_size) '\000' in
+  let p = prefix ~ext_start ~gen in
   for i = 0 to blocks - 1 do
-    stamp_into buf ~boff:(i * t.block_size) ~block:(start + i) ~ext_start ~gen
-      ~seq
+    let boff = i * t.block_size in
+    Bytes.blit p.bytes 0 buf boff prefix_bytes;
+    Bytes.set_int64_le buf (boff + 20) (Int64.of_int (start + i));
+    Bytes.set_int64_le buf (boff + 28) (Int64.of_int seq);
+    Bytes.set_int32_le buf (boff + 36) (Int32.of_int (stamp_crc p buf boff))
   done;
   buf
 
@@ -117,35 +133,58 @@ let write_torn_prefix t ~start ~blocks ~ext_start ~gen ~seq =
   end;
   torn
 
-let has_magic buf boff =
-  let rec go i = i = 4 || (Bytes.get buf (boff + i) = magic.[i] && go (i + 1)) in
-  go 0
+let all_zero buf ~off ~len =
+  let i = ref off and stop = off + len in
+  while !i < stop && Bytes.unsafe_get buf !i = '\000' do
+    incr i
+  done;
+  !i = stop
 
-let block_intact t buf ~boff ~block ~ext_start ~gen =
-  let rec all_zero i =
-    i >= t.block_size || (Bytes.get buf (boff + i) = '\000' && all_zero (i + 1))
-  in
-  (has_magic buf boff
+(* Valid-stamp-or-zero.  Comparing bytes [0, 20) with the range's
+   prefix checks the magic, extent start and generation at once, and
+   once they match, the CRC of bytes [0, 36) is the prefix state
+   continued over [20, 36). *)
+let block_intact t p buf ~boff ~block =
+  (Bytes.get_int64_le buf boff = Bytes.get_int64_le p.bytes 0
+  && Bytes.get_int64_le buf (boff + 8) = Bytes.get_int64_le p.bytes 8
+  && Bytes.get_int32_le buf (boff + 16) = Bytes.get_int32_le p.bytes 16
+  && Bytes.get_int64_le buf (boff + 20) = Int64.of_int block
   && Int32.to_int (Bytes.get_int32_le buf (boff + 36)) land 0xFFFF_FFFF
-     = Wave_util.Crc32.bytes buf ~off:boff ~len:36
-  && Bytes.get_int64_le buf (boff + 4) = Int64.of_int ext_start
-  && Bytes.get_int64_le buf (boff + 12) = Int64.of_int gen
-  && Bytes.get_int64_le buf (boff + 20) = Int64.of_int block)
-  || all_zero 0
+     = stamp_crc p buf boff)
+  || all_zero buf ~off:boff ~len:t.block_size
+
+(* Reads stream through a chunk of at most [chunk_bytes] — whole
+   blocks, and no more than one [Unix.read] moves at a time — checked
+   while it is still in cache.  With a buffer as large as the range,
+   every whole-window scan allocated the window's size on the major
+   heap; the major slices and page faults that came with it fell on
+   some scans and not on others, so scans of one window differed by up
+   to 3x. *)
+let chunk_bytes = 65536
 
 let verify_range t ~start ~blocks ~ext_start ~gen =
   if blocks = 0 then true
   else if start + blocks > t.size_blocks then false (* truncated tail *)
   else begin
-    let buf = Bytes.create (blocks * t.block_size) in
-    Io.pread (fd t) buf ~off:(start * t.block_size);
-    let rec ok i =
-      i >= blocks
-      || block_intact t buf ~boff:(i * t.block_size) ~block:(start + i)
-           ~ext_start ~gen
-         && ok (i + 1)
-    in
-    ok 0
+    let per_chunk = max 1 (chunk_bytes / t.block_size) in
+    let chunk = Bytes.create (Int.min blocks per_chunk * t.block_size) in
+    let p = prefix ~ext_start ~gen in
+    let next = ref start and ok = ref true in
+    Io.pread_chunked (fd t) ~off:(start * t.block_size)
+      ~len:(blocks * t.block_size) ~chunk (fun buf ~len ->
+        let first = !next and n = len / t.block_size in
+        if !ok then begin
+          let i = ref 0 in
+          while
+            !i < n
+            && block_intact t p buf ~boff:(!i * t.block_size) ~block:(first + !i)
+          do
+            incr i
+          done;
+          ok := !i = n
+        end;
+        next := first + n);
+    !ok
   end
 
 let truncate_tail t ~blocks =

@@ -62,7 +62,11 @@ val zero_range : t -> start:int -> blocks:int -> unit
 
 val write_range :
   t -> start:int -> blocks:int -> ext_start:int -> gen:int -> seq:int -> unit
-(** Stamp every block of the range, one batched [pwrite]. *)
+(** Stamp every block of the range, one batched [pwrite] from a buffer
+    allocated for this call.  The 20 bytes every stamp of the range
+    shares (magic, extent start, generation) and their CRC state are
+    built once; per block only the index, the sequence and a 16-byte
+    CRC continuation remain. *)
 
 val write_torn_prefix :
   t -> start:int -> blocks:int -> ext_start:int -> gen:int -> seq:int -> int
@@ -73,10 +77,22 @@ val write_torn_prefix :
 
 val verify_range :
   t -> start:int -> blocks:int -> ext_start:int -> gen:int -> bool
-(** Read the range (one batched [pread]) and check valid-stamp-or-zero
-    against the owning extent.  [false] on any damaged block, and on a
-    range the (possibly truncated) file no longer covers.  Transient
-    read errors retry inside {!Io}; a permanent failure raises. *)
+(** Read the range (one [pread] of the whole range, streamed through a
+    buffer of at most {!chunk_bytes} allocated for this call) and check
+    valid-stamp-or-zero against the owning extent, every block, each
+    chunk as it arrives.  [false] on any damaged block, and on a range the
+    (possibly truncated) file no longer covers.  Transient read errors
+    retry inside {!Io}; a permanent failure raises.
+
+    A block's first 20 bytes are compared with the range's shared
+    prefix, and its CRC continues the prefix's state over bytes
+    [\[20, 36)] — the same predicate as checking magic, CRC of bytes
+    [\[0, 36)], extent, generation and index one by one. *)
+
+val chunk_bytes : int
+(** {!verify_range} streams its one [pread] through a buffer of at most
+    this many bytes, rounded down to whole blocks (one block when a
+    block is larger). *)
 
 val truncate_tail : t -> blocks:int -> unit
 (** Cut the file down to this many blocks — the harness's torn-tail

@@ -638,17 +638,22 @@ let open_file ?(params = default_params) ~path () =
   t.write_seq <- !write_seq;
   List.iter
     (fun (start, len, g) ->
-      if len <= 0 || start < 0 || start + len > t.frontier then corrupt ();
+      if
+        len <= 0 || start < 0 || start + len > t.frontier
+        || Live.mem start t.live (* a repeated start *)
+      then corrupt ();
       t.live <- Live.add start len t.live;
       Hashtbl.replace t.gen start g;
       t.live_blocks <- t.live_blocks + len)
     extents;
   t.peak_blocks <- t.live_blocks;
   (* Free list: the holes below the frontier not covered by a live
-     extent (Live iterates in address order). *)
+     extent (Live iterates in address order).  An extent starting below
+     the previous one's end overlaps it. *)
   let holes = ref [] and cursor = ref 0 in
   Live.iter
     (fun start len ->
+      if start < !cursor then corrupt ();
       if start > !cursor then holes := (!cursor, start - !cursor) :: !holes;
       cursor := start + len)
     t.live;

@@ -66,7 +66,8 @@ val open_file : ?params:params -> path:string -> unit -> t
     foreign or stale-generation stamps, CRC damage, truncated tail —
     are marked torn, exactly as an interrupted in-memory write would
     be, so recovery's [change_intact] test sees real damage.  Raises
-    {!Disk_error} on a missing or unparseable snapshot. *)
+    {!Disk_error} on a missing or unparseable snapshot, and on one
+    whose extents overlap, repeat a start or reach past the frontier. *)
 
 val close : t -> unit
 (** Close the backing file (no-op on the simulator).  Idempotent. *)

@@ -178,12 +178,33 @@ let retry_exact ~what ~len attempt =
 
 (* --- wrapped syscalls ------------------------------------------------ *)
 
-let pread fd buf ~off =
-  let len = Bytes.length buf in
+(* [base] is the offset in the range of the chunk's first byte; each
+   attempt reads into the room left in the current fill, and a full fill
+   is delivered before the chunk is reused.  An injected short read
+   fills part of that room and reports no progress, as on a plain
+   buffer.  The wall histogram gets only the time outside [deliver]:
+   [since] is when the current fill began (the call's start or the end
+   of the previous delivery) and [io_s] sums the fills, so a call that
+   fills the chunk once reads the clock twice, as a plain wrapped call
+   does. *)
+let pread_chunked fd ~off ~len ~chunk deliver =
+  let size = Bytes.length chunk in
+  if len < 0 || (len > 0 && size = 0) then
+    invalid_arg "Io.pread_chunked: negative length or empty chunk";
   let injection = fire_plan Pread in
   M.inc m_preads;
-  with_wall @@ fun () ->
+  let io_s = ref 0.0 and since = ref (Unix.gettimeofday ()) in
+  let base = ref 0 in
+  let read_into moved want =
+    ignore (Unix.lseek fd (off + moved) Unix.SEEK_SET);
+    let n = Unix.read fd chunk (moved - !base) want in
+    if n = 0 then raise (Io_error "pread: unexpected end of file");
+    M.inc ~by:(float_of_int n) m_bytes_read;
+    n
+  in
   retry_exact ~what:"pread" ~len (fun moved ->
+      let fill = Int.min size (len - !base) in
+      let room = fill - (moved - !base) in
       match injection with
       | Inject_transient (Eintr, k) when !k > 0 ->
         decr k;
@@ -193,20 +214,23 @@ let pread fd buf ~off =
         Again "injected EIO"
       | Inject_transient (Short, k) when !k > 0 ->
         decr k;
-        let want = (len - moved + 1) / 2 in
-        ignore (Unix.lseek fd (off + moved) Unix.SEEK_SET);
-        let n = Unix.read fd buf moved want in
-        if n = 0 then raise (Io_error "pread: unexpected end of file");
-        M.inc ~by:(float_of_int n) m_bytes_read;
+        ignore (read_into moved (Int.min room ((len - moved + 1) / 2)));
         (* report no progress so the short transfer is retried/backed off *)
         Again "injected short read"
       | _ ->
-        ignore (Unix.lseek fd (off + moved) Unix.SEEK_SET);
-        let n = Unix.read fd buf moved (len - moved) in
-        if n = 0 then raise (Io_error "pread: unexpected end of file");
-        M.inc ~by:(float_of_int n) m_bytes_read;
+        let n = read_into moved room in
+        if moved + n - !base = fill then begin
+          io_s := !io_s +. (Unix.gettimeofday () -. !since);
+          deliver chunk ~len:fill;
+          base := !base + fill;
+          if !base < len then since := Unix.gettimeofday ()
+        end;
         Done n);
+  M.observe m_wall !io_s;
   R.record_io ~syscall:"pread" ~outcome:"ok" ~bytes:len
+
+let pread fd buf ~off =
+  pread_chunked fd ~off ~len:(Bytes.length buf) ~chunk:buf (fun _ ~len:_ -> ())
 
 let pwrite fd buf ~off =
   let len = Bytes.length buf in

@@ -112,6 +112,25 @@ val armed : unit -> (syscall * fault * int) option
 val pread : Unix.file_descr -> bytes -> off:int -> unit
 val pwrite : Unix.file_descr -> bytes -> off:int -> unit
 
+val pread_chunked :
+  Unix.file_descr ->
+  off:int ->
+  len:int ->
+  chunk:bytes ->
+  (bytes -> len:int -> unit) ->
+  unit
+(** [pread_chunked fd ~off ~len ~chunk deliver] is one {!pread} of
+    [len] bytes at [off] that passes through [chunk] instead of landing
+    in a buffer of its own: each time [chunk] holds the next
+    [min (Bytes.length chunk) remaining] bytes of the range, it calls
+    [deliver chunk ~len:n] with them at [\[0, n)], then refills the
+    chunk.  Fault plan, retries, counters and recorder events are those
+    of a single [pread] of [len] bytes, however many chunks it takes,
+    and [disk.file.io_wall_s] gets the call's wall time less the time
+    spent in [deliver]; [pread fd buf ~off] is this call with [buf] as
+    the chunk.  Raises [Invalid_argument] on a negative [len], or an
+    empty [chunk] with [len > 0]. *)
+
 val fsync : Unix.file_descr -> unit
 (** [EINTR] retries like any transient, but [EIO] — real or an
     injected [Transient (Eio, _)] — is fail-stop: after a failed fsync

@@ -71,6 +71,11 @@ let decode_batch_reader r =
   let day = get_signed r in
   let count = get_varint r in
   if count < 0 then raise (Malformed "negative count");
+  (* Each posting takes at least three bytes (three varints), so with a
+     count the rest of the input cannot hold, decoding must run out of
+     bytes inside a varint.  Say so before allocating [count] slots. *)
+  if count > (String.length r.data - r.pos) / 3 then
+    raise (Malformed "truncated varint");
   let postings =
     Array.init count (fun _ ->
         let value = get_signed r in

@@ -15,7 +15,8 @@
 val encode_batch : Entry.batch -> string
 val decode_batch : string -> (Entry.batch, string) result
 (** [decode_batch s] fails (with a diagnostic) on bad magic, truncated
-    input, malformed varints, checksum mismatch or trailing bytes. *)
+    input, malformed varints, a posting count the input is too short
+    to hold, checksum mismatch or trailing bytes. *)
 
 val encode_batches : Entry.batch list -> string
 (** Length-prefixed concatenation, e.g. a whole window. *)

@@ -300,6 +300,18 @@ let scan_onto t ~t1 ~t2 tail =
   Directory.fold_descending t.dir ~init:tail ~f:(fun acc _ b ->
       timed_onto b.entries ~t1 ~t2 acc)
 
+(* A loop rather than [Array.iter], so the accumulator stays local:
+   nothing is allocated per bucket. *)
+let fold_timed t ~t1 ~t2 ~init ~f =
+  Directory.fold_ordered t.dir ~init ~f:(fun acc _ b ->
+      let es = b.entries in
+      let acc = ref acc in
+      for i = 0 to Array.length es - 1 do
+        let e = es.(i) in
+        if e.Entry.day >= t1 && e.Entry.day <= t2 then acc := f !acc e
+      done;
+      !acc)
+
 let scan t =
   scan_charge t;
   scan_onto t ~t1:min_int ~t2:max_int []
@@ -311,6 +323,26 @@ let scan_timed t ~t1 ~t2 =
 (* ------------------------------------------------------------------ *)
 (* Mutation                                                           *)
 (* ------------------------------------------------------------------ *)
+
+(* The entries of [es] whose day [expired] rejects, counted first and
+   then copied.  When nothing expired this is [es] itself: entry arrays
+   are never mutated in place, so buckets may share them. *)
+let survivors es expired =
+  let kept = ref 0 in
+  Array.iter (fun (e : Entry.t) -> if not (expired e.Entry.day) then incr kept) es;
+  if !kept = Array.length es then es
+  else begin
+    let out = Array.make !kept es.(0) in
+    let j = ref 0 in
+    Array.iter
+      (fun (e : Entry.t) ->
+        if not (expired e.Entry.day) then begin
+          out.(!j) <- e;
+          incr j
+        end)
+      es;
+    out
+  end
 
 let grow_target t needed =
   let g = t.cfg.growth_factor in
@@ -367,10 +399,7 @@ let delete_days t expired =
   let removed = ref 0 in
   let to_delete = ref [] in
   Directory.iter_ordered t.dir (fun v b ->
-      let keep = Array.of_seq (Seq.filter
-        (fun (e : Entry.t) -> not (expired e.Entry.day))
-        (Array.to_seq b.entries))
-      in
+      let keep = survivors b.entries expired in
       let dropped = used_of b - Array.length keep in
       if dropped > 0 then begin
         removed := !removed + dropped;
@@ -499,6 +528,19 @@ let copy t =
   end;
   t')
 
+(* Merge two value-ordered group lists; a value in both gets [a]'s
+   entries followed by [b]'s. *)
+let merge_groups a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | ((va, ea) as ga) :: a', ((vb, eb) as gb) :: b' ->
+      if va < vb then go (ga :: acc) a' b
+      else if vb < va then go (gb :: acc) a b'
+      else go ((va, Array.append ea eb) :: acc) a' b'
+  in
+  go [] a b
+
 let pack t ~drop_days ~extra =
   span "index.pack" (fun () ->
   (* Packed shadow update (Section 2.1, technique 3): build a temporary
@@ -506,35 +548,23 @@ let pack t ~drop_days ~extra =
      expired entries while merging the temporary in, producing a fresh
      packed index.  The source is left untouched. *)
   let temp = build t.dsk t.cfg extra in
-  let groups_tbl = Hashtbl.create 1024 in
-  let add_entries v es =
-    match Hashtbl.find_opt groups_tbl v with
-    | None -> Hashtbl.add groups_tbl v es
-    | Some old -> Hashtbl.replace groups_tbl v (Array.append old es)
-  in
   (* Stream the source: one sequential read, dropping expired days. *)
-  let src_exts = scan_extents t in
-  charged_sequential_read t src_exts;
-  Directory.iter_ordered t.dir (fun v b ->
-      let keep =
-        Array.of_seq (Seq.filter
-          (fun (e : Entry.t) -> not (drop_days e.Entry.day))
-          (Array.to_seq b.entries))
-      in
-      if Array.length keep > 0 then add_entries v keep);
-  (* Stream the temporary index in (one sequential read), append its
-     buckets behind the survivors. *)
-  let tmp_exts = scan_extents temp in
-  charged_sequential_read t tmp_exts;
-  Directory.iter_ordered temp.dir (fun v b ->
-      if used_of b > 0 then add_entries v (Array.copy b.entries));
-  drop temp;
-  let groups =
-    Hashtbl.fold (fun v es acc -> (v, es) :: acc) groups_tbl []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  charged_sequential_read t (scan_extents t);
+  let kept =
+    Directory.fold_descending t.dir ~init:[] ~f:(fun acc v b ->
+        let keep = survivors b.entries drop_days in
+        if Array.length keep > 0 then (v, keep) :: acc else acc)
   in
+  (* Stream the temporary index in (one sequential read) and merge its
+     buckets behind the survivors of the same value. *)
+  charged_sequential_read t (scan_extents temp);
+  let added =
+    Directory.fold_descending temp.dir ~init:[] ~f:(fun acc v b ->
+        (v, b.entries) :: acc)
+  in
+  drop temp;
   let t' = create_empty t.dsk t.cfg in
-  install_packed t' groups;
+  install_packed t' (merge_groups kept added);
   t')
 
 (* ------------------------------------------------------------------ *)

@@ -84,7 +84,11 @@ val pack : t -> drop_days:(int -> bool) -> extra:Entry.batch list -> t
     temporary packed index for [extra], streams the old index dropping
     entries whose day satisfies [drop_days], merges in the temporary
     index, and writes the result packed.  The source is left intact
-    (the caller drops it after swapping). *)
+    (the caller drops it after swapping).  Both inputs are already in
+    value order, so the merge is linear: a value in both keeps the
+    surviving entries first, then the new ones.  A bucket with no
+    expired entry shares its entry array with the source (entry arrays
+    are never mutated in place). *)
 
 (** {1 Mutation (in place)} *)
 
@@ -156,6 +160,13 @@ val scan_charge : t -> unit
 val scan_onto : t -> t1:int -> t2:int -> Entry.t list -> Entry.t list
 (** The entries {!scan_timed} returns, followed by [tail]; charges
     nothing. *)
+
+val fold_timed :
+  t -> t1:int -> t2:int -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a
+(** Fold [f] over the entries {!scan_timed} returns, in the same order,
+    reading the buckets in place instead of building a list; charges
+    nothing and allocates nothing per bucket or entry.  With
+    {!scan_charge} first, an aggregate costs what the scan costs. *)
 
 (** {1 Observation} *)
 

@@ -173,19 +173,76 @@ let test_aggregates () =
   Alcotest.(check (option int)) "empty min" None
     (Frame.timed_aggregate frame ~t1:100 ~t2:200 ~op:Frame.Min_info)
 
+(* Each op against a fold of the scan's entry list, on two identical
+   waves — one scanned, one aggregated — whose disks must then show the
+   same counters and model time: the aggregate charges what the scan
+   charges and only skips building the list.  The second wave reads
+   through a buffer pool. *)
 let test_aggregate_matches_scan () =
-  let env = Env.create ~store ~w:6 ~n:3 () in
-  let s = Scheme.start Scheme.Wata_star env in
-  Scheme.advance_to s 12;
-  let frame = Scheme.frame s in
-  let entries = Frame.timed_segment_scan frame ~t1:7 ~t2:12 in
-  let sum =
-    List.fold_left
-      (fun acc (e : Wave_storage.Entry.t) -> acc + e.Wave_storage.Entry.info)
-      0 entries
+  let waves =
+    [
+      ("WATA* in place", Scheme.Wata_star, Env.In_place, None);
+      ("DEL packed, pool", Scheme.Del, Env.Packed_shadow, Some 16);
+    ]
   in
-  Alcotest.(check (option int)) "sum consistent" (Some sum)
-    (Frame.timed_aggregate frame ~t1:7 ~t2:12 ~op:Frame.Sum_info)
+  (* Negative infos on odd days, so neither extreme is a fold's start
+     value. *)
+  let store day =
+    let b = store day in
+    if day mod 2 = 0 then b
+    else
+      Wave_storage.Entry.batch_create ~day
+        (Array.map
+           (fun (p : Wave_storage.Entry.posting) ->
+             let e = p.Wave_storage.Entry.entry in
+             { p with entry = { e with info = -e.Wave_storage.Entry.info } })
+           b.Wave_storage.Entry.postings)
+  in
+  let ops =
+    let fold f init infos = List.fold_left f init infos in
+    [
+      ("count", Frame.Count, fun infos -> Some (List.length infos));
+      ("sum", Frame.Sum_info, fun infos -> Some (fold ( + ) 0 infos));
+      ( "min",
+        Frame.Min_info,
+        fun infos -> if infos = [] then None else Some (fold Int.min max_int infos) );
+      ( "max",
+        Frame.Max_info,
+        fun infos -> if infos = [] then None else Some (fold Int.max min_int infos) );
+    ]
+  in
+  let counters = Alcotest.testable Wave_disk.Disk.pp_counters ( = ) in
+  List.iter
+    (fun (wave, kind, technique, cache_blocks) ->
+      let fresh () =
+        let icfg = { Wave_storage.Index.default_config with cache_blocks } in
+        let env = Env.create ~icfg ~technique ~store ~w:6 ~n:3 () in
+        let s = Scheme.start kind env in
+        Scheme.advance_to s 12;
+        (env.Env.disk, Scheme.frame s)
+      in
+      List.iter
+        (fun (t1, t2) ->
+          List.iter
+            (fun (name, op, expect) ->
+              let label = Printf.sprintf "%s [%d, %d] %s" wave t1 t2 name in
+              let scan_disk, scanned = fresh () and agg_disk, aggregated = fresh () in
+              let infos =
+                List.map
+                  (fun (e : Wave_storage.Entry.t) -> e.Wave_storage.Entry.info)
+                  (Frame.timed_segment_scan scanned ~t1 ~t2)
+              in
+              Alcotest.(check (option int)) label (expect infos)
+                (Frame.timed_aggregate aggregated ~t1 ~t2 ~op);
+              Alcotest.check counters (label ^ ": counters")
+                (Wave_disk.Disk.counters scan_disk)
+                (Wave_disk.Disk.counters agg_disk);
+              Alcotest.(check (float 0.0)) (label ^ ": elapsed")
+                (Wave_disk.Disk.elapsed scan_disk)
+                (Wave_disk.Disk.elapsed agg_disk))
+            ops)
+        [ (7, 12); (9, 9); (10, 10); (100, 200) ])
+    waves
 
 (* --- Crash consistency (failure injection) ------------------------- *)
 

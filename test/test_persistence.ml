@@ -80,6 +80,14 @@ let test_codec_diagnostics () =
   diag "old format version" "bad magic" ("WVB1" ^ String.sub good 4 (String.length good - 4));
   diag "truncated payload" "truncated varint" (String.sub good 0 6);
   diag "trailing bytes" "trailing bytes" (good ^ "z");
+  (* 20 bytes claiming 2^40 postings: the count alone must not size an
+     allocation; decoding as far as the bytes go would end inside a
+     varint *)
+  let forged =
+    "WVB2" ^ "\x02" ^ "\x80\x80\x80\x80\x80\x20" ^ String.make 9 '\x02'
+  in
+  Alcotest.(check int) "forged batch is 20 bytes" 20 (String.length forged);
+  diag "forged posting count" "truncated varint" forged;
   (* flip a value bit inside the first posting: the varint structure is
      unchanged, so only the CRC can notice *)
   let flipped = Bytes.of_string good in

@@ -160,6 +160,76 @@ let test_io_torn_write_visible () =
   Bytes.iter (fun c -> if c = 'z' then incr wrote) back;
   Alcotest.(check int) "exactly the torn prefix landed" 32 !wrote
 
+(* A chunked read hands over the range in order, one chunk fill at a
+   time, and is one pread of the whole range to the fault plan and the
+   counters, with or without transients along the way. *)
+let test_io_pread_chunked () =
+  with_recorded_sleeps @@ fun _ ->
+  with_scratch_fd @@ fun fd ->
+  let off = 37 in
+  let file = Bytes.init (off + 250_000) (fun i -> Char.chr (((i * 7) + 3) land 0xff)) in
+  Io.pwrite fd file ~off:0;
+  List.iter
+    (fun (size, len, fault) ->
+      let name =
+        Printf.sprintf "chunk %d of %d%s" size len
+          (if fault = None then "" else " + transient")
+      in
+      Option.iter (Io.arm Io.Pread) fault;
+      let got = Buffer.create len and fills = ref [] in
+      let (), preads =
+        counter_delta "disk.file.preads" (fun () ->
+            Io.pread_chunked fd ~off ~len ~chunk:(Bytes.create size) (fun buf ~len ->
+                fills := len :: !fills;
+                Buffer.add_subbytes got buf 0 len))
+      in
+      Alcotest.(check string) (name ^ ": bytes in order") (Bytes.sub_string file off len)
+        (Buffer.contents got);
+      Alcotest.(check (list int))
+        (name ^ ": one delivery per fill")
+        (List.init ((len + size - 1) / size) (fun i -> min size (len - (i * size))))
+        (List.rev !fills);
+      Alcotest.(check (float 0.)) (name ^ ": one pread") 1.0 preads;
+      Alcotest.(check bool) (name ^ ": plan consumed") true (Io.armed () = None))
+    [
+      (1000, 1000, None);
+      (4096, 1000, None);
+      (64, 1000, None);
+      (1, 1000, None);
+      (64, 1000, Some (Io.Transient (Io.Short, 3)));
+      (7, 1000, Some (Io.Transient (Io.Short, 1)));
+      (100, 1000, Some (Io.Transient (Io.Eintr, 2)));
+      (* one [Unix.read] moves at most 64 KiB, so a fill of a larger
+         chunk takes several reads *)
+      (100_000, 250_000, None);
+      (100_000, 250_000, Some (Io.Transient (Io.Short, 2)));
+    ];
+  (* the second call is the second fault point, however many chunks the
+     first one took *)
+  let len = 1000 in
+  Io.arm ~at:2 Io.Pread Io.Fail_stop;
+  let read () =
+    Io.pread_chunked fd ~off ~len ~chunk:(Bytes.create 10) (fun _ ~len:_ -> ())
+  in
+  read ();
+  Alcotest.(check bool) "second call fails" true
+    (match read () with () -> false | exception Io.Io_error _ -> true);
+  Alcotest.check_raises "empty chunk"
+    (Invalid_argument "Io.pread_chunked: negative length or empty chunk") (fun () ->
+      Io.pread_chunked fd ~off ~len ~chunk:Bytes.empty (fun _ ~len:_ -> ()));
+  (* the wall histogram measures I/O: time spent in [deliver] is left out *)
+  let wall = Metrics.histogram "disk.file.io_wall_s" in
+  let total () =
+    match Metrics.hist_summary wall with
+    | None -> 0.0
+    | Some h -> h.Metrics.mean *. float_of_int h.Metrics.count
+  in
+  let n0 = Metrics.hist_count wall and s0 = total () in
+  Io.pread_chunked fd ~off ~len:300 ~chunk:(Bytes.create 100) (fun _ ~len:_ ->
+      Unix.sleepf 0.02);
+  Alcotest.(check int) "one wall observation" (n0 + 1) (Metrics.hist_count wall);
+  Alcotest.(check bool) "deliver time left out" true (total () -. s0 < 0.03)
+
 let test_io_arm_validation () =
   Alcotest.check_raises "at < 1" (Invalid_argument "Io.arm: need at >= 1")
     (fun () -> Io.arm ~at:0 Io.Pread Io.Fail_stop);
@@ -344,6 +414,205 @@ let test_file_disk_missing_sidecar () =
        ignore (Disk.open_file ~params:small_params ~path ());
        false
      with Disk.Disk_error _ -> true)
+
+(* A hand-edited allocator snapshot whose extents overlap or repeat a
+   start would let the allocator hand out live blocks again. *)
+let test_file_disk_overlapping_sidecar () =
+  with_dir "rd_overlap" @@ fun dir ->
+  let path = Filename.concat dir "BLOCKS" in
+  let d = Disk.create_file ~params:small_params ~path () in
+  ignore (Disk.alloc d ~blocks:10);
+  Disk.checkpoint_alloc d;
+  Disk.close d;
+  let sidecar = path ^ ".alloc" in
+  let original = In_channel.with_open_bin sidecar In_channel.input_all in
+  Alcotest.(check bool) "snapshot names the extent" true
+    (List.mem "extent 0 10 1" (String.split_on_char '\n' original));
+  List.iter
+    (fun (name, line) ->
+      Out_channel.with_open_bin sidecar (fun oc ->
+          output_string oc (original ^ line ^ "\n"));
+      match Disk.open_file ~params:small_params ~path () with
+      | d ->
+        Disk.close d;
+        Alcotest.failf "%s: accepted" name
+      | exception Disk.Disk_error msg ->
+        Alcotest.(check bool)
+          (name ^ ": corrupt allocator snapshot")
+          true
+          (String.starts_with ~prefix:"open_file: corrupt allocator snapshot" msg))
+    [ ("overlap", "extent 5 2 1"); ("repeated start", "extent 0 3 1") ]
+
+(* The per-block check and stamp encoder of the one-table-CRC block file,
+   kept verbatim as the reference the shared-prefix codec must agree
+   with. *)
+let reference_block_intact ~block_size buf ~boff ~block ~ext_start ~gen =
+  let has_magic buf boff =
+    let rec go i = i = 4 || (Bytes.get buf (boff + i) = "WVBK".[i] && go (i + 1)) in
+    go 0
+  in
+  let rec all_zero i =
+    i >= block_size || (Bytes.get buf (boff + i) = '\000' && all_zero (i + 1))
+  in
+  (has_magic buf boff
+  && Int32.to_int (Bytes.get_int32_le buf (boff + 36)) land 0xFFFF_FFFF
+     = Wave_util.Crc32.bytes buf ~off:boff ~len:36
+  && Bytes.get_int64_le buf (boff + 4) = Int64.of_int ext_start
+  && Bytes.get_int64_le buf (boff + 12) = Int64.of_int gen
+  && Bytes.get_int64_le buf (boff + 20) = Int64.of_int block)
+  || all_zero 0
+
+let reference_stamp_into buf ~boff ~block ~ext_start ~gen ~seq =
+  Bytes.blit_string "WVBK" 0 buf boff 4;
+  Bytes.set_int64_le buf (boff + 4) (Int64.of_int ext_start);
+  Bytes.set_int64_le buf (boff + 12) (Int64.of_int gen);
+  Bytes.set_int64_le buf (boff + 20) (Int64.of_int block);
+  Bytes.set_int64_le buf (boff + 28) (Int64.of_int seq);
+  Bytes.set_int32_le buf (boff + 36)
+    (Int32.of_int (Wave_util.Crc32.bytes buf ~off:boff ~len:36))
+
+let test_verify_matches_reference () =
+  with_dir "rd_verify_ref" @@ fun dir ->
+  List.iter
+    (fun block_size ->
+      let path = Filename.concat dir (Printf.sprintf "BLOCKS_%d" block_size) in
+      let bf = Block_file.create ~path ~block_size in
+      (* blocks 1-3: one range of extent 1, generation 0x1234_5678_9A;
+         blocks 4-5: allocated, never written *)
+      let ext_start = 1 and gen = 0x1234_5678_9A in
+      Block_file.write_range bf ~start:1 ~blocks:3 ~ext_start ~gen ~seq:77;
+      Block_file.ensure_blocks bf 6;
+      let file () = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+      let want = Bytes.make (3 * block_size) '\000' in
+      for i = 0 to 2 do
+        reference_stamp_into want ~boff:(i * block_size) ~block:(1 + i) ~ext_start
+          ~gen ~seq:77
+      done;
+      Alcotest.(check string)
+        (Printf.sprintf "bs %d: stamps as the reference encoder writes them" block_size)
+        (Bytes.to_string want)
+        (Bytes.sub_string (file ()) block_size (3 * block_size));
+      let agree name ~start ~blocks ~ext_start ~gen =
+        let buf = file () in
+        let expect =
+          List.for_all
+            (fun i ->
+              reference_block_intact ~block_size buf
+                ~boff:((start + i) * block_size)
+                ~block:(start + i) ~ext_start ~gen)
+            (List.init blocks Fun.id)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "bs %d: %s" block_size name)
+          expect
+          (Block_file.verify_range bf ~start ~blocks ~ext_start ~gen);
+        expect
+      in
+      let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+      let poke off c =
+        ignore (Unix.lseek fd off Unix.SEEK_SET);
+        ignore (Unix.write_substring fd (String.make 1 c) 0 1)
+      in
+      let byte_at off = Bytes.get (file ()) off in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Alcotest.(check bool) "intact range" true
+        (agree "intact" ~start:1 ~blocks:3 ~ext_start ~gen);
+      Alcotest.(check bool) "zero blocks" true
+        (agree "zero blocks" ~start:4 ~blocks:2 ~ext_start:4 ~gen:9);
+      Alcotest.(check bool) "wrong extent" false
+        (agree "wrong extent" ~start:1 ~blocks:3 ~ext_start:0 ~gen);
+      Alcotest.(check bool) "wrong generation" false
+        (agree "wrong generation" ~start:1 ~blocks:3 ~ext_start ~gen:(gen + 1));
+      (* every value of every stamp byte of the middle block *)
+      let mid = 2 * block_size in
+      for pos = 0 to Block_file.stamp_bytes - 1 do
+        let orig = byte_at (mid + pos) in
+        for x = 1 to 255 do
+          poke (mid + pos) (Char.chr (Char.code orig lxor x));
+          ignore
+            (agree (Printf.sprintf "stamp byte %d xor %d" pos x) ~start:1 ~blocks:3
+               ~ext_start ~gen)
+        done;
+        poke (mid + pos) orig
+      done;
+      (* a valid stamp for the wrong index: block 1's stamp copied over
+         block 2 *)
+      let first = Bytes.sub_string (file ()) block_size Block_file.stamp_bytes in
+      let saved = Bytes.sub_string (file ()) mid Block_file.stamp_bytes in
+      String.iteri (fun i c -> poke (mid + i) c) first;
+      Alcotest.(check bool) "wrong index" false
+        (agree "wrong index" ~start:1 ~blocks:3 ~ext_start ~gen);
+      String.iteri (fun i c -> poke (mid + i) c) saved;
+      (* a non-zero byte after the stamp: ignored behind a valid stamp,
+         damage in an unwritten block *)
+      for pos = Block_file.stamp_bytes to block_size - 1 do
+        poke (mid + pos) '\x01';
+        ignore (agree (Printf.sprintf "byte %d after a stamp" pos) ~start:1 ~blocks:3
+                  ~ext_start ~gen);
+        poke (mid + pos) '\000'
+      done;
+      for pos = 0 to block_size - 1 do
+        poke ((5 * block_size) + pos) '\x01';
+        ignore (agree (Printf.sprintf "byte %d of a zero block" pos) ~start:4 ~blocks:2
+                  ~ext_start:4 ~gen:9);
+        poke ((5 * block_size) + pos) '\000'
+      done;
+      Block_file.close bf)
+    [ Block_file.stamp_bytes; 64; 100 ]
+
+(* A range longer than one read chunk: the same verdict as the
+   reference check for damage in the first and last block of every
+   chunk, read with one pread of the whole range. *)
+let test_verify_across_chunks () =
+  with_dir "rd_verify_chunks" @@ fun dir ->
+  let block_size = Block_file.stamp_bytes in
+  let per_chunk = max 1 (Block_file.chunk_bytes / block_size) in
+  let blocks = (2 * per_chunk) + (per_chunk / 2) and ext_start = 3 and gen = 5 in
+  let path = Filename.concat dir "BLOCKS" in
+  let bf = Block_file.create ~path ~block_size in
+  Block_file.write_range bf ~start:ext_start ~blocks ~ext_start ~gen ~seq:9;
+  Block_file.ensure_blocks bf (ext_start + (2 * blocks));
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+  Fun.protect ~finally:(fun () -> Unix.close fd; Block_file.close bf) @@ fun () ->
+  let poke off c =
+    ignore (Unix.lseek fd off Unix.SEEK_SET);
+    ignore (Unix.write_substring fd (String.make 1 c) 0 1)
+  in
+  let agree name ~start ~ext_start =
+    let buf = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+    let expect =
+      List.for_all
+        (fun i ->
+          reference_block_intact ~block_size buf
+            ~boff:((start + i) * block_size)
+            ~block:(start + i) ~ext_start ~gen)
+        (List.init blocks Fun.id)
+    in
+    let got, preads =
+      counter_delta "disk.file.preads" (fun () ->
+          Block_file.verify_range bf ~start ~blocks ~ext_start ~gen)
+    in
+    Alcotest.(check bool) name expect got;
+    Alcotest.(check (float 0.)) (name ^ ": one pread") 1.0 preads;
+    got
+  in
+  Alcotest.(check bool) "range spans three chunks" true (blocks > 2 * per_chunk);
+  Alcotest.(check bool) "intact" true (agree "intact" ~start:ext_start ~ext_start);
+  Alcotest.(check bool) "unwritten" true
+    (agree "unwritten" ~start:(ext_start + blocks) ~ext_start:(ext_start + blocks));
+  List.iter
+    (fun i ->
+      (* the low byte of the block index in the stamp *)
+      let off = ((ext_start + i) * block_size) + 20 in
+      let orig = (ext_start + i) land 0xff in
+      poke off (Char.chr (orig lxor 0xff));
+      Alcotest.(check bool)
+        (Printf.sprintf "block %d damaged" i)
+        false
+        (agree (Printf.sprintf "block %d damaged" i) ~start:ext_start ~ext_start);
+      poke off (Char.chr orig))
+    [ 0; per_chunk - 1; per_chunk; (2 * per_chunk) - 1; 2 * per_chunk; blocks - 1 ];
+  Alcotest.(check bool) "restored" true (agree "restored" ~start:ext_start ~ext_start)
 
 (* --- simulated disk: fault queue and stalls -------------------------- *)
 
@@ -705,6 +974,7 @@ let suites =
         Alcotest.test_case "fsync EIO is fail-stop" `Quick
           test_io_fsync_eio_fail_stop;
         Alcotest.test_case "arm validation" `Quick test_io_arm_validation;
+        Alcotest.test_case "chunked pread is one pread" `Quick test_io_pread_chunked;
       ] );
     ( "disk.file_backend",
       [
@@ -718,6 +988,12 @@ let suites =
           test_file_disk_truncated_tail_detected;
         Alcotest.test_case "missing sidecar refused" `Quick
           test_file_disk_missing_sidecar;
+        Alcotest.test_case "overlapping sidecar refused" `Quick
+          test_file_disk_overlapping_sidecar;
+        Alcotest.test_case "verify agrees with the reference check" `Quick
+          test_verify_matches_reference;
+        Alcotest.test_case "verify across read chunks" `Quick
+          test_verify_across_chunks;
         Alcotest.test_case "stamp format known answer" `Quick
           test_stamp_known_answer;
         Alcotest.test_case "partial writes land at their offset" `Quick

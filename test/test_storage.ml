@@ -385,6 +385,33 @@ let test_pack_drops_and_merges () =
   Index.validate packed;
   Index.validate idx
 
+(* Within a bucket, pack keeps the survivors in their order and puts
+   the new entries behind them; a bucket that lost nothing keeps its
+   very array (entry arrays are never mutated in place). *)
+let test_pack_order_and_sharing () =
+  let d = fresh_disk () in
+  let idx =
+    Index.build d cfg
+      [ batch ~day:1 ~values:[ 1; 2 ] ~per_value:2; batch ~day:2 ~values:[ 1; 3 ] ~per_value:2 ]
+  in
+  let packed =
+    Index.pack idx ~drop_days:(fun day -> day = 1)
+      ~extra:[ batch ~day:3 ~values:[ 1; 4 ] ~per_value:2 ]
+  in
+  let rids v = List.map (fun (e : Entry.t) -> e.Entry.rid) (Index.probe packed v) in
+  let rid ~day v i = (day * 1_000_000) + (v * 100) + i in
+  Alcotest.(check (list int)) "value 1: survivors, then new"
+    [ rid ~day:2 1 0; rid ~day:2 1 1; rid ~day:3 1 0; rid ~day:3 1 1 ]
+    (rids 1);
+  Alcotest.(check (list int)) "value 2: all expired" [] (rids 2);
+  Alcotest.(check (list int)) "value 4: new only" [ rid ~day:3 4 0; rid ~day:3 4 1 ] (rids 4);
+  Alcotest.(check bool) "value 3 shares the source's array" true
+    (Index.probe_bucket packed 3 == Index.probe_bucket idx 3);
+  Alcotest.(check bool) "value 1 gets a new array" false
+    (Index.probe_bucket packed 1 == Index.probe_bucket idx 1);
+  Index.validate packed;
+  Index.validate idx
+
 let test_pack_all_expired () =
   let d = fresh_disk () in
   let idx = Index.build d cfg [ batch ~day:1 ~values:[ 1 ] ~per_value:5 ] in
@@ -546,6 +573,7 @@ let suites =
         Alcotest.test_case "copy unpacked preserves slack" `Quick
           test_copy_unpacked_preserves_slack;
         Alcotest.test_case "pack drops and merges" `Quick test_pack_drops_and_merges;
+        Alcotest.test_case "pack order and sharing" `Quick test_pack_order_and_sharing;
         Alcotest.test_case "pack all expired" `Quick test_pack_all_expired;
       ]
       @ qcheck [ prop_index_matches_model ] );

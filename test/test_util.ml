@@ -341,6 +341,42 @@ let test_crc32_known_answer () =
     (Invalid_argument "Crc32: range outside the buffer") (fun () ->
       ignore (Crc32.string "abc" ~off:2 ~len:2))
 
+(* Bit at a time, straight from the reflected polynomial: no table. *)
+let crc32_reference s =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun c ->
+      crc := !crc lxor Char.code c;
+      for _ = 0 to 7 do
+        crc := if !crc land 1 = 1 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+      done)
+    s;
+  !crc lxor 0xFFFFFFFF
+
+(* [a] and [b] (0-100 bytes each) sit at random offsets inside larger
+   buffers, so every alignment of the 8-byte steps and every tail
+   length is reached. *)
+let prop_crc32_update_matches_reference =
+  let piece =
+    QCheck2.Gen.(triple (string_size (int_range 0 100)) (int_range 0 9) (int_range 0 9))
+  in
+  QCheck2.Test.make ~name:"update/finish = bytes = bitwise reference" ~count:500
+    QCheck2.Gen.(pair piece piece)
+    (fun ((a, pa, qa), (b, pb, qb)) ->
+      let embed s pre post =
+        Bytes.of_string (String.make pre '\xA5' ^ s ^ String.make post '\x5A')
+      in
+      let ba = embed a pa qa and bb = embed b pb qb in
+      let streamed =
+        Crc32.finish
+          (Crc32.update
+             (Crc32.update Crc32.init ba ~off:pa ~len:(String.length a))
+             bb ~off:pb ~len:(String.length b))
+      in
+      let ab = embed (a ^ b) pa qb in
+      streamed = Crc32.bytes ab ~off:pa ~len:(String.length a + String.length b)
+      && streamed = crc32_reference (a ^ b))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -388,7 +424,9 @@ let suites =
         Alcotest.test_case "ratio series" `Quick test_stats_ratio_series;
       ]
       @ qcheck [ prop_percentile_bounded ] );
-    ("util.crc32", [ Alcotest.test_case "known answer" `Quick test_crc32_known_answer ]);
+    ( "util.crc32",
+      [ Alcotest.test_case "known answer" `Quick test_crc32_known_answer ]
+      @ qcheck [ prop_crc32_update_matches_reference ] );
     ( "util.table_print",
       [
         Alcotest.test_case "render" `Quick test_table_render;
