@@ -322,6 +322,18 @@ let install t key ~gen ~refbit =
 let lookup st key = Key_table.find st.map st.keys key
 let data_frame t addr = lookup t.st (data_key t.uid addr)
 
+(* Frame of data block [addr], or -1, where [prev] is the frame of the
+   block a walk visited just before it (-1 if none).  Blocks installed
+   together sit in consecutive frames, because the CLOCK hand hands out
+   frames in order, so the frame after [prev] is compared first and the
+   table is searched only on a mismatch.  The hint is exact: a key lives
+   in at most one frame, and [keys.(f) = k] exactly when the table maps
+   [k] to [f]. *)
+let frame_after t ~prev addr =
+  let st = t.st and key = data_key t.uid addr in
+  let j = prev + 1 in
+  if j < Array.length st.keys && st.keys.(j) = key then j else lookup st key
+
 let live_gen t (ext : Disk.extent) =
   match Disk.generation_at t.disk ~start:ext.Disk.start with
   | Some g -> g
@@ -335,12 +347,11 @@ let drop_stale_dirty t i =
     note_discard t
   end
 
-(* Classify one data block against the pool: a hit gets its reference
-   bit set and answers [true]; a stale or absent block answers [false]
-   and is left for the caller to fetch in one batched charge. *)
-let classify t addr ~gen =
-  let st = t.st in
-  let i = data_frame t addr in
+(* Classify one data block by its frame [i] (-1 if absent): a hit gets
+   its reference bit set and answers [true]; a stale or absent block
+   answers [false] and is left for the caller to fetch in one batched
+   charge. *)
+let classify st i ~gen =
   if i >= 0 && st.gens.(i) = gen then begin
     set_refbit st i true;
     true
@@ -410,9 +421,11 @@ let read_blocks t ((ext : Disk.extent), off, blocks) mark =
   let st = t.st in
   let gen = live_gen t ext in
   let base = ext.Disk.start + off in
-  let hits = ref 0 in
+  let hits = ref 0 and prev = ref (-1) in
   for a = base to base + blocks - 1 do
-    if classify t a ~gen then incr hits else push st a
+    let i = frame_after t ~prev:!prev a in
+    if classify st i ~gen then incr hits else push st a;
+    prev := i
   done;
   let m = st.top - mark in
   if m > 0 && st.readahead > 0 then begin
@@ -421,7 +434,9 @@ let read_blocks t ((ext : Disk.extent), off, blocks) mark =
        ride the same seek (extra transfer only). *)
     let last = ext.Disk.start + min ext.Disk.length (off + blocks + st.readahead) - 1 in
     for a = base + blocks to last do
-      if not (classify t a ~gen) then push st a
+      let i = frame_after t ~prev:!prev a in
+      if not (classify st i ~gen) then push st a;
+      prev := i
     done
   end;
   let n_ra = st.top - mark - m in
@@ -457,12 +472,15 @@ let read t ext = read_range t ext ~off:0 ~blocks:ext.Disk.length
 let scan_blocks t exts mark =
   let st = t.st in
   let total = ref 0 and hits = ref 0 and runs = ref 0 and in_run = ref false in
+  let prev = ref (-1) in
   List.iter
     (fun (e : Disk.extent) ->
       let gen = live_gen t e in
       for a = e.Disk.start to e.Disk.start + e.Disk.length - 1 do
         incr total;
-        if classify t a ~gen then begin
+        let i = frame_after t ~prev:!prev a in
+        prev := i;
+        if classify st i ~gen then begin
           incr hits;
           in_run := false
         end
@@ -515,20 +533,23 @@ let write_back_range t (ext : Disk.extent) ~off ~blocks =
       Disk.write_run t.disk ext ~off ~blocks;
       let gen = live_gen t ext in
       let base = ext.Disk.start + off in
+      let prev = ref (-1) in
       for a = base to base + blocks - 1 do
-        let i = data_frame t a in
+        let i = frame_after t ~prev:!prev a in
         if i >= 0 then begin
           drop_stale_dirty t i;
           st.gens.(i) <- gen;
           set_refbit st i true
-        end
+        end;
+        prev := i
       done
     end
     else begin
       let gen = live_gen t ext in
       let base = ext.Disk.start + off in
+      let prev = ref (-1) in
       for a = base to base + blocks - 1 do
-        let i = data_frame t a in
+        let i = frame_after t ~prev:!prev a in
         let i =
           if i < 0 then install t (data_key t.uid a) ~gen ~refbit:true
           else if st.gens.(i) = gen then begin
@@ -549,7 +570,8 @@ let write_back_range t (ext : Disk.extent) ~off ~blocks =
         in
         set_refbit st i true;
         Bytes.set st.dirty i '\001';
-        st.owners.(i) <- t.slot
+        st.owners.(i) <- t.slot;
+        prev := i
       done
     end
 
@@ -567,13 +589,15 @@ let write_range t (ext : Disk.extent) ~off ~blocks =
       let st = t.st in
       let gen = live_gen t ext in
       let base = ext.Disk.start + off in
+      let prev = ref (-1) in
       for a = base to base + blocks - 1 do
-        let i = data_frame t a in
+        let i = frame_after t ~prev:!prev a in
         if i >= 0 then begin
           st.gens.(i) <- gen;
           set_refbit st i true
-        end
+        end;
         (* no write allocation *)
+        prev := i
       done
     end
   end
@@ -728,13 +752,24 @@ let meta_read t ~dir ~nodes =
 (* Frame of every block in [start, start+length) whose frame satisfies
    [ok], or the first block that does not. *)
 let first_block_not t ~start ~length ok =
-  let rec go a =
+  let rec go a prev =
     if a = start + length then -1
     else
-      let i = data_frame t a in
-      if i >= 0 && ok i then go (a + 1) else a
+      let i = frame_after t ~prev a in
+      if i >= 0 && ok i then go (a + 1) i else a
   in
-  go start
+  go start (-1)
+
+(* Add [d] to the pin count of every block of an extent whose blocks
+   the caller has checked are all resident. *)
+let add_pins t (ext : Disk.extent) d =
+  let st = t.st in
+  let prev = ref (-1) in
+  for a = ext.Disk.start to ext.Disk.start + ext.Disk.length - 1 do
+    let i = frame_after t ~prev:!prev a in
+    st.pins.(i) <- st.pins.(i) + d;
+    prev := i
+  done
 
 let pin_extent t (ext : Disk.extent) =
   read t ext;
@@ -746,10 +781,7 @@ let pin_extent t (ext : Disk.extent) =
         st.gens.(i) = gen)
     >= 0
   then fail "pin_extent: extent of %d blocks does not fit the pool" ext.Disk.length;
-  for a = ext.Disk.start to ext.Disk.start + ext.Disk.length - 1 do
-    let i = data_frame t a in
-    st.pins.(i) <- st.pins.(i) + 1
-  done
+  add_pins t ext 1
 
 let unpin_extent t (ext : Disk.extent) =
   let st = t.st in
@@ -762,10 +794,7 @@ let unpin_extent t (ext : Disk.extent) =
     if data_frame t bad >= 0 then
       fail "unpin_extent: block %d pin count would drop below zero" bad
     else fail "unpin_extent: block %d is not resident" bad;
-  for a = ext.Disk.start to ext.Disk.start + ext.Disk.length - 1 do
-    let i = data_frame t a in
-    st.pins.(i) <- st.pins.(i) - 1
-  done
+  add_pins t ext (-1)
 
 (* Epoch pinning: keep what is already resident of a snapshot extent in
    the pool for the epoch's lifetime, without charging any I/O (unlike
@@ -784,15 +813,16 @@ let pin_resident_blocks t (ext : Disk.extent) ~budget =
   let st = t.st in
   let gen = live_gen t ext in
   let pinned = ref [] in
-  let left = ref budget in
+  let left = ref budget and prev = ref (-1) in
   for a = ext.Disk.start to ext.Disk.start + ext.Disk.length - 1 do
     if !left > 0 then begin
-      let i = data_frame t a in
+      let i = frame_after t ~prev:!prev a in
       if i >= 0 && st.gens.(i) = gen then begin
         st.pins.(i) <- st.pins.(i) + 1;
         decr left;
         pinned := a :: !pinned
-      end
+      end;
+      prev := i
     end
   done;
   List.rev !pinned
@@ -800,19 +830,23 @@ let pin_resident_blocks t (ext : Disk.extent) ~budget =
 let unpin_blocks t addrs =
   let st = t.st in
   (* Validate first so a failed unpin changes nothing; pinned frames
-     cannot be evicted, so every address must still be resident. *)
-  List.iter
-    (fun addr ->
-      let i = data_frame t addr in
-      if i < 0 then fail "unpin_blocks: pinned block %d is not resident" addr
-      else if st.pins.(i) <= 0 then
-        fail "unpin_blocks: block %d pin count would drop below zero" addr)
-    addrs;
-  List.iter
-    (fun addr ->
-      let i = data_frame t addr in
-      st.pins.(i) <- st.pins.(i) - 1)
-    addrs
+     cannot be evicted, so every address must still be resident.  The
+     addresses were pinned in address order, so they walk like a range. *)
+  let check prev addr =
+    let i = frame_after t ~prev addr in
+    if i < 0 then fail "unpin_blocks: pinned block %d is not resident" addr
+    else if st.pins.(i) <= 0 then
+      fail "unpin_blocks: block %d pin count would drop below zero" addr;
+    i
+  in
+  ignore (List.fold_left check (-1) addrs);
+  ignore
+    (List.fold_left
+       (fun prev addr ->
+         let i = frame_after t ~prev addr in
+         st.pins.(i) <- st.pins.(i) - 1;
+         i)
+       (-1) addrs)
 
 let pinned_frames t = count_frames t.st (fun st i -> st.pins.(i) > 0)
 

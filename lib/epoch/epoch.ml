@@ -248,14 +248,18 @@ let open_ disk ~slots =
   (match Cache.find disk with
   | Some pool ->
     let budget = ref (pin_budget pool) in
-    List.iter
-      (fun ext ->
-        if !budget > 0 then begin
-          let pinned = Cache.pin_resident_blocks pool ext ~budget:!budget in
-          budget := !budget - List.length pinned;
-          e.e_pinned <- e.e_pinned @ pinned
-        end)
-      extents
+    let per_extent =
+      List.fold_left
+        (fun acc ext ->
+          if !budget > 0 then begin
+            let pinned = Cache.pin_resident_blocks pool ext ~budget:!budget in
+            budget := !budget - List.length pinned;
+            pinned :: acc
+          end
+          else acc)
+        [] extents
+    in
+    e.e_pinned <- List.concat (List.rev per_extent)
   | None -> ());
   reg.r_current <- Some e;
   Wave_obs.Metrics.inc m_opened;

@@ -468,6 +468,154 @@ let test_shared_pool_cross_arm_eviction () =
       check_stat "pool total" 3 (Cache.stats va).Cache.misses;
       check_stat "B's install evicted" 1 sb.Cache.evictions)
 
+(* --- consecutive-frame hint --------------------------------------------- *)
+
+(* A walk over consecutive addresses tries the frame after the previous
+   block's frame before the key table.  Each test below puts the wrong
+   block, or no frame at all, where that hint points. *)
+
+let test_hint_other_disk () =
+  (* Two fresh disks hand out the same addresses under the same
+     generations.  A's block 0 lands in frame 0 and B's block 1 in frame
+     1: the frame a walk of A tries for A's block 1, and the walk of B
+     tries frame 0 (A's block 0) for B's block 0. *)
+  let da = mk_disk () and db = mk_disk () in
+  let va, vb =
+    match Cache.attach_shared [ da; db ] ~frames:8 () with
+    | [ va; vb ] -> (va, vb)
+    | _ -> Alcotest.fail "expected two views"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.detach da;
+      Cache.detach db)
+    (fun () ->
+      let a = Disk.alloc da ~blocks:2 and b = Disk.alloc db ~blocks:2 in
+      Disk.write da a;
+      Disk.write db b;
+      Alcotest.(check int) "same addresses" a.Disk.start b.Disk.start;
+      Alcotest.(check (option int))
+        "same generation"
+        (Disk.generation_at da ~start:a.Disk.start)
+        (Disk.generation_at db ~start:b.Disk.start);
+      Cache.read_range va a ~off:0 ~blocks:1;
+      Cache.read_range vb b ~off:1 ~blocks:1;
+      let t0 = Disk.elapsed da in
+      Cache.read va a;
+      Alcotest.(check bool) "A's block 1 charged to A" true
+        (Disk.elapsed da > t0);
+      let sa = Cache.local_stats va in
+      check_stat "A: block 0 hit" 1 sa.Cache.hits;
+      check_stat "A: block 1 missed past B's frame" 2 sa.Cache.misses;
+      let u0 = Disk.elapsed db in
+      Cache.sequential_read vb [ b ];
+      Alcotest.(check bool) "B's block 0 charged to B" true
+        (Disk.elapsed db > u0);
+      let sb = Cache.local_stats vb in
+      check_stat "B: block 1 hit" 1 sb.Cache.hits;
+      check_stat "B: block 0 missed past A's frame" 2 sb.Cache.misses;
+      Alcotest.(check bool) "A resident" true (Cache.contains va a);
+      Alcotest.(check bool) "B resident" true (Cache.contains vb b);
+      check_stat "four frames, one per block" 4 (Cache.resident va))
+
+let test_hint_run_broken_by_eviction () =
+  (* Four one-block extents scanned into frames 0-3, then a demand read
+     evicts the second: frames [a0; z; a2; a3].  A rescan must miss a1
+     at z's frame and still find a2 and a3. *)
+  let disk, pool = mk_pool ~frames:4 () in
+  let a = List.init 4 (fun _ -> Disk.alloc disk ~blocks:1) in
+  let z = Disk.alloc disk ~blocks:1 in
+  List.iter (Disk.write disk) (z :: a);
+  Cache.sequential_read pool a;
+  Cache.read pool (List.hd a);
+  Cache.read pool z;
+  let s = Cache.stats pool in
+  check_stat "z evicted one block" 1 s.Cache.evictions;
+  Alcotest.(check (list bool))
+    "the run's second block is gone" [ true; false; true; true ]
+    (List.map (Cache.contains pool) a);
+  let t0 = Disk.elapsed disk in
+  Cache.sequential_read pool a;
+  Alcotest.(check (float 1e-12))
+    "rescan charged one seek and one block" (seek +. (100.0 /. 10e6))
+    (Disk.elapsed disk -. t0);
+  let s = Cache.stats pool in
+  check_stat "hits: a0, then a0 a2 a3" 4 s.Cache.hits;
+  check_stat "misses: a0-a3, z, a1" 6 s.Cache.misses;
+  check_stat "a1 evicted a2" 2 s.Cache.evictions;
+  Alcotest.(check (list bool))
+    "a1 back, a2 out" [ true; true; false; true ]
+    (List.map (Cache.contains pool) a);
+  Alcotest.(check bool) "z kept" true (Cache.contains pool z)
+
+let test_hint_run_wraps_last_frame () =
+  (* A four-block extent read after one other block fills frames 1-3
+     and wraps to frame 0: [e3; e0; e1; e2].  The walk reaches e2 in the
+     pool's last frame, so e3's hint points past the end. *)
+  let disk, pool = mk_pool ~frames:4 () in
+  let x = Disk.alloc disk ~blocks:1 in
+  let e = Disk.alloc disk ~blocks:4 in
+  Disk.write disk x;
+  Disk.write disk e;
+  Cache.read pool x;
+  Cache.read pool e;
+  Alcotest.(check bool) "x evicted" false (Cache.contains pool x);
+  let t0 = Disk.elapsed disk in
+  Cache.read pool e;
+  Cache.sequential_read pool [ e ];
+  Cache.pin_extent pool e;
+  check_stat "pinned" 4 (Cache.pinned_frames pool);
+  Cache.write pool e;
+  Cache.unpin_extent pool e;
+  check_stat "unpinned" 0 (Cache.pinned_frames pool);
+  let s = Cache.stats pool in
+  check_stat "every reread hit" 12 s.Cache.hits;
+  check_stat "only the first reads missed" 5 s.Cache.misses;
+  Alcotest.(check (float 1e-12))
+    "rereads free; the write charged as uncached"
+    (seek +. (4.0 *. 100.0 /. 10e6))
+    (Disk.elapsed disk -. t0)
+
+let test_hint_stale_run () =
+  (* Frames still hold a freed extent's blocks, in consecutive frames,
+     when the address is reallocated: every block's hint finds its key
+     under the old generation. *)
+  let disk, pool = mk_pool ~frames:8 () in
+  let e = Disk.alloc disk ~blocks:3 in
+  Disk.write disk e;
+  Cache.read pool e;
+  Disk.free disk e;
+  let e' = Disk.alloc disk ~blocks:3 in
+  Alcotest.(check int) "allocator reused the address" e.Disk.start
+    e'.Disk.start;
+  Disk.write disk e';
+  Alcotest.(check bool) "stale run does not satisfy the new extent" false
+    (Cache.contains pool e');
+  let t0 = Disk.elapsed disk in
+  Cache.read pool e';
+  Alcotest.(check bool) "stale run recharged" true (Disk.elapsed disk > t0);
+  Cache.read pool e';
+  let s = Cache.stats pool in
+  check_stat "refreshed in place" 3 s.Cache.stale_drops;
+  check_stat "misses" 6 s.Cache.misses;
+  check_stat "hits" 3 s.Cache.hits;
+  check_stat "no eviction" 0 s.Cache.evictions;
+  (* Write-back: the dead extent's dirty run is discarded, not written,
+     and the new extent's run flushes as one write. *)
+  let disk, pool = mk_wb_pool () in
+  let e = Disk.alloc disk ~blocks:3 in
+  Cache.write pool e;
+  Disk.free disk e;
+  let e' = Disk.alloc disk ~blocks:3 in
+  Cache.write pool e';
+  Cache.flush pool;
+  let s = Cache.stats pool in
+  check_stat "dead run discarded" 3 s.Cache.dirty_discards;
+  check_stat "refreshed in place" 3 s.Cache.stale_drops;
+  check_stat "one flush write" 1 s.Cache.flush_writes;
+  check_stat "of the new run" 3 s.Cache.flushed_blocks;
+  check_stat "nothing else written" 3 (Disk.counters disk).Disk.blocks_written
+
 (* --- readahead -------------------------------------------------------- *)
 
 let test_demand_readahead () =
@@ -1468,6 +1616,17 @@ let suites =
           test_wb_torn_flush_heals_on_rewrite;
         Alcotest.test_case "shared pool cross-arm eviction" `Quick
           test_shared_pool_cross_arm_eviction;
+      ] );
+    ( "cache.hint",
+      [
+        Alcotest.test_case "same address, other disk" `Quick
+          test_hint_other_disk;
+        Alcotest.test_case "run broken by an eviction" `Quick
+          test_hint_run_broken_by_eviction;
+        Alcotest.test_case "run wraps past the last frame" `Quick
+          test_hint_run_wraps_last_frame;
+        Alcotest.test_case "stale run of a reallocated extent" `Quick
+          test_hint_stale_run;
       ] );
     ( "cache.integration",
       [

@@ -253,6 +253,36 @@ let test_retired_epoch_pins_survive_eviction () =
   Alcotest.(check int) "drain unpins" 0 (Cache.pinned_frames pool);
   List.iter (fun x -> Disk.free disk x) scratch
 
+let test_open_pins_many_extents () =
+  (* An in-place index with one entry per bucket: every bucket is a
+     two-block extent of its own (the entry plus growth room), all of
+     them are resident at open, and the budget (half the pool, an odd
+     3,999 frames) runs out inside the 2,000th extent. *)
+  let n = 3000 and frames = 7998 in
+  let cfg =
+    { icfg with Index.cache_blocks = Some frames; min_alloc_entries = 1 }
+  in
+  let disk = fresh_disk () in
+  with_epochs disk @@ fun () ->
+  let idx = Index.create_empty disk cfg in
+  Index.add_batch idx
+    (batch ~day:1 ~values:(List.init n (fun v -> v + 1)) ~per_value:1);
+  let exts = Index.extents idx in
+  Alcotest.(check int) "one extent per bucket" n (List.length exts);
+  Alcotest.(check bool) "two blocks each" true
+    (List.for_all (fun (x : Disk.extent) -> x.Disk.length = 2) exts);
+  let pool = Option.get (Cache.find disk) in
+  List.iter (Cache.read pool) exts;
+  let e = Epoch.open_ disk ~slots:[ slot_of idx ] in
+  Alcotest.(check int) "pinned up to the budget" (frames / 2)
+    (Epoch.pinned_blocks disk);
+  Alcotest.(check int) "pool agrees" (frames / 2) (Cache.pinned_frames pool);
+  Epoch.commit disk;
+  Epoch.release e;
+  Alcotest.(check int) "release unpins every block" 0
+    (Cache.pinned_frames pool);
+  Alcotest.(check int) "no epoch pins left" 0 (Epoch.pinned_blocks disk)
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -798,6 +828,8 @@ let suites =
       [
         Alcotest.test_case "retired epoch pins survive eviction" `Quick
           test_retired_epoch_pins_survive_eviction;
+        Alcotest.test_case "open pins thousands of extents" `Quick
+          test_open_pins_many_extents;
       ] );
     ( "epoch.obs",
       [

@@ -232,6 +232,30 @@ let test_router_fanout_costs () =
   in
   Alcotest.(check bool) "probes cost model time" true (pmk > 0.0)
 
+(* Probes and scans bump their registry counters by exactly one per
+   query, however the counters are bound. *)
+let test_router_query_counters () =
+  let count name =
+    match Wave_obs.Metrics.lookup name with
+    | Some (`Counter c) -> c
+    | _ -> 0.0
+  in
+  let r =
+    router_for ~kind:Scheme.Del ~technique:Env.In_place ~partition:Partition.Hash
+      ~shards:2 ~w:6 ~n:3 ~day:7
+  in
+  let p0 = count "shard.probes" and s0 = count "shard.scans" in
+  for v = 1 to vocab do
+    ignore (Router.probe r ~value:v ~t1:2 ~t2:7)
+  done;
+  for _ = 1 to 3 do
+    ignore (Router.scan r ~t1:2 ~t2:7)
+  done;
+  Alcotest.(check (float 0.0)) "one count per probe"
+    (p0 +. float_of_int vocab) (count "shard.probes");
+  Alcotest.(check (float 0.0)) "one count per scan" (s0 +. 3.0)
+    (count "shard.scans")
+
 (* --- Multi_disk placement regression ------------------------------- *)
 
 let test_multidisk_balanced_arms () =
@@ -519,6 +543,8 @@ let suites =
           test_query_gen_scale;
         Alcotest.test_case "fan-out cost semantics" `Quick
           test_router_fanout_costs;
+        Alcotest.test_case "query counters count queries" `Quick
+          test_router_query_counters;
         Alcotest.test_case "multi-disk arms balanced (LPT regression)" `Quick
           test_multidisk_balanced_arms;
         Alcotest.test_case "stale per-arm gauges retired" `Quick
