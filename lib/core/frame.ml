@@ -76,17 +76,34 @@ let timed_index_probe t ~t1 ~t2 ~value = probe_from t 0 ~t1 ~t2 ~value
 
 let index_probe t ~value = timed_index_probe t ~t1:min_int ~t2:max_int ~value
 
-let rec scan_from t j ~t1 ~t2 =
-  if j = Array.length t.slots then []
-  else
-    let s = t.slots.(j) in
-    if slot_in_range s ~t1 ~t2 then begin
-      Index.scan_charge s.index;
-      Index.scan_onto s.index ~t1 ~t2 (scan_from t (j + 1) ~t1 ~t2)
-    end
-    else scan_from t (j + 1) ~t1 ~t2
+(* Constituents are charged frame by frame, each frame's in slot
+   order; the answer is then built from the last slot back to the
+   first, each slot's constituents merged by value, so every entry is
+   consed exactly once and no sort is needed. *)
+let merged_segment_scan frames ~t1 ~t2 =
+  let n = if Array.length frames = 0 then 0 else Array.length frames.(0).slots in
+  if Array.exists (fun t -> Array.length t.slots <> n) frames then
+    invalid_arg "Frame.merged_segment_scan: frames differ in slot count";
+  Array.iter
+    (fun t ->
+      Array.iter
+        (fun s -> if slot_in_range s ~t1 ~t2 then Index.scan_charge s.index)
+        t.slots)
+    frames;
+  let acc = ref [] in
+  for j = n - 1 downto 0 do
+    let idxs =
+      Array.fold_right
+        (fun t l ->
+          let s = t.slots.(j) in
+          if slot_in_range s ~t1 ~t2 then s.index :: l else l)
+        frames []
+    in
+    acc := Index.scan_onto idxs ~t1 ~t2 !acc
+  done;
+  !acc
 
-let timed_segment_scan t ~t1 ~t2 = scan_from t 0 ~t1 ~t2
+let timed_segment_scan t ~t1 ~t2 = merged_segment_scan [| t |] ~t1 ~t2
 
 let segment_scan t = timed_segment_scan t ~t1:min_int ~t2:max_int
 

@@ -57,7 +57,26 @@ val index_probe : t -> value:int -> Entry.t list
     required window, exactly as the paper warns. *)
 
 val timed_segment_scan : t -> t1:int -> t2:int -> Entry.t list
+(** [TimedSegmentScan (Θ, T1, T2)]: charges every constituent whose
+    time-set intersects [\[t1, t2\]], in slot order, and returns their
+    entries in range: slot by slot, each constituent's buckets in
+    ascending value order, each bucket's entries in their order.  The
+    one-frame case of {!merged_segment_scan}. *)
+
 val segment_scan : t -> Entry.t list
+
+val merged_segment_scan : t array -> t1:int -> t2:int -> Entry.t list
+(** [TimedSegmentScan] over frames that divide one wave's values
+    between them, as the shard router's arms do.  Charges each frame's
+    in-range constituents as {!timed_segment_scan} does, frame after
+    frame; then returns, slot by slot, the in-range slot-[j]
+    constituents of all frames merged in ascending value order
+    ({!Wave_storage.Index.scan_onto}): each bucket's entries in their
+    order, a value held by several frames in array order.  So when the
+    frames hold disjoint values of a single wave, slot for slot, the
+    answer is exactly that wave's {!timed_segment_scan}, with no sort.
+    The frames must have equal slot counts ([Invalid_argument]
+    otherwise). *)
 
 type aggregate = Count | Sum_info | Min_info | Max_info
 (** Aggregates over the [info] payload — the paper's motivating scan

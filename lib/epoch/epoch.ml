@@ -358,7 +358,7 @@ let rec scan_slots slots ~t1 ~t2 =
   | (idx, in_range) :: rest ->
     if in_range ~t1 ~t2 then begin
       Index.scan_charge idx;
-      Index.scan_onto idx ~t1 ~t2 (scan_slots rest ~t1 ~t2)
+      Index.scan_onto [ idx ] ~t1 ~t2 (scan_slots rest ~t1 ~t2)
     end
     else scan_slots rest ~t1 ~t2
 

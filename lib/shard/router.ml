@@ -102,7 +102,7 @@ let clock t = t.clock
 let splits t = t.n_splits
 let arm_disk t i = t.arms_arr.(i).disk
 let arm_scheme t i = t.arms_arr.(i).scheme
-let last_served t = t.served
+let last_served t = List.rev t.served
 
 let probe t ~value ~t1 ~t2 =
   let a = t.arms_arr.(Partition.arm_of_value t.part value) in
@@ -117,25 +117,23 @@ let probe t ~value ~t1 ~t2 =
   Metrics.observe (Lazy.force fanout_hist) 1.0;
   (entries, makespan)
 
+(* Each arm owns its disk and the merge charges nothing, so sampling
+   every clock around the one merged scan gives each arm's delta. *)
 let scan t ~t1 ~t2 =
-  let deltas, parts =
-    Array.fold_left
-      (fun (ds, es) a ->
-        let before = Disk.elapsed a.disk in
-        let part = Frame.timed_segment_scan (Scheme.frame a.scheme) ~t1 ~t2 in
-        ((a.id, Disk.elapsed a.disk -. before) :: ds, part :: es))
-      ([], []) t.arms_arr
+  let before = Array.map (fun a -> Disk.elapsed a.disk) t.arms_arr in
+  let entries =
+    Frame.merged_segment_scan
+      (Array.map (fun a -> Scheme.frame a.scheme) t.arms_arr)
+      ~t1 ~t2
   in
-  let makespan = Parallel.record t.clock deltas in
+  let deltas =
+    Array.mapi (fun i a -> (a.id, Disk.elapsed a.disk -. before.(i))) t.arms_arr
+  in
+  let makespan = Parallel.record t.clock (Array.to_list deltas) in
   Metrics.inc (Lazy.force m_scans);
   Metrics.observe (Lazy.force fanout_hist)
     (float_of_int (Array.length t.arms_arr));
-  (* Sorted in an array: a merge sort of a window's ~35k-entry list
-     conses about n log n cells, which outgrow the minor heap and leave
-     the major heap full of garbage between collections. *)
-  let merged = Array.of_list (List.concat parts) in
-  Array.stable_sort Entry.compare merged;
-  (Array.to_list merged, makespan)
+  (entries, makespan)
 
 let advance t =
   let deltas =
@@ -157,11 +155,24 @@ let advance t =
 
 let range_pred days ~t1 ~t2 = Dayset.exists (fun d -> d >= t1 && d <= t2) days
 
-let claimed_extents scheme =
-  List.concat_map
-    (fun (idx, _) -> Index.extents idx)
-    (Frame.snapshot (Scheme.frame scheme))
-  @ List.concat_map Index.extents (Scheme.temp_indexes scheme)
+(* The live extents on [disk] that neither the scheme's committed
+   constituents nor its temporaries hold, in address order.  The claimed
+   extents are keyed by start, so each live one is tested in constant
+   time. *)
+let unclaimed_extents scheme disk =
+  let claimed = Hashtbl.create 64 in
+  let claim idx =
+    List.iter
+      (fun (e : Disk.extent) ->
+        Hashtbl.replace claimed e.Disk.start e.Disk.length)
+      (Index.extents idx)
+  in
+  List.iter (fun (idx, _) -> claim idx) (Frame.snapshot (Scheme.frame scheme));
+  List.iter claim (Scheme.temp_indexes scheme);
+  List.filter
+    (fun (e : Disk.extent) ->
+      Hashtbl.find_opt claimed e.Disk.start <> Some e.Disk.length)
+    (Disk.live_extents disk)
 
 let split ?(on_sibling = fun _ -> ()) ?(serve = []) t ~arm =
   if t.intent <> None then raise Split_in_progress;
@@ -192,7 +203,7 @@ let split ?(on_sibling = fun _ -> ()) ?(serve = []) t ~arm =
       Epoch.acquire epoch;
       let r = Epoch.probe epoch ~value:v ~t1 ~t2 in
       Epoch.release epoch;
-      t.served <- t.served @ [ r ]
+      t.served <- r :: t.served
   in
   Epoch.Interleave.run victim.disk ~on_op:serve_one (fun () ->
       (* Sibling half first: a fault on the fresh disk must fire before
@@ -252,10 +263,8 @@ let recover t =
        the half-built indexes' extents are the leaks the sweep below
        frees, exactly like transition recovery. *)
     Epoch.on_crash victim.disk;
-    let claimed = claimed_extents victim.scheme in
-    List.iter
-      (fun e -> if not (List.mem e claimed) then Disk.free victim.disk e)
-      (Disk.live_extents victim.disk);
+    List.iter (Disk.free victim.disk)
+      (unclaimed_extents victim.scheme victim.disk);
     (* The sibling disk was never installed; dropping the reference
        discards it wholesale. *)
     t.intent <- None
@@ -263,15 +272,13 @@ let recover t =
 let check_no_leaks t =
   Array.iter
     (fun a ->
-      let claimed = claimed_extents a.scheme in
-      List.iter
-        (fun e ->
-          if not (List.mem e claimed) then
-            failwith
-              (Printf.sprintf
-                 "Router.check_no_leaks: arm %d leaks extent at %d (%d blocks)"
-                 a.id e.Disk.start e.Disk.length))
-        (Disk.live_extents a.disk))
+      match unclaimed_extents a.scheme a.disk with
+      | [] -> ()
+      | e :: _ ->
+        failwith
+          (Printf.sprintf
+             "Router.check_no_leaks: arm %d leaks extent at %d (%d blocks)"
+             a.id e.Disk.start e.Disk.length))
     t.arms_arr
 
 (* -------------------------------------------------------------------- *)

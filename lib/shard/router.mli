@@ -5,8 +5,9 @@
     the key space (its day store is the base store filtered through the
     committed {!Partition.t}), so the router is transparent: a probe
     routed to the owning arm returns bit-identical entries to a
-    single-disk run, and a scan is the (sorted) union of the arms'
-    scans.
+    single-disk run, and a scan, which merges the arms' buckets by
+    value, returns the single-disk run's scan entry for entry, in the
+    same order.
 
     Costs use parallel semantics via {!Wave_model.Parallel}: a fan-out
     is charged the max over the touched arms' disk-clock deltas (its
@@ -69,7 +70,12 @@ val probe : t -> value:int -> t1:int -> t2:int -> Entry.t list * float
     makespan charged to the parallel clock. *)
 
 val scan : t -> t1:int -> t2:int -> Entry.t list * float
-(** Fan out to every arm; entries merged in [Entry.compare] order. *)
+(** Fan out to every arm: charge each arm's in-range constituents,
+    record the per-arm deltas, and return {!Frame.merged_segment_scan}
+    of the arms' frames with the makespan.  The entries equal the
+    single-disk run's {!Frame.timed_segment_scan}, in its order (slot
+    by slot, values ascending within a slot); a split that adds an arm
+    does not change them. *)
 
 val advance : t -> float
 (** Absorb the next day on every arm (each arm's transition runs

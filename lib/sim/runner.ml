@@ -99,7 +99,8 @@ let serve_queries frame qs =
           !probe_entries + List.length (Frame.timed_index_probe frame ~t1 ~t2 ~value)
       | Scan { t1; t2 } ->
         scan_entries :=
-          !scan_entries + List.length (Frame.timed_segment_scan frame ~t1 ~t2))
+          !scan_entries
+          + Option.get (Frame.timed_aggregate frame ~t1 ~t2 ~op:Frame.Count))
     qs;
   (!probe_entries, !scan_entries)
 

@@ -295,10 +295,42 @@ let scan_charge t =
         charged_sequential_read t (scan_extents t))
 
 (* Buckets from the highest value down, each consed from its end, so
-   the result is in value order then bucket order. *)
-let scan_onto t ~t1 ~t2 tail =
-  Directory.fold_descending t.dir ~init:tail ~f:(fun acc _ b ->
-      timed_onto b.entries ~t1 ~t2 acc)
+   the result is in value order then bucket order.  Several indexes
+   are merged the same way: each one's buckets are listed from the
+   highest value down, and the merge conses the highest head first,
+   the last index's on a tie, so a shared value ends up in list order. *)
+let scan_onto idxs ~t1 ~t2 tail =
+  match idxs with
+  | [] -> tail
+  | [ t ] ->
+    Directory.fold_descending t.dir ~init:tail ~f:(fun acc _ b ->
+        timed_onto b.entries ~t1 ~t2 acc)
+  | _ ->
+    let heads =
+      Array.of_list
+        (List.map
+           (fun t ->
+             Directory.fold_ordered t.dir ~init:[] ~f:(fun l _ b -> b :: l))
+           idxs)
+    in
+    let rec merge acc =
+      let top = ref (-1) and top_v = ref min_int in
+      for i = 0 to Array.length heads - 1 do
+        match heads.(i) with
+        | b :: _ when !top < 0 || b.value >= !top_v ->
+          top := i;
+          top_v := b.value
+        | _ -> ()
+      done;
+      if !top < 0 then acc
+      else
+        match heads.(!top) with
+        | b :: rest ->
+          heads.(!top) <- rest;
+          merge (timed_onto b.entries ~t1 ~t2 acc)
+        | [] -> assert false
+    in
+    merge tail
 
 (* A loop rather than [Array.iter], so the accumulator stays local:
    nothing is allocated per bucket. *)
@@ -314,11 +346,11 @@ let fold_timed t ~t1 ~t2 ~init ~f =
 
 let scan t =
   scan_charge t;
-  scan_onto t ~t1:min_int ~t2:max_int []
+  scan_onto [ t ] ~t1:min_int ~t2:max_int []
 
 let scan_timed t ~t1 ~t2 =
   scan_charge t;
-  scan_onto t ~t1 ~t2 []
+  scan_onto [ t ] ~t1 ~t2 []
 
 (* ------------------------------------------------------------------ *)
 (* Mutation                                                           *)

@@ -157,9 +157,12 @@ val timed_onto : Entry.t array -> t1:int -> t2:int -> Entry.t list -> Entry.t li
 val scan_charge : t -> unit
 (** Charge exactly what {!scan} charges. *)
 
-val scan_onto : t -> t1:int -> t2:int -> Entry.t list -> Entry.t list
-(** The entries {!scan_timed} returns, followed by [tail]; charges
-    nothing. *)
+val scan_onto : t list -> t1:int -> t2:int -> Entry.t list -> Entry.t list
+(** [scan_onto idxs ~t1 ~t2 tail] walks the buckets of every index in
+    [idxs] in ascending value order, a value held by several indexes in
+    list order, and returns each bucket's entries with
+    [t1 <= day <= t2], in bucket order, followed by [tail]; charges
+    nothing.  For one index this is what {!scan_timed} returns. *)
 
 val fold_timed :
   t -> t1:int -> t2:int -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a

@@ -178,14 +178,20 @@ let router_for ~kind ~technique ~partition ~shards ~w ~n ~day =
   done;
   r
 
-(* PRNG property: hash- (and range-) partitioned probe results are
-   bit-identical to the single-disk run, over random arm counts,
-   schemes and probe ranges — the router is invisible to queries. *)
+(* PRNG property: hash- (and range-) partitioned probe and scan
+   results are bit-identical, in order, to the single-disk run, over
+   random arm counts, schemes and query ranges inside the window — the
+   router is invisible to queries.  [QCHECK_LONG=1] (the @shard alias)
+   runs 20x the cases. *)
 let prop_router_transparent =
   QCheck2.Test.make ~name:"sharded probe/scan equal single-disk run" ~count:12
+    ~long_factor:20
+    ~print:QCheck2.Print.(pair (quad int bool int int) (pair int int))
     QCheck2.Gen.(
-      quad (int_range 1 6) bool (int_range 0 5) (int_range 0 3))
-    (fun (shards, hash, scheme_i, extra_days) ->
+      pair
+        (quad (int_range 1 6) bool (int_range 0 5) (int_range 0 3))
+        (pair (int_range 0 5) (int_range 0 5)))
+    (fun ((shards, hash, scheme_i, extra_days), (skip, span)) ->
       let kind = List.nth Scheme.all scheme_i in
       let technique =
         if scheme_i mod 2 = 0 then Env.Packed_shadow else Env.Simple_shadow
@@ -195,7 +201,8 @@ let prop_router_transparent =
       let day = w + extra_days in
       let frame = single_ref ~kind ~technique ~w ~n ~day in
       let r = router_for ~kind ~technique ~partition ~shards ~w ~n ~day in
-      let t1 = day - w + 1 and t2 = day in
+      let t1 = day - w + 1 + skip in
+      let t2 = min day (t1 + span) in
       let probes_equal =
         List.for_all
           (fun v ->
@@ -204,9 +211,7 @@ let prop_router_transparent =
           (List.init vocab (fun i -> i + 1))
       in
       let scans_equal =
-        fst (Router.scan r ~t1 ~t2)
-        = List.sort Wave_storage.Entry.compare
-            (Frame.timed_segment_scan frame ~t1 ~t2)
+        fst (Router.scan r ~t1 ~t2) = Frame.timed_segment_scan frame ~t1 ~t2
       in
       probes_equal && scans_equal)
 
@@ -255,6 +260,150 @@ let test_router_query_counters () =
     (p0 +. float_of_int vocab) (count "shard.probes");
   Alcotest.(check (float 0.0)) "one count per scan" (s0 +. 3.0)
     (count "shard.scans")
+
+(* --- Fan-out scan merge ---------------------------------------------- *)
+
+module Index = Wave_storage.Index
+module Entry = Wave_storage.Entry
+module Directory = Wave_storage.Directory
+
+(* A day's batch of [(value, rid)] postings; distinct rids let the
+   tests read the answer's order straight off them. *)
+let postings ~day vrs =
+  Entry.batch_create ~day
+    (Array.of_list
+       (List.map
+          (fun (value, rid) ->
+            { Entry.value; entry = { Entry.rid; day; info = 0 } })
+          vrs))
+
+(* A frame on its own disk, one [(time-set, batches)] pair per slot:
+   slot [j]'s index is built from the batches and given the time-set as
+   it stands, so a test may declare one that does not match. *)
+let frame_of ?(icfg = Index.default_config) slots =
+  let n = List.length slots in
+  let env = Env.create ~icfg ~store:(store ~vocab) ~w:n ~n () in
+  let f = Frame.create env in
+  List.iteri
+    (fun j (days, batches) ->
+      Frame.set_slot f (j + 1)
+        (Index.build env.Env.disk icfg batches)
+        (Dayset.of_int_list days))
+    slots;
+  f
+
+let rids es = List.map (fun (e : Entry.t) -> e.Entry.rid) es
+
+let merged_rids frames ~t1 ~t2 =
+  rids (Frame.merged_segment_scan frames ~t1 ~t2)
+
+(* Value 5 is in both frames' slot 1 and slot 2: each slot's buckets
+   ascend by value, a shared value keeps the frames' array order, and
+   slot 1 comes before slot 2 whatever the values. *)
+let check_shared_value_order dir_kind =
+  let icfg = { Index.default_config with Index.dir_kind } in
+  let a =
+    frame_of ~icfg
+      [
+        ([ 1 ], [ postings ~day:1 [ (5, 1); (7, 2); (5, 3) ] ]);
+        ([ 2 ], [ postings ~day:2 [ (5, 4) ] ]);
+      ]
+  in
+  let b =
+    frame_of ~icfg
+      [
+        ([ 1 ], [ postings ~day:1 [ (6, 11); (5, 12) ] ]);
+        ([ 2 ], [ postings ~day:2 [ (4, 13); (5, 14) ] ]);
+      ]
+  in
+  Alcotest.(check (list int)) "a before b on value 5"
+    [ 1; 3; 12; 11; 2; 13; 4; 14 ]
+    (merged_rids [| a; b |] ~t1:1 ~t2:2);
+  Alcotest.(check (list int)) "b before a on value 5"
+    [ 12; 1; 3; 11; 2; 13; 14; 4 ]
+    (merged_rids [| b; a |] ~t1:1 ~t2:2);
+  Alcotest.(check (list int)) "entries out of range dropped" [ 13; 4; 14 ]
+    (merged_rids [| a; b |] ~t1:2 ~t2:9);
+  Alcotest.(check (list int)) "one frame is its own scan"
+    (rids (Frame.timed_segment_scan a ~t1:1 ~t2:2))
+    (merged_rids [| a |] ~t1:1 ~t2:2)
+
+let test_merge_shared_value () = check_shared_value_order Directory.Bplus
+let test_merge_hash_directory () = check_shared_value_order Directory.Hash
+
+(* An empty constituent in range, an arm whose constituents are all
+   empty and an arm with no time-sets at all add nothing and charge
+   nothing; with no frames at all the scan is empty. *)
+let test_merge_empty_parts () =
+  let slot2 = [ postings ~day:2 [ (3, 1); (1, 2) ] ] in
+  let a = frame_of [ ([ 1 ], []); ([ 2 ], slot2) ] in
+  let empty_arm = frame_of [ ([ 1 ], []); ([ 2 ], []) ] in
+  let bare = frame_of [ ([], []); ([], []) ] in
+  let b = frame_of [ ([ 1 ], [ postings ~day:1 [ (2, 11) ] ]); ([ 2 ], []) ] in
+  Alcotest.(check (list int)) "empties add nothing" [ 11; 2; 1 ]
+    (merged_rids [| empty_arm; a; bare; b |] ~t1:1 ~t2:2);
+  Alcotest.(check (list int)) "an empty arm alone" []
+    (merged_rids [| empty_arm |] ~t1:1 ~t2:2);
+  Alcotest.(check (list int)) "no arms" [] (merged_rids [||] ~t1:1 ~t2:2);
+  let clock f = Wave_disk.Disk.elapsed (Frame.env f).Env.disk in
+  let before = List.map clock [ empty_arm; bare ] in
+  ignore (Frame.merged_segment_scan [| empty_arm; bare |] ~t1:1 ~t2:2);
+  Alcotest.(check (list (float 0.0))) "empty arms cost nothing" before
+    (List.map clock [ empty_arm; bare ]);
+  Alcotest.check_raises "slot counts must agree"
+    (Invalid_argument "Frame.merged_segment_scan: frames differ in slot count")
+    (fun () ->
+      let one_slot = frame_of [ ([ 1 ], []) ] in
+      ignore (Frame.merged_segment_scan [| a; one_slot |] ~t1:1 ~t2:2))
+
+(* The time-set decides whether a slot is read, as in TimedSegmentScan:
+   b's slot 1 declares day 3, so its day-1 entries stay out of a scan
+   of days 1..2 even though their days are in range, and it is not
+   charged. *)
+let test_merge_slot_range () =
+  let a = frame_of [ ([ 1 ], [ postings ~day:1 [ (4, 1) ] ]); ([ 2 ], []) ] in
+  let b =
+    frame_of
+      [
+        ([ 3 ], [ postings ~day:1 [ (2, 11) ] ]);
+        ([ 2 ], [ postings ~day:2 [ (1, 12) ] ]);
+      ]
+  in
+  Alcotest.(check (list int)) "b's slot 1 skipped" [ 1; 12 ]
+    (merged_rids [| a; b |] ~t1:1 ~t2:2);
+  Alcotest.(check (list int)) "b alone agrees" [ 12 ]
+    (rids (Frame.timed_segment_scan b ~t1:1 ~t2:2))
+
+(* The one-frame scan is the slot-by-slot concatenation of each
+   in-range constituent's own timed scan, charged the same, for every
+   scheme and a spread of ranges. *)
+let test_merge_one_frame_is_slot_scan () =
+  List.iter
+    (fun kind ->
+      let w = 6 and n = 3 in
+      let day = w + 2 in
+      let frame = single_ref ~kind ~technique:Env.In_place ~w ~n ~day in
+      let disk = (Frame.env frame).Env.disk in
+      List.iter
+        (fun (t1, t2) ->
+          let c0 = Wave_disk.Disk.elapsed disk in
+          let expected =
+            List.concat_map
+              (fun j ->
+                let days = Frame.slot_days frame j in
+                if Dayset.exists (fun d -> d >= t1 && d <= t2) days then
+                  Index.scan_timed (Frame.slot_index frame j) ~t1 ~t2
+                else [])
+              (List.init n (fun j -> j + 1))
+          in
+          let c1 = Wave_disk.Disk.elapsed disk in
+          let got = Frame.timed_segment_scan frame ~t1 ~t2 in
+          let c2 = Wave_disk.Disk.elapsed disk in
+          let name = Printf.sprintf "%s %d..%d" (Scheme.name kind) t1 t2 in
+          Alcotest.(check bool) (name ^ " answer") true (got = expected);
+          Alcotest.(check (float 1e-12)) (name ^ " charge") (c1 -. c0) (c2 -. c1))
+        [ (day - w + 1, day); (day - 3, day - 1); (day, day); (1, max_int) ])
+    Scheme.all
 
 (* --- Multi_disk placement regression ------------------------------- *)
 
@@ -551,6 +700,19 @@ let suites =
           test_stale_arm_gauges_retired;
       ]
       @ qcheck [ prop_router_transparent ] );
+    ( "shard.merge",
+      [
+        Alcotest.test_case "a value in two frames keeps frame order" `Quick
+          test_merge_shared_value;
+        Alcotest.test_case "hash directories merge by value" `Quick
+          test_merge_hash_directory;
+        Alcotest.test_case "empty constituents and arms" `Quick
+          test_merge_empty_parts;
+        Alcotest.test_case "a slot is read only when its time-set meets the range"
+          `Quick test_merge_slot_range;
+        Alcotest.test_case "one frame is the slot-by-slot scan" `Quick
+          test_merge_one_frame_is_slot_scan;
+      ] );
     ( "shard.split",
       [
         Alcotest.test_case "split preserves answers and serves mid-split"
