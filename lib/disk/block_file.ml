@@ -72,18 +72,6 @@ let ensure_blocks t blocks =
     t.size_blocks <- blocks
   end
 
-let zero_range t ~start ~blocks =
-  if blocks > 0 then begin
-    (* Blocks past the current end are already zero once the file is
-       extended; only reused space below it needs an explicit write. *)
-    let dirty = min blocks (t.size_blocks - start) in
-    ensure_blocks t (start + blocks);
-    if dirty > 0 then
-      Io.pwrite (fd t)
-        (Bytes.make (dirty * t.block_size) '\000')
-        ~off:(start * t.block_size)
-  end
-
 (* The stamp bytes every block of a range shares — magic, extent start
    and generation, bytes [0, 20) — built once per range together with
    the CRC state after them.  Per block only the index and sequence
@@ -103,35 +91,60 @@ let stamp_crc p buf boff =
   Crc32.finish
     (Crc32.update p.crc buf ~off:(boff + prefix_bytes) ~len:(36 - prefix_bytes))
 
-let stamped_buffer t ~start ~blocks ~ext_start ~gen ~seq =
-  let buf = Bytes.make (blocks * t.block_size) '\000' in
-  let p = prefix ~ext_start ~gen in
-  for i = 0 to blocks - 1 do
-    let boff = i * t.block_size in
-    Bytes.blit p.bytes 0 buf boff prefix_bytes;
-    Bytes.set_int64_le buf (boff + 20) (Int64.of_int (start + i));
-    Bytes.set_int64_le buf (boff + 28) (Int64.of_int seq);
-    Bytes.set_int32_le buf (boff + 36) (Int32.of_int (stamp_crc p buf boff))
-  done;
-  buf
+(* Block I/O streams through a chunk of at most [chunk_bytes] — whole
+   blocks, and no more than one [Unix.read] or [Unix.write] moves at a
+   time.  With a buffer as large as the range, every whole-window scan
+   allocated the window's size on the major heap; the major slices and
+   page faults that came with it fell on some scans and not on others,
+   so scans of one window differed by up to 3x.  A repack's stamped
+   write and the zeroing of reused space did the same. *)
+let chunk_bytes = 65536
 
+(* The bytes of a chunk for a range of [blocks]: whole blocks, at most
+   [chunk_bytes] unless one block is larger. *)
+let chunk_len t ~blocks =
+  Int.min blocks (max 1 (chunk_bytes / t.block_size)) * t.block_size
+
+(* One pwrite of the range, the chunk restamped for each piece.  A
+   stamp covers bytes [0, 40) of its block, so the zeros after it stay
+   in place from one piece to the next. *)
 let write_range t ~start ~blocks ~ext_start ~gen ~seq =
   if blocks > 0 then begin
     ensure_blocks t (start + blocks);
-    Io.pwrite (fd t)
-      (stamped_buffer t ~start ~blocks ~ext_start ~gen ~seq)
-      ~off:(start * t.block_size)
+    let p = prefix ~ext_start ~gen in
+    let next = ref start in
+    Io.pwrite_chunked (fd t) ~off:(start * t.block_size)
+      ~len:(blocks * t.block_size)
+      ~chunk:(Bytes.make (chunk_len t ~blocks) '\000')
+      (fun buf ~len ->
+        let first = !next and n = len / t.block_size in
+        for i = 0 to n - 1 do
+          let boff = i * t.block_size in
+          Bytes.blit p.bytes 0 buf boff prefix_bytes;
+          Bytes.set_int64_le buf (boff + 20) (Int64.of_int (first + i));
+          Bytes.set_int64_le buf (boff + 28) (Int64.of_int seq);
+          Bytes.set_int32_le buf (boff + 36) (Int32.of_int (stamp_crc p buf boff))
+        done;
+        next := first + n)
   end
 
 let write_torn_prefix t ~start ~blocks ~ext_start ~gen ~seq =
   let torn = if blocks <= 1 then blocks else max 1 (blocks / 2) in
-  if torn > 0 then begin
-    ensure_blocks t (start + torn);
-    Io.pwrite (fd t)
-      (stamped_buffer t ~start ~blocks:torn ~ext_start ~gen ~seq)
-      ~off:(start * t.block_size)
-  end;
+  write_range t ~start ~blocks:torn ~ext_start ~gen ~seq;
   torn
+
+let zero_range t ~start ~blocks =
+  if blocks > 0 then begin
+    (* Blocks past the current end are already zero once the file is
+       extended; only reused space below it needs an explicit write. *)
+    let dirty = min blocks (t.size_blocks - start) in
+    ensure_blocks t (start + blocks);
+    if dirty > 0 then
+      Io.pwrite_chunked (fd t) ~off:(start * t.block_size)
+        ~len:(dirty * t.block_size)
+        ~chunk:(Bytes.make (chunk_len t ~blocks:dirty) '\000')
+        (fun _ ~len:_ -> ())
+  end
 
 let all_zero buf ~off ~len =
   let i = ref off and stop = off + len in
@@ -153,25 +166,17 @@ let block_intact t p buf ~boff ~block =
      = stamp_crc p buf boff)
   || all_zero buf ~off:boff ~len:t.block_size
 
-(* Reads stream through a chunk of at most [chunk_bytes] — whole
-   blocks, and no more than one [Unix.read] moves at a time — checked
-   while it is still in cache.  With a buffer as large as the range,
-   every whole-window scan allocated the window's size on the major
-   heap; the major slices and page faults that came with it fell on
-   some scans and not on others, so scans of one window differed by up
-   to 3x. *)
-let chunk_bytes = 65536
-
 let verify_range t ~start ~blocks ~ext_start ~gen =
   if blocks = 0 then true
   else if start + blocks > t.size_blocks then false (* truncated tail *)
   else begin
-    let per_chunk = max 1 (chunk_bytes / t.block_size) in
-    let chunk = Bytes.create (Int.min blocks per_chunk * t.block_size) in
     let p = prefix ~ext_start ~gen in
     let next = ref start and ok = ref true in
+    (* each chunk is checked as it arrives, while it is still in cache *)
     Io.pread_chunked (fd t) ~off:(start * t.block_size)
-      ~len:(blocks * t.block_size) ~chunk (fun buf ~len ->
+      ~len:(blocks * t.block_size)
+      ~chunk:(Bytes.create (chunk_len t ~blocks))
+      (fun buf ~len ->
         let first = !next and n = len / t.block_size in
         if !ok then begin
           let i = ref 0 in

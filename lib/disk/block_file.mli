@@ -58,22 +58,25 @@ val zero_range : t -> start:int -> blocks:int -> unit
 (** Physically zero a block range — called at allocation so reused
     space satisfies the valid-stamp-or-zero rule.  Extends the file
     first if needed; only the portion below the old end of file incurs
-    a write. *)
+    a write: one [pwrite] of that portion, streamed from a zeroed
+    buffer of at most {!chunk_bytes}. *)
 
 val write_range :
   t -> start:int -> blocks:int -> ext_start:int -> gen:int -> seq:int -> unit
-(** Stamp every block of the range, one batched [pwrite] from a buffer
-    allocated for this call.  The 20 bytes every stamp of the range
-    shares (magic, extent start, generation) and their CRC state are
-    built once; per block only the index, the sequence and a 16-byte
-    CRC continuation remain. *)
+(** Stamp every block of the range in one [pwrite]
+    ({!Io.pwrite_chunked}) that streams through a buffer of at most
+    {!chunk_bytes} allocated for this call, restamped for each piece.
+    The 20 bytes every stamp of the range shares (magic, extent start,
+    generation) and their CRC state are built once; per block only the
+    index, the sequence and a 16-byte CRC continuation remain. *)
 
 val write_torn_prefix :
   t -> start:int -> blocks:int -> ext_start:int -> gen:int -> seq:int -> int
 (** Physically write stamps for roughly the first half of the range
-    (at least one block, fewer than [blocks] when [blocks > 1]) and
-    return how many were written — the on-disk half of a torn-write
-    injection.  The caller then marks the extent torn and raises. *)
+    (at least one block, fewer than [blocks] when [blocks > 1]), as
+    {!write_range} writes them, and return how many were written — the
+    on-disk half of a torn-write injection.  The caller then marks the
+    extent torn and raises. *)
 
 val verify_range :
   t -> start:int -> blocks:int -> ext_start:int -> gen:int -> bool
@@ -90,9 +93,11 @@ val verify_range :
     [\[0, 36)], extent, generation and index one by one. *)
 
 val chunk_bytes : int
-(** {!verify_range} streams its one [pread] through a buffer of at most
-    this many bytes, rounded down to whole blocks (one block when a
-    block is larger). *)
+(** {!verify_range}, {!write_range}, {!write_torn_prefix} and
+    {!zero_range} stream their one [pread] or [pwrite] through a buffer
+    of at most this many bytes, rounded down to whole blocks (one block
+    when a block is larger); no call allocates a buffer the size of its
+    range. *)
 
 val truncate_tail : t -> blocks:int -> unit
 (** Cut the file down to this many blocks — the harness's torn-tail

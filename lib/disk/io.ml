@@ -112,18 +112,13 @@ let fire_plan target =
   | _ -> No_injection
 
 (* The torn-write plan is consumed by pwrite itself (it must write a
-   prefix of this very payload before dying). *)
+   prefix of this very payload before dying).  Until its call comes,
+   [fire_plan] counts it down like any other plan. *)
 let fire_torn_write () =
   match !armed_plan with
-  | Some { target = Pwrite; fault = Torn_write frac; countdown } ->
-    if countdown > 1 then begin
-      (match !armed_plan with Some p -> p.countdown <- countdown - 1 | None -> ());
-      None
-    end
-    else begin
-      armed_plan := None;
-      Some frac
-    end
+  | Some { target = Pwrite; fault = Torn_write frac; countdown = 1 } ->
+    armed_plan := None;
+    Some frac
   | _ -> None
 
 (* --- retry loop ------------------------------------------------------ *)
@@ -232,24 +227,51 @@ let pread_chunked fd ~off ~len ~chunk deliver =
 let pread fd buf ~off =
   pread_chunked fd ~off ~len:(Bytes.length buf) ~chunk:buf (fun _ ~len:_ -> ())
 
-let pwrite fd buf ~off =
-  let len = Bytes.length buf in
+let pwrite_chunked fd ~off ~len ~chunk fill =
+  let size = Bytes.length chunk in
+  if len < 0 || (len > 0 && size = 0) then
+    invalid_arg "Io.pwrite_chunked: negative length or empty chunk";
+  (* [base] is the offset in the range of the chunk's first byte. *)
+  let base = ref 0 in
+  let refill () =
+    let n = Int.min size (len - !base) in
+    fill chunk ~len:n;
+    n
+  in
   (match fire_torn_write () with
   | Some frac ->
     let torn = int_of_float (frac *. float_of_int len) in
     M.inc m_pwrites;
-    if torn > 0 then begin
-      ignore (Unix.lseek fd off Unix.SEEK_SET);
-      let n = Unix.write fd buf 0 torn in
-      M.inc ~by:(float_of_int n) m_bytes_written
-    end;
+    while !base < torn do
+      let n = Int.min (refill ()) (torn - !base) in
+      ignore (Unix.lseek fd (off + !base) Unix.SEEK_SET);
+      let w = Unix.write fd chunk 0 n in
+      M.inc ~by:(float_of_int w) m_bytes_written;
+      base := !base + n
+    done;
     R.record_io ~syscall:"pwrite" ~outcome:"torn" ~bytes:torn;
     raise (Io_error "injected torn write")
   | None -> ());
   let injection = fire_plan Pwrite in
   M.inc m_pwrites;
-  with_wall @@ fun () ->
+  let filled = ref (if len > 0 then refill () else 0) in
+  let io_s = ref 0.0 and since = ref (Unix.gettimeofday ()) in
+  let write_from moved want =
+    ignore (Unix.lseek fd (off + moved) Unix.SEEK_SET);
+    let n = Unix.write fd chunk (moved - !base) want in
+    M.inc ~by:(float_of_int n) m_bytes_written;
+    (* the chunk is written out: take the next one *)
+    if n > 0 && moved + n - !base = !filled && moved + n < len then begin
+      let now = Unix.gettimeofday () in
+      io_s := !io_s +. (now -. !since);
+      base := moved + n;
+      filled := refill ();
+      since := Unix.gettimeofday ()
+    end;
+    Done n
+  in
   retry_exact ~what:"pwrite" ~len (fun moved ->
+      let room = !filled - (moved - !base) in
       match injection with
       | Inject_transient (Eintr, k) when !k > 0 ->
         decr k;
@@ -259,17 +281,13 @@ let pwrite fd buf ~off =
         Again "injected EIO"
       | Inject_transient (Short, k) when !k > 0 ->
         decr k;
-        let want = (len - moved + 1) / 2 in
-        ignore (Unix.lseek fd (off + moved) Unix.SEEK_SET);
-        let n = Unix.write fd buf moved want in
-        M.inc ~by:(float_of_int n) m_bytes_written;
-        Done n
-      | _ ->
-        ignore (Unix.lseek fd (off + moved) Unix.SEEK_SET);
-        let n = Unix.write fd buf moved (len - moved) in
-        M.inc ~by:(float_of_int n) m_bytes_written;
-        Done n);
+        write_from moved (Int.min room ((len - moved + 1) / 2))
+      | _ -> write_from moved room);
+  M.observe m_wall (!io_s +. (Unix.gettimeofday () -. !since));
   R.record_io ~syscall:"pwrite" ~outcome:"ok" ~bytes:len
+
+let pwrite fd buf ~off =
+  pwrite_chunked fd ~off ~len:(Bytes.length buf) ~chunk:buf (fun _ ~len:_ -> ())
 
 (* A failed fsync may already have dropped the dirty pages and cleared
    the error, so a retry that succeeds proves nothing: EIO from fsync

@@ -110,7 +110,10 @@ val armed : unit -> (syscall * fault * int) option
     transient). *)
 
 val pread : Unix.file_descr -> bytes -> off:int -> unit
+
 val pwrite : Unix.file_descr -> bytes -> off:int -> unit
+(** [pwrite fd buf ~off] is {!pwrite_chunked} with [buf] as the one
+    chunk and a [fill] that leaves it as it is. *)
 
 val pread_chunked :
   Unix.file_descr ->
@@ -130,6 +133,27 @@ val pread_chunked :
     spent in [deliver]; [pread fd buf ~off] is this call with [buf] as
     the chunk.  Raises [Invalid_argument] on a negative [len], or an
     empty [chunk] with [len > 0]. *)
+
+val pwrite_chunked :
+  Unix.file_descr ->
+  off:int ->
+  len:int ->
+  chunk:bytes ->
+  (bytes -> len:int -> unit) ->
+  unit
+(** [pwrite_chunked fd ~off ~len ~chunk fill] is one {!pwrite} of
+    [len] bytes at [off] whose payload never exists whole: for each
+    piece of the range in turn it calls [fill chunk ~len:n], with
+    [n = min (Bytes.length chunk) remaining], which must put the
+    piece's bytes at [\[0, n)], and writes them out before asking for
+    the next piece.  Fault plan, retries, counters and recorder events
+    are those of a single [pwrite] of [len] bytes however many pieces
+    it takes; a short write resumes inside the current piece, and a
+    [Torn_write] plan writes exactly its prefix of the range, filling
+    only the pieces that prefix reaches.  [disk.file.io_wall_s] gets
+    the call's wall time less the time spent in [fill].  Raises
+    [Invalid_argument] on a negative [len], or an empty [chunk] with
+    [len > 0]. *)
 
 val fsync : Unix.file_descr -> unit
 (** [EINTR] retries like any transient, but [EIO] — real or an

@@ -330,6 +330,14 @@ let remove t k =
     | _ -> ());
     found
 
+(* Every binding at once: the nodes are dropped whole, not merged away
+   key by key.  The removal counter still counts each key, as [remove]
+   would have. *)
+let clear t =
+  Wave_obs.Metrics.inc ~by:(float_of_int t.count) m_removes;
+  t.root <- None;
+  t.count <- 0
+
 (* ------------------------------------------------------------------ *)
 (* iteration                                                          *)
 (* ------------------------------------------------------------------ *)

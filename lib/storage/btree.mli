@@ -44,6 +44,12 @@ val remove : 'a t -> int -> bool
 (** [remove t k] deletes the binding for [k]; returns whether a binding
     was present. *)
 
+val clear : 'a t -> unit
+(** Remove every binding in O(1).  The [btree.removes] counter grows by
+    the number of bindings dropped, as one {!remove} per key would have
+    made it; node ids keep counting, so nodes made by later inserts get
+    ids no earlier node had. *)
+
 val min_binding : 'a t -> (int * 'a) option
 val max_binding : 'a t -> (int * 'a) option
 

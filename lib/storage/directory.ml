@@ -52,6 +52,11 @@ let remove t v =
   | Hash_dir h -> Hashtbl.remove h v
   | Bplus_dir b -> ignore (Btree.remove b v)
 
+let clear t =
+  match t.impl with
+  | Hash_dir h -> Hashtbl.reset h
+  | Bplus_dir b -> Btree.clear b
+
 let iter_ordered t f =
   match t.impl with
   | Bplus_dir b -> Btree.iter b f
@@ -73,6 +78,3 @@ let fold_descending t ~init ~f =
       (fun acc k -> f acc k (Hashtbl.find h k))
       init
       (List.sort (fun a b -> Int.compare b a) keys)
-
-let values_ordered t =
-  List.rev (fold_ordered t ~init:[] ~f:(fun acc k _ -> k :: acc))

@@ -31,6 +31,10 @@ val search_path : 'a t -> int -> int list
 val set : 'a t -> int -> 'a -> unit
 val remove : 'a t -> int -> unit
 
+val clear : 'a t -> unit
+(** Remove every binding at once ({!Btree.clear} for the B+tree), as
+    one {!remove} per value would, without visiting them. *)
+
 val iter_ordered : 'a t -> (int -> 'a -> unit) -> unit
 (** Visits bindings in increasing value order for both implementations
     (the hash directory sorts its keys first: O(n log n)). *)
@@ -40,5 +44,3 @@ val fold_ordered : 'a t -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
 val fold_descending : 'a t -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
 (** Visits bindings in decreasing value order, so consing builds an
     increasing list. *)
-
-val values_ordered : 'a t -> int list

@@ -37,6 +37,8 @@ val batch_filter : batch -> keep:(int -> bool) -> batch
     [keep], preserving order.  Used by the shard router to carve one
     day store into per-arm stores. *)
 
-val group_by_value : posting array -> (int * t list) list
-(** Groups postings by search value, values ascending, entries in input
-    order within a value. *)
+val group_by_value : batch list -> int array * t array array
+(** Groups the batches' postings by search value: [(values, groups)]
+    holds the distinct values ascending, and [groups.(i)] the entries
+    of [values.(i)] in input order (batches in list order).  Two passes:
+    one hash lookup per posting, then a fill of exact-size arrays. *)

@@ -135,23 +135,6 @@ let release_home t b =
 (* Construction                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let grouped_of_batches batches =
-  let tbl = Hashtbl.create 1024 in
-  List.iter
-    (fun (b : Entry.batch) ->
-      Array.iter
-        (fun (p : Entry.posting) ->
-          match Hashtbl.find_opt tbl p.Entry.value with
-          | None -> Hashtbl.add tbl p.Entry.value [ p.Entry.entry ]
-          | Some es -> Hashtbl.replace tbl p.Entry.value (p.Entry.entry :: es))
-        b.Entry.postings)
-    batches;
-  Hashtbl.fold (fun v es acc -> (v, Array.of_list (List.rev es)) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-(* Install packed contents: one extent, buckets at cumulative offsets in
-   value order, zero slack.  [charge_read_source] optionally charges the
-   sequential read of some source extents first (used by [pack]). *)
 let bucket_read_charge t b =
   let used = used_of b in
   if used > 0 then
@@ -194,8 +177,12 @@ let charged_write_blocks t ext ~off ~blocks =
   | None -> Disk.write_run t.dsk ext ~off ~blocks
   | Some c -> Cache.write_range c ext ~off ~blocks
 
-let install_packed t groups =
-  let total = List.fold_left (fun acc (_, es) -> acc + Array.length es) 0 groups in
+let entries_in groups = Array.fold_left (fun acc es -> acc + Array.length es) 0 groups
+
+(* Install packed contents: one extent, the buckets [groups] of the
+   ascending [values] at cumulative offsets, zero slack. *)
+let install_packed t (values, groups) =
+  let total = entries_in groups in
   if total = 0 then begin
     t.packed <- true;
     t.shared <- None
@@ -203,10 +190,11 @@ let install_packed t groups =
   else begin
     let ext = Disk.alloc t.dsk ~blocks:total in
     charged_write_blocks t ext ~off:0 ~blocks:total;
-    let s = { sext = ext; refs = List.length groups } in
+    let s = { sext = ext; refs = Array.length groups } in
     let off = ref 0 in
-    List.iter
-      (fun (v, es) ->
+    Array.iteri
+      (fun i es ->
+        let v = values.(i) in
         let b =
           { value = v; entries = es; home = In_shared (s, !off); cap = Array.length es }
         in
@@ -223,11 +211,9 @@ let build dsk cfg batches =
   span "index.build" (fun () ->
       check_disk_compat dsk cfg;
       let t = create_empty dsk cfg in
-      let groups = grouped_of_batches batches in
-      let total =
-        List.fold_left (fun acc (_, es) -> acc + Array.length es) 0 groups
-      in
-      Disk.charge_delay dsk (cfg.build_cpu_per_entry *. float_of_int total);
+      let groups = Entry.group_by_value batches in
+      Disk.charge_delay dsk
+        (cfg.build_cpu_per_entry *. float_of_int (entries_in (snd groups)));
       install_packed t groups;
       t)
 
@@ -419,10 +405,10 @@ let add_group t v es =
 
 let add_batch t (batch : Entry.batch) =
   span "index.add" (fun () ->
-      let groups = Entry.group_by_value batch.Entry.postings in
+      let values, groups = Entry.group_by_value [ batch ] in
       Disk.charge_delay t.dsk
         (t.cfg.add_cpu_per_entry *. float_of_int (Entry.batch_size batch));
-      List.iter (fun (v, es) -> add_group t v (Array.of_list es)) groups;
+      Array.iteri (fun i es -> add_group t values.(i) es) groups;
       t.total_used <- t.total_used + Entry.batch_size batch;
       if Entry.batch_size batch > 0 then t.packed <- false)
 
@@ -504,7 +490,7 @@ let drop t =
     end
   | _ -> ());
   t.shared <- None;
-  List.iter (fun v -> Directory.remove t.dir v) (Directory.values_ordered t.dir);
+  Directory.clear t.dir;
   t.total_used <- 0;
   t.packed <- true;
   if t.total_alloc <> 0 then fail "drop: allocation accounting leak (%d)" t.total_alloc
@@ -513,6 +499,21 @@ let drop t =
 (* ------------------------------------------------------------------ *)
 (* Shadow operations                                                  *)
 (* ------------------------------------------------------------------ *)
+
+(* The values of [t]'s buckets, ascending, and [f] of each bucket's
+   entries, leaving out the buckets [f] empties: the arrays
+   [install_packed] takes. *)
+let buckets t f =
+  let n = Directory.length t.dir in
+  let values = Array.make n 0 and groups = Array.make n [||] and k = ref 0 in
+  Directory.iter_ordered t.dir (fun v b ->
+      let es = f b.entries in
+      if Array.length es > 0 then begin
+        values.(!k) <- v;
+        groups.(!k) <- es;
+        incr k
+      end);
+  if !k = n then (values, groups) else (Array.sub values 0 !k, Array.sub groups 0 !k)
 
 let copy t =
   span "index.copy" (fun () ->
@@ -531,14 +532,9 @@ let copy t =
   (* Charge: stream the source out and the duplicate in. *)
   let exts = scan_extents t in
   charged_sequential_read t exts;
-  if t.packed then begin
-    let groups =
-      Directory.fold_ordered t.dir ~init:[] ~f:(fun acc v b ->
-          (v, Array.copy b.entries) :: acc)
-      |> List.rev
-    in
-    install_packed t' groups
-  end
+  (* The copy's buckets share the source's entry arrays: they are never
+     mutated in place, so neither index can change the other's. *)
+  if t.packed then install_packed t' (buckets t Fun.id)
   else begin
     (* Reproduce the unpacked layout bucket by bucket (same caps), but
        charge the flush as one sequential write: a shadow copy streams
@@ -550,7 +546,7 @@ let copy t =
         t'.total_alloc <- t'.total_alloc + cap;
         written := !written + used_of b;
         Directory.set t'.dir v
-          { value = v; entries = Array.copy b.entries; home = Own ext; cap });
+          { value = v; entries = b.entries; home = Own ext; cap });
     if !written > 0 then begin
       Disk.charge_seek t.dsk;
       Disk.charge_transfer_bytes t.dsk (!written * t.cfg.entry_bytes)
@@ -560,18 +556,33 @@ let copy t =
   end;
   t')
 
-(* Merge two value-ordered group lists; a value in both gets [a]'s
+(* Merge two value-ordered bucket sets; a value in both gets [a]'s
    entries followed by [b]'s. *)
-let merge_groups a b =
-  let rec go acc a b =
-    match (a, b) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | ((va, ea) as ga) :: a', ((vb, eb) as gb) :: b' ->
-      if va < vb then go (ga :: acc) a' b
-      else if vb < va then go (gb :: acc) a b'
-      else go ((va, Array.append ea eb) :: acc) a' b'
+let merge_groups (av, ag) (bv, bg) =
+  let na = Array.length av and nb = Array.length bv in
+  let values = Array.make (na + nb) 0 and groups = Array.make (na + nb) [||] in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  let take v es =
+    values.(!k) <- v;
+    groups.(!k) <- es;
+    incr k
   in
-  go [] a b
+  while !i < na || !j < nb do
+    if !j = nb || (!i < na && av.(!i) < bv.(!j)) then begin
+      take av.(!i) ag.(!i);
+      incr i
+    end
+    else if !i = na || bv.(!j) < av.(!i) then begin
+      take bv.(!j) bg.(!j);
+      incr j
+    end
+    else begin
+      take av.(!i) (Array.append ag.(!i) bg.(!j));
+      incr i;
+      incr j
+    end
+  done;
+  if !k = na + nb then (values, groups) else (Array.sub values 0 !k, Array.sub groups 0 !k)
 
 let pack t ~drop_days ~extra =
   span "index.pack" (fun () ->
@@ -582,18 +593,11 @@ let pack t ~drop_days ~extra =
   let temp = build t.dsk t.cfg extra in
   (* Stream the source: one sequential read, dropping expired days. *)
   charged_sequential_read t (scan_extents t);
-  let kept =
-    Directory.fold_descending t.dir ~init:[] ~f:(fun acc v b ->
-        let keep = survivors b.entries drop_days in
-        if Array.length keep > 0 then (v, keep) :: acc else acc)
-  in
+  let kept = buckets t (fun es -> survivors es drop_days) in
   (* Stream the temporary index in (one sequential read) and merge its
      buckets behind the survivors of the same value. *)
   charged_sequential_read t (scan_extents temp);
-  let added =
-    Directory.fold_descending temp.dir ~init:[] ~f:(fun acc v b ->
-        (v, b.entries) :: acc)
-  in
+  let added = buckets temp Fun.id in
   drop temp;
   let t' = create_empty t.dsk t.cfg in
   install_packed t' (merge_groups kept added);

@@ -71,13 +71,17 @@ val create_empty : Disk.t -> config -> t
 val build : Disk.t -> config -> Entry.batch list -> t
 (** [build disk config batches] is the paper's [BuildIndex]: scan the
     batches counting entries per value, allocate one contiguous packed
-    extent, and write it with a single seek.  Charges
-    [build_cpu_per_entry] per entry plus the sequential write. *)
+    extent, and write it with a single seek.  The postings are grouped
+    by {!Entry.group_by_value} (two passes, exact-size bucket arrays).
+    Charges [build_cpu_per_entry] per entry plus the sequential
+    write. *)
 
 val copy : t -> t
 (** Duplicate the index for shadow updating: the paper's [CP].  Charges
     a sequential read of the source and a sequential write of the copy
-    (same layout, same slack). *)
+    (same layout, same slack).  The copy's buckets share the source's
+    entry arrays, which are never mutated in place, so editing either
+    index leaves the other as it was. *)
 
 val pack : t -> drop_days:(int -> bool) -> extra:Entry.batch list -> t
 (** Packed-shadow update, the paper's smart copy [SMCP]: builds a
@@ -105,7 +109,8 @@ val delete_days : t -> (int -> bool) -> int
 val drop : t -> unit
 (** Release all disk space and empty the index — the paper's
     [DropIndex] body, a constant-time unlink ("a few milliseconds ...
-    irrespective of the index size"): no data transfer is charged.
+    irrespective of the index size"): no data transfer is charged, and
+    the directory is emptied at once ({!Directory.clear}).
     When the {!set_drop_gate} gate claims the index the whole drop is
     deferred — structure and extents stay intact so snapshot readers
     keep probing it — and the gate's owner re-calls [drop] later. *)

@@ -197,6 +197,41 @@ let prop_range_matches_filter =
       in
       Btree.range t ~lo ~hi = expect)
 
+(* [clear] empties the tree at once, counts one removal per key, and
+   nodes made afterwards get ids no earlier node had. *)
+let test_clear () =
+  let t = Btree.create ~order:4 () in
+  for k = 1 to 500 do
+    Btree.insert t (k * 7) k
+  done;
+  let max_id () =
+    Btree.fold t ~init:0 ~f:(fun m k _ ->
+        List.fold_left max m (Btree.search_path t k))
+  in
+  let old_max = max_id () in
+  let removes = Wave_obs.Metrics.counter "btree.removes" in
+  let before = Wave_obs.Metrics.counter_value removes in
+  Btree.clear t;
+  Alcotest.(check (float 0.)) "one removal per key" 500.0
+    (Wave_obs.Metrics.counter_value removes -. before);
+  Alcotest.(check int) "length" 0 (Btree.length t);
+  Alcotest.(check bool) "is_empty" true (Btree.is_empty t);
+  Alcotest.(check int) "height" 0 (Btree.height t);
+  Alcotest.(check (option int)) "find" None (Btree.find t 7);
+  Alcotest.(check (list (pair int int))) "no bindings" [] (Btree.to_list t);
+  Btree.check_invariants t;
+  for k = 1 to 200 do
+    Btree.insert t k (k * 2)
+  done;
+  Btree.check_invariants t;
+  Alcotest.(check int) "refilled" 200 (Btree.length t);
+  Alcotest.(check (option int)) "new binding" (Some 14) (Btree.find t 7);
+  Btree.iter t (fun k _ ->
+      List.iter
+        (fun id ->
+          if id <= old_max then Alcotest.failf "key %d: node id %d reused" k id)
+        (Btree.search_path t k))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -215,6 +250,7 @@ let suites =
         Alcotest.test_case "remove all" `Quick test_remove_all;
         Alcotest.test_case "remove absent" `Quick test_remove_absent;
         Alcotest.test_case "order validation" `Quick test_order_validation;
+        Alcotest.test_case "clear" `Quick test_clear;
       ]
       @ qcheck
           [

@@ -230,6 +230,135 @@ let test_io_pread_chunked () =
   Alcotest.(check int) "one wall observation" (n0 + 1) (Metrics.hist_count wall);
   Alcotest.(check bool) "deliver time left out" true (total () -. s0 < 0.03)
 
+(* The write twin: the range's bytes land exactly, asked for one chunk
+   at a time, in one pwrite to the fault plan and the counters, with or
+   without transients along the way. *)
+let test_io_pwrite_chunked () =
+  with_recorded_sleeps @@ fun _ ->
+  with_scratch_fd @@ fun fd ->
+  let off = 37 in
+  let source len = Bytes.init len (fun i -> Char.chr (((i * 13) + 5) land 0xff)) in
+  let file () =
+    let n = (Unix.fstat fd).Unix.st_size in
+    let b = Bytes.create n in
+    Io.pread fd b ~off:0;
+    Bytes.to_string b
+  in
+  (* [len] bytes of [want] through a chunk of [size], the fills recorded *)
+  let write ~size ~len want =
+    let fills = ref [] and pos = ref 0 in
+    let result =
+      counter_delta "disk.file.pwrites" (fun () ->
+          counter_delta "disk.file.bytes_written" (fun () ->
+              match
+                Io.pwrite_chunked fd ~off ~len ~chunk:(Bytes.create size)
+                  (fun buf ~len ->
+                    fills := len :: !fills;
+                    Bytes.blit want !pos buf 0 len;
+                    pos := !pos + len)
+              with
+              | () -> true
+              | exception Io.Io_error _ -> false))
+    in
+    (result, List.rev !fills)
+  in
+  let fills_of ~size ~len =
+    List.init ((len + size - 1) / size) (fun i -> min size (len - (i * size)))
+  in
+  let cases =
+    List.concat_map
+      (fun len ->
+        List.map (fun size -> (size, len, None)) [ 1; 7; 64; 100; 1000; 4096; 100_000 ])
+      [ 1000; 250_000 ]
+    @ [
+        (64, 1000, Some (Io.Transient (Io.Short, 3)));
+        (7, 1000, Some (Io.Transient (Io.Short, 1)));
+        (1000, 1000, Some (Io.Transient (Io.Short, 2)));
+        (100, 1000, Some (Io.Transient (Io.Eintr, 2)));
+        (100, 1000, Some (Io.Transient (Io.Eio, 1)));
+        (100_000, 250_000, Some (Io.Transient (Io.Short, 2)));
+        (4096, 250_000, Some (Io.Transient (Io.Eintr, 1)));
+      ]
+  in
+  List.iter
+    (fun (size, len, fault) ->
+      let name =
+        Printf.sprintf "chunk %d of %d%s" size len
+          (if fault = None then "" else " + transient")
+      in
+      (* over bytes the write must replace *)
+      Unix.ftruncate fd 0;
+      Io.pwrite fd (Bytes.make (off + len + 5) '\xAA') ~off:0;
+      let want = source len in
+      Option.iter (Io.arm Io.Pwrite) fault;
+      let ((ok, bytes), pwrites), fills = write ~size ~len want in
+      Alcotest.(check bool) (name ^ ": completes") true ok;
+      Alcotest.(check string) (name ^ ": exact bytes")
+        (String.make off '\xAA' ^ Bytes.to_string want ^ String.make 5 '\xAA')
+        (file ());
+      Alcotest.(check (list int)) (name ^ ": one fill per chunk") (fills_of ~size ~len)
+        fills;
+      Alcotest.(check (float 0.)) (name ^ ": one pwrite") 1.0 pwrites;
+      Alcotest.(check (float 0.)) (name ^ ": bytes counted once")
+        (float_of_int len) bytes;
+      Alcotest.(check bool) (name ^ ": plan consumed") true (Io.armed () = None))
+    cases;
+  (* a torn write lands exactly its prefix, even one that ends inside a
+     later chunk, and fills only the chunks that prefix reaches *)
+  List.iter
+    (fun (size, len, frac) ->
+      let name = Printf.sprintf "torn %.2f of %d by %d" frac len size in
+      Unix.ftruncate fd 0;
+      Io.pwrite fd (Bytes.make (off + len) '\xAA') ~off:0;
+      let want = source len in
+      let torn = int_of_float (frac *. float_of_int len) in
+      Io.arm Io.Pwrite (Io.Torn_write frac);
+      let ((ok, bytes), pwrites), fills = write ~size ~len want in
+      Alcotest.(check bool) (name ^ ": raises") false ok;
+      Alcotest.(check string) (name ^ ": exactly the prefix")
+        (String.make off '\xAA' ^ Bytes.sub_string want 0 torn
+        ^ String.make (len - torn) '\xAA')
+        (file ());
+      Alcotest.(check (list int)) (name ^ ": fills up to the prefix")
+        (List.filteri (fun i _ -> i * size < torn) (fills_of ~size ~len))
+        fills;
+      Alcotest.(check (float 0.)) (name ^ ": one pwrite") 1.0 pwrites;
+      Alcotest.(check (float 0.)) (name ^ ": prefix counted") (float_of_int torn) bytes)
+    [ (100, 1000, 0.55); (7, 1000, 0.5); (64, 1000, 0.999); (1000, 1000, 0.3);
+      (4096, 250_000, 0.61); (100, 1000, 0.0) ];
+  (* the k-th call is the k-th fault point, however many chunks the
+     calls before it took, for a torn plan too *)
+  let len = 1000 in
+  let want = source len in
+  List.iter
+    (fun (at, fault) ->
+      Io.arm ~at Io.Pwrite fault;
+      let outcomes =
+        List.init (at + 1) (fun _ ->
+            let ((ok, _), _), _ = write ~size:10 ~len want in
+            ok)
+      in
+      Alcotest.(check (list bool))
+        (Printf.sprintf "call %d fails" at)
+        (List.init (at + 1) (fun i -> i + 1 <> at))
+        outcomes)
+    [ (2, Io.Fail_stop); (2, Io.Torn_write 0.5); (3, Io.Torn_write 0.5) ];
+  Alcotest.check_raises "empty chunk"
+    (Invalid_argument "Io.pwrite_chunked: negative length or empty chunk") (fun () ->
+      Io.pwrite_chunked fd ~off ~len ~chunk:Bytes.empty (fun _ ~len:_ -> ()));
+  (* the wall histogram measures I/O: time spent in [fill] is left out *)
+  let wall = Metrics.histogram "disk.file.io_wall_s" in
+  let total () =
+    match Metrics.hist_summary wall with
+    | None -> 0.0
+    | Some h -> h.Metrics.mean *. float_of_int h.Metrics.count
+  in
+  let n0 = Metrics.hist_count wall and s0 = total () in
+  Io.pwrite_chunked fd ~off ~len:300 ~chunk:(Bytes.create 100) (fun _ ~len:_ ->
+      Unix.sleepf 0.02);
+  Alcotest.(check int) "one wall observation" (n0 + 1) (Metrics.hist_count wall);
+  Alcotest.(check bool) "fill time left out" true (total () -. s0 < 0.03)
+
 let test_io_arm_validation () =
   Alcotest.check_raises "at < 1" (Invalid_argument "Io.arm: need at >= 1")
     (fun () -> Io.arm ~at:0 Io.Pread Io.Fail_stop);
@@ -558,6 +687,80 @@ let test_verify_matches_reference () =
         poke ((5 * block_size) + pos) '\000'
       done;
       Block_file.close bf)
+    [ Block_file.stamp_bytes; 64; 100 ]
+
+(* The stamped buffer of the block file that stamped a whole range in
+   one buffer, kept as the reference the chunked writes must agree
+   with. *)
+let reference_stamped_buffer ~block_size ~start ~blocks ~ext_start ~gen ~seq =
+  let buf = Bytes.make (blocks * block_size) '\000' in
+  let prefix = Bytes.create 20 in
+  Bytes.blit_string "WVBK" 0 prefix 0 4;
+  Bytes.set_int64_le prefix 4 (Int64.of_int ext_start);
+  Bytes.set_int64_le prefix 12 (Int64.of_int gen);
+  let crc = Wave_util.Crc32.update Wave_util.Crc32.init prefix ~off:0 ~len:20 in
+  for i = 0 to blocks - 1 do
+    let boff = i * block_size in
+    Bytes.blit prefix 0 buf boff 20;
+    Bytes.set_int64_le buf (boff + 20) (Int64.of_int (start + i));
+    Bytes.set_int64_le buf (boff + 28) (Int64.of_int seq);
+    Bytes.set_int32_le buf (boff + 36)
+      (Int32.of_int
+         (Wave_util.Crc32.finish (Wave_util.Crc32.update crc buf ~off:(boff + 20) ~len:16)))
+  done;
+  buf
+
+(* Writes that span several chunks: stamps, zeros and torn prefixes land
+   as the one-buffer writer put them, each in one pwrite. *)
+let test_stamps_across_write_chunks () =
+  with_dir "rd_write_chunks" @@ fun dir ->
+  List.iter
+    (fun block_size ->
+      let per_chunk = max 1 (Block_file.chunk_bytes / block_size) in
+      List.iter
+        (fun (what, blocks) ->
+          let name = Printf.sprintf "bs %d, %s (%d blocks)" block_size what blocks in
+          let path = Filename.concat dir (Printf.sprintf "B_%d_%d" block_size blocks) in
+          let bf = Block_file.create ~path ~block_size in
+          let start = 2 and ext_start = 2 and gen = 0x51_2345 and seq = 41 in
+          let file () =
+            Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+          in
+          let range () = Bytes.sub_string (file ()) (start * block_size) (blocks * block_size) in
+          let one_pwrite step f =
+            let (), n = counter_delta "disk.file.pwrites" f in
+            Alcotest.(check (float 0.)) (Printf.sprintf "%s: %s is one pwrite" name step) 1.0 n
+          in
+          (* an earlier tenant's stamps, one block of zeros either side *)
+          Block_file.write_range bf ~start ~blocks ~ext_start:7 ~gen:3 ~seq:1;
+          Block_file.ensure_blocks bf (start + blocks + 1);
+          one_pwrite "zeroing" (fun () -> Block_file.zero_range bf ~start ~blocks);
+          Alcotest.(check string) (name ^ ": reused space reads back zero")
+            (String.make (blocks * block_size) '\000') (range ());
+          one_pwrite "stamping" (fun () ->
+              Block_file.write_range bf ~start ~blocks ~ext_start ~gen ~seq);
+          let want = reference_stamped_buffer ~block_size ~start ~blocks ~ext_start ~gen ~seq in
+          Alcotest.(check string) (name ^ ": stamps as the reference writes them")
+            (Bytes.to_string want) (range ());
+          Alcotest.(check int) (name ^ ": nothing past the range")
+            ((start + blocks + 1) * block_size) (Bytes.length (file ()));
+          Alcotest.(check bool) (name ^ ": verifies") true
+            (Block_file.verify_range bf ~start ~blocks ~ext_start ~gen);
+          Block_file.zero_range bf ~start ~blocks;
+          let torn =
+            Block_file.write_torn_prefix bf ~start ~blocks ~ext_start ~gen ~seq
+          in
+          Alcotest.(check string) (name ^ ": a torn prefix writes exactly its blocks")
+            (Bytes.sub_string want 0 (torn * block_size)
+            ^ String.make ((blocks - torn) * block_size) '\000')
+            (range ());
+          Block_file.close bf)
+        [
+          ("one block", 1);
+          ("one chunk", per_chunk);
+          ("a chunk and a block", per_chunk + 1);
+          ("2.5 chunks", (2 * per_chunk) + (per_chunk / 2));
+        ])
     [ Block_file.stamp_bytes; 64; 100 ]
 
 (* A range longer than one read chunk: the same verdict as the
@@ -975,6 +1178,7 @@ let suites =
           test_io_fsync_eio_fail_stop;
         Alcotest.test_case "arm validation" `Quick test_io_arm_validation;
         Alcotest.test_case "chunked pread is one pread" `Quick test_io_pread_chunked;
+        Alcotest.test_case "chunked pwrite is one pwrite" `Quick test_io_pwrite_chunked;
       ] );
     ( "disk.file_backend",
       [
@@ -994,6 +1198,8 @@ let suites =
           test_verify_matches_reference;
         Alcotest.test_case "verify across read chunks" `Quick
           test_verify_across_chunks;
+        Alcotest.test_case "stamps across write chunks" `Quick
+          test_stamps_across_write_chunks;
         Alcotest.test_case "stamp format known answer" `Quick
           test_stamp_known_answer;
         Alcotest.test_case "partial writes land at their offset" `Quick

@@ -53,12 +53,65 @@ let test_group_by_value () =
         posting 5 (entry ~rid:12 ~day:1 ());
       |]
   in
-  match Entry.group_by_value b.Entry.postings with
-  | [ (2, [ e2 ]); (5, [ e5a; e5b ]) ] ->
+  match Entry.group_by_value [ b ] with
+  | [| 2; 5 |], [| [| e2 |]; [| e5a; e5b |] |] ->
     Alcotest.(check int) "value-2 rid" 11 e2.Entry.rid;
     Alcotest.(check int) "value-5 order a" 10 e5a.Entry.rid;
     Alcotest.(check int) "value-5 order b" 12 e5b.Entry.rid
   | _ -> Alcotest.fail "unexpected grouping"
+
+(* The list grouping the two-pass one replaced, kept as the reference:
+   a [Hashtbl] of reversed lists, then a sort of the values. *)
+let reference_group_by_value postings =
+  let tbl = Hashtbl.create 64 in
+  Array.iter
+    (fun (p : Entry.posting) ->
+      match Hashtbl.find_opt tbl p.Entry.value with
+      | None -> Hashtbl.add tbl p.Entry.value [ p.Entry.entry ]
+      | Some es -> Hashtbl.replace tbl p.Entry.value (p.Entry.entry :: es))
+    postings;
+  Hashtbl.fold (fun v es acc -> (v, List.rev es) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+(* Random batches (some empty) whose values mix small ones that repeat,
+   negative and extreme ones, and multiples of 1024, which share their
+   low bits. *)
+let gen_batches =
+  let open QCheck2.Gen in
+  let value =
+    oneof
+      [
+        int_range (-5) 20;
+        map (fun k -> k * 1024) (int_range (-64) 64);
+        oneofl [ min_int; min_int + 1; max_int; max_int - 1; 1 lsl 40; -(1 lsl 40) ];
+        int;
+      ]
+  in
+  list_size (int_range 0 4) (list_size (int_range 0 60) value)
+
+let prop_group_matches_reference =
+  QCheck2.Test.make ~name:"grouping matches the list grouping" ~count:300
+    gen_batches (fun values ->
+      let rid = ref 0 in
+      let batches =
+        List.mapi
+          (fun day vs ->
+            Entry.batch_create ~day
+              (Array.of_list
+                 (List.map
+                    (fun v ->
+                      incr rid;
+                      posting v (entry ~rid:!rid ~day ~info:v ()))
+                    vs)))
+          values
+      in
+      let want =
+        reference_group_by_value
+          (Array.concat (List.map (fun (b : Entry.batch) -> b.Entry.postings) batches))
+      in
+      let values, groups = Entry.group_by_value batches in
+      List.combine (Array.to_list values) (List.map Array.to_list (Array.to_list groups))
+      = want)
 
 (* ------------------------------------------------------------------ *)
 (* Directory                                                          *)
@@ -71,7 +124,14 @@ let directory_roundtrip kind () =
   Alcotest.(check (option int)) "find" (Some 30) (Directory.find d 3);
   Directory.remove d 3;
   Alcotest.(check (option int)) "removed" None (Directory.find d 3);
-  Alcotest.(check (list int)) "ordered" [ 1; 5; 9 ] (Directory.values_ordered d)
+  Alcotest.(check (list int)) "ordered" [ 1; 5; 9 ]
+    (Directory.fold_descending d ~init:[] ~f:(fun acc k _ -> k :: acc));
+  Directory.clear d;
+  Alcotest.(check int) "cleared" 0 (Directory.length d);
+  Alcotest.(check (option int)) "nothing found" None (Directory.find d 5);
+  Directory.set d 4 40;
+  Alcotest.(check (list (pair int int))) "usable after clear" [ (4, 40) ]
+    (Directory.fold_descending d ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
 
 (* ------------------------------------------------------------------ *)
 (* Index: packed build                                                *)
@@ -355,6 +415,56 @@ let test_copy_packed () =
   Index.validate idx;
   Index.validate dup
 
+(* A copy shares the source's entry arrays, and editing the copy in
+   place (deleting days, adding a batch) leaves the source's scan and
+   its arrays as they were, for both layouts. *)
+let test_copy_edits_leave_source () =
+  List.iter
+    (fun (name, make) ->
+      let d = fresh_disk () in
+      let idx = make d in
+      let values = [ 1; 2; 3 ] in
+      let scan = Index.scan idx in
+      let arrays = List.map (fun v -> (v, Index.probe_bucket idx v)) values in
+      let contents = List.map (fun (v, es) -> (v, Array.copy es)) arrays in
+      let dup = Index.copy idx in
+      List.iter
+        (fun (v, es) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: value %d shared" name v)
+            true
+            (Index.probe_bucket dup v == es))
+        arrays;
+      Alcotest.(check int) (name ^ ": day 1 deleted") 6
+        (Index.delete_days dup (fun day -> day = 1));
+      Index.add_batch dup (batch ~day:4 ~values:[ 1; 3; 7 ] ~per_value:2);
+      Alcotest.(check bool) (name ^ ": source scan unchanged") true (Index.scan idx = scan);
+      List.iter2
+        (fun (v, es) (_, was) ->
+          let now = Index.probe_bucket idx v in
+          Alcotest.(check bool) (Printf.sprintf "%s: value %d same array" name v) true
+            (now == es);
+          Alcotest.(check bool) (Printf.sprintf "%s: value %d same entries" name v) true
+            (now = was))
+        arrays contents;
+      Alcotest.(check bool) (name ^ ": copy edited") true
+        (Index.probe_bucket dup 7 <> [||] && Index.probe_bucket dup 2 <> Index.probe_bucket idx 2);
+      Index.validate idx;
+      Index.validate dup)
+    [
+      ( "packed",
+        fun d ->
+          Index.build d cfg
+            [ batch ~day:1 ~values:[ 1; 2; 3 ] ~per_value:2;
+              batch ~day:2 ~values:[ 1; 2 ] ~per_value:3 ] );
+      ( "unpacked",
+        fun d ->
+          let idx = Index.create_empty d cfg in
+          Index.add_batch idx (batch ~day:1 ~values:[ 1; 2; 3 ] ~per_value:2);
+          Index.add_batch idx (batch ~day:2 ~values:[ 1; 2 ] ~per_value:3);
+          idx );
+    ]
+
 let test_copy_unpacked_preserves_slack () =
   let d = fresh_disk () in
   let idx = Index.create_empty d cfg in
@@ -525,7 +635,8 @@ let suites =
       [
         Alcotest.test_case "batch day validation" `Quick test_batch_day_validation;
         Alcotest.test_case "group by value" `Quick test_group_by_value;
-      ] );
+      ]
+      @ qcheck [ prop_group_matches_reference ] );
     ( "storage.directory",
       [
         Alcotest.test_case "hash roundtrip" `Quick (directory_roundtrip Directory.Hash);
@@ -572,6 +683,8 @@ let suites =
         Alcotest.test_case "copy packed" `Quick test_copy_packed;
         Alcotest.test_case "copy unpacked preserves slack" `Quick
           test_copy_unpacked_preserves_slack;
+        Alcotest.test_case "copy edits leave the source" `Quick
+          test_copy_edits_leave_source;
         Alcotest.test_case "pack drops and merges" `Quick test_pack_drops_and_merges;
         Alcotest.test_case "pack order and sharing" `Quick test_pack_order_and_sharing;
         Alcotest.test_case "pack all expired" `Quick test_pack_all_expired;
