@@ -206,10 +206,14 @@ let sim_cmd =
       & info [ "alerts" ] ~docv:"RULES.json"
           ~doc:
             "evaluate declarative alert rules (JSON: {\"rules\": [{name, \
-             metric, stat?, op, threshold, for_days?, scope?}]}): \
-             scope \"day\" rules at every day boundary, scope \
-             \"transition\" rules after every transition step over the \
-             runner.transition.* gauges")
+             metric, op, threshold, ...}]}).  Debounce rules (stat?, \
+             for_days?, scope?) fire after for_days consecutive breaches: \
+             scope \"day\" at every day boundary, scope \"transition\" \
+             after every transition step over the runner.transition.* \
+             gauges.  Burn-rate rules (window_days, goal?, fast_days?, \
+             slow_days?, burn_threshold?) fire while a fast and a slow \
+             window of daily samples both burn the error budget \
+             1 - goal at burn_threshold or faster")
   in
   let alerts_out =
     Arg.(
@@ -324,17 +328,6 @@ let sim_cmd =
              time-series at each transition step and day boundary, and \
              dump them to FILE as waveidx-series/1 JSON at end of run")
   in
-  let slos =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "slos" ] ~docv:"FILE"
-          ~doc:
-            "load SLO specs (JSON: {\"slos\": [{\"name\", \"metric\", \
-             \"op\", \"threshold\", \"window_days\", ...}]}) and evaluate \
-             multi-window burn-rate alerts at every day boundary; breach \
-             episodes join the alert report and the flight recorder")
-  in
   let metrics_out =
     Arg.(
       value
@@ -356,7 +349,7 @@ let sim_cmd =
   let run scheme technique w n days postings workload probes scans cache_blocks
       cache_readahead write_back alerts alerts_out profile top disk stall_after
       stall_seconds flight_recorder concurrent query_rate shards partition
-      query_scale split_threshold series_out slos metrics_out dash =
+      query_scale split_threshold series_out metrics_out dash =
     if write_back && cache_blocks = None then begin
       Printf.eprintf "sim: --write-back requires --cache-blocks\n";
       exit 2
@@ -379,23 +372,47 @@ let sim_cmd =
       Printf.eprintf "sim: --dash requires --shards >= 2\n";
       exit 2
     end;
-    let slo_specs =
-      match slos with
-      | None -> []
-      | Some path -> (
-        match Wave_obs.Slo.specs_of_file path with
-        | Ok specs -> specs
-        | Error e ->
-          Printf.eprintf "sim: bad slo specs: %s\n" e;
-          exit 2)
-    in
-    (* One store feeds --series-out, --slos and the OpenMetrics
-       quantile families alike; none of the flags -> no store, and the
-       runner samples nothing. *)
+    (* One store feeds --series-out, burn-rate rules and the
+       OpenMetrics quantile families alike; none of them -> no store,
+       and the runner samples nothing. *)
     let series_store =
-      if series_out <> None || metrics_out <> None || slo_specs <> [] || dash
+      if
+        series_out <> None || metrics_out <> None || dash
+        || List.exists Wave_obs.Alert.needs_series rules
       then Some (Wave_obs.Series.create ())
       else None
+    in
+    (* One report for the single-disk and the sharded run. *)
+    let report_alerts events =
+      if rules <> [] then begin
+        Printf.printf "\nalerts: %d rule(s), %d event(s)\n" (List.length rules)
+          (List.length events);
+        List.iter
+          (fun (e : Wave_obs.Alert.event) ->
+            let rl = e.Wave_obs.Alert.e_rule in
+            Printf.printf
+              "  %-24s [%s] %s %s %g: fired day %d, last day %d, %s (value %g)\n"
+              rl.Wave_obs.Alert.name (Wave_obs.Alert.kind_name rl)
+              rl.Wave_obs.Alert.metric
+              (Wave_obs.Alert.comparator_name rl.Wave_obs.Alert.comparator)
+              rl.Wave_obs.Alert.threshold e.Wave_obs.Alert.fired_day
+              e.Wave_obs.Alert.last_day
+              (match e.Wave_obs.Alert.resolved_day with
+              | None -> "still active"
+              | Some d -> Printf.sprintf "resolved day %d" d)
+              e.Wave_obs.Alert.value)
+          events;
+        match alerts_out with
+        | None -> ()
+        | Some path ->
+          let oc = open_out path in
+          output_string oc
+            (Wave_obs.Json.to_string ~pretty:true
+               (Wave_obs.Alert.events_json events));
+          output_char oc '\n';
+          close_out oc;
+          Printf.printf "wrote %s\n" path
+      end
     in
     let write_series_dump () =
       match (series_out, series_store) with
@@ -475,18 +492,29 @@ let sim_cmd =
     if shards > 1 then begin
       (* The sharded path: a Router over N arms, each on its own
          simulated disk — one block file cannot back N independent
-         arms, and the runner-side machinery (alerts, profiling,
-         epoch-interleaved serving) stays single-disk for now. *)
+         arms, and the runner-side machinery (profiling,
+         epoch-interleaved serving, transition steps for alert rules)
+         stays single-disk for now. *)
       if disk <> Wave_disk.Disk.Sim then begin
         Printf.eprintf "sim: --shards supports the sim disk backend only\n";
         exit 2
       end;
-      if concurrent || alerts <> None || profile || stall_after <> None then begin
+      if concurrent || profile || stall_after <> None then begin
         Printf.eprintf
-          "sim: --shards composes with the query flags only (not \
-           --concurrent/--alerts/--profile/--stall-after)\n";
+          "sim: --shards composes with the query and alert flags only (not \
+           --concurrent/--profile/--stall-after)\n";
         exit 2
       end;
+      (match
+         List.find_opt (fun r -> Wave_obs.Alert.kind_name r = "transition") rules
+       with
+      | Some r ->
+        Printf.eprintf
+          "sim: --shards evaluates rules at day boundaries only; rule %S has \
+           scope \"transition\"\n"
+          r.Wave_obs.Alert.name;
+        exit 2
+      | None -> ());
       let vocab =
         match dist with
         | Wave_workload.Query_gen.Zipfian { vocab; _ } -> vocab
@@ -496,10 +524,8 @@ let sim_cmd =
         Wave_shard.Router.create ~icfg ~technique ~kind:scheme ~partition
           ~shards ~vocab ~store ~w ~n ()
       in
-      let slo_engine =
-        match slo_specs with
-        | [] -> None
-        | specs -> Some (Wave_obs.Slo.create specs)
+      let engine =
+        if rules = [] then None else Some (Wave_obs.Alert.create rules)
       in
       let draw_dash st day =
         let arms = Wave_shard.Router.arms router in
@@ -535,12 +561,17 @@ let sim_cmd =
       in
       let on_day day =
         Option.iter (fun st -> Wave_obs.Series.sample st ~day) series_store;
-        (match (slo_engine, series_store) with
-        | Some eng, Some st -> ignore (Wave_obs.Slo.eval eng ~series:st ~day)
-        | _ -> ());
+        Option.iter
+          (fun eng ->
+            ignore
+              (Wave_obs.Alert.eval ?series:series_store ~scope:Wave_obs.Alert.Day
+                 eng ~day))
+          engine;
         if dash then Option.iter (fun st -> draw_dash st day) series_store
       in
-      let on_day = if series_store = None then None else Some on_day in
+      let on_day =
+        if series_store = None && engine = None then None else Some on_day
+      in
       let res =
         Wave_shard.Router.run ?split_threshold ?on_day router ~spec:queries
           ~days
@@ -591,26 +622,8 @@ let sim_cmd =
           h.Wave_obs.Metrics.p99 h.Wave_obs.Metrics.max
           h.Wave_obs.Metrics.count
       | _ -> ());
-      (match slo_engine with
-      | None -> ()
-      | Some eng ->
-        let events = Wave_obs.Slo.events eng in
-        Printf.printf "\nslos: %d spec(s), %d episode(s)\n"
-          (List.length slo_specs) (List.length events);
-        List.iter
-          (fun (e : Wave_obs.Alert.event) ->
-            let rl = e.Wave_obs.Alert.e_rule in
-            Printf.printf
-              "  %-24s %s %s %g: fired day %d, last day %d, %s (burn %g)\n"
-              rl.Wave_obs.Alert.name rl.Wave_obs.Alert.metric
-              (Wave_obs.Alert.comparator_name rl.Wave_obs.Alert.comparator)
-              rl.Wave_obs.Alert.threshold e.Wave_obs.Alert.fired_day
-              e.Wave_obs.Alert.last_day
-              (match e.Wave_obs.Alert.resolved_day with
-              | None -> "still active"
-              | Some d -> Printf.sprintf "resolved day %d" d)
-              e.Wave_obs.Alert.value)
-          events);
+      report_alerts
+        (match engine with None -> [] | Some e -> Wave_obs.Alert.events e);
       write_series_dump ();
       write_openmetrics ();
       exit 0
@@ -643,7 +656,6 @@ let sim_cmd =
           icfg;
           alerts = rules;
           series = series_store;
-          slos = slo_specs;
           on_env = Some on_env;
         }
     in
@@ -714,40 +726,7 @@ let sim_cmd =
     | Wave_disk.Disk.File path ->
       Printf.printf "block file         %s\n" path;
       print_file_io_stats ());
-    (if alerts = None && slo_specs = [] then ()
-     else
-      (* [result.alerts] carries rule events first, then SLO burn-rate
-         episodes (whose [value] is the fast-window burn at fire
-         time). *)
-      let events = r.Wave_sim.Runner.alerts in
-      Printf.printf "\nalerts: %d rule(s), %d slo(s), %d event(s)\n"
-        (List.length rules) (List.length slo_specs) (List.length events);
-      List.iter
-        (fun (e : Wave_obs.Alert.event) ->
-          let rl = e.Wave_obs.Alert.e_rule in
-          Printf.printf
-            "  %-24s [%s] %s %s %g: fired day %d, last day %d, %s (value %g)\n"
-            rl.Wave_obs.Alert.name
-            (Wave_obs.Alert.scope_name rl.Wave_obs.Alert.scope)
-            rl.Wave_obs.Alert.metric
-            (Wave_obs.Alert.comparator_name rl.Wave_obs.Alert.comparator)
-            rl.Wave_obs.Alert.threshold e.Wave_obs.Alert.fired_day
-            e.Wave_obs.Alert.last_day
-            (match e.Wave_obs.Alert.resolved_day with
-            | None -> "still active"
-            | Some d -> Printf.sprintf "resolved day %d" d)
-            e.Wave_obs.Alert.value)
-        events;
-      match alerts_out with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc
-          (Wave_obs.Json.to_string ~pretty:true
-             (Wave_obs.Alert.events_json events));
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote %s\n" path);
+    report_alerts r.Wave_sim.Runner.alerts;
     write_series_dump ();
     write_openmetrics ();
     (match flight_recorder with
@@ -778,7 +757,7 @@ let sim_cmd =
       $ probes $ scans $ cache_blocks $ cache_readahead $ write_back $ alerts
       $ alerts_out $ profile $ top $ disk $ stall_after $ stall_seconds
       $ flight_recorder $ concurrent $ query_rate $ shards $ partition
-      $ query_scale $ split_threshold $ series_out $ slos $ metrics_out $ dash)
+      $ query_scale $ split_threshold $ series_out $ metrics_out $ dash)
 
 let model_cmd =
   let doc =
@@ -1428,33 +1407,6 @@ let bench_cmd =
                 samples;
               Wave_cache.Cache.detach disk)
             [ Env.In_place; Env.Packed_shadow ];
-          (* Real-I/O twin of the in-place transition benchmark: the
-             same disk over a real block file, each sample measured in
-             wall seconds (syscalls included, fsync'd per transition).
-             Unlike every other series these numbers are machine-
-             dependent; they live under the transition+file/ prefix so
-             a baseline diff can treat them accordingly. *)
-          let blocks = Filename.temp_file "waveidx_bench" ".blocks" in
-          let icfg =
-            {
-              Wave_storage.Index.default_config with
-              Wave_storage.Index.disk_backend = Wave_disk.Disk.File blocks;
-            }
-          in
-          let disk = Wave_storage.Index.make_disk icfg in
-          let env = Env.create ~disk ~icfg ~store ~w ~n () in
-          let s = Scheme.start scheme env in
-          Scheme.advance_to s (2 * w);
-          record
-            (Printf.sprintf "transition+file/%s/in-place" sname)
-            (List.init runs (fun _ ->
-                 let t0 = Unix.gettimeofday () in
-                 Scheme.transition s;
-                 Wave_disk.Disk.fsync disk;
-                 Unix.gettimeofday () -. t0));
-          Wave_disk.Disk.close disk;
-          (try Sys.remove blocks with Sys_error _ -> ());
-          (try Sys.remove (blocks ^ ".alloc") with Sys_error _ -> ());
           (* Concurrent-serving twin of the probe benchmark: a full
              simulated run (simple shadow) with query arrivals
              interleaved into each transition's disk schedule under

@@ -159,7 +159,7 @@ val write : t -> Disk.extent -> unit
 
 val meta_read : t -> dir:int -> nodes:int list -> unit
 (** Charge a directory walk: each node is one metadata block in
-    namespace [dir] (use {!Wave_storage.Directory.uid}).  A resident
+    namespace [dir] (use {!Wave_storage.Btree.uid}).  A resident
     node is free; a miss charges one seek plus one block — the
     seek-dominated upper-level access a warm pool removes.  Metadata
     frames are never stale (node ids are never reused). *)

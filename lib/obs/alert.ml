@@ -1,28 +1,56 @@
 type comparator = Gt | Ge | Lt | Le
-type stat = Value | Mean | Min | Max | P50 | P95 | P99 | Count
-
-(* Day-scoped rules are evaluated once per day boundary (the original
-   semantics); transition-scoped rules after every transition step,
-   over the runner.transition.* gauges, so a single-transition spike is
-   seen before day-level aggregation averages it away. *)
 type scope = Day | Transition
+type stat = Value | Mean | Min | Max | P50 | P95 | P99 | Count
+type debounce = { stat : stat; for_days : int; scope : scope }
+
+type burn = {
+  goal : float;
+  window_days : int;
+  fast_days : int;
+  slow_days : int;
+  burn_threshold : float;
+}
+
+type window = Debounce of debounce | Burn of burn
 
 type rule = {
   name : string;
   metric : string;
-  stat : stat;
   comparator : comparator;
   threshold : float;
-  for_days : int;
-  scope : scope;
+  window : window;
 }
+
+let check_names who name metric =
+  if String.length name = 0 then invalid_arg (who ^ ": empty name");
+  if String.length metric = 0 then invalid_arg (who ^ ": empty metric")
 
 let rule ?(stat = Value) ?(for_days = 1) ?(scope = Day) ~name ~metric comparator
     threshold =
   if for_days < 1 then invalid_arg "Alert.rule: for_days < 1";
-  if String.length name = 0 then invalid_arg "Alert.rule: empty name";
-  if String.length metric = 0 then invalid_arg "Alert.rule: empty metric";
-  { name; metric; stat; comparator; threshold; for_days; scope }
+  check_names "Alert.rule" name metric;
+  { name; metric; comparator; threshold; window = Debounce { stat; for_days; scope } }
+
+let burn ?(goal = 0.99) ?fast_days ?slow_days ?(burn_threshold = 1.0) ~name
+    ~metric ~window_days comparator threshold =
+  check_names "Alert.burn" name metric;
+  if window_days < 1 then invalid_arg "Alert.burn: window_days < 1";
+  if not (goal >= 0.0 && goal < 1.0) then
+    invalid_arg "Alert.burn: goal outside [0, 1)";
+  if not (burn_threshold > 0.0) then
+    invalid_arg "Alert.burn: non-positive burn_threshold";
+  let fast = Option.value ~default:(max 1 (window_days / 8)) fast_days in
+  let slow = Option.value ~default:(max fast (window_days / 2)) slow_days in
+  if not (1 <= fast && fast <= slow && slow <= window_days) then
+    invalid_arg "Alert.burn: need 1 <= fast_days <= slow_days <= window_days";
+  {
+    name;
+    metric;
+    comparator;
+    threshold;
+    window =
+      Burn { goal; window_days; fast_days = fast; slow_days = slow; burn_threshold };
+  }
 
 type event = {
   e_rule : rule;
@@ -32,7 +60,7 @@ type event = {
   mutable resolved_day : int option;
 }
 
-(* Per-rule debounce: [streak] counts consecutive satisfied
+(* Per-rule episode state: [streak] counts consecutive satisfied
    evaluations; [current] is the open event while the rule is firing. *)
 type state = { s_rule : rule; mutable streak : int; mutable current : event option }
 
@@ -42,10 +70,10 @@ let create rules =
   { states = List.map (fun r -> { s_rule = r; streak = 0; current = None }) rules;
     history = [] }
 
-let rules t = List.map (fun s -> s.s_rule) t.states
-
 let comparator_name = function Gt -> ">" | Ge -> ">=" | Lt -> "<" | Le -> "<="
 let scope_name = function Day -> "day" | Transition -> "transition"
+let scopes = [ Day; Transition ]
+let stats = [ Value; Mean; Min; Max; P50; P95; P99; Count ]
 
 let stat_name = function
   | Value -> "value"
@@ -57,24 +85,29 @@ let stat_name = function
   | P99 -> "p99"
   | Count -> "count"
 
-let compare_v cmp v threshold =
+let needs_series r = match r.window with Burn _ -> true | Debounce _ -> false
+
+let kind_name r =
+  match r.window with Debounce d -> scope_name d.scope | Burn _ -> "slo"
+
+let holds cmp v threshold =
   match cmp with
   | Gt -> v > threshold
   | Ge -> v >= threshold
   | Lt -> v < threshold
   | Le -> v <= threshold
 
-(* Resolve a rule's stat against the registry.  [None] — metric
-   missing, histogram empty, or stat inapplicable to the metric's
-   kind — counts as not-satisfied. *)
-let resolve ?registry r =
-  match Metrics.lookup ?registry r.metric with
+(* Resolve a debounce rule's stat against the registry.  [None] —
+   metric missing, histogram empty, or stat inapplicable to the
+   metric's kind — counts as not satisfied. *)
+let resolve ?registry metric stat =
+  match Metrics.lookup ?registry metric with
   | None -> None
   | Some (`Counter v) | Some (`Gauge v) -> (
-    match r.stat with Value -> Some v | _ -> None)
+    match stat with Value -> Some v | _ -> None)
   | Some (`Histogram None) -> None
   | Some (`Histogram (Some s)) -> (
-    match r.stat with
+    match stat with
     | Value | Mean -> Some s.Metrics.mean
     | Min -> Some s.Metrics.min
     | Max -> Some s.Metrics.max
@@ -83,89 +116,142 @@ let resolve ?registry r =
     | P99 -> Some s.Metrics.p99
     | Count -> Some (float_of_int s.Metrics.count))
 
-(* [?scope] filters which rules this evaluation touches: [None] (the
-   pre-scope behavior) advances every rule; [Some s] advances only
-   rules of scope [s], leaving the others' debounce streaks and open
-   episodes untouched — a transition-step evaluation must not reset a
-   day rule's streak, and vice versa. *)
-let eval ?registry ?scope t ~day =
+let burn_rate series r ~window =
+  match r.window with
+  | Debounce _ -> invalid_arg "Alert.burn_rate: not a burn-rate rule"
+  | Burn b ->
+    let days = Series.daily series r.metric in
+    let have = List.length days in
+    if have < window || window < 1 then None
+    else
+      let bad =
+        List.filteri
+          (fun i p ->
+            i >= have - window && holds r.comparator p.Series.value r.threshold)
+          days
+      in
+      Some
+        (float_of_int (List.length bad) /. float_of_int window /. (1.0 -. b.goal))
+
+(* The value a rule breaches with, or [None] when its condition does
+   not hold this evaluation. *)
+let breach ?registry ?series r =
+  match r.window with
+  | Debounce d -> (
+    match resolve ?registry r.metric d.stat with
+    | Some v when holds r.comparator v r.threshold -> Some v
+    | _ -> None)
+  | Burn b -> (
+    let rate window = Option.bind series (fun s -> burn_rate s r ~window) in
+    match (rate b.fast_days, rate b.slow_days) with
+    | Some fast, Some slow
+      when fast >= b.burn_threshold && slow >= b.burn_threshold ->
+      Some fast
+    | _ -> None)
+
+let fire t st ~day value =
+  let r = st.s_rule in
+  let e = { e_rule = r; fired_day = day; value; last_day = day; resolved_day = None } in
+  st.current <- Some e;
+  t.history <- e :: t.history;
+  let instant, tags =
+    match r.window with
+    | Debounce d ->
+      ( "alert",
+        [
+          ("rule", r.name);
+          ("metric", r.metric);
+          ("stat", stat_name d.stat);
+          ("scope", scope_name d.scope);
+          ("value", Printf.sprintf "%g" value);
+        ] )
+    | Burn b ->
+      ( "slo",
+        [
+          ("slo", r.name);
+          ("objective", r.metric);
+          ("burn", Printf.sprintf "%g" value);
+          ("fast_days", string_of_int b.fast_days);
+          ("slow_days", string_of_int b.slow_days);
+        ] )
+  in
+  if Trace.is_enabled () then
+    Trace.instant instant ~tags:(tags @ [ ("day", string_of_int day) ]);
+  (* A firing is flight-recorder material in its own right, and the
+     moment to persist volatile evidence: dump the ring if a dump path
+     is armed, and flush the streaming trace sink so the events leading
+     here survive a subsequent crash. *)
+  Recorder.record_alert ~rule:r.name ~metric:r.metric ~value ~day
+    ~scope:(kind_name r);
+  let reason = instant ^ ":" ^ r.name in
+  Recorder.dump_if_configured ~reason;
+  Sink.flush_traces ~reason
+
+(* [?scope] filters which rules this evaluation touches: a transition
+   step must not reset a day rule's streak, and vice versa.  Burn-rate
+   rules judge whole days, so they ride with the day evaluations. *)
+let in_scope scope r =
+  match (scope, r.window) with
+  | None, _ -> true
+  | Some s, Debounce d -> s = d.scope
+  | Some s, Burn _ -> s = Day
+
+let eval ?registry ?series ?scope t ~day =
   List.filter_map
     (fun st ->
       let r = st.s_rule in
-      if match scope with Some s -> s <> r.scope | None -> false then None
+      if not (in_scope scope r) then None
       else
-      let satisfied, value =
-        match resolve ?registry r with
-        | Some v when compare_v r.comparator v r.threshold -> (true, v)
-        | Some v -> (false, v)
-        | None -> (false, nan)
-      in
-      if satisfied then begin
-        st.streak <- st.streak + 1;
-        (match st.current with
-        | Some e -> e.last_day <- day
+        match breach ?registry ?series r with
+        | Some v ->
+          st.streak <- st.streak + 1;
+          (match (st.current, r.window) with
+          | Some e, _ -> e.last_day <- day
+          | None, Debounce d when st.streak < d.for_days -> ()
+          | None, _ -> fire t st ~day v);
+          Option.map (fun _ -> (r, v)) st.current
         | None ->
-          if st.streak >= r.for_days then begin
-            let e =
-              { e_rule = r; fired_day = day; value; last_day = day;
-                resolved_day = None }
-            in
-            st.current <- Some e;
-            t.history <- e :: t.history;
-            if Trace.is_enabled () then
-              Trace.instant "alert"
-                ~tags:
-                  [
-                    ("rule", r.name);
-                    ("metric", r.metric);
-                    ("stat", stat_name r.stat);
-                    ("scope", scope_name r.scope);
-                    ("value", Printf.sprintf "%g" value);
-                    ("day", string_of_int day);
-                  ];
-            (* A firing is flight-recorder material in its own right,
-               and the moment to persist volatile evidence: dump the
-               ring if a dump path is armed, and flush the streaming
-               trace sink so the events leading here survive a
-               subsequent crash. *)
-            Recorder.record_alert ~rule:r.name ~metric:r.metric ~value ~day
-              ~scope:(scope_name r.scope);
-            Recorder.dump_if_configured ~reason:("alert:" ^ r.name);
-            Sink.flush_traces ~reason:("alert:" ^ r.name)
-          end);
-        match st.current with Some _ -> Some (r, value) | None -> None
-      end
-      else begin
-        st.streak <- 0;
-        (match st.current with
-        | Some e ->
-          e.resolved_day <- Some day;
-          st.current <- None
-        | None -> ());
-        None
-      end)
+          st.streak <- 0;
+          Option.iter (fun e -> e.resolved_day <- Some day) st.current;
+          st.current <- None;
+          None)
     t.states
 
 let events t = List.rev t.history
 let active t = List.rev (List.filter (fun e -> e.resolved_day = None) t.history)
 
+(* The rule's own fields, in the order the parser documents them. *)
+let rule_json r =
+  let op =
+    [ ("op", Json.Str (comparator_name r.comparator)); ("threshold", Json.Num r.threshold) ]
+  in
+  ("rule", Json.Str r.name)
+  :: ("metric", Json.Str r.metric)
+  ::
+  (match r.window with
+  | Debounce d ->
+    (("stat", Json.Str (stat_name d.stat)) :: op)
+    @ [ ("for_days", Json.int d.for_days); ("scope", Json.Str (scope_name d.scope)) ]
+  | Burn b ->
+    op
+    @ [
+        ("goal", Json.Num b.goal);
+        ("window_days", Json.int b.window_days);
+        ("fast_days", Json.int b.fast_days);
+        ("slow_days", Json.int b.slow_days);
+        ("burn_threshold", Json.Num b.burn_threshold);
+      ])
+
 let event_json e =
-  let r = e.e_rule in
   Json.Obj
-    [
-      ("rule", Json.Str r.name);
-      ("metric", Json.Str r.metric);
-      ("stat", Json.Str (stat_name r.stat));
-      ("op", Json.Str (comparator_name r.comparator));
-      ("threshold", Json.Num r.threshold);
-      ("for_days", Json.int r.for_days);
-      ("scope", Json.Str (scope_name r.scope));
-      ("fired_day", Json.int e.fired_day);
-      ("last_day", Json.int e.last_day);
-      ( "resolved_day",
-        match e.resolved_day with None -> Json.Null | Some d -> Json.int d );
-      ("value", Json.Num e.value);
-    ]
+    (rule_json e.e_rule
+    @ [
+        ("fired_day", Json.int e.fired_day);
+        ("last_day", Json.int e.last_day);
+        ( "resolved_day",
+          match e.resolved_day with None -> Json.Null | Some d -> Json.int d );
+        ("value", Json.Num e.value);
+      ])
 
 let events_json evs =
   Json.Obj
@@ -174,114 +260,83 @@ let events_json evs =
       ("alerts", Json.Arr (List.map event_json evs));
     ]
 
-let to_json t =
-  let evs = events t in
-  Json.Obj
-    [
-      ("rules", Json.int (List.length t.states));
-      ("count", Json.int (List.length evs));
-      ("alerts", Json.Arr (List.map event_json evs));
-    ]
-
 (* --- rule parsing ------------------------------------------------- *)
 
-let ( let* ) = Result.bind
+let comparators =
+  [ (">", Gt); (">=", Ge); ("<", Lt); ("<=", Le); ("gt", Gt); ("ge", Ge);
+    ("lt", Lt); ("le", Le) ]
 
-let stat_of_string = function
-  | "value" -> Ok Value
-  | "mean" -> Ok Mean
-  | "min" -> Ok Min
-  | "max" -> Ok Max
-  | "p50" -> Ok P50
-  | "p95" -> Ok P95
-  | "p99" -> Ok P99
-  | "count" -> Ok Count
-  | s -> Error (Printf.sprintf "unknown stat %S" s)
+let debounce_keys = [ "stat"; "for_days"; "scope" ]
+let burn_keys = [ "goal"; "fast_days"; "slow_days"; "burn_threshold" ]
 
-let comparator_of_string = function
-  | ">" | "gt" -> Ok Gt
-  | ">=" | "ge" -> Ok Ge
-  | "<" | "lt" -> Ok Lt
-  | "<=" | "le" -> Ok Le
-  | s -> Error (Printf.sprintf "unknown op %S (expected >, >=, <, <=)" s)
-
-let scope_of_string = function
-  | "day" -> Ok Day
-  | "transition" -> Ok Transition
-  | s -> Error (Printf.sprintf "unknown scope %S (expected day | transition)" s)
-
-let rule_of_json i j =
-  let label fields =
-    match List.assoc_opt "name" fields with
-    | Some (Json.Str n) -> Printf.sprintf "rule %S" n
-    | _ -> Printf.sprintf "rule %d" i
+(* Build a rule from an entry whose fields already have their shapes;
+   raises [Invalid_argument] on what the shapes cannot say (the two
+   kinds' fields mixed, the constructors' cross-field bounds). *)
+let rule_of_entry j =
+  let str k = Option.bind (Json.member k j) Json.to_str in
+  let num k = Option.bind (Json.member k j) Json.to_float in
+  let int k = Option.map int_of_float (num k) in
+  let refuse keys why =
+    match List.filter (fun k -> Json.member k j <> None) keys with
+    | [] -> ()
+    | set ->
+      invalid_arg
+        (Printf.sprintf "%s %s" (String.concat ", " (List.map (Printf.sprintf "%S") set)) why)
   in
-  match j with
-  | Json.Obj fields ->
-    let where = label fields in
-    let str field =
-      match List.assoc_opt field fields with
-      | Some (Json.Str s) when String.length s > 0 -> Ok s
-      | Some _ -> Error (Printf.sprintf "%s: %S must be a non-empty string" where field)
-      | None -> Error (Printf.sprintf "%s: missing %S" where field)
-    in
-    let* name = str "name" in
-    let* metric = str "metric" in
-    let* op_s = str "op" in
-    let* comparator =
-      Result.map_error (Printf.sprintf "%s: %s" where) (comparator_of_string op_s)
-    in
-    let* threshold =
-      match List.assoc_opt "threshold" fields with
-      | Some (Json.Num v) when Float.is_finite v -> Ok v
-      | Some _ -> Error (Printf.sprintf "%s: \"threshold\" must be a finite number" where)
-      | None -> Error (Printf.sprintf "%s: missing \"threshold\"" where)
-    in
-    let* stat =
-      match List.assoc_opt "stat" fields with
-      | None -> Ok Value
-      | Some (Json.Str s) ->
-        Result.map_error (Printf.sprintf "%s: %s" where) (stat_of_string s)
-      | Some _ -> Error (Printf.sprintf "%s: \"stat\" must be a string" where)
-    in
-    let* for_days =
-      match List.assoc_opt "for_days" fields with
-      | None -> Ok 1
-      | Some (Json.Num v) when Float.is_integer v && v >= 1.0 ->
-        Ok (int_of_float v)
-      | Some _ -> Error (Printf.sprintf "%s: \"for_days\" must be an integer >= 1" where)
-    in
-    let* scope =
-      match List.assoc_opt "scope" fields with
-      | None -> Ok Day
-      | Some (Json.Str s) ->
-        Result.map_error (Printf.sprintf "%s: %s" where) (scope_of_string s)
-      | Some _ -> Error (Printf.sprintf "%s: \"scope\" must be a string" where)
-    in
-    Ok { name; metric; stat; comparator; threshold; for_days; scope }
-  | _ -> Error (Printf.sprintf "rule %d: expected an object" i)
+  let name = Option.get (str "name") and metric = Option.get (str "metric") in
+  let cmp = List.assoc (Option.get (str "op")) comparators in
+  let threshold = Option.get (num "threshold") in
+  match int "window_days" with
+  | Some window_days ->
+    refuse debounce_keys "cannot be set on a burn-rate rule (it has \"window_days\")";
+    burn ?goal:(num "goal") ?fast_days:(int "fast_days") ?slow_days:(int "slow_days")
+      ?burn_threshold:(num "burn_threshold") ~name ~metric ~window_days cmp
+      threshold
+  | None ->
+    refuse burn_keys "needs \"window_days\" (burn-rate rules only)";
+    let by_name name_of xs s = List.find (fun x -> name_of x = s) xs in
+    rule
+      ?stat:(Option.map (by_name stat_name stats) (str "stat"))
+      ?for_days:(int "for_days")
+      ?scope:(Option.map (by_name scope_name scopes) (str "scope"))
+      ~name ~metric cmp threshold
+
+let entry_shape =
+  Shape.(
+    obj
+      [
+        req "name" nonempty;
+        req "metric" nonempty;
+        req "op" (one_of (List.map fst comparators));
+        req "threshold" finite;
+        opt "stat" (one_of (List.map stat_name stats));
+        opt "for_days" (int_at_least 1);
+        opt "scope" (one_of (List.map scope_name scopes));
+        opt "window_days" (int_at_least 1);
+        opt "goal" finite;
+        opt "fast_days" (int_at_least 1);
+        opt "slow_days" (int_at_least 1);
+        opt "burn_threshold" finite;
+        satisfies (fun j ->
+            match rule_of_entry j with
+            | _ -> Ok ()
+            | exception Invalid_argument msg -> Error msg);
+      ])
 
 let rules_of_json j =
-  let arr =
+  let entries =
     match j with
-    | Json.Obj fields -> (
-      match List.assoc_opt "rules" fields with
-      | Some (Json.Arr items) -> Ok items
-      | Some _ -> Error "\"rules\" must be an array"
-      | None -> Error "expected {\"rules\": [...]} or a top-level array")
-    | Json.Arr items -> Ok items
-    | _ -> Error "expected {\"rules\": [...]} or a top-level array"
+    | Json.Arr items -> Some items
+    | Json.Obj _ -> Option.bind (Json.member "rules" j) Json.to_list
+    | _ -> None
   in
-  let* items = arr in
-  if items = [] then Error "no rules given"
-  else
-    let rec go i acc = function
-      | [] -> Ok (List.rev acc)
-      | item :: rest ->
-        let* r = rule_of_json i item in
-        go (i + 1) (r :: acc) rest
-    in
-    go 0 [] items
+  match entries with
+  | None -> Error "expected {\"rules\": [...]} or a top-level array"
+  | Some [] -> Error "no rules given"
+  | Some items ->
+    Result.map
+      (fun () -> List.map rule_of_entry items)
+      (Shape.check (Shape.arr ~label:(Shape.numbered "rule") entry_shape) (Json.Arr items))
 
 let rules_of_file path =
   match In_channel.with_open_bin path In_channel.input_all with

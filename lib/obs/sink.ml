@@ -134,61 +134,53 @@ let write_jsonl ~path ~spans ~instants =
 let write_chrome ?(clock = `Model) ~path ~spans ~instants () =
   write_file path (Json.to_string ~pretty:true (chrome_json ~clock ~spans ~instants ()))
 
-(* --- validation ----------------------------------------------------- *)
+(* --- document shapes ------------------------------------------------ *)
 
-let validate_event i ev =
-  let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "event %d: %s" i m)) fmt in
-  let num k = Option.bind (Json.member k ev) Json.to_float in
-  let str k = Option.bind (Json.member k ev) Json.to_str in
-  match str "name" with
-  | None -> fail "missing string \"name\""
-  | Some _ -> (
-    match str "ph" with
-    | None -> fail "missing string \"ph\""
-    | Some ph -> (
-      match num "ts" with
-      | None -> fail "missing numeric \"ts\""
-      | Some ts when Float.is_nan ts -> fail "non-finite \"ts\""
-      | Some _ -> (
-        match (num "pid", num "tid") with
-        | Some _, Some _ -> (
-          if ph <> "X" then Ok ()
-          else
-            match num "dur" with
-            | Some d when d >= 0.0 -> Ok ()
-            | Some _ -> fail "negative \"dur\""
-            | None -> fail "\"X\" event missing \"dur\"")
-        | _ -> fail "missing \"pid\"/\"tid\"")))
+(* Every validator and reader below is a Shape plus, where the rules
+   span values, a few lines of code after the shape holds.  Once a
+   shape has checked a document, the accessors below cannot miss. *)
 
-let validate_chrome j =
-  match Json.member "traceEvents" j with
-  | None -> Error "missing \"traceEvents\""
-  | Some events -> (
-    match Json.to_list events with
-    | None -> Error "\"traceEvents\" is not an array"
-    | Some evs ->
-      let rec go i = function
-        | [] -> Ok (List.length evs)
-        | ev :: rest -> (
-          match validate_event i ev with Ok () -> go (i + 1) rest | Error e -> Error e)
-      in
-      go 0 evs)
+let ( let* ) = Result.bind
+let field k j = Option.get (Json.member k j)
+let field_num k j = Option.get (Json.to_float (field k j))
+let field_str k j = Option.get (Json.to_str (field k j))
+let field_list k j = Option.get (Json.to_list (field k j))
 
 let read_parse path =
-  let ic = open_in_bin path in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Json.parse contents with
-  | Error e -> Error (Printf.sprintf "%s: bad JSON: %s" path e)
-  | Ok j -> Ok j
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | contents -> (
+    match Json.parse contents with
+    | Error e -> Error (Printf.sprintf "%s: bad JSON: %s" path e)
+    | Ok j -> Ok j)
 
-let validate_chrome_file path =
-  match read_parse path with Error e -> Error e | Ok j -> validate_chrome j
+let from_file f path = Result.bind (read_parse path) f
 
-(* --- bench snapshot validation --------------------------------------- *)
+let required keys t = List.map (fun k -> Shape.req k t) keys
+let non_negative keys = required keys (Shape.at_least 0.0)
+
+let chrome_shape =
+  Shape.(
+    obj
+      [
+        req "traceEvents"
+          (arr ~label:(numbered "event")
+             (obj
+                [
+                  req "name" str;
+                  req "ph" str;
+                  req "ts" finite;
+                  req "pid" num;
+                  req "tid" num;
+                  case "ph" "X" [ req "dur" (at_least 0.0) ];
+                ]));
+      ])
+
+let validate_chrome j =
+  let* () = Shape.check chrome_shape j in
+  Ok (List.length (field_list "traceEvents" j))
+
+let validate_chrome_file = from_file validate_chrome
 
 (* /5 adds the concurrent-serving series (probe+concurrent/...,
    probe+stopworld/...) measured by the epoch-interleaved runner.
@@ -200,6 +192,7 @@ let validate_chrome_file path =
    so a snapshot also shows the trend shape, not just the endpoint
    percentiles. *)
 let bench_schema = "waveidx-bench/7"
+let series_schema = "waveidx-series/1"
 
 let required_bench_series =
   [
@@ -207,281 +200,296 @@ let required_bench_series =
     "throughput+shards/8";
   ]
 
-let validate_benchmark i b =
-  (* Name the series in every error so a failing corpus line is
-     actionable without counting array elements. *)
-  let label =
-    match Option.bind (Json.member "name" b) Json.to_str with
-    | Some name -> Printf.sprintf "benchmark %d (%S)" i name
-    | None -> Printf.sprintf "benchmark %d" i
-  in
-  let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "%s: %s" label m)) fmt in
-  let num k o = Option.bind (Json.member k o) Json.to_float in
-  let str k o = Option.bind (Json.member k o) Json.to_str in
-  let ( let* ) = Result.bind in
-  let non_negative o name keys =
-    List.fold_left
-      (fun acc key ->
-        let* () = acc in
-        match num key o with
-        | Some v when v >= 0.0 -> Ok ()
-        | Some _ -> fail "%s.%s is negative" name key
-        | None -> fail "%s missing numeric %S" name key)
-      (Ok ()) keys
-  in
-  let* () =
-    match str "name" b with
-    | None -> fail "missing string \"name\""
-    | Some _ -> Ok ()
-  in
-  let* () = non_negative b "benchmark" [ "p50"; "p95" ] in
-  let* () =
-    match num "runs" b with
-    | Some r when r >= 1.0 -> Ok ()
-    | Some _ -> fail "\"runs\" below 1"
-    | None -> fail "missing numeric \"runs\""
-  in
-  let* () =
-    match Json.member "cache" b with
-    | None -> Ok ()
-    | Some c -> (
-      match num "hit_ratio" c with
-      | Some r when r >= 0.0 && r <= 1.0 ->
-        non_negative c "cache" [ "hits"; "misses"; "frames" ]
-      | Some _ -> fail "cache.hit_ratio outside [0, 1]"
-      | None -> fail "cache missing numeric \"hit_ratio\"")
-  in
-  match Json.member "writeback" b with
-  | None -> Ok ()
-  | Some wb ->
-    non_negative wb "writeback"
-      [ "writes_coalesced"; "flushes"; "flushed_blocks" ]
-
-(* The /4 schema adds a required "profile" summary block: which traced
-   run produced it and its hottest nodes by self model-seconds. *)
-let validate_profile_block p =
-  let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "profile: %s" m)) fmt in
-  let num k o = Option.bind (Json.member k o) Json.to_float in
-  let str k o = Option.bind (Json.member k o) Json.to_str in
-  let ( let* ) = Result.bind in
-  let* () =
-    match str "scheme" p with
-    | Some _ -> Ok ()
-    | None -> fail "missing string \"scheme\""
-  in
-  let* () =
-    match str "technique" p with
-    | Some _ -> Ok ()
-    | None -> fail "missing string \"technique\""
-  in
-  let* () =
-    match num "days" p with
-    | Some d when d >= 1.0 -> Ok ()
-    | Some _ -> fail "\"days\" below 1"
-    | None -> fail "missing numeric \"days\""
-  in
-  let* () =
-    match num "total_model_s" p with
-    | Some v when v >= 0.0 -> Ok ()
-    | Some _ -> fail "\"total_model_s\" is negative"
-    | None -> fail "missing numeric \"total_model_s\""
-  in
-  match Option.bind (Json.member "top" p) Json.to_list with
-  | None -> fail "missing \"top\" array"
-  | Some [] -> fail "empty \"top\" array"
-  | Some tops ->
-    let check_top i n =
-      let fail fmt =
-        Printf.ksprintf (fun m -> Error (Printf.sprintf "profile.top[%d]: %s" i m)) fmt
-      in
-      let* () =
-        match str "path" n with
-        | Some _ -> Ok ()
-        | None -> fail "missing string \"path\""
-      in
-      let* () =
-        match num "calls" n with
-        | Some c when c >= 1.0 -> Ok ()
-        | Some _ -> fail "\"calls\" below 1"
-        | None -> fail "missing numeric \"calls\""
-      in
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          match num key n with
-          | Some v when v >= 0.0 -> Ok ()
-          | Some _ -> fail "%S is negative" key
-          | None -> fail "missing numeric %S" key)
-        (Ok ())
-        [ "self_model_s"; "total_model_s"; "seeks" ]
-    in
-    let rec go i = function
-      | [] -> Ok ()
-      | n :: rest -> (
-        match check_top i n with Ok () -> go (i + 1) rest | Error e -> Error e)
-    in
-    go 0 tops
-
-(* The /7 schema's required "series" block: a compact per-metric
-   summary of the canonical run's time-series (the full ring dump
-   belongs to sim --series-out, not the bench snapshot). *)
-let series_schema = "waveidx-series/1"
-
-let validate_series_block sb =
-  let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "series: %s" m)) fmt in
-  let num k o = Option.bind (Json.member k o) Json.to_float in
-  let str k o = Option.bind (Json.member k o) Json.to_str in
-  let ( let* ) = Result.bind in
-  let* () =
-    match str "schema" sb with
-    | Some s when s = series_schema -> Ok ()
-    | Some s -> fail "schema %S, expected %S" s series_schema
-    | None -> fail "missing string \"schema\""
-  in
-  let* () =
-    match num "ticks" sb with
-    | Some t when t >= 1.0 -> Ok ()
-    | Some _ -> fail "\"ticks\" below 1"
-    | None -> fail "missing numeric \"ticks\""
-  in
-  match Option.bind (Json.member "tracked" sb) Json.to_list with
-  | None -> fail "missing \"tracked\" array"
-  | Some [] -> fail "empty \"tracked\" array"
-  | Some tracked ->
-    let check i e =
-      let fail fmt =
-        Printf.ksprintf
-          (fun m -> Error (Printf.sprintf "series.tracked[%d]: %s" i m))
-          fmt
-      in
-      let* () =
-        match str "name" e with
-        | Some _ -> Ok ()
-        | None -> fail "missing string \"name\""
-      in
-      let* () =
-        match num "points" e with
-        | Some p when p >= 1.0 -> Ok ()
-        | Some _ -> fail "\"points\" below 1"
-        | None -> fail "missing numeric \"points\""
-      in
-      let* () =
-        List.fold_left
-          (fun acc key ->
-            let* () = acc in
-            match num key e with
-            | Some v when Float.is_finite v -> Ok ()
-            | Some _ -> fail "non-finite %S" key
-            | None -> fail "missing numeric %S" key)
-          (Ok ())
-          [ "last"; "mean"; "p95" ]
-      in
-      match Json.member "trend" e with
-      | None -> fail "missing \"trend\" (number or null)"
-      | Some Json.Null -> Ok ()
-      | Some (Json.Num v) when Float.is_finite v -> Ok ()
-      | Some _ -> fail "\"trend\" must be a finite number or null"
-    in
-    let rec go i = function
-      | [] -> Ok ()
-      | e :: rest -> (
-        match check i e with Ok () -> go (i + 1) rest | Error e -> Error e)
-    in
-    go 0 tracked
+let bench_shape =
+  Shape.(
+    obj
+      [
+        req "schema" (exactly bench_schema);
+        req "unit" (exactly "model-seconds");
+        req "benchmarks"
+          (arr ~nonempty:true ~label:(numbered "benchmark")
+             (obj
+                ((req "name" str :: non_negative [ "p50"; "p95" ])
+                @ [
+                    req "runs" (at_least 1.0);
+                    opt "cache"
+                      (obj
+                         (req "hit_ratio" (between 0.0 1.0)
+                         :: non_negative [ "hits"; "misses"; "frames" ]));
+                    opt "writeback"
+                      (obj
+                         (non_negative
+                            [ "writes_coalesced"; "flushes"; "flushed_blocks" ]));
+                  ])));
+        req "profile"
+          (obj
+             [
+               req "scheme" str;
+               req "technique" str;
+               req "days" (at_least 1.0);
+               req "total_model_s" (at_least 0.0);
+               req "top"
+                 (arr ~nonempty:true
+                    (obj
+                       ([ req "path" str; req "calls" (at_least 1.0) ]
+                       @ non_negative
+                           [ "self_model_s"; "total_model_s"; "seeks" ])));
+             ]);
+        (* A compact per-metric summary of the canonical run's
+           time-series; the full ring dump belongs to sim --series-out. *)
+        req "series"
+          (obj
+             [
+               req "schema" (exactly series_schema);
+               req "ticks" (at_least 1.0);
+               req "tracked"
+                 (arr ~nonempty:true
+                    (obj
+                       ([ req "name" str; req "points" (at_least 1.0) ]
+                       @ required [ "last"; "mean"; "p95" ] finite
+                       @ [ req "trend" finite_or_null ])));
+             ]);
+      ])
 
 let validate_bench j =
-  let str k o = Option.bind (Json.member k o) Json.to_str in
-  match str "schema" j with
-  | None -> Error "missing string \"schema\""
-  | Some s when s <> bench_schema ->
-    Error (Printf.sprintf "schema %S, expected %S" s bench_schema)
-  | Some _ -> (
-    match str "unit" j with
-    | Some "model-seconds" -> (
-      match Option.bind (Json.member "benchmarks" j) Json.to_list with
-      | None -> Error "missing \"benchmarks\" array"
-      | Some [] -> Error "empty \"benchmarks\" array"
-      | Some bs -> (
-        let rec go i = function
-          | [] -> Ok (List.length bs)
-          | b :: rest -> (
-            match validate_benchmark i b with
-            | Ok () -> go (i + 1) rest
-            | Error e -> Error e)
-        in
-        let series_present name =
-          List.exists
-            (fun b ->
-              match Option.bind (Json.member "name" b) Json.to_str with
-              | Some s -> s = name
-              | None -> false)
-            bs
-        in
-        match go 0 bs with
-        | Error e -> Error e
-        | Ok _ when List.exists (fun s -> not (series_present s))
-                      required_bench_series ->
-          let missing =
-            List.filter (fun s -> not (series_present s)) required_bench_series
-          in
-          Error
-            (Printf.sprintf "missing required series %s"
-               (String.concat ", "
-                  (List.map (Printf.sprintf "%S") missing)))
-        | Ok n -> (
-          match Json.member "profile" j with
-          | None -> Error "missing \"profile\" block"
-          | Some p -> (
-            match validate_profile_block p with
-            | Error e -> Error e
-            | Ok () -> (
-              match Json.member "series" j with
-              | None -> Error "missing \"series\" block"
-              | Some sb -> (
-                match validate_series_block sb with
-                | Error e -> Error e
-                | Ok () -> Ok n))))))
-    | Some u -> Error (Printf.sprintf "unit %S, expected \"model-seconds\"" u)
-    | None -> Error "missing string \"unit\"")
+  let* () = Shape.check bench_shape j in
+  let names = List.map (field_str "name") (field_list "benchmarks" j) in
+  match List.filter (fun s -> not (List.mem s names)) required_bench_series with
+  | [] -> Ok (List.length names)
+  | missing ->
+    Error
+      (Printf.sprintf "missing required series %s"
+         (String.concat ", " (List.map (Printf.sprintf "%S") missing)))
 
-let validate_bench_file path =
-  match read_parse path with Error e -> Error e | Ok j -> validate_bench j
+let validate_bench_file = from_file validate_bench
 
-(* --- bench regression gate -------------------------------------------- *)
+let profile_schema = "waveidx-profile/1"
+
+let profile_node =
+  Shape.(
+    fix (fun node ->
+        obj
+          ([ req "name" str; req "calls" (at_least 1.0) ]
+          @ non_negative
+              [
+                "total_model_s"; "self_model_s"; "seeks"; "self_seeks";
+                "blocks_read"; "blocks_written"; "bytes_read"; "bytes_written";
+              ]
+          @ [ req "children" (arr ~label:nested node) ])))
+
+let profile_shape =
+  Shape.(
+    obj
+      [
+        req "schema" (exactly profile_schema);
+        req "unit" (exactly "model-seconds");
+        req "total_model_s" (at_least 0.0);
+        req "roots" (arr ~label:nested profile_node);
+      ])
+
+let rec subtree_size n =
+  List.fold_left (fun acc c -> acc + subtree_size c) 1 (field_list "children" n)
+
+let validate_profile j =
+  let* () = Shape.check profile_shape j in
+  Ok (List.fold_left (fun acc r -> acc + subtree_size r) 0 (field_list "roots" j))
+
+let validate_profile_file = from_file validate_profile
+
+let series_shape =
+  Shape.(
+    obj
+      [
+        req "schema" (exactly series_schema);
+        req "cap" (at_least 1.0);
+        req "ticks" (at_least 0.0);
+        req "series"
+          (arr ~label:(numbered "series")
+             (obj
+                [
+                  req "name" str;
+                  req "points"
+                    (arr
+                       (obj
+                          [
+                            req "tick" (at_least 0.0);
+                            req "day" num;
+                            req "value" finite;
+                          ]));
+                ]));
+      ])
+
+(* Relational rules: at most [cap] points a series, ticks
+   non-decreasing within one. *)
+let validate_series j =
+  let* () = Shape.check series_shape j in
+  let cap = int_of_float (field_num "cap" j) in
+  let rec points where i last = function
+    | [] -> Ok ()
+    | p :: rest ->
+      let tick = field_num "tick" p in
+      if tick < last then
+        Error (Printf.sprintf "%s.points[%d]: decreasing \"tick\"" where i)
+      else points where (i + 1) tick rest
+  in
+  let rec go i total = function
+    | [] -> Ok total
+    | s :: rest ->
+      let where = Printf.sprintf "series %d (%S)" i (field_str "name" s) in
+      let ps = field_list "points" s in
+      let n = List.length ps in
+      if n > cap then
+        Error (Printf.sprintf "%s: %d points exceed cap %d" where n cap)
+      else
+        let* () = points where 0 neg_infinity ps in
+        go (i + 1) (total + n) rest
+  in
+  go 0 0 (field_list "series" j)
+
+let validate_series_file = from_file validate_series
+
+let flight_schema = "waveidx-flight/1"
+
+let flight_header =
+  Shape.(
+    obj
+      [
+        req "schema" (exactly flight_schema);
+        req "reason" str;
+        req "events" (at_least 0.0);
+        req "dropped" (at_least 0.0);
+      ])
+
+let flight_payloads =
+  [
+    ( "span",
+      ([ "name" ], [ "dur_model_s"; "seeks"; "blocks_read"; "blocks_written";
+                     "bytes_read"; "bytes_written" ]) );
+    ("metric", ([ "name" ], [ "value"; "delta" ]));
+    ("alert", ([ "rule"; "metric"; "scope" ], [ "value"; "day" ]));
+    ("io", ([ "syscall"; "outcome" ], [ "bytes" ]));
+    ("epoch", ([ "event" ], [ "gen"; "refcount" ]));
+  ]
+
+let flight_event =
+  Shape.(
+    obj
+      (required [ "seq"; "model_s"; "wall_s" ] finite
+      @ (req "type" (one_of (List.map fst flight_payloads))
+        :: List.map
+             (fun (ty, (strs, nums)) ->
+               case "type" ty (required strs str @ required nums finite))
+             flight_payloads)))
+
+(* The dump is JSONL, so validation takes the raw text.  Relational
+   rules: the header's count equals the event lines, and "seq" strictly
+   increases. *)
+let validate_flight text =
+  let lines =
+    String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
+  in
+  let parse where line =
+    Result.map_error (Printf.sprintf "%s: bad JSON: %s" where) (Json.parse line)
+  in
+  match lines with
+  | [] -> Error "empty dump"
+  | header :: events ->
+    let* h = parse "header" header in
+    let* () = Shape.check ~where:"header" flight_header h in
+    let claimed = int_of_float (field_num "events" h) in
+    if claimed <> List.length events then
+      Error
+        (Printf.sprintf "header claims %d events, dump has %d" claimed
+           (List.length events))
+    else
+      let rec go i last = function
+        | [] -> Ok (List.length events)
+        | line :: rest ->
+          let where = Printf.sprintf "event %d" i in
+          let* j = parse where line in
+          let* () = Shape.check ~where flight_event j in
+          let seq = field_num "seq" j in
+          if seq > last then go (i + 1) seq rest
+          else Error (where ^ ": non-increasing \"seq\"")
+      in
+      go 0 neg_infinity events
+
+let validate_flight_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | text -> validate_flight text
+
+(* --- readers for the gates ------------------------------------------ *)
+
+(* Lenient on purpose: the gates read only the fields they compare, in
+   any snapshot version, so old baselines survive schema bumps. *)
 
 type bench_series = { series_name : string; series_p50 : float; series_p95 : float }
 
-(* Lenient on purpose: the gate reads the "benchmarks" array of any
-   snapshot version so old baselines stay comparable across schema
-   bumps. *)
-let bench_series j =
-  match Option.bind (Json.member "benchmarks" j) Json.to_list with
-  | None -> Error "missing \"benchmarks\" array"
-  | Some bs ->
-    let rec go i acc = function
-      | [] -> Ok (List.rev acc)
-      | b :: rest -> (
-        let num k = Option.bind (Json.member k b) Json.to_float in
-        match Option.bind (Json.member "name" b) Json.to_str with
-        | None -> Error (Printf.sprintf "benchmark %d: missing string \"name\"" i)
-        | Some name -> (
-          match (num "p50", num "p95") with
-          | Some p50, Some p95 ->
-            go (i + 1) ({ series_name = name; series_p50 = p50; series_p95 = p95 } :: acc) rest
-          | None, _ ->
-            Error (Printf.sprintf "benchmark %d (%S): missing numeric \"p50\"" i name)
-          | _, None ->
-            Error (Printf.sprintf "benchmark %d (%S): missing numeric \"p95\"" i name)))
-    in
-    go 0 [] bs
+let bench_series_shape =
+  Shape.(
+    obj
+      [
+        req "benchmarks"
+          (arr ~label:(numbered "benchmark")
+             (obj [ req "name" str; req "p50" num; req "p95" num ]));
+      ])
 
-let bench_series_file path =
-  match read_parse path with
-  | Error e -> Error e
-  | Ok j -> (
-    match bench_series j with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok xs -> Ok xs)
+let bench_series j =
+  let* () = Shape.check bench_series_shape j in
+  Ok
+    (List.map
+       (fun b ->
+         {
+           series_name = field_str "name" b;
+           series_p50 = field_num "p50" b;
+           series_p95 = field_num "p95" b;
+         })
+       (field_list "benchmarks" j))
+
+type profile_top_node = {
+  top_path : string;
+  top_calls : int;
+  top_self : float;
+  top_total : float;
+}
+
+let profile_top_shape =
+  Shape.(
+    obj
+      [
+        req "profile"
+          (obj
+             [
+               req "top"
+                 (arr
+                    (obj
+                       (req "path" str
+                       :: required
+                            [ "calls"; "self_model_s"; "total_model_s" ] num)));
+             ]);
+      ])
+
+let bench_profile_top j =
+  let* () = Shape.check profile_top_shape j in
+  Ok
+    (List.map
+       (fun n ->
+         {
+           top_path = field_str "path" n;
+           top_calls = int_of_float (field_num "calls" n);
+           top_self = field_num "self_model_s" n;
+           top_total = field_num "total_model_s" n;
+         })
+       (field_list "top" (field "profile" j)))
+
+let reader f path =
+  from_file (fun j -> Result.map_error (Printf.sprintf "%s: %s" path) (f j)) path
+
+let bench_series_file = reader bench_series
+let bench_profile_top_file = reader bench_profile_top
+
+(* --- bench regression gate -------------------------------------------- *)
 
 type bench_delta = {
   delta_name : string;
@@ -503,36 +511,10 @@ let pct_delta base cur =
   if base = 0.0 then if cur = 0.0 then 0.0 else infinity
   else (cur -. base) /. base *. 100.0
 
-(* Series measured in machine-dependent wall seconds: real syscall
-   timing jitters far beyond any useful threshold, so the gate reports
-   their drift without ever classifying it as a regression (vanishing
-   still fails via [missing]). *)
-let wallclock_series name =
-  String.length name >= 16 && String.sub name 0 16 = "transition+file/"
-
-(* Unit class of a bench series, for report labeling: everything the
-   model disk measures is model-seconds; the transition+file/ twins are
-   machine wall-clock; ratio series (speedups, hit fractions) are
-   dimensionless.  Today every non-wall series is model-seconds, but
-   the ratio class keeps the report honest if one lands. *)
-let series_unit name =
-  if wallclock_series name then "wall-s"
-  else if
-    (let has sub =
-       let n = String.length name and m = String.length sub in
-       let rec at i = i + m <= n && (String.sub name i m = sub || at (i + 1)) in
-       at 0
-     in
-     has "ratio" || has "speedup")
-  then "ratio"
-  else "model-s"
-
 let compare_bench ~threshold_pct ~baseline ~current =
   let find name xs = List.find_opt (fun s -> String.equal s.series_name name) xs in
   let regressions = ref [] and improvements = ref [] and compared = ref 0 in
   let consider name field base cur =
-    if wallclock_series name then ()
-    else
     let d =
       {
         delta_name = name;
@@ -582,110 +564,28 @@ let bench_ok c = c.regressions = [] && c.missing = []
 let comparison_report c =
   let buf = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "compared %d series: %d regression(s), %d improvement(s), %d missing, %d new"
+  line
+    "compared %d series (model-seconds): %d regression(s), %d \
+     improvement(s), %d missing, %d new"
     c.compared
     (List.length c.regressions)
     (List.length c.improvements)
     (List.length c.missing) (List.length c.added);
-  line
-    "units: [model-s] deterministic model-seconds (gated), [wall-s] \
-     machine wall-clock (informational, never gated), [ratio] \
-     dimensionless";
-  let tag n = Printf.sprintf "[%s]" (series_unit n) in
   List.iter
     (fun d ->
-      line "  REGRESSION %-40s %-9s %s %.6f -> %.6f (%+.1f%%)" d.delta_name
-        (tag d.delta_name) d.delta_field
-        d.baseline_value d.current_value d.delta_pct)
+      line "  REGRESSION %-40s %s %.6f -> %.6f (%+.1f%%)" d.delta_name
+        d.delta_field d.baseline_value d.current_value d.delta_pct)
     c.regressions;
   List.iter
-    (fun n ->
-      line "  MISSING    %-40s %-9s (present in baseline, absent now)" n (tag n))
+    (fun n -> line "  MISSING    %-40s (present in baseline, absent now)" n)
     c.missing;
   List.iter
     (fun d ->
-      line "  improved   %-40s %-9s %s %.6f -> %.6f (%+.1f%%)" d.delta_name
-        (tag d.delta_name) d.delta_field
-        d.baseline_value d.current_value d.delta_pct)
+      line "  improved   %-40s %s %.6f -> %.6f (%+.1f%%)" d.delta_name
+        d.delta_field d.baseline_value d.current_value d.delta_pct)
     c.improvements;
-  List.iter (fun n -> line "  new        %-40s %-9s" n (tag n)) c.added;
+  List.iter (fun n -> line "  new        %s" n) c.added;
   Buffer.contents buf
-
-(* --- profile documents ------------------------------------------------ *)
-
-let profile_schema = "waveidx-profile/1"
-
-let validate_profile j =
-  let str k o = Option.bind (Json.member k o) Json.to_str in
-  let num k o = Option.bind (Json.member k o) Json.to_float in
-  let rec check_node path n =
-    let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "%s: %s" path m)) fmt in
-    match str "name" n with
-    | None -> fail "missing string \"name\""
-    | Some name -> (
-      let here = path ^ "/" ^ name in
-      let fail fmt =
-        Printf.ksprintf (fun m -> Error (Printf.sprintf "%s: %s" here m)) fmt
-      in
-      let ( let* ) = Result.bind in
-      let* () =
-        match num "calls" n with
-        | Some c when c >= 1.0 -> Ok ()
-        | Some _ -> fail "\"calls\" below 1"
-        | None -> fail "missing numeric \"calls\""
-      in
-      let* () =
-        List.fold_left
-          (fun acc key ->
-            let* () = acc in
-            match num key n with
-            | Some v when v >= 0.0 -> Ok ()
-            | Some _ -> fail "%S is negative" key
-            | None -> fail "missing numeric %S" key)
-          (Ok ())
-          [
-            "total_model_s"; "self_model_s"; "seeks"; "self_seeks"; "blocks_read";
-            "blocks_written"; "bytes_read"; "bytes_written";
-          ]
-      in
-      match Option.bind (Json.member "children" n) Json.to_list with
-      | None -> fail "missing \"children\" array"
-      | Some kids ->
-        List.fold_left
-          (fun acc kid ->
-            let* count = acc in
-            let* k = check_node here kid in
-            Ok (count + k))
-          (Ok 1) kids)
-  in
-  match str "schema" j with
-  | None -> Error "missing string \"schema\""
-  | Some s when s <> profile_schema ->
-    Error (Printf.sprintf "schema %S, expected %S" s profile_schema)
-  | Some _ -> (
-    match str "unit" j with
-    | Some "model-seconds" -> (
-      match num "total_model_s" j with
-      | None -> Error "missing numeric \"total_model_s\""
-      | Some v when v < 0.0 -> Error "\"total_model_s\" is negative"
-      | Some _ -> (
-        match Option.bind (Json.member "roots" j) Json.to_list with
-        | None -> Error "missing \"roots\" array"
-        | Some roots ->
-          List.fold_left
-            (fun acc r ->
-              match acc with
-              | Error _ as e -> e
-              | Ok count -> (
-                match check_node "" r with
-                | Ok k -> Ok (count + k)
-                | Error _ as e -> e))
-            (Ok 0) roots))
-    | Some u -> Error (Printf.sprintf "unit %S, expected \"model-seconds\"" u)
-    | None -> Error "missing string \"unit\"")
-
-let validate_profile_file path =
-  match read_parse path with Error e -> Error e | Ok j -> validate_profile j
 
 let write_folded ~path profile = write_file path (Profile.folded profile)
 
@@ -725,167 +625,8 @@ let flush_traces ~reason =
       write_file path (Buffer.contents buf)
     with Sys_error _ -> ())
 
-(* --- flight-recorder dumps -------------------------------------------- *)
-
-let flight_schema = "waveidx-flight/1"
-
-let validate_flight_event i j =
-  let fail fmt =
-    Printf.ksprintf (fun m -> Error (Printf.sprintf "event %d: %s" i m)) fmt
-  in
-  let num k = Option.bind (Json.member k j) Json.to_float in
-  let str k = Option.bind (Json.member k j) Json.to_str in
-  let ( let* ) = Result.bind in
-  let require_num keys =
-    List.fold_left
-      (fun acc k ->
-        let* () = acc in
-        match num k with
-        | Some v when Float.is_finite v -> Ok ()
-        | Some _ -> fail "non-finite %S" k
-        | None -> fail "missing numeric %S" k)
-      (Ok ()) keys
-  in
-  let require_str keys =
-    List.fold_left
-      (fun acc k ->
-        let* () = acc in
-        match str k with
-        | Some _ -> Ok ()
-        | None -> fail "missing string %S" k)
-      (Ok ()) keys
-  in
-  let* () = require_num [ "seq"; "model_s"; "wall_s" ] in
-  match str "type" with
-  | Some "span" ->
-    let* () = require_str [ "name" ] in
-    require_num
-      [ "dur_model_s"; "seeks"; "blocks_read"; "blocks_written"; "bytes_read";
-        "bytes_written" ]
-  | Some "metric" ->
-    let* () = require_str [ "name" ] in
-    require_num [ "value"; "delta" ]
-  | Some "alert" ->
-    let* () = require_str [ "rule"; "metric"; "scope" ] in
-    require_num [ "value"; "day" ]
-  | Some "io" ->
-    let* () = require_str [ "syscall"; "outcome" ] in
-    require_num [ "bytes" ]
-  | Some "epoch" ->
-    let* () = require_str [ "event" ] in
-    require_num [ "gen"; "refcount" ]
-  | Some t -> fail "unknown type %S" t
-  | None -> fail "missing string \"type\""
-
-(* The dump is JSONL, so validation takes the raw text: a header line
-   (schema tag, reason, counts) followed by one event object per line
-   with strictly increasing "seq".  Returns the event count. *)
-let validate_flight text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> Error "empty dump"
-  | header :: events -> (
-    match Json.parse header with
-    | Error e -> Error (Printf.sprintf "header: bad JSON: %s" e)
-    | Ok h -> (
-      let num k = Option.bind (Json.member k h) Json.to_float in
-      let str k = Option.bind (Json.member k h) Json.to_str in
-      match str "schema" with
-      | None -> Error "header: missing string \"schema\""
-      | Some s when s <> flight_schema ->
-        Error (Printf.sprintf "header: schema %S, expected %S" s flight_schema)
-      | Some _ -> (
-        match str "reason" with
-        | None -> Error "header: missing string \"reason\""
-        | Some _ -> (
-          match (num "events", num "dropped") with
-          | Some ev, Some dr when ev >= 0.0 && dr >= 0.0 -> (
-            if int_of_float ev <> List.length events then
-              Error
-                (Printf.sprintf "header claims %d events, dump has %d"
-                   (int_of_float ev) (List.length events))
-            else
-              let rec go i last_seq = function
-                | [] -> Ok (List.length events)
-                | line :: rest -> (
-                  match Json.parse line with
-                  | Error e ->
-                    Error (Printf.sprintf "event %d: bad JSON: %s" i e)
-                  | Ok j -> (
-                    match validate_flight_event i j with
-                    | Error e -> Error e
-                    | Ok () -> (
-                      match Option.bind (Json.member "seq" j) Json.to_float with
-                      | Some seq when seq > last_seq -> go (i + 1) seq rest
-                      | Some _ ->
-                        Error
-                          (Printf.sprintf "event %d: non-increasing \"seq\"" i)
-                      | None -> assert false)))
-              in
-              go 0 neg_infinity events)
-          | _ -> Error "header: missing numeric \"events\"/\"dropped\""))))
-
-let validate_flight_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | text -> validate_flight text
 
 (* --- profile-node gate ------------------------------------------------ *)
-
-type profile_top_node = {
-  top_path : string;
-  top_calls : int;
-  top_self : float;
-  top_total : float;
-}
-
-(* Extract the bench snapshot's "profile" block top nodes — the flat
-   hot list committed in BENCH_wave.json, not a full tree. *)
-let bench_profile_top j =
-  match Json.member "profile" j with
-  | None -> Error "missing \"profile\" block"
-  | Some p -> (
-    match Option.bind (Json.member "top" p) Json.to_list with
-    | None -> Error "profile: missing \"top\" array"
-    | Some tops ->
-      let rec go i acc = function
-        | [] -> Ok (List.rev acc)
-        | n :: rest -> (
-          let num k = Option.bind (Json.member k n) Json.to_float in
-          match Option.bind (Json.member "path" n) Json.to_str with
-          | None ->
-            Error (Printf.sprintf "profile.top[%d]: missing string \"path\"" i)
-          | Some path -> (
-            match (num "calls", num "self_model_s", num "total_model_s") with
-            | Some calls, Some self, Some total ->
-              go (i + 1)
-                ({
-                   top_path = path;
-                   top_calls = int_of_float calls;
-                   top_self = self;
-                   top_total = total;
-                 }
-                :: acc)
-                rest
-            | _ ->
-              Error
-                (Printf.sprintf
-                   "profile.top[%d] (%S): missing numeric \
-                    \"calls\"/\"self_model_s\"/\"total_model_s\""
-                   i path)))
-      in
-      go 0 [] tops)
-
-let bench_profile_top_file path =
-  match read_parse path with
-  | Error e -> Error e
-  | Ok j -> (
-    match bench_profile_top j with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok xs -> Ok xs)
 
 type profile_gate = {
   pg_compared : int;
@@ -964,81 +705,6 @@ let profile_gate_report g =
         d.delta_field d.baseline_value d.current_value d.delta_pct)
     g.pg_improvements;
   Buffer.contents buf
-
-(* --- series dumps ----------------------------------------------------- *)
-
-let validate_series j =
-  let str k o = Option.bind (Json.member k o) Json.to_str in
-  let num k o = Option.bind (Json.member k o) Json.to_float in
-  match str "schema" j with
-  | None -> Error "missing string \"schema\""
-  | Some s when s <> series_schema ->
-    Error (Printf.sprintf "schema %S, expected %S" s series_schema)
-  | Some _ -> (
-    match num "cap" j with
-    | None -> Error "missing numeric \"cap\""
-    | Some c when c < 1.0 -> Error "\"cap\" below 1"
-    | Some cap -> (
-      match num "ticks" j with
-      | None -> Error "missing numeric \"ticks\""
-      | Some t when t < 0.0 -> Error "negative \"ticks\""
-      | Some _ -> (
-        match Option.bind (Json.member "series" j) Json.to_list with
-        | None -> Error "missing \"series\" array"
-        | Some entries ->
-          let validate_points label ps =
-            let rec go i last_tick count = function
-              | [] -> Ok count
-              | p :: rest -> (
-                let fail fmt =
-                  Printf.ksprintf
-                    (fun m ->
-                      Error (Printf.sprintf "%s point %d: %s" label i m))
-                    fmt
-                in
-                match
-                  ( Option.bind (Json.member "tick" p) Json.to_float,
-                    Option.bind (Json.member "day" p) Json.to_float,
-                    Option.bind (Json.member "value" p) Json.to_float )
-                with
-                | None, _, _ -> fail "missing numeric \"tick\""
-                | _, None, _ -> fail "missing numeric \"day\""
-                | _, _, None -> fail "missing numeric \"value\""
-                | Some tk, Some _, Some v ->
-                  if tk < 0.0 then fail "negative \"tick\""
-                  else if tk < last_tick then fail "decreasing \"tick\""
-                  else if not (Float.is_finite v) then fail "non-finite \"value\""
-                  else go (i + 1) tk (count + 1) rest)
-            in
-            go 0 neg_infinity 0 ps
-          in
-          let rec go i total = function
-            | [] -> Ok total
-            | e :: rest -> (
-              match str "name" e with
-              | None ->
-                Error (Printf.sprintf "series %d: missing string \"name\"" i)
-              | Some name -> (
-                match Option.bind (Json.member "points" e) Json.to_list with
-                | None ->
-                  Error
-                    (Printf.sprintf "series %d (%S): missing \"points\" array" i
-                       name)
-                | Some ps when List.length ps > int_of_float cap ->
-                  Error
-                    (Printf.sprintf "series %d (%S): %d points exceed cap %d" i
-                       name (List.length ps) (int_of_float cap))
-                | Some ps -> (
-                  match
-                    validate_points (Printf.sprintf "series %d (%S)" i name) ps
-                  with
-                  | Error e -> Error e
-                  | Ok n -> go (i + 1) (total + n) rest)))
-          in
-          go 0 0 entries)))
-
-let validate_series_file path =
-  match read_parse path with Error e -> Error e | Ok j -> validate_series j
 
 (* --- OpenMetrics text exposition -------------------------------------- *)
 

@@ -37,9 +37,16 @@ val write_chrome :
 val validate_chrome : Json.t -> (int, string) result
 (** Check the Chrome [trace_event] shape: a top-level object with a
     ["traceEvents"] array whose elements all carry a string ["name"], a
-    string ["ph"], a finite numeric ["ts"], integer ["pid"]/["tid"],
+    string ["ph"], a finite numeric ["ts"], numeric ["pid"]/["tid"],
     and — for "X" events — a non-negative numeric ["dur"].  Returns the
-    event count. *)
+    event count.
+
+    This and every other validator and reader below checks a
+    {!Shape}: errors name the path ([event 3 ("day")]) and the field.
+    The rules a shape cannot state — required series present, header
+    count equal to the event lines, strictly increasing ["seq"],
+    non-decreasing ["tick"], at most ["cap"] points — are checked after
+    the shape holds. *)
 
 val validate_chrome_file : string -> (int, string) result
 (** Read and parse [path], then {!validate_chrome}. *)
@@ -115,13 +122,6 @@ type bench_comparison = {
   improvements : bench_delta list;
 }
 
-val wallclock_series : string -> bool
-(** Series measured in machine-dependent wall seconds — the
-    [transition+file/] prefix.  {!compare_bench} never classifies
-    their drift as a regression or improvement (real syscall timing
-    jitters far beyond any useful threshold); a vanished wall-clock
-    series still fails via [missing]. *)
-
 val compare_bench :
   threshold_pct:float ->
   baseline:bench_series list ->
@@ -129,24 +129,14 @@ val compare_bench :
   bench_comparison
 (** A p50 or p95 that grew beyond [threshold_pct] percent (with a 1e-9
     absolute epsilon so bit-identical reruns never trip) is a
-    regression; shrunk beyond it, an improvement.  {!wallclock_series}
-    are exempt from both classifications. *)
+    regression; shrunk beyond it, an improvement. *)
 
 val bench_ok : bench_comparison -> bool
 (** No regressions and no vanished series. *)
 
-val series_unit : string -> string
-(** The unit a bench series is measured in: ["wall-s"] for
-    {!wallclock_series}, ["ratio"] for dimensionless series (name
-    contains ["ratio"] or ["speedup"]), ["model-s"] otherwise.
-    {!comparison_report} tags every row with it so a reader never
-    mistakes informational wall-clock drift for a gated model-time
-    regression. *)
-
 val comparison_report : bench_comparison -> string
-(** Human-readable per-series delta report: a units legend, then one
-    line per regression / missing / improvement / new series, each
-    tagged with its {!series_unit}. *)
+(** Human-readable per-series delta report: a summary line, then one
+    line per regression / missing / improvement / new series. *)
 
 (** {1 Profile documents} *)
 

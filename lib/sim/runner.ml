@@ -62,7 +62,6 @@ type config = {
   validate : bool;
   alerts : Wave_obs.Alert.rule list;
   series : Wave_obs.Series.t option;
-  slos : Wave_obs.Slo.spec list;
   on_env : (Env.t -> unit) option;
 }
 
@@ -81,7 +80,6 @@ let default_config ~scheme ~store ~w ~n =
     validate = true;
     alerts = [];
     series = None;
-    slos = [];
     on_env = None;
   }
 
@@ -207,21 +205,19 @@ let run config =
     | rules -> Some (Wave_obs.Alert.create rules)
   in
   (* Time-series sampling: record every registry metric into the ring
-     store at each transition step and day boundary.  SLOs need daily
-     history even when the caller didn't ask for a dump, so a spec list
-     without a store conjures an internal one.  All sampling is
-     read-only against the simulation — the disk clock never moves —
-     so day_metrics stay bit-identical with the flags off. *)
+     store at each transition step and day boundary.  Burn-rate rules
+     need daily history even when the caller didn't ask for a dump, so
+     a rule list with one and no store conjures an internal one.  All
+     sampling is read-only against the simulation — the disk clock
+     never moves — so day_metrics stay bit-identical with the flags
+     off. *)
   let series_store =
-    match (config.series, config.slos) with
-    | (Some _ as s), _ -> s
-    | None, [] -> None
-    | None, _ :: _ -> Some (Wave_obs.Series.create ())
-  in
-  let slo_engine =
-    match config.slos with
-    | [] -> None
-    | specs -> Some (Wave_obs.Slo.create specs)
+    match config.series with
+    | Some _ as s -> s
+    | None ->
+      if List.exists Wave_obs.Alert.needs_series config.alerts then
+        Some (Wave_obs.Series.create ())
+      else None
   in
   let g_query_p95 = Wave_obs.Metrics.gauge "runner.day.query_p95" in
   let sample_series ~day =
@@ -497,14 +493,10 @@ let run config =
       sample_series ~day:d.day;
       Option.iter
         (fun e ->
-          ignore (Wave_obs.Alert.eval ~scope:Wave_obs.Alert.Day e ~day:d.day))
-        engine;
-      Option.iter
-        (fun eng ->
-          match series_store with
-          | Some st -> ignore (Wave_obs.Slo.eval eng ~series:st ~day:d.day)
-          | None -> ())
-        slo_engine
+          ignore
+            (Wave_obs.Alert.eval ?series:series_store ~scope:Wave_obs.Alert.Day
+               e ~day:d.day))
+        engine
     | [] -> ())
   done;
   if concurrent_on then Wave_epoch.Epoch.detach disk;
@@ -550,7 +542,5 @@ let run config =
              concurrent_samples = conc;
              stopworld_samples = stw;
            });
-    alerts =
-      (match engine with None -> [] | Some e -> Wave_obs.Alert.events e)
-      @ (match slo_engine with None -> [] | Some e -> Wave_obs.Slo.events e);
+    alerts = (match engine with None -> [] | Some e -> Wave_obs.Alert.events e);
   }

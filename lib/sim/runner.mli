@@ -101,11 +101,10 @@ type result = {
           on (and a query spec was configured); [None] on a
           stop-the-world run *)
   alerts : Wave_obs.Alert.event list;
-      (** alert events (active and resolved, oldest first) from the
-          run's {!config.alerts} rules, followed by SLO burn-rate
-          episodes from {!config.slos} (their events carry the
-          synthesized rule from {!Wave_obs.Slo.rule_of_spec}); [[]]
-          when neither was configured *)
+      (** the events of the run's {!config.alerts} rules, active and
+          resolved, in firing order: by day, and within one day the
+          transition-step firings first, then the day boundary's in
+          rule order; [[]] when no rule was configured *)
 }
 
 type config = {
@@ -137,12 +136,12 @@ type config = {
   icfg : Wave_storage.Index.config;
   validate : bool;  (** check window invariants after every day *)
   alerts : Wave_obs.Alert.rule list;
-      (** rules evaluated against the always-on metrics: day-scoped
-          rules once per day boundary, transition-scoped rules
-          ({!Wave_obs.Alert.scope}) right after {e every} transition
-          step.  Besides the run-wide histograms, each day the runner
-          publishes gauges targetable by day rules:
-          ["runner.day.transition_seconds"],
+      (** one list of debounce and burn-rate rules for one engine:
+          transition-scoped rules ({!Wave_obs.Alert.scope}) right after
+          {e every} transition step, day-scoped and burn-rate rules at
+          every day boundary, in list order.  Besides the run-wide
+          histograms, each day the runner publishes gauges targetable
+          by day rules: ["runner.day.transition_seconds"],
           ["runner.day.query_seconds"], ["runner.day.wave_length"],
           ["runner.day.space_bytes"], and — with a buffer pool —
           ["cache.dirty_frames"]; and after each transition step,
@@ -152,8 +151,10 @@ type config = {
           ["runner.transition.blocks_read"],
           ["runner.transition.blocks_written"].  The day boundary also
           publishes ["runner.day.query_p95"] — the running p95 of the
-          per-day query-seconds histogram — the canonical SLO
-          objective. *)
+          per-day query-seconds histogram — the canonical burn-rate
+          objective.  Burn-rate rules read the series store; a list
+          with one and no {!series} gets an internal store so daily
+          history exists. *)
   series : Wave_obs.Series.t option;
       (** when set, {!Wave_obs.Series.sample} is called against the
           default registry at every transition step and every day
@@ -161,11 +162,6 @@ type config = {
           --series-out]).  Sampling only reads — the disk clock never
           moves — so [days] is bit-identical with or without a
           store. *)
-  slos : Wave_obs.Slo.spec list;
-      (** SLO specs evaluated at every day boundary against the series
-          store (an internal store is created when [series] is [None]
-          so daily history exists); burn-rate episodes are appended to
-          {!result.alerts} *)
   on_env : (Env.t -> unit) option;
       (** called once with the run's environment after it is created
           and before the scheme starts — the hook for arming disk
@@ -177,6 +173,6 @@ val default_config :
   scheme:Scheme.kind -> store:Env.day_store -> w:int -> n:int -> config
 (** 2w run days, in-place updating, default index config, no queries,
     stop-the-world serving (concurrent off, rate 4.0), validation on,
-    no alert rules, no series store, no SLOs. *)
+    no alert rules, no series store. *)
 
 val run : config -> result

@@ -5,7 +5,6 @@ type config = {
   entry_bytes : int;
   growth_factor : float;
   min_alloc_entries : int;
-  dir_kind : Directory.kind;
   build_cpu_per_entry : float;
   add_cpu_per_entry : float;
   cache_blocks : int option;
@@ -19,7 +18,6 @@ let default_config =
     entry_bytes = 100;
     growth_factor = 2.0;
     min_alloc_entries = 4;
-    dir_kind = Directory.Bplus;
     build_cpu_per_entry = 0.0;
     add_cpu_per_entry = 0.0;
     cache_blocks = None;
@@ -65,7 +63,7 @@ type t = {
   cfg : config;
   dsk : Disk.t;
   cache : Cache.t option; (* per-disk buffer pool; None = paper's cost model *)
-  dir : bucket Directory.t;
+  dir : bucket Btree.t; (* the memory-resident directory of Section 2 *)
   mutable packed : bool;
   mutable shared : shared_ext option;
   mutable total_used : int;
@@ -101,7 +99,7 @@ let create_empty dsk cfg =
     cfg;
     dsk;
     cache = cache_of_config dsk cfg;
-    dir = Directory.create cfg.dir_kind;
+    dir = Btree.create ();
     packed = true;
     shared = None;
     total_used = 0;
@@ -159,8 +157,8 @@ let dir_read_charge t v =
   match t.cache with
   | None -> ()
   | Some c ->
-    Cache.meta_read c ~dir:(Directory.uid t.dir)
-      ~nodes:(Directory.search_path t.dir v)
+    Cache.meta_read c ~dir:(Btree.uid t.dir)
+      ~nodes:(Btree.search_path t.dir v)
 
 let charged_sequential_read t exts =
   if exts <> [] then
@@ -199,7 +197,7 @@ let install_packed t (values, groups) =
           { value = v; entries = es; home = In_shared (s, !off); cap = Array.length es }
         in
         off := !off + Array.length es;
-        Directory.set t.dir v b)
+        Btree.insert t.dir v b)
       groups;
     t.shared <- Some s;
     t.total_alloc <- t.total_alloc + total;
@@ -222,12 +220,12 @@ let build dsk cfg batches =
 (* ------------------------------------------------------------------ *)
 
 let entry_count t = t.total_used
-let distinct_values t = Directory.length t.dir
+let distinct_values t = Btree.length t.dir
 let is_packed t = t.packed
 
 let days t =
   let seen = Hashtbl.create 16 in
-  Directory.iter_ordered t.dir (fun _ b ->
+  Btree.iter t.dir (fun _ b ->
       Array.iter
         (fun (e : Entry.t) ->
           if not (Hashtbl.mem seen e.Entry.day) then Hashtbl.add seen e.Entry.day ())
@@ -245,7 +243,7 @@ let allocated_blocks t = t.total_alloc
 let probe_bucket t v =
   span "index.probe" (fun () ->
       dir_read_charge t v;
-      match Directory.find t.dir v with
+      match Btree.find t.dir v with
       | None -> [||]
       | Some b ->
         bucket_read_charge t b;
@@ -268,7 +266,7 @@ let scan_extents t =
      a scan of an unpacked index pays for its slack and dead space, the
      paper's S' accounting) plus each bucket-owned extent. *)
   let own =
-    Directory.fold_ordered t.dir ~init:[] ~f:(fun acc _ b ->
+    Btree.fold t.dir ~init:[] ~f:(fun acc _ b ->
         match b.home with Own e -> e :: acc | In_shared _ -> acc)
   in
   match t.shared with Some s -> s.sext :: List.rev own | None -> List.rev own
@@ -289,14 +287,14 @@ let scan_onto idxs ~t1 ~t2 tail =
   match idxs with
   | [] -> tail
   | [ t ] ->
-    Directory.fold_descending t.dir ~init:tail ~f:(fun acc _ b ->
+    Btree.fold_descending t.dir ~init:tail ~f:(fun acc _ b ->
         timed_onto b.entries ~t1 ~t2 acc)
   | _ ->
     let heads =
       Array.of_list
         (List.map
            (fun t ->
-             Directory.fold_ordered t.dir ~init:[] ~f:(fun l _ b -> b :: l))
+             Btree.fold t.dir ~init:[] ~f:(fun l _ b -> b :: l))
            idxs)
     in
     let rec merge acc =
@@ -321,7 +319,7 @@ let scan_onto idxs ~t1 ~t2 tail =
 (* A loop rather than [Array.iter], so the accumulator stays local:
    nothing is allocated per bucket. *)
 let fold_timed t ~t1 ~t2 ~init ~f =
-  Directory.fold_ordered t.dir ~init ~f:(fun acc _ b ->
+  Btree.fold t.dir ~init ~f:(fun acc _ b ->
       let es = b.entries in
       let acc = ref acc in
       for i = 0 to Array.length es - 1 do
@@ -384,13 +382,13 @@ let relocate t b ~new_cap ~extra_entries =
 
 let add_group t v es =
   let n_new = Array.length es in
-  match Directory.find t.dir v with
+  match Btree.find t.dir v with
   | None ->
     let cap = grow_target t n_new in
     let ext = Disk.alloc t.dsk ~blocks:cap in
     charged_write_blocks t ext ~off:0 ~blocks:n_new;
     t.total_alloc <- t.total_alloc + cap;
-    Directory.set t.dir v { value = v; entries = es; home = Own ext; cap }
+    Btree.insert t.dir v { value = v; entries = es; home = Own ext; cap }
   | Some b ->
     let used = used_of b in
     let fits = match b.home with Own _ -> used + n_new <= b.cap | In_shared _ -> false in
@@ -416,7 +414,7 @@ let delete_days t expired =
   span "index.delete" (fun () ->
   let removed = ref 0 in
   let to_delete = ref [] in
-  Directory.iter_ordered t.dir (fun v b ->
+  Btree.iter t.dir (fun v b ->
       let keep = survivors b.entries expired in
       let dropped = used_of b - Array.length keep in
       if dropped > 0 then begin
@@ -444,11 +442,11 @@ let delete_days t expired =
       end);
   List.iter
     (fun v ->
-      match Directory.find t.dir v with
+      match Btree.find t.dir v with
       | None -> ()
       | Some b ->
         release_home t b;
-        Directory.remove t.dir v)
+        ignore (Btree.remove t.dir v))
     !to_delete;
   Disk.charge_delay t.dsk (t.cfg.add_cpu_per_entry *. float_of_int !removed);
   t.total_used <- t.total_used - !removed;
@@ -469,7 +467,7 @@ let drop t =
   else begin
   (* Constant-time unlink: free every extent without transfer charges. *)
   let seen_shared = ref [] in
-  Directory.iter_ordered t.dir (fun _ b ->
+  Btree.iter t.dir (fun _ b ->
       match b.home with
       | Own e ->
         Disk.free t.dsk e;
@@ -490,7 +488,7 @@ let drop t =
     end
   | _ -> ());
   t.shared <- None;
-  Directory.clear t.dir;
+  Btree.clear t.dir;
   t.total_used <- 0;
   t.packed <- true;
   if t.total_alloc <> 0 then fail "drop: allocation accounting leak (%d)" t.total_alloc
@@ -504,9 +502,9 @@ let drop t =
    entries, leaving out the buckets [f] empties: the arrays
    [install_packed] takes. *)
 let buckets t f =
-  let n = Directory.length t.dir in
+  let n = Btree.length t.dir in
   let values = Array.make n 0 and groups = Array.make n [||] and k = ref 0 in
-  Directory.iter_ordered t.dir (fun v b ->
+  Btree.iter t.dir (fun v b ->
       let es = f b.entries in
       if Array.length es > 0 then begin
         values.(!k) <- v;
@@ -522,7 +520,7 @@ let copy t =
       cfg = t.cfg;
       dsk = t.dsk;
       cache = t.cache;
-      dir = Directory.create t.cfg.dir_kind;
+      dir = Btree.create ();
       packed = t.packed;
       shared = None;
       total_used = 0;
@@ -540,12 +538,12 @@ let copy t =
        charge the flush as one sequential write: a shadow copy streams
        to a fresh contiguous region rather than seeking per bucket. *)
     let written = ref 0 in
-    Directory.iter_ordered t.dir (fun v b ->
+    Btree.iter t.dir (fun v b ->
         let cap = b.cap in
         let ext = Disk.alloc t'.dsk ~blocks:cap in
         t'.total_alloc <- t'.total_alloc + cap;
         written := !written + used_of b;
-        Directory.set t'.dir v
+        Btree.insert t'.dir v
           { value = v; entries = b.entries; home = Own ext; cap });
     if !written > 0 then begin
       Disk.charge_seek t.dsk;
@@ -611,7 +609,7 @@ let validate t =
   let used = ref 0 in
   let alloc = ref 0 in
   let shared_seen = ref [] in
-  Directory.iter_ordered t.dir (fun v b ->
+  Btree.iter t.dir (fun v b ->
       if b.value <> v then fail "bucket value %d filed under %d" b.value v;
       let u = used_of b in
       if u = 0 then fail "empty bucket for value %d retained" v;

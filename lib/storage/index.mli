@@ -26,7 +26,6 @@ type config = {
   entry_bytes : int;  (** on-disk bytes per entry *)
   growth_factor : float;  (** CONTIGUOUS [g]; > 1.0 *)
   min_alloc_entries : int;  (** smallest per-bucket allocation *)
-  dir_kind : Directory.kind;
   build_cpu_per_entry : float;  (** seconds of processing per entry during packed builds *)
   add_cpu_per_entry : float;  (** seconds per entry during incremental add/delete *)
   cache_blocks : int option;
@@ -110,7 +109,7 @@ val drop : t -> unit
 (** Release all disk space and empty the index — the paper's
     [DropIndex] body, a constant-time unlink ("a few milliseconds ...
     irrespective of the index size"): no data transfer is charged, and
-    the directory is emptied at once ({!Directory.clear}).
+    the directory is emptied at once ({!Btree.clear}).
     When the {!set_drop_gate} gate claims the index the whole drop is
     deferred — structure and extents stay intact so snapshot readers
     keep probing it — and the gate's owner re-calls [drop] later. *)

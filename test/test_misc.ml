@@ -1,6 +1,5 @@
-(* Edge-case coverage: frame operations, index corner cases, hash vs
-   B+tree directory parity inside full scheme runs, manifest-driven
-   CLI-level flows. *)
+(* Edge-case coverage: frame operations, index corner cases,
+   manifest-driven CLI-level flows. *)
 
 open Wave_core
 open Wave_storage
@@ -87,24 +86,6 @@ let test_copy_empty_index () =
   Alcotest.(check int) "copy empty" 0 (Index.entry_count dup);
   Index.validate dup
 
-(* --- Hash directory end-to-end -------------------------------------- *)
-
-let test_hash_directory_schemes () =
-  (* Full scheme runs with the hash directory must agree with the
-     B+tree directory on every windowed query. *)
-  let run dir_kind =
-    let icfg = { cfg with Index.dir_kind } in
-    let env = Env.create ~icfg ~store ~w:6 ~n:3 () in
-    let s = Scheme.start Scheme.Reindex_pp env in
-    Scheme.advance_to s 15;
-    Scheme.check_window_invariant s;
-    List.sort Entry.compare
-      (Frame.timed_segment_scan (Scheme.frame s) ~t1:10 ~t2:15)
-  in
-  let bplus = run Directory.Bplus and hash = run Directory.Hash in
-  Alcotest.(check bool) "identical results" true
-    (List.equal Entry.equal bplus hash)
-
 (* --- Scheme misc ----------------------------------------------------- *)
 
 let test_last_total_seconds_positive () =
@@ -138,8 +119,6 @@ let suites =
         Alcotest.test_case "add empty batch" `Quick test_add_empty_batch;
         Alcotest.test_case "copy empty" `Quick test_copy_empty_index;
       ] );
-    ( "misc.directory",
-      [ Alcotest.test_case "hash directory schemes" `Quick test_hash_directory_schemes ] );
     ( "misc.scheme",
       [
         Alcotest.test_case "total seconds" `Quick test_last_total_seconds_positive;

@@ -427,17 +427,25 @@ let test_sink_chrome_file () =
   | Error e -> Alcotest.failf "chrome file invalid: %s" e
 
 let test_sink_chrome_rejects_malformed () =
-  let bad =
-    Json.Obj
-      [
-        ( "traceEvents",
-          Json.Arr [ Json.Obj [ ("name", Json.Str "x"); ("ph", Json.Str "X") ] ]
-        );
-      ]
-  in
-  match Sink.validate_chrome bad with
+  let doc fields = Json.Obj [ ("traceEvents", Json.Arr [ Json.Obj fields ]) ] in
+  (match Sink.validate_chrome (doc [ ("name", Json.Str "x"); ("ph", Json.Str "X") ]) with
   | Ok _ -> Alcotest.fail "validator accepted an event without ts"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* A complete ("X") event needs its duration; an instant does not. *)
+  let event ph =
+    [
+      ("name", Json.Str "x"); ("ph", Json.Str ph); ("ts", Json.Num 1.0);
+      ("pid", Json.int 1); ("tid", Json.int 1);
+    ]
+  in
+  (match Sink.validate_chrome (doc (event "X")) with
+  | Ok _ -> Alcotest.fail "validator accepted an \"X\" event without dur"
+  | Error e ->
+    Alcotest.(check string) "error names the event and field"
+      {|event 0 ("x"): missing numeric "dur"|} e);
+  match Sink.validate_chrome (doc (event "i")) with
+  | Ok n -> Alcotest.(check int) "instant without dur" 1 n
+  | Error e -> Alcotest.failf "rejected an instant: %s" e
 
 let test_sink_jsonl () =
   let spans, instants = collect_small_trace () in

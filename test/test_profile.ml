@@ -23,6 +23,11 @@ let contains haystack needle =
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+let debounce (r : Alert.rule) =
+  match r.Alert.window with
+  | Alert.Debounce d -> d
+  | Alert.Burn _ -> Alcotest.failf "rule %S: expected a debounce rule" r.Alert.name
+
 (* ------------------------------------------------------------------ *)
 (* Profile: hand-built span trees                                     *)
 (* ------------------------------------------------------------------ *)
@@ -395,20 +400,34 @@ let test_alert_trace_instant_on_fire () =
   let reg = Metrics.create () in
   let g = Metrics.gauge ~registry:reg "m.level" in
   Metrics.set g 9.0;
-  let eng = Alert.create [ Alert.rule ~name:"hot" ~metric:"m.level" Alert.Gt 1.0 ] in
-  ignore (Alert.eval ~registry:reg eng ~day:4);
-  ignore (Alert.eval ~registry:reg eng ~day:5);
+  (* A burn-rate rule fires in the same evaluation, as an "slo"
+     instant with its own tags. *)
+  let series = Series.create () in
+  Series.record series ~name:"m.level" ~day:4 9.0;
+  let eng =
+    Alert.create
+      [
+        Alert.rule ~name:"hot" ~metric:"m.level" Alert.Gt 1.0;
+        Alert.burn ~goal:0.5 ~fast_days:1 ~slow_days:1 ~name:"burning"
+          ~metric:"m.level" ~window_days:1 Alert.Gt 1.0;
+      ]
+  in
+  ignore (Alert.eval ~registry:reg ~series eng ~day:4);
+  ignore (Alert.eval ~registry:reg ~series eng ~day:5);
+  let tag i k = List.assoc_opt k i.Trace.i_tags in
   (* one instant per firing, not per continuing day *)
   match Trace.instants () with
-  | [ i ] ->
+  | [ i; j ] ->
     Alcotest.(check string) "instant name" "alert" i.Trace.i_name;
-    Alcotest.(check (option string))
-      "rule tag" (Some "hot")
-      (List.assoc_opt "rule" i.Trace.i_tags);
-    Alcotest.(check (option string))
-      "day tag" (Some "4")
-      (List.assoc_opt "day" i.Trace.i_tags)
-  | l -> Alcotest.failf "expected 1 instant, got %d" (List.length l)
+    Alcotest.(check (option string)) "rule tag" (Some "hot") (tag i "rule");
+    Alcotest.(check (option string)) "day tag" (Some "4") (tag i "day");
+    Alcotest.(check string) "burn-rate instant name" "slo" j.Trace.i_name;
+    Alcotest.(check (list string))
+      "burn-rate tags"
+      [ "slo"; "objective"; "burn"; "fast_days"; "slow_days"; "day" ]
+      (List.map fst j.Trace.i_tags);
+    Alcotest.(check (option string)) "burn tag" (Some "2") (tag j "burn")
+  | l -> Alcotest.failf "expected 2 instants, got %d" (List.length l)
 
 let test_alert_rules_json_roundtrip () =
   let text =
@@ -427,11 +446,12 @@ let test_alert_rules_json_roundtrip () =
   (match rules with
   | [ r1; r2 ] ->
     Alcotest.(check string) "rule 1 name" "p95-ceiling" r1.Alert.name;
-    Alcotest.(check bool) "rule 1 stat" true (r1.Alert.stat = Alert.P95);
+    let d1 = debounce r1 and d2 = debounce r2 in
+    Alcotest.(check bool) "rule 1 stat" true (d1.Alert.stat = Alert.P95);
     Alcotest.(check bool) "rule 1 op" true (r1.Alert.comparator = Alert.Gt);
-    Alcotest.(check int) "rule 1 for_days" 2 r1.Alert.for_days;
-    Alcotest.(check bool) "rule 2 defaults stat" true (r2.Alert.stat = Alert.Value);
-    Alcotest.(check int) "rule 2 defaults for_days" 1 r2.Alert.for_days
+    Alcotest.(check int) "rule 1 for_days" 2 d1.Alert.for_days;
+    Alcotest.(check bool) "rule 2 defaults stat" true (d2.Alert.stat = Alert.Value);
+    Alcotest.(check int) "rule 2 defaults for_days" 1 d2.Alert.for_days
   | l -> Alcotest.failf "expected 2 rules, got %d" (List.length l));
   (* A bare top-level array parses too. *)
   match
@@ -570,28 +590,6 @@ let test_gate_reports_improvements () =
     Alcotest.(check string) "field" "p50" d.Sink.delta_field;
     Alcotest.(check (float 1e-9)) "delta pct" (-50.0) d.Sink.delta_pct
   | l -> Alcotest.failf "expected 1 improvement, got %d" (List.length l)
-
-let test_gate_exempts_wallclock_series () =
-  (* transition+file/ series are real wall-seconds: machine-dependent
-     jitter is reported but never a regression — while vanishing
-     entirely still fails the gate. *)
-  Alcotest.(check bool) "prefix recognized" true
-    (Sink.wallclock_series "transition+file/DEL/in-place");
-  Alcotest.(check bool) "model series not exempt" false
-    (Sink.wallclock_series "transition/DEL/in-place");
-  let baseline = [ series "transition+file/DEL/in-place" 0.002 0.003 ] in
-  let current = [ series "transition+file/DEL/in-place" 0.004 0.009 ] in
-  let cmp = Sink.compare_bench ~threshold_pct:10.0 ~baseline ~current in
-  Alcotest.(check bool) "2x wall drift passes" true (Sink.bench_ok cmp);
-  Alcotest.(check int) "still compared" 1 cmp.Sink.compared;
-  Alcotest.(check int) "no improvement classification either" 0
-    (List.length
-       (Sink.compare_bench ~threshold_pct:10.0 ~baseline:current
-          ~current:baseline)
-         .Sink.improvements);
-  let vanished = Sink.compare_bench ~threshold_pct:10.0 ~baseline ~current:[] in
-  Alcotest.(check bool) "vanished wall series still fails" false
-    (Sink.bench_ok vanished)
 
 let test_gate_exact_rerun_is_clean () =
   (* Bit-identical model-second reruns must never trip the gate, even
@@ -970,8 +968,9 @@ let test_alert_scope_json () =
    with
   | Ok [ r1; r2 ] ->
     Alcotest.(check bool) "explicit scope" true
-      (r1.Alert.scope = Alert.Transition);
-    Alcotest.(check bool) "default scope is day" true (r2.Alert.scope = Alert.Day)
+      ((debounce r1).Alert.scope = Alert.Transition);
+    Alcotest.(check bool) "default scope is day" true
+      ((debounce r2).Alert.scope = Alert.Day)
   | Ok l -> Alcotest.failf "expected 2 rules, got %d" (List.length l)
   | Error e -> Alcotest.failf "scope parse failed: %s" e);
   (match
@@ -1023,7 +1022,7 @@ let test_runner_transition_alerts () =
     Alcotest.(check string) "transition rule fired" "step-work"
       e.Alert.e_rule.Alert.name;
     Alcotest.(check bool) "scope" true
-      (e.Alert.e_rule.Alert.scope = Alert.Transition);
+      ((debounce e.Alert.e_rule).Alert.scope = Alert.Transition);
     (* First simulated day is w+1 = 6; the step rule fires inside it,
        before the first day boundary. *)
     Alcotest.(check int) "fired on the first step" 6 e.Alert.fired_day;
@@ -1121,8 +1120,6 @@ let suites =
           test_gate_fails_on_vanished_series;
         Alcotest.test_case "reports improvements" `Quick
           test_gate_reports_improvements;
-        Alcotest.test_case "wall-clock series exempt from drift" `Quick
-          test_gate_exempts_wallclock_series;
         Alcotest.test_case "exact rerun is clean" `Quick
           test_gate_exact_rerun_is_clean;
         Alcotest.test_case "series extraction" `Quick

@@ -189,73 +189,90 @@ let test_series_validator_rejects () =
   expect_err "missing series array"
     (Obj [ ("schema", Str Sink.series_schema); ("cap", int 8); ("ticks", int 0) ])
 
-(* --- SLO burn rates and episodes ------------------------------------ *)
+(* --- Burn-rate rules: burn rates and episodes ------------------------ *)
 
-let slo_spec ?goal ?fast_days ?slow_days ?burn_threshold ?(threshold = 0.5)
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
+let burn_rule ?goal ?fast_days ?slow_days ?burn_threshold ?(threshold = 0.5)
     ~window_days () =
-  Slo.spec ?goal ?fast_days ?slow_days ?burn_threshold ~name:"t"
-    ~objective:"m" ~window_days Alert.Gt threshold
+  Alert.burn ?goal ?fast_days ?slow_days ?burn_threshold ~name:"t" ~metric:"m"
+    ~window_days Alert.Gt threshold
+
+let burn_window (r : Alert.rule) =
+  match r.Alert.window with
+  | Alert.Burn b -> b
+  | Alert.Debounce _ -> Alcotest.failf "rule %S: expected a burn-rate rule" r.Alert.name
 
 let test_slo_spec_validation () =
-  let s = slo_spec ~window_days:28 () in
-  Alcotest.(check int) "default fast w/8" 3 s.Slo.fast_days;
-  Alcotest.(check int) "default slow w/2" 14 s.Slo.slow_days;
-  Alcotest.(check (float 0.0)) "default goal" 0.99 s.Slo.goal;
-  Alcotest.(check (float 0.0)) "default burn threshold" 1.0 s.Slo.burn_threshold;
+  let r = burn_rule ~window_days:28 () in
+  let b = burn_window r in
+  Alcotest.(check int) "default fast w/8" 3 b.Alert.fast_days;
+  Alcotest.(check int) "default slow w/2" 14 b.Alert.slow_days;
+  Alcotest.(check (float 0.0)) "default goal" 0.99 b.Alert.goal;
+  Alcotest.(check (float 0.0)) "default burn threshold" 1.0 b.Alert.burn_threshold;
   let expect_invalid label f =
     match f () with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s: expected Invalid_argument" label
   in
-  expect_invalid "window < 1" (fun () -> slo_spec ~window_days:0 ());
-  expect_invalid "goal 1.0" (fun () -> slo_spec ~goal:1.0 ~window_days:7 ());
+  expect_invalid "window < 1" (fun () -> burn_rule ~window_days:0 ());
+  expect_invalid "goal 1.0" (fun () -> burn_rule ~goal:1.0 ~window_days:7 ());
   expect_invalid "fast > slow" (fun () ->
-      slo_spec ~fast_days:5 ~slow_days:2 ~window_days:7 ());
+      burn_rule ~fast_days:5 ~slow_days:2 ~window_days:7 ());
   expect_invalid "slow > window" (fun () ->
-      slo_spec ~slow_days:9 ~window_days:7 ());
+      burn_rule ~slow_days:9 ~window_days:7 ());
   expect_invalid "burn_threshold 0" (fun () ->
-      slo_spec ~burn_threshold:0.0 ~window_days:7 ());
-  let rl = Slo.rule_of_spec s in
-  Alcotest.(check string) "rule carries the objective" "m"
-    rl.Alert.metric;
-  Alcotest.(check bool) "rule is day-scoped" true (rl.Alert.scope = Alert.Day)
+      burn_rule ~burn_threshold:0.0 ~window_days:7 ());
+  Alcotest.(check string) "rule carries the objective" "m" r.Alert.metric;
+  Alcotest.(check string) "firings recorded under scope slo" "slo"
+    (Alert.kind_name r)
 
 let test_slo_burn_rate () =
   let st = Series.create () in
-  let s = slo_spec ~goal:0.5 ~fast_days:2 ~slow_days:4 ~window_days:4 () in
+  let s = burn_rule ~goal:0.5 ~fast_days:2 ~slow_days:4 ~window_days:4 () in
   (* Days 1-2 bad (1.0 > 0.5), days 3-4 good. *)
   List.iter
     (fun (d, v) -> Series.record st ~name:"m" ~day:d v)
     [ (1, 1.0); (2, 1.0) ];
   Alcotest.(check bool)
     "insufficient history" true
-    (Slo.burn_rate st s ~window:4 = None);
+    (Alert.burn_rate st s ~window:4 = None);
   List.iter
     (fun (d, v) -> Series.record st ~name:"m" ~day:d v)
     [ (3, 0.0); (4, 0.0) ];
-  (match Slo.burn_rate st s ~window:4 with
+  (match Alert.burn_rate st s ~window:4 with
   | Some b ->
     (* 2 bad of 4 days = 0.5 bad fraction / 0.5 budget = 1.0. *)
     Alcotest.(check (float 1e-9)) "burn over 4 days" 1.0 b
   | None -> Alcotest.fail "burn expected");
-  match Slo.burn_rate st s ~window:2 with
+  match Alert.burn_rate st s ~window:2 with
   | Some b -> Alcotest.(check (float 1e-9)) "recent window all good" 0.0 b
   | None -> Alcotest.fail "burn expected"
+
+(* Feed one daily sample per day and evaluate after each. *)
+let run_days eng st samples =
+  List.iter
+    (fun (day, v) ->
+      Series.record st ~name:"m" ~day v;
+      ignore (Alert.eval ~series:st eng ~day))
+    samples
 
 let test_slo_episode_lifecycle () =
   let st = Series.create () in
   let s =
-    slo_spec ~goal:0.5 ~fast_days:1 ~slow_days:2 ~window_days:4
+    burn_rule ~goal:0.5 ~fast_days:1 ~slow_days:2 ~window_days:4
       ~burn_threshold:2.0 ()
   in
-  let eng = Slo.create [ s ] in
+  let eng = Alert.create [ s ] in
   (* Bad days 1-4, good 5-8, bad 9-12: exactly two breach episodes. *)
-  for day = 1 to 12 do
-    let v = if day <= 4 || day >= 9 then 1.0 else 0.0 in
-    Series.record st ~name:"m" ~day v;
-    ignore (Slo.eval eng ~series:st ~day)
-  done;
-  match Slo.events eng with
+  run_days eng st
+    (List.init 12 (fun i ->
+         let day = i + 1 in
+         (day, if day <= 4 || day >= 9 then 1.0 else 0.0)));
+  (match Alert.events eng with
   | [ e1; e2 ] ->
     Alcotest.(check int) "episode 1 fires when slow window fills" 2
       e1.Alert.fired_day;
@@ -268,26 +285,41 @@ let test_slo_episode_lifecycle () =
     Alcotest.(check (option int)) "episode 2 still active" None
       e2.Alert.resolved_day;
     Alcotest.(check (float 1e-9)) "event carries fast burn" 2.0 e2.Alert.value;
-    Alcotest.(check int) "one active episode" 1 (List.length (Slo.active eng))
-  | evs -> Alcotest.failf "expected exactly 2 episodes, got %d" (List.length evs)
+    Alcotest.(check int) "one active episode" 1 (List.length (Alert.active eng))
+  | evs -> Alcotest.failf "expected exactly 2 episodes, got %d" (List.length evs));
+  (* Both windows must burn: on day 4 the fast window has recovered
+     (burn 0) while the slow one still burns 4/3, and the episode
+     ends there. *)
+  let st = Series.create () in
+  let eng =
+    Alert.create [ burn_rule ~goal:0.5 ~fast_days:1 ~slow_days:3 ~window_days:4 () ]
+  in
+  run_days eng st [ (1, 1.0); (2, 1.0); (3, 1.0); (4, 0.0) ];
+  match Alert.events eng with
+  | [ e ] ->
+    Alcotest.(check int) "fires when the slow window fills" 3 e.Alert.fired_day;
+    Alcotest.(check (option int)) "resolves when the fast window recovers"
+      (Some 4) e.Alert.resolved_day
+  | evs -> Alcotest.failf "expected exactly 1 episode, got %d" (List.length evs)
 
 let test_slo_specs_of_json () =
   let parse s =
     match Json.parse s with
-    | Ok j -> Slo.specs_of_json j
+    | Ok j -> Alert.rules_of_json j
     | Error e -> Error e
   in
   (match
      parse
-       {|{"slos": [{"name": "q", "metric": "runner.day.query_p95",
+       {|{"rules": [{"name": "q", "metric": "runner.day.query_p95",
           "op": ">", "threshold": 0.25, "goal": 0.9, "window_days": 8,
           "fast_days": 1, "slow_days": 4, "burn_threshold": 2.0}]}|}
   with
-  | Ok [ s ] ->
-    Alcotest.(check string) "objective" "runner.day.query_p95" s.Slo.objective;
-    Alcotest.(check int) "slow days" 4 s.Slo.slow_days;
-    Alcotest.(check (float 0.0)) "burn threshold" 2.0 s.Slo.burn_threshold
-  | Ok l -> Alcotest.failf "expected 1 spec, got %d" (List.length l)
+  | Ok [ r ] ->
+    let b = burn_window r in
+    Alcotest.(check string) "objective" "runner.day.query_p95" r.Alert.metric;
+    Alcotest.(check int) "slow days" 4 b.Alert.slow_days;
+    Alcotest.(check (float 0.0)) "burn threshold" 2.0 b.Alert.burn_threshold
+  | Ok l -> Alcotest.failf "expected 1 rule, got %d" (List.length l)
   | Error e -> Alcotest.failf "parse: %s" e);
   (* Bare top-level arrays parse; defaults fill in. *)
   (match
@@ -295,23 +327,55 @@ let test_slo_specs_of_json () =
        {|[{"name": "q", "metric": "m", "op": "<=", "threshold": 3,
            "window_days": 16}]|}
   with
-  | Ok [ s ] ->
-    Alcotest.(check bool) "comparator le" true (s.Slo.comparator = Alert.Le);
-    Alcotest.(check int) "default fast" 2 s.Slo.fast_days
+  | Ok [ r ] ->
+    Alcotest.(check bool) "comparator le" true (r.Alert.comparator = Alert.Le);
+    Alcotest.(check int) "default fast" 2 (burn_window r).Alert.fast_days
   | Ok _ | Error _ -> Alcotest.fail "bare array should parse");
-  let expect_err label s =
+  (* One file mixes both kinds; the rules keep the file's order. *)
+  (match
+     parse
+       {|[{"name": "a", "metric": "m", "op": ">", "threshold": 1, "for_days": 2},
+          {"name": "b", "metric": "m", "op": ">", "threshold": 1, "window_days": 4},
+          {"name": "c", "metric": "m", "op": ">", "threshold": 1, "scope": "transition"}]|}
+  with
+  | Ok rules ->
+    Alcotest.(check (list string)) "file order" [ "a"; "b"; "c" ]
+      (List.map (fun r -> r.Alert.name) rules);
+    Alcotest.(check (list string)) "kinds" [ "day"; "slo"; "transition" ]
+      (List.map Alert.kind_name rules)
+  | Error e -> Alcotest.failf "mixed kinds: %s" e);
+  let expect_err ?(needles = []) label s =
     match parse s with
     | Ok _ -> Alcotest.failf "%s: accepted" label
-    | Error _ -> ()
+    | Error e ->
+      List.iter
+        (fun needle ->
+          if not (contains ~sub:needle e) then
+            Alcotest.failf "%s: error %S does not mention %S" label e needle)
+        needles
   in
-  expect_err "empty list" {|{"slos": []}|};
+  expect_err "empty list" {|{"rules": []}|};
   expect_err "bad op"
     {|[{"name": "q", "metric": "m", "op": "!!", "threshold": 1, "window_days": 4}]|};
   expect_err "missing threshold"
     {|[{"name": "q", "metric": "m", "op": ">", "window_days": 4}]|};
   expect_err "windows inverted"
     {|[{"name": "q", "metric": "m", "op": ">", "threshold": 1,
-        "window_days": 4, "fast_days": 3, "slow_days": 2}]|}
+        "window_days": 4, "fast_days": 3, "slow_days": 2}]|};
+  (* A burn-rate rule has no debounce: its fields are refused, naming
+     the rule and the field; and the reverse. *)
+  List.iter
+    (fun (key, field) ->
+      expect_err ~needles:[ {|rule 1 ("burnt")|}; key ] field
+        (Printf.sprintf
+           {|[{"name": "ok", "metric": "m", "op": ">", "threshold": 1},
+              {"name": "burnt", "metric": "m", "op": ">", "threshold": 1,
+               "window_days": 4, %s}]|}
+           field))
+    [ ("stat", {|"stat": "p95"|}); ("for_days", {|"for_days": 2|});
+      ("scope", {|"scope": "day"|}) ];
+  expect_err ~needles:[ {|rule 0 ("q")|}; "goal" ] "burn field on a debounce rule"
+    {|[{"name": "q", "metric": "m", "op": ">", "threshold": 1, "goal": 0.9}]|}
 
 (* --- SLO end-to-end through the runner ------------------------------ *)
 
@@ -329,9 +393,9 @@ let e2e_queries =
   }
 
 let run_with_slo ~threshold =
-  let spec =
-    Slo.spec ~goal:0.5 ~fast_days:2 ~slow_days:3 ~burn_threshold:1.0
-      ~name:"query-p95" ~objective:"runner.day.query_p95" ~window_days:6
+  let rule =
+    Alert.burn ~goal:0.5 ~fast_days:2 ~slow_days:3 ~burn_threshold:1.0
+      ~name:"query-p95" ~metric:"runner.day.query_p95" ~window_days:6
       Alert.Gt threshold
   in
   Metrics.reset_all ();
@@ -344,7 +408,7 @@ let run_with_slo ~threshold =
       with
       Wave_sim.Runner.run_days = 12;
       queries = Some e2e_queries;
-      slos = [ spec ];
+      alerts = [ rule ];
     }
 
 let test_slo_e2e_hostile_fires_once () =
@@ -405,8 +469,8 @@ let test_series_sampling_zero_cost () =
     }
   in
   let plain = Wave_sim.Runner.run (base ()) in
-  let spec =
-    Slo.spec ~goal:0.5 ~name:"q" ~objective:"runner.day.query_p95"
+  let rule =
+    Alert.burn ~goal:0.5 ~name:"q" ~metric:"runner.day.query_p95"
       ~window_days:4 Alert.Gt 0.0
   in
   let observed =
@@ -414,7 +478,7 @@ let test_series_sampling_zero_cost () =
       {
         (base ()) with
         Wave_sim.Runner.series = Some (Series.create ());
-        slos = [ spec ];
+        alerts = [ rule ];
       }
   in
   Alcotest.(check bool)

@@ -265,7 +265,6 @@ let test_router_query_counters () =
 
 module Index = Wave_storage.Index
 module Entry = Wave_storage.Entry
-module Directory = Wave_storage.Directory
 
 (* A day's batch of [(value, rid)] postings; distinct rids let the
    tests read the answer's order straight off them. *)
@@ -300,17 +299,16 @@ let merged_rids frames ~t1 ~t2 =
 (* Value 5 is in both frames' slot 1 and slot 2: each slot's buckets
    ascend by value, a shared value keeps the frames' array order, and
    slot 1 comes before slot 2 whatever the values. *)
-let check_shared_value_order dir_kind =
-  let icfg = { Index.default_config with Index.dir_kind } in
+let test_merge_shared_value () =
   let a =
-    frame_of ~icfg
+    frame_of
       [
         ([ 1 ], [ postings ~day:1 [ (5, 1); (7, 2); (5, 3) ] ]);
         ([ 2 ], [ postings ~day:2 [ (5, 4) ] ]);
       ]
   in
   let b =
-    frame_of ~icfg
+    frame_of
       [
         ([ 1 ], [ postings ~day:1 [ (6, 11); (5, 12) ] ]);
         ([ 2 ], [ postings ~day:2 [ (4, 13); (5, 14) ] ]);
@@ -328,8 +326,6 @@ let check_shared_value_order dir_kind =
     (rids (Frame.timed_segment_scan a ~t1:1 ~t2:2))
     (merged_rids [| a |] ~t1:1 ~t2:2)
 
-let test_merge_shared_value () = check_shared_value_order Directory.Bplus
-let test_merge_hash_directory () = check_shared_value_order Directory.Hash
 
 (* An empty constituent in range, an arm whose constituents are all
    empty and an arm with no time-sets at all add nothing and charge
@@ -704,8 +700,6 @@ let suites =
       [
         Alcotest.test_case "a value in two frames keeps frame order" `Quick
           test_merge_shared_value;
-        Alcotest.test_case "hash directories merge by value" `Quick
-          test_merge_hash_directory;
         Alcotest.test_case "empty constituents and arms" `Quick
           test_merge_empty_parts;
         Alcotest.test_case "a slot is read only when its time-set meets the range"

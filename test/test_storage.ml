@@ -117,21 +117,21 @@ let prop_group_matches_reference =
 (* Directory                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let directory_roundtrip kind () =
-  let d : int Directory.t = Directory.create kind in
-  List.iter (fun k -> Directory.set d k (k * 10)) [ 5; 1; 9; 3 ];
-  Alcotest.(check int) "length" 4 (Directory.length d);
-  Alcotest.(check (option int)) "find" (Some 30) (Directory.find d 3);
-  Directory.remove d 3;
-  Alcotest.(check (option int)) "removed" None (Directory.find d 3);
+let test_directory_roundtrip () =
+  let d : int Btree.t = Btree.create () in
+  List.iter (fun k -> Btree.insert d k (k * 10)) [ 5; 1; 9; 3 ];
+  Alcotest.(check int) "length" 4 (Btree.length d);
+  Alcotest.(check (option int)) "find" (Some 30) (Btree.find d 3);
+  ignore (Btree.remove d 3);
+  Alcotest.(check (option int)) "removed" None (Btree.find d 3);
   Alcotest.(check (list int)) "ordered" [ 1; 5; 9 ]
-    (Directory.fold_descending d ~init:[] ~f:(fun acc k _ -> k :: acc));
-  Directory.clear d;
-  Alcotest.(check int) "cleared" 0 (Directory.length d);
-  Alcotest.(check (option int)) "nothing found" None (Directory.find d 5);
-  Directory.set d 4 40;
+    (Btree.fold_descending d ~init:[] ~f:(fun acc k _ -> k :: acc));
+  Btree.clear d;
+  Alcotest.(check int) "cleared" 0 (Btree.length d);
+  Alcotest.(check (option int)) "nothing found" None (Btree.find d 5);
+  Btree.insert d 4 40;
   Alcotest.(check (list (pair int int))) "usable after clear" [ (4, 40) ]
-    (Directory.fold_descending d ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
+    (Btree.fold_descending d ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
 
 (* ------------------------------------------------------------------ *)
 (* Index: packed build                                                *)
@@ -639,8 +639,7 @@ let suites =
       @ qcheck [ prop_group_matches_reference ] );
     ( "storage.directory",
       [
-        Alcotest.test_case "hash roundtrip" `Quick (directory_roundtrip Directory.Hash);
-        Alcotest.test_case "bplus roundtrip" `Quick (directory_roundtrip Directory.Bplus);
+        Alcotest.test_case "bplus roundtrip" `Quick test_directory_roundtrip;
       ] );
     ( "storage.index.build",
       [
