@@ -6,20 +6,23 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Cache_error s)) fmt
 
 (* A frame caches one block, named by a packed int key (DESIGN.md §5c):
 
-     key = ns lsl 33  lor  (field land 0xFFFF_FFFF) lsl 1  lor  tag
+     key = ns lsl 33  lor  field lsl 1  lor  tag
 
-   Data blocks have tag 0, [ns] the owning disk's id and [field] the
-   block address; they are tagged with the allocation generation of the
-   extent that covered them when loaded, and go stale when the extent is
-   freed and the address reallocated (generation mismatch).  Metadata
-   blocks (directory / B+tree nodes) have tag 1, [ns] the directory's
-   namespace and [field] the node id; node ids are never reused, so
-   metadata frames cannot go stale.  The disk id lets a single pool
-   [state] back several disks (a shared pool across
-   {!Wave_sim.Multi_disk} arms) without address collisions.  Block
-   addresses must lie in [0, 2^31), node ids in [-2^31, 2^31) and
-   namespaces in [0, 2^29), so every key is a distinct non-negative
-   int. *)
+   Data blocks have tag 0, [ns] the slot of the view (one per disk) they
+   belong to and [field] the block address; they are tagged with the
+   allocation generation of the extent that covered them when loaded,
+   and go stale when the extent is freed and the address reallocated
+   (generation mismatch).  Metadata blocks (B+tree nodes) have tag 1,
+   [ns] the directory's namespace and [field] the node id; node ids are
+   never reused, so metadata frames cannot go stale.  Block addresses
+   and node ids must lie in [0, 2^31) and namespaces in [0, 2^29), so
+   every key is a distinct non-negative int.
+
+   Residency needs no hashing.  Each view maps a block address straight
+   to its frame through an int array ([map], -1 when absent), and
+   metadata frames sit in a table keyed by the packed key.  A frame's
+   key names the entry that points back at it, so an eviction clears
+   that entry with one store. *)
 let field_limit = 1 lsl 31
 let ns_limit = 1 lsl 29
 let free_key = -1 (* key of an unoccupied frame; never a packed key *)
@@ -28,18 +31,21 @@ let check_ns what ns =
   if ns < 0 || ns >= ns_limit then
     fail "%s %d outside the pool's key range [0, 2^29)" what ns
 
-let data_key uid addr =
+let data_key slot addr =
   if addr < 0 || addr >= field_limit then
     fail "block address %d outside the pool's key range [0, 2^31)" addr;
-  (uid lsl 33) lor (addr lsl 1)
+  (slot lsl 33) lor (addr lsl 1)
 
 let meta_key dir node =
-  if node < -field_limit || node >= field_limit then
-    fail "node id %d outside the pool's key range [-2^31, 2^31)" node;
-  (dir lsl 33) lor ((node land 0xFFFF_FFFF) lsl 1) lor 1
+  if node < 0 || node >= field_limit then
+    fail "node id %d outside the pool's key range [0, 2^31)" node;
+  (dir lsl 33) lor (node lsl 1) lor 1
 
 let is_data key = key land 1 = 0
-let addr_of_key key = (key lsr 1) land 0xFFFF_FFFF
+let addr_of_key key = (key lsr 1) land (field_limit - 1)
+let slot_of_key key = key lsr 33
+
+module Meta = Hashtbl.Make (Int)
 
 type stats = {
   hits : int;
@@ -88,9 +94,10 @@ type state = {
   gens : int array;
   pins : int array;
   refbits : Bytes.t; (* '\001' = referenced since the hand last passed *)
-  dirty : Bytes.t; (* '\001' = deferred (write-back) contents not on disk *)
-  owners : int array; (* view slot the deferred write targets, or -1 *)
-  map : Key_table.t; (* packed key -> frame number *)
+  dirty : Bytes.t;
+      (* '\001' = deferred (write-back) contents not on disk; the write
+         targets the view the frame's key names *)
+  meta : int Meta.t; (* packed metadata key -> frame number *)
   readahead : int;
   write_back : bool;
   mutable in_flush : bool; (* reentrancy guard: eviction inside a flush
@@ -105,7 +112,16 @@ type state = {
   mutable top : int;
 }
 
-and t = { st : state; disk : Disk.t; uid : int; slot : int; local : acc }
+and t = {
+  st : state;
+  disk : Disk.t;
+  uid : int;
+  slot : int;
+  local : acc;
+  mutable map : int array;
+      (* block address -> frame, -1 when absent; as long as the highest
+         address installed, or up to twice that *)
+}
 
 let acc_create () =
   {
@@ -192,8 +208,7 @@ let state_create ~frames ~readahead ~write_back =
     pins = Array.make frames 0;
     refbits = Bytes.make frames '\000';
     dirty = Bytes.make frames '\000';
-    owners = Array.make frames (-1);
-    map = Key_table.create frames;
+    meta = Meta.create 16;
     readahead;
     write_back;
     in_flush = false;
@@ -205,9 +220,8 @@ let state_create ~frames ~readahead ~write_back =
   }
 
 let view st disk =
-  let uid = Disk.id disk in
-  check_ns "disk id" uid;
-  let v = { st; disk; uid; slot = Array.length st.views; local = acc_create () } in
+  let slot = Array.length st.views in
+  let v = { st; disk; uid = Disk.id disk; slot; local = acc_create (); map = [||] } in
   st.views <- Array.append st.views [| v |];
   v
 
@@ -250,11 +264,10 @@ let occupied st i = st.keys.(i) <> free_key
 let referenced st i = Bytes.get st.refbits i <> '\000'
 let set_refbit st i b = Bytes.set st.refbits i (if b then '\001' else '\000')
 let is_dirty st i = Bytes.get st.dirty i <> '\000'
+let clean st i = Bytes.set st.dirty i '\000'
 
-(* Mark a frame clean and ownerless. *)
-let clean st i =
-  Bytes.set st.dirty i '\000';
-  st.owners.(i) <- -1
+(* The view a data frame belongs to. *)
+let owner st i = st.views.(slot_of_key st.keys.(i))
 
 let params t = Disk.params t.disk
 
@@ -270,44 +283,57 @@ let note_discard v =
    discarded if the covering extent is gone or reallocated — its
    contents belong to a dead extent and must never reach the disk). *)
 let evict_dirty st i =
-  let key = st.keys.(i) and owner = st.owners.(i) in
-  if owner >= 0 && is_data key then begin
-    let v = st.views.(owner) and addr = addr_of_key key in
-    match Disk.extent_covering v.disk ~addr with
-    | Some ext
-      when Disk.generation_at v.disk ~start:ext.Disk.start = Some st.gens.(i) ->
-      Disk.write_run v.disk ext ~off:(addr - ext.Disk.start) ~blocks:1;
-      bump v (fun a -> a.dirty_evictions <- a.dirty_evictions + 1);
-      Wave_obs.Metrics.inc m_dirty_evictions
-    | _ -> note_discard v
-  end;
+  let v = owner st i and addr = addr_of_key st.keys.(i) in
+  (match Disk.extent_covering v.disk ~addr with
+  | Some ext when Disk.generation_at v.disk ~start:ext.Disk.start = Some st.gens.(i) ->
+    Disk.write_run v.disk ext ~off:(addr - ext.Disk.start) ~blocks:1;
+    bump v (fun a -> a.dirty_evictions <- a.dirty_evictions + 1);
+    Wave_obs.Metrics.inc m_dirty_evictions
+  | _ -> note_discard v);
   clean st i
 
 (* CLOCK second chance: sweep from the hand, skipping pinned frames and
    giving referenced frames one more revolution.  Two full revolutions
-   guarantee a victim unless every frame is pinned. *)
-let victim st =
+   ([budget]) guarantee a victim unless every frame is pinned.  The
+   sweep takes everything it reads as an argument, so an eviction
+   allocates no closure. *)
+let rec sweep st budget =
   let n = Array.length st.keys in
-  let rec go budget =
-    if budget = 0 then fail "no evictable frame: all %d frames pinned" n;
-    let i = st.hand in
-    st.hand <- (if i + 1 = n then 0 else i + 1);
-    if not (occupied st i) then i
-    else if st.pins.(i) > 0 then go (budget - 1)
-    else if referenced st i then begin
-      set_refbit st i false;
-      go (budget - 1)
-    end
-    else i
-  in
-  go (2 * n)
+  if budget = 0 then fail "no evictable frame: all %d frames pinned" n;
+  let i = st.hand in
+  st.hand <- (if i + 1 = n then 0 else i + 1);
+  if not (occupied st i) then i
+  else if st.pins.(i) > 0 then sweep st (budget - 1)
+  else if referenced st i then begin
+    set_refbit st i false;
+    sweep st (budget - 1)
+  end
+  else i
 
-let install t key ~gen ~refbit =
+(* Frame of data block [addr] in this view, or -1. *)
+let data_frame t addr = if addr >= 0 && addr < Array.length t.map then t.map.(addr) else -1
+
+(* Point [addr]'s map entry at frame [i], first growing the map
+   geometrically when [addr] lies past its end. *)
+let map_set t addr i =
+  let len = Array.length t.map in
+  if addr >= len then begin
+    let bigger = Array.make (max (addr + 1) (2 * len)) (-1) in
+    Array.blit t.map 0 bigger 0 len;
+    t.map <- bigger
+  end;
+  t.map.(addr) <- i
+
+(* Take the CLOCK victim's frame for [key], evicting its block: the
+   deferred write, if dirty, then its residency entry. *)
+let claim t key ~gen ~refbit =
   let st = t.st in
-  let i = victim st in
+  let i = sweep st (2 * Array.length st.keys) in
   if occupied st i then begin
     if is_dirty st i then evict_dirty st i;
-    Key_table.remove st.map st.keys st.keys.(i);
+    let old = st.keys.(i) in
+    if is_data old then (owner st i).map.(addr_of_key old) <- -1
+    else Meta.remove st.meta old;
     bump t (fun a -> a.evictions <- a.evictions + 1);
     Wave_obs.Metrics.inc m_evictions
   end;
@@ -316,23 +342,12 @@ let install t key ~gen ~refbit =
   st.pins.(i) <- 0;
   set_refbit st i refbit;
   clean st i;
-  Key_table.replace st.map st.keys key i;
   i
 
-let lookup st key = Key_table.find st.map st.keys key
-let data_frame t addr = lookup t.st (data_key t.uid addr)
-
-(* Frame of data block [addr], or -1, where [prev] is the frame of the
-   block a walk visited just before it (-1 if none).  Blocks installed
-   together sit in consecutive frames, because the CLOCK hand hands out
-   frames in order, so the frame after [prev] is compared first and the
-   table is searched only on a mismatch.  The hint is exact: a key lives
-   in at most one frame, and [keys.(f) = k] exactly when the table maps
-   [k] to [f]. *)
-let frame_after t ~prev addr =
-  let st = t.st and key = data_key t.uid addr in
-  let j = prev + 1 in
-  if j < Array.length st.keys && st.keys.(j) = key then j else lookup st key
+let install t addr ~gen ~refbit =
+  let i = claim t (data_key t.slot addr) ~gen ~refbit in
+  map_set t addr i;
+  i
 
 let live_gen t (ext : Disk.extent) =
   match Disk.generation_at t.disk ~start:ext.Disk.start with
@@ -372,7 +387,7 @@ let settle t addr ~gen ~refbit =
     set_refbit st i refbit;
     bump t (fun a -> a.stale_drops <- a.stale_drops + 1)
   end
-  else ignore (install t (data_key t.uid addr) ~gen ~refbit)
+  else ignore (install t addr ~gen ~refbit)
 
 let push st x =
   if st.top = Array.length st.pending then begin
@@ -421,11 +436,9 @@ let read_blocks t ((ext : Disk.extent), off, blocks) mark =
   let st = t.st in
   let gen = live_gen t ext in
   let base = ext.Disk.start + off in
-  let hits = ref 0 and prev = ref (-1) in
+  let hits = ref 0 in
   for a = base to base + blocks - 1 do
-    let i = frame_after t ~prev:!prev a in
-    if classify st i ~gen then incr hits else push st a;
-    prev := i
+    if classify st (data_frame t a) ~gen then incr hits else push st a
   done;
   let m = st.top - mark in
   if m > 0 && st.readahead > 0 then begin
@@ -434,9 +447,7 @@ let read_blocks t ((ext : Disk.extent), off, blocks) mark =
        ride the same seek (extra transfer only). *)
     let last = ext.Disk.start + min ext.Disk.length (off + blocks + st.readahead) - 1 in
     for a = base + blocks to last do
-      let i = frame_after t ~prev:!prev a in
-      if not (classify st i ~gen) then push st a;
-      prev := i
+      if not (classify st (data_frame t a) ~gen) then push st a
     done
   end;
   let n_ra = st.top - mark - m in
@@ -472,15 +483,12 @@ let read t ext = read_range t ext ~off:0 ~blocks:ext.Disk.length
 let scan_blocks t exts mark =
   let st = t.st in
   let total = ref 0 and hits = ref 0 and runs = ref 0 and in_run = ref false in
-  let prev = ref (-1) in
   List.iter
     (fun (e : Disk.extent) ->
       let gen = live_gen t e in
       for a = e.Disk.start to e.Disk.start + e.Disk.length - 1 do
         incr total;
-        let i = frame_after t ~prev:!prev a in
-        prev := i;
-        if classify st i ~gen then begin
+        if classify st (data_frame t a) ~gen then begin
           incr hits;
           in_run := false
         end
@@ -533,25 +541,22 @@ let write_back_range t (ext : Disk.extent) ~off ~blocks =
       Disk.write_run t.disk ext ~off ~blocks;
       let gen = live_gen t ext in
       let base = ext.Disk.start + off in
-      let prev = ref (-1) in
       for a = base to base + blocks - 1 do
-        let i = frame_after t ~prev:!prev a in
+        let i = data_frame t a in
         if i >= 0 then begin
           drop_stale_dirty t i;
           st.gens.(i) <- gen;
           set_refbit st i true
-        end;
-        prev := i
+        end
       done
     end
     else begin
       let gen = live_gen t ext in
       let base = ext.Disk.start + off in
-      let prev = ref (-1) in
       for a = base to base + blocks - 1 do
-        let i = frame_after t ~prev:!prev a in
+        let i = data_frame t a in
         let i =
-          if i < 0 then install t (data_key t.uid a) ~gen ~refbit:true
+          if i < 0 then install t a ~gen ~refbit:true
           else if st.gens.(i) = gen then begin
             if is_dirty st i then begin
               (* A rewrite absorbed by an already-dirty frame: the
@@ -569,9 +574,7 @@ let write_back_range t (ext : Disk.extent) ~off ~blocks =
           end
         in
         set_refbit st i true;
-        Bytes.set st.dirty i '\001';
-        st.owners.(i) <- t.slot;
-        prev := i
+        Bytes.set st.dirty i '\001'
       done
     end
 
@@ -589,15 +592,13 @@ let write_range t (ext : Disk.extent) ~off ~blocks =
       let st = t.st in
       let gen = live_gen t ext in
       let base = ext.Disk.start + off in
-      let prev = ref (-1) in
       for a = base to base + blocks - 1 do
-        let i = frame_after t ~prev:!prev a in
+        let i = data_frame t a in
         if i >= 0 then begin
           st.gens.(i) <- gen;
           set_refbit st i true
-        end;
+        end
         (* no write allocation *)
-        prev := i
       done
     end
   end
@@ -631,11 +632,7 @@ let flush t =
     let dirty = ref [] in
     for i = 0 to Array.length st.keys - 1 do
       if occupied st i && is_dirty st i then
-        if st.owners.(i) >= 0 && is_data st.keys.(i) then
-          dirty := (st.views.(st.owners.(i)), addr_of_key st.keys.(i), i) :: !dirty
-        else
-          (* Dirty frame with no owner cannot be written anywhere. *)
-          Bytes.set st.dirty i '\000'
+        dirty := (owner st i, addr_of_key st.keys.(i), i) :: !dirty
     done;
     let dirty =
       List.sort
@@ -708,7 +705,7 @@ let discard_dirty t =
   let n = ref 0 in
   for i = 0 to Array.length st.keys - 1 do
     if occupied st i && is_dirty st i then begin
-      if st.owners.(i) >= 0 then note_discard st.views.(st.owners.(i));
+      note_discard (owner st i);
       clean st i;
       incr n
     end
@@ -724,13 +721,12 @@ let rec meta_read_nodes t dir = function
   | node :: rest ->
     let st = t.st in
     let key = meta_key dir node in
-    let i = lookup st key in
-    if i >= 0 then begin
+    (match Meta.find st.meta key with
+    | i ->
       set_refbit st i true;
       bump t (fun a -> a.meta_hits <- a.meta_hits + 1);
       Wave_obs.Metrics.inc m_meta_hits
-    end
-    else begin
+    | exception Not_found ->
       (* A cold upper-level block: pointer-chased, so each miss pays
          its own seek — exactly the term a warm pool removes. *)
       Disk.charge_seek t.disk;
@@ -739,8 +735,7 @@ let rec meta_read_nodes t dir = function
       add_meta_miss t.local ~seek ~block;
       add_meta_miss st.global ~seek ~block;
       Wave_obs.Metrics.inc m_meta_misses;
-      ignore (install t key ~gen:0 ~refbit:true)
-    end;
+      Meta.replace st.meta key (claim t key ~gen:0 ~refbit:true));
     meta_read_nodes t dir rest
 
 let meta_read t ~dir ~nodes =
@@ -752,23 +747,21 @@ let meta_read t ~dir ~nodes =
 (* Frame of every block in [start, start+length) whose frame satisfies
    [ok], or the first block that does not. *)
 let first_block_not t ~start ~length ok =
-  let rec go a prev =
+  let rec go a =
     if a = start + length then -1
     else
-      let i = frame_after t ~prev a in
-      if i >= 0 && ok i then go (a + 1) i else a
+      let i = data_frame t a in
+      if i >= 0 && ok i then go (a + 1) else a
   in
-  go start (-1)
+  go start
 
 (* Add [d] to the pin count of every block of an extent whose blocks
    the caller has checked are all resident. *)
 let add_pins t (ext : Disk.extent) d =
   let st = t.st in
-  let prev = ref (-1) in
   for a = ext.Disk.start to ext.Disk.start + ext.Disk.length - 1 do
-    let i = frame_after t ~prev:!prev a in
-    st.pins.(i) <- st.pins.(i) + d;
-    prev := i
+    let i = data_frame t a in
+    st.pins.(i) <- st.pins.(i) + d
   done
 
 let pin_extent t (ext : Disk.extent) =
@@ -805,7 +798,7 @@ let unpin_extent t (ext : Disk.extent) =
    pinned (eviction would then have no victim); the returned addresses
    are exactly the blocks pinned, to be released with [unpin_blocks].
 
-   Eviction invariant (see [victim]): a frame with [pins > 0] is never
+   Eviction invariant (see [sweep]): a frame with [pins > 0] is never
    selected, whatever its reference bit — so a frame pinned by a
    retired-but-undrained epoch survives any amount of cache pressure
    until the epoch's last reader drains and unpins it. *)
@@ -813,16 +806,13 @@ let pin_resident_blocks t (ext : Disk.extent) ~budget =
   let st = t.st in
   let gen = live_gen t ext in
   let pinned = ref [] in
-  let left = ref budget and prev = ref (-1) in
+  let left = ref budget in
   for a = ext.Disk.start to ext.Disk.start + ext.Disk.length - 1 do
-    if !left > 0 then begin
-      let i = frame_after t ~prev:!prev a in
-      if i >= 0 && st.gens.(i) = gen then begin
-        st.pins.(i) <- st.pins.(i) + 1;
-        decr left;
-        pinned := a :: !pinned
-      end;
-      prev := i
+    let i = data_frame t a in
+    if !left > 0 && i >= 0 && st.gens.(i) = gen then begin
+      st.pins.(i) <- st.pins.(i) + 1;
+      decr left;
+      pinned := a :: !pinned
     end
   done;
   List.rev !pinned
@@ -830,23 +820,19 @@ let pin_resident_blocks t (ext : Disk.extent) ~budget =
 let unpin_blocks t addrs =
   let st = t.st in
   (* Validate first so a failed unpin changes nothing; pinned frames
-     cannot be evicted, so every address must still be resident.  The
-     addresses were pinned in address order, so they walk like a range. *)
-  let check prev addr =
-    let i = frame_after t ~prev addr in
-    if i < 0 then fail "unpin_blocks: pinned block %d is not resident" addr
-    else if st.pins.(i) <= 0 then
-      fail "unpin_blocks: block %d pin count would drop below zero" addr;
-    i
-  in
-  ignore (List.fold_left check (-1) addrs);
-  ignore
-    (List.fold_left
-       (fun prev addr ->
-         let i = frame_after t ~prev addr in
-         st.pins.(i) <- st.pins.(i) - 1;
-         i)
-       (-1) addrs)
+     cannot be evicted, so every address must still be resident. *)
+  List.iter
+    (fun addr ->
+      let i = data_frame t addr in
+      if i < 0 then fail "unpin_blocks: pinned block %d is not resident" addr
+      else if st.pins.(i) <= 0 then
+        fail "unpin_blocks: block %d pin count would drop below zero" addr)
+    addrs;
+  List.iter
+    (fun addr ->
+      let i = data_frame t addr in
+      st.pins.(i) <- st.pins.(i) - 1)
+    addrs
 
 let pinned_frames t = count_frames t.st (fun st i -> st.pins.(i) > 0)
 
@@ -862,6 +848,38 @@ let contains t (ext : Disk.extent) =
     first_block_not t ~start:ext.Disk.start ~length:ext.Disk.length (fun i ->
         t.st.gens.(i) = gen)
     < 0
+
+(* Every occupied frame is the entry of its key, and every entry points
+   back at a frame holding its key. *)
+let validate t =
+  let st = t.st in
+  let n = Array.length st.keys in
+  let holds key i = i >= 0 && i < n && st.keys.(i) = key in
+  let entry key =
+    if not (is_data key) then Option.value (Meta.find_opt st.meta key) ~default:(-1)
+    else if slot_of_key key < Array.length st.views then
+      data_frame st.views.(slot_of_key key) (addr_of_key key)
+    else -1
+  in
+  Array.iteri
+    (fun i key ->
+      if key <> free_key && entry key <> i then
+        fail "validate: frame %d holds key %d, whose entry is %d" i key (entry key))
+    st.keys;
+  Array.iter
+    (fun v ->
+      Array.iteri
+        (fun addr i ->
+          if i <> -1 && not (holds (data_key v.slot addr) i) then
+            fail "validate: view %d maps block %d to frame %d, which holds another key"
+              v.slot addr i)
+        v.map)
+    st.views;
+  Meta.iter
+    (fun key i ->
+      if not (holds key i) then
+        fail "validate: node key %d maps to frame %d, which holds another key" key i)
+    st.meta
 
 let stats t = acc_stats t.st.global
 let local_stats t = acc_stats t.local

@@ -54,7 +54,13 @@
     disk shares the pool.  {!attach_shared} instead backs {e several}
     disks with one set of frames — a global buffer manager across
     {!Wave_sim.Multi_disk} arms — with per-disk stats slices via
-    {!local_stats}. *)
+    {!local_stats}.
+
+    Memory: besides one entry per frame in a handful of arrays, each
+    view keeps an int array from block address to frame, one int per
+    block address up to the highest address installed (at most twice
+    that after geometric growth), and the pool keeps a table with one
+    binding per resident metadata block. *)
 
 open Wave_disk
 
@@ -112,11 +118,12 @@ val attach_shared :
   t list
 (** One shared pool state backing every listed disk, returned as one
     view per disk (in order).  Raises {!Cache_error} if the list is
-    empty or any disk already has a pool attached.  Data keys carry the
-    disk id, so same-numbered blocks of different arms never collide;
-    eviction pressure, however, is global — a hot arm can evict a cold
-    arm's frames, which is the contention {!Wave_sim.Multi_disk}'s
-    shared mode exists to expose. *)
+    empty or any disk already has a pool attached.  Each view maps its
+    own disk's block addresses, so
+    same-numbered blocks of different arms never collide; eviction
+    pressure, however, is global — a hot arm can evict a cold arm's
+    frames, which is the contention {!Wave_sim.Multi_disk}'s shared
+    mode exists to expose. *)
 
 val find : Disk.t -> t option
 (** The pool view attached to this disk, if any. *)
@@ -162,7 +169,9 @@ val meta_read : t -> dir:int -> nodes:int list -> unit
     namespace [dir] (use {!Wave_storage.Btree.uid}).  A resident
     node is free; a miss charges one seek plus one block — the
     seek-dominated upper-level access a warm pool removes.  Metadata
-    frames are never stale (node ids are never reused). *)
+    frames are never stale (node ids are never reused).  Raises
+    {!Cache_error} on a [dir] outside [\[0, 2^29)] before any charge, and
+    on a node id outside [\[0, 2^31)] when the walk reaches it. *)
 
 (** {1 Write-back durability} *)
 
@@ -229,6 +238,13 @@ val resident : t -> int
 val contains : t -> Disk.extent -> bool
 (** Whether every block of the extent is resident with the extent's
     current allocation generation. *)
+
+val validate : t -> unit
+(** Residency invariants of the whole pool (all views of a shared
+    pool): every occupied frame is the entry of its key — its view's
+    map entry at its block address, or the metadata table's binding —
+    and every map entry and binding names a frame that holds that key.
+    Raises {!Cache_error} on violation.  Used by the test suite. *)
 
 val stats : t -> stats
 (** Pool-wide totals (all views of a shared pool). *)

@@ -202,6 +202,29 @@ let test_generation_invalidation () =
   Alcotest.(check bool) "now resident under new generation" true
     (Cache.contains pool e')
 
+let test_stale_block_evicted_by_its_own_read () =
+  (* Frames hold blocks 1 and 2 of a freed extent when its addresses are
+     reallocated.  A read of blocks 0-2 classifies 1 and 2 as stale, and
+     installing block 0 then evicts block 1's frame: block 1 must be
+     looked up again, found absent and installed, not refreshed in a
+     frame that now holds block 0. *)
+  let disk, pool = mk_pool ~frames:2 () in
+  let e = Disk.alloc disk ~blocks:3 in
+  Disk.write disk e;
+  Cache.read_range pool e ~off:1 ~blocks:2;
+  Disk.free disk e;
+  let e' = Disk.alloc disk ~blocks:3 in
+  Alcotest.(check int) "allocator reused the address" e.Disk.start e'.Disk.start;
+  Disk.write disk e';
+  Cache.read pool e';
+  Cache.validate pool;
+  let s = Cache.stats pool in
+  check_stat "no block refreshed in place" 0 s.Cache.stale_drops;
+  check_stat "each install evicted" 3 s.Cache.evictions;
+  let t0 = Disk.elapsed disk in
+  Cache.read_range pool e' ~off:1 ~blocks:2;
+  Alcotest.(check (float 0.0)) "blocks 1 and 2 resident" 0.0 (Disk.elapsed disk -. t0)
+
 let test_read_dead_extent_raises () =
   let disk, pool = mk_pool ~frames:8 () in
   let e = Disk.alloc disk ~blocks:2 in
@@ -468,11 +491,88 @@ let test_shared_pool_cross_arm_eviction () =
       check_stat "pool total" 3 (Cache.stats va).Cache.misses;
       check_stat "B's install evicted" 1 sb.Cache.evictions)
 
-(* --- consecutive-frame hint --------------------------------------------- *)
+(* --- residency ---------------------------------------------------------- *)
 
-(* A walk over consecutive addresses tries the frame after the previous
-   block's frame before the key table.  Each test below puts the wrong
-   block, or no frame at all, where that hint points. *)
+let test_map_grows_to_far_address () =
+  (* A fresh pool's address map is empty.  Two near blocks go in first,
+     then one at the far end of a large extent: the map grows past it,
+     keeps the near entries, and all three blocks hit afterwards. *)
+  let disk, pool = mk_pool ~frames:4 () in
+  let e = Disk.alloc disk ~blocks:100_000 in
+  Disk.write disk e;
+  Cache.read_range pool e ~off:0 ~blocks:2;
+  Cache.read_range pool e ~off:99_999 ~blocks:1;
+  Cache.validate pool;
+  let t0 = Disk.elapsed disk in
+  Cache.read_range pool e ~off:0 ~blocks:2;
+  Cache.read_range pool e ~off:99_999 ~blocks:1;
+  Alcotest.(check (float 0.0)) "rereads free" 0.0 (Disk.elapsed disk -. t0);
+  let s = Cache.stats pool in
+  check_stat "hits" 3 s.Cache.hits;
+  check_stat "misses" 3 s.Cache.misses;
+  check_stat "resident" 3 (Cache.resident pool)
+
+let test_shared_views_separate_entries () =
+  (* Two disks of one shared pool hand out the same address.  Evicting
+     A's block must clear A's entry only: B's block at the same address
+     stays resident and hits. *)
+  let da = mk_disk () and db = mk_disk () in
+  let va, vb =
+    match Cache.attach_shared [ da; db ] ~frames:2 () with
+    | [ va; vb ] -> (va, vb)
+    | _ -> Alcotest.fail "expected two views"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.detach da;
+      Cache.detach db)
+    (fun () ->
+      let a = Disk.alloc da ~blocks:1 and a' = Disk.alloc da ~blocks:1 in
+      let b = Disk.alloc db ~blocks:1 in
+      List.iter (Disk.write da) [ a; a' ];
+      Disk.write db b;
+      Alcotest.(check int) "same address" a.Disk.start b.Disk.start;
+      Cache.read va a;
+      Cache.read vb b;
+      Cache.read va a';
+      check_stat "a' evicted one block" 1 (Cache.stats va).Cache.evictions;
+      Alcotest.(check bool) "A's block evicted" false (Cache.contains va a);
+      Alcotest.(check bool) "B's block resident" true (Cache.contains vb b);
+      Cache.validate va;
+      let u0 = Disk.elapsed db in
+      Cache.read vb b;
+      Alcotest.(check (float 0.0)) "B's block hits" 0.0 (Disk.elapsed db -. u0);
+      check_stat "B: one miss, one hit" 1 (Cache.local_stats vb).Cache.hits)
+
+let test_eviction_allocates_nothing () =
+  (* Bytecode boxes what native code keeps in registers, so only native
+     code can hold the pool to zero words per block. *)
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let disk, pool = mk_pool ~frames:64 () in
+  let small = Disk.alloc disk ~blocks:1_000 and large = Disk.alloc disk ~blocks:2_000 in
+  Disk.write disk small;
+  Disk.write disk large;
+  (* Warm-up grows the address map past both extents and the pending
+     stack past 2,000 entries.  Each read leaves only the tail of its
+     own extent resident, so every measured read misses every block and
+     evicts for each one. *)
+  Cache.read pool small;
+  Cache.read pool large;
+  let words ext =
+    let w0 = Gc.minor_words () in
+    Cache.read pool ext;
+    Gc.minor_words () -. w0
+  in
+  let w_small = words small in
+  let w_large = words large in
+  let s = Cache.stats pool in
+  check_stat "every block missed" 6_000 s.Cache.misses;
+  check_stat "every miss past the first 64 evicted" (6_000 - 64) s.Cache.evictions;
+  Alcotest.(check (float 0.0)) "2,000 misses allocate what 1,000 do" w_small w_large
+
+(* Each test below puts another block, or no block, in the frame after
+   the frame of a block's predecessor (the "hint" frame its comments
+   name): a lookup must find each block's own frame and nothing else. *)
 
 let test_hint_other_disk () =
   (* Two fresh disks hand out the same addresses under the same
@@ -673,7 +773,12 @@ let test_meta_read () =
   check_stat "meta hits" 3 s.Cache.meta_hits;
   check_stat "meta misses" 4 s.Cache.meta_misses;
   Alcotest.(check bool) "meta seconds accounted" true
-    (s.Cache.meta_seconds > 0.0)
+    (s.Cache.meta_seconds > 0.0);
+  (* Node ids count up from 0: a negative one is refused by name. *)
+  Alcotest.check_raises "negative node id"
+    (Cache.Cache_error "node id -1 outside the pool's key range [0, 2^31)")
+    (fun () -> Cache.meta_read pool ~dir:1 ~nodes:[ -1 ]);
+  check_stat "nothing charged" 4 (Cache.stats pool).Cache.meta_misses
 
 (* --- index integration ------------------------------------------------ *)
 
@@ -1368,7 +1473,7 @@ let gen_trace =
         (6, map3 (fun e o b -> Read (e, o, b)) ext (int_bound 5) (int_range 1 6));
         (2, map (fun es -> Scan es) (list_size (int_range 1 3) ext));
         (4, map3 (fun e o b -> Write (e, o, b)) ext (int_bound 5) (int_range 0 6));
-        (2, map2 (fun d ns -> Meta (d, ns)) (int_range 1 2) (list_size (int_range 1 3) (int_range (-2) 4)));
+        (2, map2 (fun d ns -> Meta (d, ns)) (int_range 1 2) (list_size (int_range 1 3) (int_range 0 4)));
         (1, map (fun e -> Pin e) ext);
         (1, map (fun e -> Unpin e) ext);
         (1, map2 (fun e b -> Pin_resident (e, b)) ext (int_range 1 3));
@@ -1389,7 +1494,8 @@ let print_trace tr =
 let outcome f = match f () with () -> "ok" | exception e -> Printexc.to_string e
 
 (* Run the trace on [Cache] over one disk and on [Ref_pool] over a twin
-   disk; [Error] names the first step where they disagree. *)
+   disk; [Error] names the first step where they disagree or where the
+   pool's residency entries stop matching its frames ([Cache.validate]). *)
 let run_against_reference tr =
   let disk = mk_disk () and twin = mk_disk () in
   let pool = Cache.create disk ~frames:tr.frames ~readahead:tr.readahead ~write_back:tr.wb () in
@@ -1487,13 +1593,18 @@ let run_against_reference tr =
         Error (Printf.sprintf "step %d (%s): cache %s, reference %s" k (pp_op op) ours theirs)
       else if observe () <> observe_ref () then
         Error (Printf.sprintf "step %d (%s): state differs" k (pp_op op))
-      else go (k + 1) rest
+      else
+        match Cache.validate pool with
+        | () -> go (k + 1) rest
+        | exception Cache.Cache_error msg ->
+          Error (Printf.sprintf "step %d (%s): %s" k (pp_op op) msg)
   in
   go 1 tr.ops
 
+(* [QCHECK_LONG=1] (the @cache alias) runs 10x the traces. *)
 let prop_matches_reference =
   QCheck2.Test.make ~name:"pool agrees with the reference model" ~count:400
-    ~print:print_trace gen_trace (fun tr ->
+    ~long_factor:10 ~print:print_trace gen_trace (fun tr ->
       match run_against_reference tr with
       | Ok _ -> true
       | Error msg -> QCheck2.Test.fail_report msg)
@@ -1515,53 +1626,6 @@ let test_reference_sample () =
   in
   Alcotest.(check bool) "a read evicted a block it classified stale" true
     (stale_evicted > 0)
-
-(* --- the residency table alone --------------------------------------- *)
-
-(* Keys whose home is the last slot of a 4-key (8-slot) table, so most
-   probe sequences run off the end and wrap around to slot 0. *)
-let wrapping_keys =
-  let t = Key_table.create 4 in
-  assert (Key_table.slots t = 8);
-  let rec pick k acc =
-    if List.length acc = 6 then acc
-    else pick (k + 1) (if Key_table.home t k = Key_table.slots t - 1 then k :: acc else acc)
-  in
-  pick 0 []
-
-let prop_key_table =
-  QCheck2.Test.make ~name:"key table agrees with Hashtbl" ~count:500
-    QCheck2.Gen.(
-      list_size (int_range 1 80)
-        (pair (int_bound 2) (oneof [ oneofl wrapping_keys; int_bound 40 ])))
-    (fun ops ->
-      let t = Key_table.create 4 in
-      let keys = Array.make 4 (-1) and model = Hashtbl.create 8 in
-      List.for_all
-        (fun (op, k) ->
-          (match op with
-          | 0 -> (
-            (* insert, when there is a free frame *)
-            if not (Hashtbl.mem model k) then
-              match List.find_opt (fun f -> keys.(f) < 0) [ 0; 1; 2; 3 ] with
-              | Some f ->
-                keys.(f) <- k;
-                Key_table.replace t keys k f;
-                Hashtbl.replace model k f
-              | None -> ())
-          | 1 -> (
-            Key_table.remove t keys k;
-            match Hashtbl.find_opt model k with
-            | Some f ->
-              keys.(f) <- -1;
-              Hashtbl.remove model k
-            | None -> ())
-          | _ -> ());
-          Key_table.find t keys k = Option.value ~default:(-1) (Hashtbl.find_opt model k)
-          && List.for_all
-               (fun k -> Key_table.find t keys k = Option.value ~default:(-1) (Hashtbl.find_opt model k))
-               (wrapping_keys @ List.init 41 Fun.id))
-        ops)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -1585,6 +1649,8 @@ let suites =
           test_resident_pins_survive_pressure;
         Alcotest.test_case "generation invalidation" `Quick
           test_generation_invalidation;
+        Alcotest.test_case "stale block evicted by its own read" `Quick
+          test_stale_block_evicted_by_its_own_read;
         Alcotest.test_case "dead extent raises" `Quick
           test_read_dead_extent_raises;
         Alcotest.test_case "write-through no allocate" `Quick
@@ -1592,6 +1658,12 @@ let suites =
         Alcotest.test_case "demand readahead" `Quick test_demand_readahead;
         Alcotest.test_case "scan batches runs" `Quick test_scan_batches_runs;
         Alcotest.test_case "metadata caching" `Quick test_meta_read;
+        Alcotest.test_case "map grows to a far address" `Quick
+          test_map_grows_to_far_address;
+        Alcotest.test_case "shared views keep separate entries" `Quick
+          test_shared_views_separate_entries;
+        Alcotest.test_case "eviction allocates nothing" `Quick
+          test_eviction_allocates_nothing;
       ] );
     ( "cache.write_back",
       [
@@ -1643,5 +1715,5 @@ let suites =
     ( "cache.reference",
       Alcotest.test_case "fixed traces match the reference" `Quick
         test_reference_sample
-      :: qcheck [ prop_matches_reference; prop_key_table ] );
+      :: qcheck [ prop_matches_reference ] );
   ]
