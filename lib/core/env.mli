@@ -31,6 +31,21 @@ type day_store = int -> Entry.batch
     may fetch the same day several times (e.g. REINDEX re-reads W/n
     days per rebuild). *)
 
+(** One step of index maintenance, as the analytic model charges it
+    (Tables 10-11).  {!Update} reports each operation it performs;
+    {!Scheme_base} reports the two phase marks of a transition. *)
+type op =
+  | Build of int  (** [BuildIndex] over k days *)
+  | Add of int  (** incremental [AddToIndex] of k days *)
+  | Delete of int  (** incremental [DeleteFromIndex] of k days *)
+  | Copy of { days : int; live : bool }
+      (** [CP] of a d-day index; [live]: a constituent visible to
+          queries (a shadow copy), not a temporary *)
+  | Smart_copy of { days : int; add : int; live : bool }
+      (** [SMCP] of a d-day index plus k new days into a packed index *)
+  | Arrived  (** the new day's data arrived *)
+  | Visible  (** the new day became queryable *)
+
 type t = {
   disk : Disk.t;
   icfg : Index.config;
@@ -47,6 +62,9 @@ type t = {
           shadowing) raises {!Update.Deletes_not_supported}, while
           packed shadowing remains legal since expiry rides the smart
           copy. *)
+  observer : (op -> unit) option;
+      (** Receives every {!op} as it happens (the analytic model's
+          replay); [None] costs one test per operation. *)
 }
 
 val create :
@@ -54,6 +72,7 @@ val create :
   ?icfg:Index.config ->
   ?technique:technique ->
   ?allow_deletes:bool ->
+  ?observer:(op -> unit) ->
   store:day_store ->
   w:int ->
   n:int ->

@@ -17,7 +17,11 @@ let create env =
     started = 0.0;
   }
 
-let mark_visible t = t.mark <- Wave_disk.Disk.elapsed t.env.Env.disk
+let report t op = match t.env.Env.observer with Some f -> f op | None -> ()
+
+let mark_visible t =
+  t.mark <- Wave_disk.Disk.elapsed t.env.Env.disk;
+  report t Env.Visible
 
 let install t j idx days = Frame.set_slot t.frame j idx days
 
@@ -28,7 +32,9 @@ let begin_transition t =
   t.started <- now;
   t.arrived <- now
 
-let data_arrives t = t.arrived <- Wave_disk.Disk.elapsed t.env.Env.disk
+let data_arrives t =
+  t.arrived <- Wave_disk.Disk.elapsed t.env.Env.disk;
+  report t Env.Arrived
 
 let arrival t = t.arrived
 let transition_started t = t.started

@@ -18,7 +18,8 @@ val create : Env.t -> t
 val mark_visible : t -> unit
 (** Record the current model clock as the moment the newest day became
     visible to queries.  Schemes call this right after installing the
-    constituent holding the new day. *)
+    constituent holding the new day.  Reports {!Env.Visible} to the
+    observer. *)
 
 val install : t -> int -> Wave_storage.Index.t -> Dayset.t -> unit
 (** [install t j idx days] sets slot [j] of the frame. *)
@@ -33,7 +34,8 @@ val begin_transition : t -> unit
 val data_arrives : t -> unit
 (** Stamp the instant the new day's data becomes available — work done
     before this is pre-computation, work between this and
-    {!mark_visible} is the paper's Transition Time. *)
+    {!mark_visible} is the paper's Transition Time.  Reports
+    {!Env.Arrived} to the observer. *)
 
 val arrival : t -> float
 val transition_started : t -> float

@@ -26,6 +26,12 @@ let op_span env name days f =
       f
   else f ()
 
+(* Every operation is reported to [Env.observer] (the analytic model's
+   replay) behind one match: with no observer the day counts are never
+   taken. *)
+let day_count idx = List.length (Index.days idx)
+let expiring idx expire = List.length (List.filter expire (Index.days idx))
+
 (* Technique barrier for write-back pools: the moment a shadow replaces
    the old constituent (the old index is dropped), the shadow is the
    only copy — its deferred bucket writes must be on disk first.  This
@@ -37,79 +43,51 @@ let flush_barrier env =
   | None -> ()
 
 let build_days env days =
+  (match env.Env.observer with Some f -> f (Env.Build (List.length days)) | None -> ());
   op_span env "BuildIndex" days (fun () ->
       Index.build env.Env.disk env.Env.icfg (fetch env days))
 
 let add_in_place env idx days =
+  (match env.Env.observer with Some f -> f (Env.Add (List.length days)) | None -> ());
   List.iter (fun b -> Index.add_batch idx b) (fetch env days);
   idx
+
+(* [SMCP]: stream [idx] minus [drop_days] plus the new days into a
+   fresh packed index, which replaces [idx]. *)
+let smart_copy env ~live idx ~drop_days days =
+  (match env.Env.observer with
+  | Some f -> f (Env.Smart_copy { days = day_count idx; add = List.length days; live })
+  | None -> ());
+  let fresh = Index.pack idx ~drop_days ~extra:(fetch env days) in
+  flush_barrier env;
+  Index.drop idx;
+  fresh
 
 let add_days env idx days =
   op_span env "AddToIndex" days @@ fun () ->
   match env.Env.technique with
   | Env.In_place -> add_in_place env idx days
   | Env.Simple_shadow ->
-    let shadow = Index.copy idx in
-    let shadow = add_in_place env shadow days in
+    (match env.Env.observer with
+    | Some f -> f (Env.Copy { days = day_count idx; live = true })
+    | None -> ());
+    let shadow = add_in_place env (Index.copy idx) days in
     flush_barrier env;
     Index.drop idx;
     shadow
-  | Env.Packed_shadow ->
-    let fresh = Index.pack idx ~drop_days:(fun _ -> false) ~extra:(fetch env days) in
-    flush_barrier env;
-    Index.drop idx;
-    fresh
+  | Env.Packed_shadow -> smart_copy env ~live:true idx ~drop_days:(fun _ -> false) days
 
-let delete_days env idx expire =
-  require_deletes env "DeleteFromIndex";
-  op_span env "DeleteFromIndex" [] @@ fun () ->
-  match env.Env.technique with
-  | Env.In_place ->
-    ignore (Index.delete_days idx expire);
-    idx
-  | Env.Simple_shadow ->
-    let shadow = Index.copy idx in
-    ignore (Index.delete_days shadow expire);
-    flush_barrier env;
-    Index.drop idx;
-    shadow
-  | Env.Packed_shadow ->
-    let fresh = Index.pack idx ~drop_days:expire ~extra:[] in
-    flush_barrier env;
-    Index.drop idx;
-    fresh
-
-let replace_days env idx ~expire ~add =
-  require_deletes env "DeleteFromIndex";
-  op_span env "ReplaceInIndex" add @@ fun () ->
-  match env.Env.technique with
-  | Env.In_place ->
-    ignore (Index.delete_days idx expire);
-    add_in_place env idx add
-  | Env.Simple_shadow ->
-    let shadow = Index.copy idx in
-    ignore (Index.delete_days shadow expire);
-    let shadow = add_in_place env shadow add in
-    flush_barrier env;
-    Index.drop idx;
-    shadow
-  | Env.Packed_shadow ->
-    let fresh = Index.pack idx ~drop_days:expire ~extra:(fetch env add) in
-    flush_barrier env;
-    Index.drop idx;
-    fresh
-
-let copy _env idx = Index.copy idx
+let copy env idx =
+  (match env.Env.observer with
+  | Some f -> f (Env.Copy { days = day_count idx; live = false })
+  | None -> ());
+  Index.copy idx
 
 let add_days_fresh env idx days =
   op_span env "AddToIndex" days @@ fun () ->
   match env.Env.technique with
   | Env.In_place | Env.Simple_shadow -> add_in_place env idx days
-  | Env.Packed_shadow ->
-    let fresh = Index.pack idx ~drop_days:(fun _ -> false) ~extra:(fetch env days) in
-    flush_barrier env;
-    Index.drop idx;
-    fresh
+  | Env.Packed_shadow -> smart_copy env ~live:false idx ~drop_days:(fun _ -> false) days
 
 type pending = {
   old_idx : Index.t;
@@ -122,9 +100,17 @@ let prepare_replace env idx ~expire =
   op_span env "DeleteFromIndex" [] @@ fun () ->
   match env.Env.technique with
   | Env.In_place ->
+    (match env.Env.observer with
+    | Some f -> f (Env.Delete (expiring idx expire))
+    | None -> ());
     ignore (Index.delete_days idx expire);
     { old_idx = idx; staged = Some idx; expire }
   | Env.Simple_shadow ->
+    (match env.Env.observer with
+    | Some f ->
+      f (Env.Copy { days = day_count idx; live = true });
+      f (Env.Delete (expiring idx expire))
+    | None -> ());
     let shadow = Index.copy idx in
     ignore (Index.delete_days shadow expire);
     { old_idx = idx; staged = Some shadow; expire }
@@ -135,6 +121,9 @@ let prepare_add env idx =
   match env.Env.technique with
   | Env.In_place -> { old_idx = idx; staged = Some idx; expire = (fun _ -> false) }
   | Env.Simple_shadow ->
+    (match env.Env.observer with
+    | Some f -> f (Env.Copy { days = day_count idx; live = true })
+    | None -> ());
     { old_idx = idx; staged = Some (Index.copy idx); expire = (fun _ -> false) }
   | Env.Packed_shadow -> { old_idx = idx; staged = None; expire = (fun _ -> false) }
 
@@ -148,8 +137,4 @@ let complete_replace env p ~add =
       Index.drop p.old_idx
     end;
     staged
-  | None ->
-    let fresh = Index.pack p.old_idx ~drop_days:p.expire ~extra:(fetch env add) in
-    flush_barrier env;
-    Index.drop p.old_idx;
-    fresh
+  | None -> smart_copy env ~live:true p.old_idx ~drop_days:p.expire add

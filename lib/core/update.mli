@@ -4,7 +4,10 @@
     [DeleteFromIndex] (Section 2.2), parameterised by the update
     technique of Section 2.1.  Shadow techniques replace the index, so
     every mutator returns the index to install in the wave; the old
-    one has already been dropped (its space reclaimed). *)
+    one has already been dropped (its space reclaimed).
+
+    Each function reports the operations it performs to
+    [env.observer] ({!Env.op}): what the analytic model charges. *)
 
 open Wave_storage
 
@@ -22,14 +25,6 @@ val add_days : Env.t -> Index.t -> int list -> Index.t
 (** [AddToIndex (Days, I)].  In-place: incremental CONTIGUOUS inserts,
     result unpacked.  Simple shadow: copy, insert into the copy, swap.
     Packed shadow: smart-copy into a fresh packed index. *)
-
-val delete_days : Env.t -> Index.t -> (int -> bool) -> Index.t
-(** [DeleteFromIndex (Days, I)] for all days satisfying the predicate. *)
-
-val replace_days : Env.t -> Index.t -> expire:(int -> bool) -> add:int list -> Index.t
-(** Delete + add in one maintenance step (what DEL does daily).  Under
-    packed shadowing both ride a single smart copy, which is where that
-    technique's saving comes from. *)
 
 val copy : Env.t -> Index.t -> Index.t
 (** Plain duplication (the paper's [CP]); used for [I_j <- Temp] steps

@@ -14,245 +14,91 @@ type summary = {
   work_per_day : float;
 }
 
-(* One symbolic day of maintenance. *)
-type day = {
-  pre : float; (* seconds of pre-computation *)
-  tr : float; (* seconds of transition (data arrival -> queryable) *)
-  space_days : float; (* day-units held at end of day: window + temps + waste *)
-  shadow_days : float; (* transient extra day-units during the step *)
-}
-
 let constituents_packed ~scheme ~technique =
   match (scheme, technique) with
   | _, Env.Packed_shadow -> true
   | Scheme.Reindex, _ -> true
   | _, (Env.In_place | Env.Simple_shadow) -> false
 
-(* Per-technique operation costs, in seconds, sizes in day-units. *)
-module Ops = struct
-  type t = {
-    add_live : index_days:float -> k:float -> float;
-    del_live : index_days:float -> k:float -> float;
-    replace_live : index_days:float -> add_k:float -> float * float;
-        (* (pre, transition) split of a fused delete-1-add-k step *)
-    add_fresh : index_days:float -> k:float -> float;
-    copy : days:float -> float;
-    build : k:float -> float;
-  }
-
-  let make (p : Params.t) technique ~packed =
-    let cp d = d *. Params.cp_day p ~packed in
-    let smcp d = d *. Params.smcp_day p in
-    match technique with
-    | Env.In_place ->
-      {
-        add_live = (fun ~index_days:_ ~k -> k *. p.Params.add);
-        del_live = (fun ~index_days:_ ~k -> k *. p.Params.del);
-        replace_live =
-          (fun ~index_days:_ ~add_k -> (p.Params.del, add_k *. p.Params.add));
-        add_fresh = (fun ~index_days:_ ~k -> k *. p.Params.add);
-        copy = (fun ~days -> cp days);
-        build = (fun ~k -> k *. p.Params.build);
-      }
-    | Env.Simple_shadow ->
-      {
-        add_live = (fun ~index_days ~k -> cp index_days +. (k *. p.Params.add));
-        del_live = (fun ~index_days ~k -> cp index_days +. (k *. p.Params.del));
-        replace_live =
-          (fun ~index_days ~add_k ->
-            (cp index_days +. p.Params.del, add_k *. p.Params.add));
-        add_fresh = (fun ~index_days:_ ~k -> k *. p.Params.add);
-        copy = (fun ~days -> cp days);
-        build = (fun ~k -> k *. p.Params.build);
-      }
-    | Env.Packed_shadow ->
-      {
-        add_live =
-          (fun ~index_days ~k -> smcp index_days +. (k *. p.Params.build));
-        del_live = (fun ~index_days ~k:_ -> smcp index_days);
-        replace_live =
-          (fun ~index_days ~add_k ->
-            (0.0, smcp index_days +. (add_k *. p.Params.build)));
-        add_fresh =
-          (fun ~index_days ~k -> smcp index_days +. (k *. p.Params.build));
-        copy = (fun ~days -> cp days);
-        build = (fun ~k -> k *. p.Params.build);
-      }
-end
-
-(* Shadow-copy transient space: simple and packed shadowing both hold
-   the replacement next to the original during the step. *)
-let shadow_of technique days =
-  match technique with Env.In_place -> 0.0 | _ -> days
-
-(* ------------------------------------------------------------------ *)
-(* Per-scheme daily cost sequences over one super-cycle               *)
-(* ------------------------------------------------------------------ *)
-
 let fl = float_of_int
 
-let del_cycle (ops : Ops.t) technique ~w ~n =
-  let sizes = Split.sizes ~days:w ~parts:n in
-  List.concat_map
-    (fun c ->
-      let pre, tr = ops.replace_live ~index_days:(fl c) ~add_k:1.0 in
-      List.init c (fun _ ->
-          { pre; tr; space_days = fl w; shadow_days = shadow_of technique (fl c) }))
-    sizes
+(* One posting per day: the replay counts days, not entries. *)
+let store day =
+  Wave_storage.Entry.batch_create ~day
+    [| { Wave_storage.Entry.value = 0; entry = { rid = day; day; info = 0 } } |]
 
-let reindex_cycle (ops : Ops.t) ~w ~n =
-  let sizes = Split.sizes ~days:w ~parts:n in
-  List.concat_map
-    (fun c ->
-      List.init c (fun _ ->
-          {
-            pre = 0.0;
-            tr = ops.build ~k:(fl c);
-            space_days = fl w;
-            shadow_days = fl c (* the rebuild coexists with the old index *);
-          }))
-    sizes
+(* One day of the replayed super-cycle. *)
+type day = {
+  pre : float;  (** seconds of pre-computation *)
+  tr : float;  (** seconds of transition (data arrival -> queryable) *)
+  space_days : int;  (** day-units held after the step: constituents + temporaries *)
+  length : int;  (** days visible to queries after the step *)
+  shadow_days : int;  (** day-units standing beside their replacement *)
+}
 
-let reindex_plus_cycle (ops : Ops.t) technique ~w ~n =
-  let sizes = Split.sizes ~days:w ~parts:n in
-  List.concat_map
-    (fun c ->
-      List.init c (fun i ->
-          let t = i + 1 in
-          let tr, temp_after =
-            if c = 1 then (ops.build ~k:1.0, 0.0)
-            else if t = 1 then
-              ( ops.build ~k:1.0 +. ops.copy ~days:1.0
-                +. ops.add_fresh ~index_days:1.0 ~k:(fl (c - 1)),
-                1.0 )
-            else if t < c then
-              ( ops.add_fresh ~index_days:(fl (t - 1)) ~k:1.0
-                +. ops.copy ~days:(fl t)
-                +. ops.add_fresh ~index_days:(fl t) ~k:(fl (c - t)),
-                fl t )
-            else (ops.add_fresh ~index_days:(fl (c - 1)) ~k:1.0, 0.0)
-          in
-          {
-            pre = 0.0;
-            tr;
-            space_days = fl w +. temp_after;
-            shadow_days = shadow_of technique (fl c);
-          }))
-    sizes
+(* Run the scheme itself over one super-cycle after Start (W
+   transitions; W-1 for WATA*/RATA*, whose clusters hold W-1 days) and
+   charge each operation it reports at the paper's per-day costs.
 
-let reindex_pp_cycle (ops : Ops.t) ~w ~n =
-  let sizes = Split.sizes ~days:w ~parts:n in
-  List.concat_map
-    (fun c ->
-      (* Ladder rung sizes after initialisation for a cluster of c days:
-         T_0 = 0, T_m = m for m = 1 .. c-1. *)
-      let initialize_cost c' =
-        if c' <= 1 then 0.0
-        else
-          ops.build ~k:1.0
-          +. List.fold_left ( +. ) 0.0
-               (List.init (c' - 2) (fun i ->
-                    let m = i + 2 in
-                    ops.copy ~days:(fl (m - 1))
-                    +. ops.add_fresh ~index_days:(fl (m - 1)) ~k:1.0))
-      in
-      List.init c (fun i ->
-          let t = i + 1 in
-          let tr = ops.add_fresh ~index_days:(fl (c - 1)) ~k:1.0 in
-          let pre =
-            (* After the swap: top up the next rung (it holds c-1-t old
-               days) with the t new days of the cycle so far; at the
-               boundary, rebuild the whole ladder instead. *)
-            if t < c then ops.add_fresh ~index_days:(fl (c - 1 - t)) ~k:(fl t)
-            else initialize_cost c
-          in
-          (* ladder day-units after this day *)
-          let ladder =
-            if t = c then fl ((c - 1) * c / 2) (* freshly initialised *)
-            else begin
-              (* live rungs T_0..T_{c-1-t}; the top holds c-1 days, T_0
-                 none, the middle their original sizes *)
-              let live = c - t in
-              if live <= 1 then fl (c - 1) (* only T_0, holding the new days *)
-              else fl ((live - 2) * (live - 1) / 2) +. fl (c - 1)
-            end
-          in
-          { pre; tr; space_days = fl w +. ladder; shadow_days = 0.0 }))
-    sizes
-
-let wata_cycle (ops : Ops.t) technique ~w ~n =
-  let sizes = Split.sizes ~days:(w - 1) ~parts:(n - 1) in
-  List.concat_map
-    (fun c ->
-      List.init c (fun i ->
-          let t = i + 1 in
-          if t < c then
-            (* Wait: add the new day to the growing last slot (t days),
-               while t expired days linger in the oldest cluster. *)
-            let pre, tr =
-              match technique with
-              | Env.In_place -> (0.0, ops.add_live ~index_days:(fl t) ~k:1.0)
-              | Env.Simple_shadow ->
-                (ops.copy ~days:(fl t), ops.add_fresh ~index_days:(fl t) ~k:1.0)
-              | Env.Packed_shadow ->
-                (0.0, ops.add_live ~index_days:(fl t) ~k:1.0)
-            in
-            {
-              pre;
-              tr;
-              space_days = fl (w + t);
-              shadow_days = shadow_of technique (fl t);
-            }
-          else
-            (* ThrowAway: constant-time drop plus a one-day build. *)
-            { pre = 0.0; tr = ops.build ~k:1.0; space_days = fl w; shadow_days = 0.0 }))
-    sizes
-
-let rata_cycle (ops : Ops.t) technique ~w ~n =
-  let sizes = Split.sizes ~days:(w - 1) ~parts:(n - 1) in
-  List.concat_map
-    (fun c ->
-      let initialize_cost c' =
-        if c' <= 1 then 0.0
-        else
-          ops.build ~k:1.0
-          +. List.fold_left ( +. ) 0.0
-               (List.init (c' - 2) (fun i ->
-                    let m = i + 2 in
-                    ops.copy ~days:(fl (m - 1))
-                    +. ops.add_fresh ~index_days:(fl (m - 1)) ~k:1.0))
-      in
-      List.init c (fun i ->
-          let t = i + 1 in
-          if t < c then
-            let pre, tr =
-              match technique with
-              | Env.In_place -> (0.0, ops.add_live ~index_days:(fl t) ~k:1.0)
-              | Env.Simple_shadow ->
-                (ops.copy ~days:(fl t), ops.add_fresh ~index_days:(fl t) ~k:1.0)
-              | Env.Packed_shadow ->
-                (0.0, ops.add_live ~index_days:(fl t) ~k:1.0)
-            in
-            (* ladder left after consuming t rungs: sizes 1..c-1-t *)
-            let ladder = fl ((c - 1 - t) * (c - t) / 2) in
-            {
-              pre;
-              tr;
-              space_days = fl w +. ladder;
-              shadow_days = shadow_of technique (fl t);
-            }
-          else
-            {
-              pre = initialize_cost c;
-              tr = ops.build ~k:1.0;
-              space_days = fl w +. fl ((c - 1) * c / 2);
-              shadow_days = 0.0;
-            }))
-    sizes
-
-(* ------------------------------------------------------------------ *)
-(* Aggregation                                                        *)
-(* ------------------------------------------------------------------ *)
+   Operations before the arrival mark and after the visibility mark are
+   pre-computation; those between are transition.  The transition extra
+   (the shadow columns) is the days of a constituent that stands beside
+   its replacement while the step makes it: a live constituent a shadow
+   technique copies or smart-copies, and under every technique the I_j
+   that REINDEX (by BuildIndex) and REINDEX+ (from Temp) make afresh.
+   That last rule names its schemes because no rule over operations
+   can: REINDEX+'s completion day installs Temp itself just as
+   REINDEX++ installs a rung, and REINDEX's one-day rebuild is WATA*'s
+   ThrowAway, yet Table 8 and Figure 3 charge the first of each pair
+   and not the second. *)
+let replay (p : Params.t) ~scheme ~technique ~w ~n =
+  let packed = constituents_packed ~scheme ~technique in
+  let pre = ref 0.0 and tr = ref 0.0 and pending = ref 0.0 and shadow = ref 0 in
+  let charge seconds = pending := !pending +. seconds in
+  let observer = function
+    | Env.Build k -> charge (fl k *. p.Params.build)
+    | Env.Add k -> charge (fl k *. p.Params.add)
+    | Env.Delete k -> charge (fl k *. p.Params.del)
+    | Env.Copy { days; live } ->
+      if live then shadow := !shadow + days;
+      charge (fl days *. Params.cp_day p ~packed)
+    | Env.Smart_copy { days; add; live } ->
+      if live then shadow := !shadow + days;
+      charge ((fl days *. Params.smcp_day p) +. (fl add *. p.Params.build))
+    | Env.Arrived ->
+      pre := !pre +. !pending;
+      pending := 0.0
+    | Env.Visible ->
+      tr := !tr +. !pending;
+      pending := 0.0
+  in
+  let s = Scheme.start scheme (Env.create ~technique ~observer ~store ~w ~n ()) in
+  let frame = Scheme.frame s in
+  let rebuilds = scheme = Scheme.Reindex || scheme = Scheme.Reindex_plus in
+  List.init
+    (if Scheme.min_indexes scheme = 2 then w - 1 else w)
+    (fun _ ->
+      pre := 0.0;
+      tr := 0.0;
+      pending := 0.0;
+      shadow :=
+        if rebuilds then
+          let expiring = Scheme.current_day s + 1 - w in
+          Dayset.cardinal
+            (Frame.slot_days frame (Frame.find_slot_with_day frame expiring))
+        else 0;
+      Scheme.transition s;
+      let length = Frame.length frame in
+      {
+        pre = !pre +. !pending;
+        tr = !tr;
+        space_days =
+          List.fold_left
+            (fun acc d -> acc + Dayset.cardinal d)
+            length (Scheme.temp_days s);
+        length;
+        shadow_days = !shadow;
+      })
 
 let evaluate (p : Params.t) ~scheme ~technique ~w ~n =
   if n < 1 || n > w then invalid_arg "Cost.evaluate: need 1 <= n <= w";
@@ -260,36 +106,18 @@ let evaluate (p : Params.t) ~scheme ~technique ~w ~n =
     invalid_arg
       (Printf.sprintf "Cost.evaluate: %s needs n >= %d" (Scheme.name scheme)
          (Scheme.min_indexes scheme));
-  let packed = constituents_packed ~scheme ~technique in
-  let ops = Ops.make p technique ~packed in
-  let cycle =
-    match scheme with
-    | Scheme.Del -> del_cycle ops technique ~w ~n
-    | Scheme.Reindex -> reindex_cycle ops ~w ~n
-    | Scheme.Reindex_plus -> reindex_plus_cycle ops technique ~w ~n
-    | Scheme.Reindex_pp -> reindex_pp_cycle ops ~w ~n
-    | Scheme.Wata_star -> wata_cycle ops technique ~w ~n
-    | Scheme.Rata_star -> rata_cycle ops technique ~w ~n
-  in
+  let cycle = replay p ~scheme ~technique ~w ~n in
   let days = fl (List.length cycle) in
   let sum f = List.fold_left (fun acc d -> acc +. f d) 0.0 cycle in
   let maxi f = List.fold_left (fun acc d -> Float.max acc (f d)) 0.0 cycle in
-  let bytes_day = if packed then p.Params.s_packed else p.Params.s_unpacked in
-  let avg_space_days = sum (fun d -> d.space_days) /. days in
-  let total_days_avg =
-    (* days visible to queries: the window plus (for WATA) lingering
-       expired days; temporaries are not queried. *)
-    match scheme with
-    | Scheme.Wata_star ->
-      let sizes = Split.sizes ~days:(w - 1) ~parts:(n - 1) in
-      let waste =
-        List.concat_map (fun c -> List.init c (fun i -> if i + 1 < c then i + 1 else 0)) sizes
-      in
-      fl w
-      +. List.fold_left (fun a x -> a +. fl x) 0.0 waste /. fl (List.length waste)
-    | _ -> fl w
+  let bytes_day =
+    if constituents_packed ~scheme ~technique then p.Params.s_packed
+    else p.Params.s_unpacked
   in
-  let per_index_days = total_days_avg /. fl n in
+  (* Days visible to queries: the frame's mean length, which is the
+     window plus any expired days lingering in WATA*'s frame;
+     temporaries are not queried. *)
+  let per_index_days = sum (fun d -> fl d.length) /. days /. fl n in
   let probe_breadth = if p.Params.probe_all_indexes then fl n else 1.0 in
   let probe_seconds =
     probe_breadth
@@ -309,10 +137,10 @@ let evaluate (p : Params.t) ~scheme ~technique ~w ~n =
     pre_max = maxi (fun d -> d.pre);
     trans_avg;
     trans_max = maxi (fun d -> d.tr);
-    space_avg = avg_space_days *. bytes_day;
-    space_max = maxi (fun d -> d.space_days) *. bytes_day;
-    shadow_avg = sum (fun d -> d.shadow_days) /. days *. bytes_day;
-    shadow_max = maxi (fun d -> d.shadow_days) *. bytes_day;
+    space_avg = sum (fun d -> fl d.space_days) /. days *. bytes_day;
+    space_max = maxi (fun d -> fl d.space_days) *. bytes_day;
+    shadow_avg = sum (fun d -> fl d.shadow_days) /. days *. bytes_day;
+    shadow_max = maxi (fun d -> fl d.shadow_days) *. bytes_day;
     probe_seconds;
     scan_seconds;
     work_per_day =

@@ -1,14 +1,19 @@
-(** Closed-form / cycle-exact evaluation of the paper's analytic model
-    (Section 5, Tables 8-11), for every scheme x update technique.
+(** The paper's analytic model (Section 5, Tables 8-11), for every
+    scheme x update technique.
 
-    Rather than hard-coding the tables' simplified averages, each
-    scheme's daily maintenance is replayed symbolically over one full
-    replacement super-cycle (W days — every cluster expiring once),
-    charging the paper's cost parameters ([Build], [Add], [Del], [CP],
-    [SMCP]) per operation.  Averages and maxima over the cycle then
-    reproduce the tables exactly where they are simple (DEL, REINDEX)
-    and exactly-by-construction where the paper rounds (the temporary
-    ladders of REINDEX+/++ and RATA). *)
+    [evaluate] runs the scheme itself: {!Scheme.start} over a
+    one-posting-per-day store on a simulated disk, then one replacement
+    super-cycle (W transitions, W-1 for WATA*/RATA*: every cluster
+    expires once).  The model folds the operation log the scheme's own
+    {!Update} calls report ({!Env.op}) through one per-operation cost
+    table of the paper's parameters ([Build], [Add], [Del], [CP] at the
+    constituents' packing, [SMCP]).  Operations before the new day's
+    arrival or after it becomes visible are pre-computation; those in
+    between are transition.  Space is the frame's time-sets plus the
+    scheme's temporaries after each step; query breadth is the frame's
+    mean length.  Averages and maxima over the super-cycle equal the
+    paper's closed forms ({!Formulas}) wherever the geometry divides
+    evenly. *)
 
 open Wave_core
 
@@ -19,7 +24,9 @@ type summary = {
   trans_max : float;
   space_avg : float;  (** avg bytes held during operation *)
   space_max : float;  (** max bytes held during operation *)
-  shadow_avg : float;  (** avg extra bytes during transitions *)
+  shadow_avg : float;
+      (** avg extra bytes during transitions: a constituent standing
+          beside the replacement the step makes for it *)
   shadow_max : float;
   probe_seconds : float;  (** one TimedIndexProbe *)
   scan_seconds : float;  (** one TimedSegmentScan *)

@@ -1,11 +1,13 @@
 (** The paper's closed forms, as stated (Tables 8-11, Theorems 1-3).
 
-    {!Cost.evaluate} replays each scheme's cycle exactly; this module
-    instead exposes the simplified symbolic expressions the paper
-    prints, with X = W/n and Y = (W-1)/(n-1).  They coincide with the
-    cycle-exact evaluation whenever the geometry divides evenly (n | W,
-    and (n-1) | (W-1) for the WATA family) — a property the test suite
-    checks — and serve as documentation of the model. *)
+    {!Cost.evaluate} charges the operations the schemes themselves
+    perform; this module instead exposes the simplified symbolic
+    expressions the paper prints, with X = W/n and Y = (W-1)/(n-1).
+    They coincide with the evaluation whenever the geometry divides
+    evenly (n | W, and (n-1) | (W-1) for the WATA family): the
+    [model.formulas] tests check every such geometry with W <= 40 in
+    all three scenarios, and [core.wata_bounds] checks that WATA*'s
+    longest wave attains Theorem 2's bound for every W <= 40. *)
 
 val x : w:int -> n:int -> float
 (** X = W/n, the cluster length of the DEL/REINDEX family. *)

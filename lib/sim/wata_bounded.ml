@@ -26,7 +26,7 @@ let replay ~w ~n ~m ~sizes =
     clusters := List.filter (fun c -> c.last >= oldest_alive) !clusters;
     let current = List.nth !clusters (List.length !clusters - 1) in
     let slot_free = List.length !clusters < n in
-    if current.volume + size_of day > cap && slot_free then begin
+    if current.volume >= cap && slot_free then begin
       clusters := !clusters @ [ { first = day; last = day; volume = size_of day } ];
       incr opened
     end

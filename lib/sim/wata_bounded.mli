@@ -9,9 +9,27 @@
     never exceeds one cluster cap.
 
     This module implements that policy as a size-only replay (like
-    {!Wata_size}): grow the current cluster until its volume would pass
-    the cap {e and} a slot is free (some older cluster fully expired),
-    then close it and start a new cluster in the freed slot. *)
+    {!Wata_size}): the current cluster grows until its volume has
+    reached the cap [ceil (m / (n-1))] {e and} a slot is free (some
+    older cluster fully expired), then it closes and that day starts a
+    new cluster in the freed slot.
+
+    {b Envelope.}  With an honest [m] (no window of [w] days holds more
+    than [m]) the peak never exceeds [m + cap + max_day]:
+    - every closed cluster holds at least [cap].  With all [n] slots
+      live and the current cluster at the cap, the window ending
+      yesterday would hold [n-1] clusters of at least [cap] each plus
+      a day of the oldest: more than [(n-1) * cap >= m].  So a slot is
+      free as soon as the current cluster reaches the cap, and no
+      cluster holds more than [cap - 1 + max_day];
+    - only the oldest live cluster can hold expired days (every later
+      cluster lies inside the window), so the peak is at most one
+      window plus that cluster.
+    The ratio to [m] is therefore [n/(n-1)] up to one day's volume of
+    slack.  Closing only when today's day would push the cluster past
+    the cap breaks this: small clusters can spend every slot before a
+    large day arrives, and the current cluster then swallows it (a
+    17-day trace in the tests peaks one unit above the envelope). *)
 
 type stats = {
   max_size : int;  (** peak storage, volume units *)
@@ -29,4 +47,4 @@ val replay : w:int -> n:int -> m:int -> sizes:int array -> stats
 
 val guaranteed_ratio : n:int -> float
 (** [n /. (n - 1)], the KMRV97 bound — holds up to one day's volume of
-    slack when a single day exceeds [m/(n-1)]. *)
+    slack (the envelope above). *)

@@ -26,8 +26,8 @@ let make_store ?(values = 10) ?(per_day = 6) () =
       Hashtbl.add cache day b;
       b
 
-let make_env ?(technique = Env.In_place) ~w ~n () =
-  Env.create ~technique ~store:(make_store ()) ~w ~n ()
+let make_env ?(technique = Env.In_place) ?per_day ~w ~n () =
+  Env.create ~technique ~store:(make_store ?per_day ()) ~w ~n ()
 
 (* ------------------------------------------------------------------ *)
 (* Split                                                              *)
@@ -366,20 +366,27 @@ let test_wata_length_bound_tight () =
   done;
   Alcotest.(check int) "bound attained" bound !maxlen
 
-let prop_wata_length_bound =
-  QCheck2.Test.make ~name:"WATA* length bound for all geometries" ~count:40
-    QCheck2.Gen.(pair (int_range 2 16) (int_range 2 8))
-    (fun (w, n) ->
-      QCheck2.assume (n <= w);
-      let env = make_env ~w ~n () in
-      let s = Scheme.start Scheme.Wata_star env in
-      let bound = Wata.length_bound ~w ~n in
-      let ok = ref true in
+(* Theorem 2 for every geometry with W <= 40: over three super-cycles
+   WATA*'s longest wave reaches exactly [Wata.length_bound], which is
+   the closed form [Formulas.theorem2_length_bound] — attained, not
+   just respected. *)
+let test_wata_length_bound_all_geometries () =
+  for w = 2 to 40 do
+    for n = 2 to w do
+      let s = Scheme.start Scheme.Wata_star (make_env ~per_day:1 ~w ~n ()) in
+      let longest = ref 0 in
       for _ = 1 to 3 * w do
         Scheme.transition s;
-        if Frame.length (Scheme.frame s) > bound then ok := false
+        longest := max !longest (Frame.length (Scheme.frame s))
       done;
-      !ok)
+      let bound = Wata.length_bound ~w ~n in
+      if !longest <> bound
+         || bound <> Wave_model.Formulas.theorem2_length_bound ~w ~n
+      then
+        Alcotest.failf "W=%d n=%d: longest %d, bound %d, closed form %d" w n
+          !longest bound (Wave_model.Formulas.theorem2_length_bound ~w ~n)
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Transition marks                                                   *)
@@ -550,8 +557,11 @@ let suites =
       ]
       @ qcheck [ prop_query_equivalence_random_geometry ] );
     ( "core.wata_bounds",
-      [ Alcotest.test_case "length bound tight" `Quick test_wata_length_bound_tight ]
-      @ qcheck [ prop_wata_length_bound ] );
+      [
+        Alcotest.test_case "length bound tight" `Quick test_wata_length_bound_tight;
+        Alcotest.test_case "WATA* length bound for all geometries" `Quick
+          test_wata_length_bound_all_geometries;
+      ] );
     ( "core.transitions",
       [ Alcotest.test_case "REINDEX++ faster than REINDEX+" `Quick
           test_transition_time_ordering ] );

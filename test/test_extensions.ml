@@ -175,20 +175,40 @@ let test_bounded_validation () =
   Alcotest.check_raises "m=0" (Invalid_argument "Wata_bounded.replay: need m > 0")
     (fun () -> ignore (Wata_bounded.replay ~w:3 ~n:2 ~m:0 ~sizes:[| 1; 1; 1 |]))
 
+(* The envelope [Wata_bounded] states: the window's volume, one cluster
+   cap and one day. *)
+let envelope ~w ~n ~sizes =
+  let m = Wata_size.window_max ~w ~sizes in
+  let cap = (m + n - 2) / (n - 1) in
+  (m, m + cap + Array.fold_left max 0 sizes)
+
+(* Closing a cluster only when today's day would push it past the cap
+   spent three slots on 1-unit clusters (days 1, 3, 5), so day 7's 827
+   arrived with every slot live and joined day 6's cluster (1,246): on
+   day 17 its expired days 6-7 sat beside a full window, 3,334 against
+   an envelope of 3,333.  Closing at the cap pairs each 1-unit day with
+   its neighbour, and day 7 opens a cluster of its own. *)
+let test_bounded_spiky_counterexample () =
+  let w = 10 and n = 6 in
+  let sizes = [| 1; 418; 1; 418; 1; 419; 827; 1; 1; 1; 1; 1; 1; 1; 427; 827; 827 |] in
+  let m, limit = envelope ~w ~n ~sizes in
+  Alcotest.(check int) "m" 2_088 m;
+  Alcotest.(check int) "envelope" 3_333 limit;
+  let b = Wata_bounded.replay ~w ~n ~m ~sizes in
+  Alcotest.(check int) "peak" 2_089 b.Wata_bounded.max_size
+
+(* [QCHECK_LONG=1] (the @model alias) runs 20x the traces. *)
 let prop_bounded_within_two_of_window =
-  (* Even with the hint, never exceed the generic 2x-plus-one-day
-     envelope on random traces (cluster caps keep residues small). *)
   QCheck2.Test.make ~name:"bounded policy residue bounded" ~count:100
+    ~long_factor:20
+    ~print:QCheck2.Print.(triple int int (array int))
     QCheck2.Gen.(
       triple (int_range 4 12) (int_range 2 6)
         (array_size (int_range 20 60) (int_range 1 1000)))
     (fun (w, n, sizes) ->
       QCheck2.assume (Array.length sizes >= w && n <= w);
-      let m = Wata_size.window_max ~w ~sizes in
-      let b = Wata_bounded.replay ~w ~n ~m ~sizes in
-      let max_day = Array.fold_left max 0 sizes in
-      let cap = (m + n - 2) / (n - 1) in
-      b.Wata_bounded.max_size <= m + cap + max_day)
+      let m, limit = envelope ~w ~n ~sizes in
+      (Wata_bounded.replay ~w ~n ~m ~sizes).Wata_bounded.max_size <= limit)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -209,6 +229,8 @@ let suites =
           test_bounded_beats_guarantee_on_smooth_traces;
         Alcotest.test_case "meets its guarantee" `Quick test_bounded_meets_its_guarantee;
         Alcotest.test_case "validation" `Quick test_bounded_validation;
+        Alcotest.test_case "spiky counterexample" `Quick
+          test_bounded_spiky_counterexample;
       ]
       @ qcheck [ prop_bounded_within_two_of_window ] );
   ]

@@ -249,6 +249,128 @@ let test_fig10_sf_crossover () =
         (work Scheme.Reindex sf < work Scheme.Wata_star sf))
     [ 4.0; 5.0 ]
 
+(* --- Closed forms (Formulas) --------------------------------------- *)
+
+let techniques = [ Env.In_place; Env.Simple_shadow; Env.Packed_shadow ]
+
+(* On every evenly dividing geometry with W <= 40 (n | W for the
+   DEL/REINDEX family, (n-1) | (W-1) for the WATA family), in all three
+   scenarios, the evaluation equals the closed forms the paper prints. *)
+let test_formulas_match_cost () =
+  let same what ~w ~n expected actual =
+    if Float.abs (expected -. actual) > 1e-9 *. Float.max 1.0 (Float.abs expected)
+    then
+      Alcotest.failf "%s at W=%d n=%d: closed form %.17g, evaluation %.17g" what
+        w n expected actual
+  in
+  List.iter
+    (fun (sc : Scenario.t) ->
+      let p = sc.Scenario.params in
+      let ops ~packed =
+        {
+          Formulas.build = p.Params.build;
+          add = p.Params.add;
+          del = p.Params.del;
+          cp = Params.cp_day p ~packed;
+          smcp = Params.smcp_day p;
+        }
+      in
+      for w = 1 to 40 do
+        for n = 1 to w do
+          let check scheme technique f =
+            let packed = Cost.constituents_packed ~scheme ~technique in
+            let s = Cost.evaluate p ~scheme ~technique ~w ~n in
+            let bytes = if packed then p.Params.s_packed else p.Params.s_unpacked in
+            let name what =
+              Printf.sprintf "%s %s %s %s" sc.Scenario.name (Scheme.name scheme)
+                (Env.technique_name technique) what
+            in
+            f ~ops:(ops ~packed) ~bytes ~same:(fun what -> same (name what) ~w ~n) s
+          in
+          let queries ~bytes ~same (s : Cost.summary) =
+            let probe_idx = if p.Params.probe_all_indexes then n else 1 in
+            let scan_idx =
+              match p.Params.scan_breadth with Params.Scan_all -> n | Params.Scan_one -> 1
+            in
+            same "probe"
+              (Formulas.probe_seconds ~seek:p.Params.seek ~trans:p.Params.trans
+                 ~c_bucket:p.Params.c_bucket ~w ~n ~probe_idx)
+              s.Cost.probe_seconds;
+            same "scan"
+              (Formulas.scan_seconds ~seek:p.Params.seek ~trans:p.Params.trans
+                 ~bytes_per_day:bytes ~w ~n ~scan_idx)
+              s.Cost.scan_seconds
+          in
+          let maintenance (pre, tr) ~same (s : Cost.summary) =
+            same "pre" pre s.Cost.pre_avg;
+            same "transition" tr s.Cost.trans_avg
+          in
+          if w mod n = 0 then begin
+            check Scheme.Del Env.Simple_shadow (fun ~ops ~bytes:_ ~same s ->
+                maintenance (Formulas.del_simple_shadow ops ~w ~n) ~same s);
+            check Scheme.Del Env.Packed_shadow (fun ~ops ~bytes:_ ~same s ->
+                maintenance (Formulas.del_packed_shadow ops ~w ~n) ~same s);
+            List.iter
+              (fun technique ->
+                check Scheme.Del technique (fun ~ops:_ ~bytes ~same s ->
+                    same "space" (Formulas.space_days_del ~w *. bytes) s.Cost.space_max;
+                    queries ~bytes ~same s);
+                check Scheme.Reindex technique (fun ~ops ~bytes ~same s ->
+                    maintenance (Formulas.reindex_any ops ~w ~n) ~same s;
+                    same "space" (Formulas.space_days_reindex ~w *. bytes)
+                      s.Cost.space_max;
+                    queries ~bytes ~same s);
+                check Scheme.Reindex_plus technique (fun ~ops:_ ~bytes ~same s ->
+                    same "space avg"
+                      (Formulas.space_days_reindex_plus_avg ~w ~n *. bytes)
+                      s.Cost.space_avg;
+                    same "space max"
+                      (Formulas.space_days_reindex_plus_max ~w ~n *. bytes)
+                      s.Cost.space_max;
+                    queries ~bytes ~same s);
+                check Scheme.Reindex_pp technique (fun ~ops ~bytes ~same s ->
+                    if technique <> Env.Packed_shadow then
+                      same "transition" (Formulas.reindex_pp_transition ops)
+                        s.Cost.trans_avg;
+                    same "space max"
+                      (Formulas.space_days_reindex_pp_max ~w ~n *. bytes)
+                      s.Cost.space_max;
+                    queries ~bytes ~same s))
+              techniques
+          end;
+          if n >= 2 && (w - 1) mod (n - 1) = 0 then begin
+            check Scheme.Wata_star Env.In_place (fun ~ops ~bytes:_ ~same s ->
+                same "transition" (Formulas.wata_transition_avg ops ~w ~n)
+                  s.Cost.trans_avg);
+            List.iter
+              (fun technique ->
+                check Scheme.Wata_star technique (fun ~ops:_ ~bytes ~same s ->
+                    same "space avg" (Formulas.space_days_wata_avg ~w ~n *. bytes)
+                      s.Cost.space_avg;
+                    same "space max" (Formulas.space_days_wata_max ~w ~n *. bytes)
+                      s.Cost.space_max;
+                    same "Theorem 2"
+                      (float_of_int (Formulas.theorem2_length_bound ~w ~n) *. bytes)
+                      s.Cost.space_max);
+                check Scheme.Rata_star technique (fun ~ops:_ ~bytes ~same s ->
+                    same "space max" (Formulas.space_days_rata_max ~w ~n *. bytes)
+                      s.Cost.space_max))
+              techniques
+          end
+        done
+      done)
+    Scenario.all
+
+let test_formulas_space () =
+  let w = 12 and n = 3 in
+  Alcotest.(check (float 1e-9)) "del" 12.0 (Formulas.space_days_del ~w);
+  Alcotest.(check (float 1e-9)) "r+ max" 15.0
+    (Formulas.space_days_reindex_plus_max ~w ~n);
+  Alcotest.(check (float 1e-9)) "r++ max" 18.0 (Formulas.space_days_reindex_pp_max ~w ~n);
+  Alcotest.(check (float 1e-9)) "wata max (w=13 n=3)" 18.0
+    (Formulas.space_days_wata_max ~w:13 ~n:3);
+  Alcotest.(check (float 1e-9)) "kmrv" 1.5 (Formulas.kmrv_competitive_ratio ~n:3)
+
 (* --- Parameter plumbing ------------------------------------------- *)
 
 let test_scale_linearity () =
@@ -346,6 +468,11 @@ let suites =
         Alcotest.test_case "fig8 TPC-D WATA wins" `Quick test_fig8_tpcd_wata_wins;
         Alcotest.test_case "fig9 W scaling" `Quick test_fig9_w_scaling;
         Alcotest.test_case "fig10 SF crossover" `Quick test_fig10_sf_crossover;
+      ] );
+    ( "model.formulas",
+      [
+        Alcotest.test_case "match cost evaluation" `Quick test_formulas_match_cost;
+        Alcotest.test_case "space forms" `Quick test_formulas_space;
       ] );
     ( "model.params",
       [

@@ -280,52 +280,6 @@ let test_contention_validation () =
         (Wave_sim.Contention.measure ~scheme:Scheme.Del ~technique:Env.In_place
            ~store:cstore ~w:4 ~n:2 ~days:0 ~queries_per_day:1 ()))
 
-(* --- Formulas --------------------------------------------------------- *)
-
-let test_formulas_match_cost () =
-  (* On evenly dividing geometries the closed forms equal the
-     cycle-exact evaluation. *)
-  let p = Wave_model.Scenario.scam.Wave_model.Scenario.params in
-  let w = 12 and n = 3 in
-  let ops =
-    {
-      Wave_model.Formulas.build = p.Wave_model.Params.build;
-      add = p.Wave_model.Params.add;
-      del = p.Wave_model.Params.del;
-      cp = Wave_model.Params.cp_day p ~packed:false;
-      smcp = Wave_model.Params.smcp_day p;
-    }
-  in
-  let c = Wave_model.Cost.evaluate p ~scheme:Scheme.Del ~technique:Env.Simple_shadow ~w ~n in
-  let pre, tr = Wave_model.Formulas.del_simple_shadow ops ~w ~n in
-  Alcotest.(check (float 1e-6)) "DEL pre" pre c.Wave_model.Cost.pre_avg;
-  Alcotest.(check (float 1e-6)) "DEL trans" tr c.Wave_model.Cost.trans_avg;
-  let c = Wave_model.Cost.evaluate p ~scheme:Scheme.Reindex ~technique:Env.In_place ~w ~n in
-  let _, tr = Wave_model.Formulas.reindex_any ops ~w ~n in
-  Alcotest.(check (float 1e-6)) "REINDEX trans" tr c.Wave_model.Cost.trans_avg;
-  (* WATA with (n-1) | (w-1): w = 13, n = 3 -> Y = 6 *)
-  let c =
-    Wave_model.Cost.evaluate p ~scheme:Scheme.Wata_star ~technique:Env.In_place ~w:13 ~n:3
-  in
-  Alcotest.(check (float 1e-6)) "WATA trans"
-    (Wave_model.Formulas.wata_transition_avg ops ~w:13 ~n:3)
-    c.Wave_model.Cost.trans_avg;
-  Alcotest.(check int) "theorem2 consistent"
-    (Wata.length_bound ~w:13 ~n:3)
-    (Wave_model.Formulas.theorem2_length_bound ~w:13 ~n:3)
-
-let test_formulas_space () =
-  let w = 12 and n = 3 in
-  Alcotest.(check (float 1e-9)) "del" 12.0 (Wave_model.Formulas.space_days_del ~w);
-  Alcotest.(check (float 1e-9)) "r+ max" 15.0
-    (Wave_model.Formulas.space_days_reindex_plus_max ~w ~n);
-  Alcotest.(check (float 1e-9)) "r++ max" 18.0
-    (Wave_model.Formulas.space_days_reindex_pp_max ~w ~n);
-  Alcotest.(check (float 1e-9)) "wata max (w=13 n=3)" 18.0
-    (Wave_model.Formulas.space_days_wata_max ~w:13 ~n:3);
-  Alcotest.(check (float 1e-9)) "kmrv" 1.5
-    (Wave_model.Formulas.kmrv_competitive_ratio ~n:3)
-
 let suites =
   [
     ( "text.tokenizer",
@@ -366,10 +320,5 @@ let suites =
           test_contention_shadow_beats_inplace;
         Alcotest.test_case "table renders" `Quick test_contention_table;
         Alcotest.test_case "validation" `Quick test_contention_validation;
-      ] );
-    ( "model.formulas",
-      [
-        Alcotest.test_case "match cost evaluation" `Quick test_formulas_match_cost;
-        Alcotest.test_case "space forms" `Quick test_formulas_space;
       ] );
   ]

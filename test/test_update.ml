@@ -25,8 +25,11 @@ let test_update_semantic_equivalence () =
     let env = env technique in
     let idx = Update.build_days env [ 1; 2; 3 ] in
     let idx = Update.add_days env idx [ 4; 5 ] in
-    let idx = Update.delete_days env idx (fun d -> d <= 2) in
-    let idx = Update.replace_days env idx ~expire:(fun d -> d = 3) ~add:[ 6 ] in
+    let replace idx ~expire ~add =
+      Update.complete_replace env (Update.prepare_replace env idx ~expire) ~add
+    in
+    let idx = replace idx ~expire:(fun d -> d <= 2) ~add:[] in
+    let idx = replace idx ~expire:(fun d -> d = 3) ~add:[ 6 ] in
     Index.validate idx;
     (sorted (Index.scan idx), Index.days idx, Index.is_packed idx)
   in
