@@ -292,7 +292,8 @@ let sim_cmd =
           ~doc:
             "run the sharded wave index: N router arms, each a full scheme \
              instance on its own disk over its slice of the key space, with \
-             parallel cost semantics (a fan-out costs the max over arms)")
+             parallel cost semantics (a fan-out costs the max over arms); \
+             not with --concurrent, --profile, --stall-after or a file disk")
   in
   let partition =
     Arg.(
@@ -300,14 +301,6 @@ let sim_cmd =
       & opt partition_conv Wave_shard.Partition.Hash
       & info [ "partition" ] ~docv:"KIND"
           ~doc:"hash | range — key-space partitioning for --shards")
-  in
-  let query_scale =
-    Arg.(
-      value & opt int 1
-      & info [ "query-scale" ] ~docv:"K"
-          ~doc:
-            "multiply the daily probe/scan counts by K (orders of magnitude \
-             toward a million-user stream)")
   in
   let split_threshold =
     Arg.(
@@ -338,18 +331,10 @@ let sim_cmd =
              quantile/trend families) to FILE in OpenMetrics/Prometheus \
              text exposition format")
   in
-  let dash =
-    Arg.(
-      value & flag
-      & info [ "dash" ]
-          ~doc:
-            "with --shards, redraw a live per-arm dashboard (busy / space \
-             / wave-length / fan-out sparklines) at every day boundary")
-  in
   let run scheme technique w n days postings workload probes scans cache_blocks
       cache_readahead write_back alerts alerts_out profile top disk stall_after
       stall_seconds flight_recorder concurrent query_rate shards partition
-      query_scale split_threshold series_out metrics_out dash =
+      split_threshold series_out metrics_out =
     if write_back && cache_blocks = None then begin
       Printf.eprintf "sim: --write-back requires --cache-blocks\n";
       exit 2
@@ -368,8 +353,24 @@ let sim_cmd =
           Printf.eprintf "sim: bad alert rules: %s\n" e;
           exit 2)
     in
-    if dash && shards < 2 then begin
-      Printf.eprintf "sim: --dash requires --shards >= 2\n";
+    if
+      shards > 1
+      && (disk <> Wave_disk.Disk.Sim || concurrent || profile
+         || stall_after <> None)
+    then begin
+      (* One block file cannot back N independent arms, epochs serve one
+         disk, and a profile's conservation check reads one disk clock. *)
+      Printf.eprintf
+        "sim: --shards > 1 runs on the sim disk backend, without \
+         --concurrent/--profile/--stall-after\n";
+      exit 2
+    end;
+    if shards < 1 then begin
+      Printf.eprintf "sim: --shards must be at least 1\n";
+      exit 2
+    end;
+    if split_threshold <> None && shards < 2 then begin
+      Printf.eprintf "sim: --split-threshold requires --shards >= 2\n";
       exit 2
     end;
     (* One store feeds --series-out, burn-rate rules and the
@@ -377,12 +378,11 @@ let sim_cmd =
        and the runner samples nothing. *)
     let series_store =
       if
-        series_out <> None || metrics_out <> None || dash
+        series_out <> None || metrics_out <> None
         || List.exists Wave_obs.Alert.needs_series rules
       then Some (Wave_obs.Series.create ())
       else None
     in
-    (* One report for the single-disk and the sharded run. *)
     let report_alerts events =
       if rules <> [] then begin
         Printf.printf "\nalerts: %d rule(s), %d event(s)\n" (List.length rules)
@@ -475,11 +475,6 @@ let sim_cmd =
         value_dist = dist;
       }
     in
-    if query_scale < 1 then begin
-      Printf.eprintf "sim: --query-scale must be >= 1\n";
-      exit 2
-    end;
-    let queries = Wave_workload.Query_gen.scale queries ~factor:query_scale in
     let icfg =
       {
         Wave_storage.Index.default_config with
@@ -489,145 +484,6 @@ let sim_cmd =
         disk_backend = disk;
       }
     in
-    if shards > 1 then begin
-      (* The sharded path: a Router over N arms, each on its own
-         simulated disk — one block file cannot back N independent
-         arms, and the runner-side machinery (profiling,
-         epoch-interleaved serving, transition steps for alert rules)
-         stays single-disk for now. *)
-      if disk <> Wave_disk.Disk.Sim then begin
-        Printf.eprintf "sim: --shards supports the sim disk backend only\n";
-        exit 2
-      end;
-      if concurrent || profile || stall_after <> None then begin
-        Printf.eprintf
-          "sim: --shards composes with the query and alert flags only (not \
-           --concurrent/--profile/--stall-after)\n";
-        exit 2
-      end;
-      (match
-         List.find_opt (fun r -> Wave_obs.Alert.kind_name r = "transition") rules
-       with
-      | Some r ->
-        Printf.eprintf
-          "sim: --shards evaluates rules at day boundaries only; rule %S has \
-           scope \"transition\"\n"
-          r.Wave_obs.Alert.name;
-        exit 2
-      | None -> ());
-      let vocab =
-        match dist with
-        | Wave_workload.Query_gen.Zipfian { vocab; _ } -> vocab
-        | Wave_workload.Query_gen.Uniform n -> n
-      in
-      let router =
-        Wave_shard.Router.create ~icfg ~technique ~kind:scheme ~partition
-          ~shards ~vocab ~store ~w ~n ()
-      in
-      let engine =
-        if rules = [] then None else Some (Wave_obs.Alert.create rules)
-      in
-      let draw_dash st day =
-        let arms = Wave_shard.Router.arms router in
-        let clock = Wave_shard.Router.clock router in
-        (* Redraw in place on a terminal; append frames when piped so
-           smoke runs and CI logs stay readable. *)
-        if Unix.isatty Unix.stdout then print_string "\027[H\027[2J";
-        Printf.printf "wave dash  day %d  arms %d  splits %d  skew %.2f\n" day
-          arms
-          (Wave_shard.Router.splits router)
-          (Wave_model.Parallel.skew_ratio clock);
-        let spark name = Wave_obs.Series.sparkline ~width:24 st name in
-        for i = 0 to arms - 1 do
-          let g fmt = Printf.sprintf fmt i in
-          let last name =
-            match Wave_obs.Metrics.lookup name with
-            | Some (`Gauge v) -> v
-            | _ -> 0.0
-          in
-          Printf.printf "arm %d  busy %s %8.2fs  space %s %8.0fB  wave %s %3.0fd\n"
-            i
-            (spark (g "shard.%d.busy_seconds"))
-            (last (g "shard.%d.busy_seconds"))
-            (spark (g "shard.%d.space_bytes"))
-            (last (g "shard.%d.space_bytes"))
-            (spark (g "shard.%d.wave_length"))
-            (last (g "shard.%d.wave_length"))
-        done;
-        Printf.printf "fan-out mean %s  p95 %s\n"
-          (spark "shard.fanout.mean")
-          (spark "shard.fanout.p95");
-        flush stdout
-      in
-      let on_day day =
-        Option.iter (fun st -> Wave_obs.Series.sample st ~day) series_store;
-        Option.iter
-          (fun eng ->
-            ignore
-              (Wave_obs.Alert.eval ?series:series_store ~scope:Wave_obs.Alert.Day
-                 eng ~day))
-          engine;
-        if dash then Option.iter (fun st -> draw_dash st day) series_store
-      in
-      let on_day =
-        if series_store = None && engine = None then None else Some on_day
-      in
-      let res =
-        Wave_shard.Router.run ?split_threshold ?on_day router ~spec:queries
-          ~days
-      in
-      Printf.printf
-        "scheme=%s technique=%s W=%d n=%d days=%d shards=%d partition=%s\n"
-        (Scheme.name scheme)
-        (Env.technique_name technique)
-        w n days shards
-        (Wave_shard.Partition.kind_name partition);
-      Printf.printf "queries served     %10d (%dx scaled)\n"
-        res.Wave_shard.Router.queries query_scale;
-      Printf.printf "query makespan     %10.4f model-seconds (parallel)\n"
-        res.Wave_shard.Router.query_makespan_s;
-      Printf.printf "query serial cost  %10.4f model-seconds (one-disk twin)\n"
-        res.Wave_shard.Router.query_serial_s;
-      Printf.printf "maintenance        %10.4f model-seconds (parallel)\n"
-        res.Wave_shard.Router.maintenance_makespan_s;
-      Printf.printf "throughput         %10.1f queries/model-second\n"
-        res.Wave_shard.Router.throughput_qps;
-      Printf.printf "parallel speedup   %10.2fx over %d arms\n"
-        res.Wave_shard.Router.speedup
-        (Wave_shard.Router.arms router);
-      Printf.printf "busy skew ratio    %10.2f (max arm / mean arm)\n"
-        res.Wave_shard.Router.skew;
-      Printf.printf "splits committed   %10d\n" res.Wave_shard.Router.splits_done;
-      let clock = Wave_shard.Router.clock router in
-      let rows =
-        List.init (Wave_shard.Router.arms router) (fun i ->
-            let s = Wave_shard.Router.arm_scheme router i in
-            [
-              string_of_int i;
-              Printf.sprintf "%.4f" (Wave_model.Parallel.busy_arm clock i);
-              string_of_int (Scheme.allocated_bytes s);
-              string_of_int (Frame.length (Scheme.frame s));
-            ])
-      in
-      print_string
-        (Wave_util.Table_print.render
-           ~header:[ "arm"; "busy(model-s)"; "space(bytes)"; "wave(days)" ]
-           ~rows);
-      (match Wave_obs.Metrics.lookup "shard.fanout" with
-      | Some (`Histogram (Some h)) ->
-        Printf.printf
-          "fan-out            mean %.2f  p95 %.0f  p99 %.0f  max %.0f over %d \
-           fan-outs\n"
-          h.Wave_obs.Metrics.mean h.Wave_obs.Metrics.p95
-          h.Wave_obs.Metrics.p99 h.Wave_obs.Metrics.max
-          h.Wave_obs.Metrics.count
-      | _ -> ());
-      report_alerts
-        (match engine with None -> [] | Some e -> Wave_obs.Alert.events e);
-      write_series_dump ();
-      write_openmetrics ();
-      exit 0
-    end;
     if profile then begin
       Wave_obs.Trace.enable ();
       Wave_obs.Trace.reset ()
@@ -657,6 +513,9 @@ let sim_cmd =
           alerts = rules;
           series = series_store;
           on_env = Some on_env;
+          shards;
+          partition;
+          split_threshold;
         }
     in
     (match !run_env with
@@ -671,47 +530,98 @@ let sim_cmd =
       end
       else None
     in
-    Printf.printf "scheme=%s technique=%s W=%d n=%d days=%d\n" (Scheme.name scheme)
-      (Env.technique_name technique) w n days;
-    Printf.printf "total maintenance  %10.4f model-seconds\n"
-      r.Wave_sim.Runner.total_maintenance_seconds;
-    Printf.printf "total queries      %10.4f model-seconds\n"
-      r.Wave_sim.Runner.total_query_seconds;
-    Printf.printf "total work         %10.4f model-seconds\n"
-      r.Wave_sim.Runner.total_work_seconds;
-    Printf.printf "avg space          %10.0f bytes\n" r.Wave_sim.Runner.avg_space_bytes;
-    Printf.printf "peak space         %10d bytes\n" r.Wave_sim.Runner.max_space_bytes;
-    let avg f =
-      List.fold_left (fun a d -> a +. f d) 0.0 r.Wave_sim.Runner.days
-      /. float_of_int (List.length r.Wave_sim.Runner.days)
-    in
-    Printf.printf "avg transition     %10.4f model-seconds/day\n"
-      (avg (fun d -> d.Wave_sim.Runner.transition_seconds));
-    Printf.printf "avg pre-compute    %10.4f model-seconds/day\n"
-      (avg (fun d -> d.Wave_sim.Runner.precompute_seconds));
-    Printf.printf "avg wave length    %10.1f days\n"
-      (avg (fun d -> float_of_int d.Wave_sim.Runner.wave_length));
-    let pp_pct label (p : Wave_sim.Runner.percentiles) =
-      Printf.printf "%s  p50 %.4f  p95 %.4f  p99 %.4f model-seconds/day\n" label
-        p.Wave_sim.Runner.p50 p.Wave_sim.Runner.p95 p.Wave_sim.Runner.p99
-    in
-    pp_pct "transition latency" r.Wave_sim.Runner.transition_percentiles;
-    pp_pct "query latency     " r.Wave_sim.Runner.query_percentiles;
-    (match r.Wave_sim.Runner.concurrent with
-    | None -> ()
-    | Some cs ->
-      Printf.printf
-        "mid-transition     %d queries (%d snapshot, %d drained, %d queued) \
-         at %g/model-s\n"
-        cs.Wave_sim.Runner.mid_queries cs.Wave_sim.Runner.snapshot_served
-        cs.Wave_sim.Runner.drained_served cs.Wave_sim.Runner.queued_served
-        query_rate;
-      let pp_lat label (p : Wave_sim.Runner.percentiles) =
-        Printf.printf "%s  p50 %.4f  p95 %.4f  p99 %.4f model-seconds\n" label
+    Printf.printf "scheme=%s technique=%s W=%d n=%d days=%d%s\n"
+      (Scheme.name scheme)
+      (Env.technique_name technique)
+      w n days
+      (if shards > 1 then
+         Printf.sprintf " shards=%d partition=%s" shards
+           (Wave_shard.Partition.kind_name partition)
+       else "");
+    if shards > 1 then begin
+      let router = r.Wave_sim.Runner.router in
+      let clock = Wave_shard.Router.clock router in
+      let queries = days * (probes + scans) in
+      let makespan = r.Wave_sim.Runner.total_query_seconds in
+      Printf.printf "queries served     %10d\n" queries;
+      Printf.printf "query makespan     %10.4f model-seconds (parallel)\n" makespan;
+      Printf.printf "query serial cost  %10.4f model-seconds (one-disk twin)\n"
+        r.Wave_sim.Runner.query_serial_seconds;
+      Printf.printf "maintenance        %10.4f model-seconds (parallel)\n"
+        r.Wave_sim.Runner.total_maintenance_seconds;
+      Printf.printf "throughput         %10.1f queries/model-second\n"
+        (if makespan > 0.0 then float_of_int queries /. makespan else 0.0);
+      Printf.printf "parallel speedup   %10.2fx over %d arms\n"
+        (Wave_model.Parallel.speedup clock)
+        (Wave_shard.Router.arms router);
+      Printf.printf "busy skew ratio    %10.2f (max arm / mean arm)\n"
+        (Wave_model.Parallel.skew_ratio clock);
+      Printf.printf "splits committed   %10d\n" (Wave_shard.Router.splits router);
+      let rows =
+        List.init (Wave_shard.Router.arms router) (fun i ->
+            let s = Wave_shard.Router.arm_scheme router i in
+            [
+              string_of_int i;
+              Printf.sprintf "%.4f" (Wave_model.Parallel.busy_arm clock i);
+              string_of_int (Scheme.allocated_bytes s);
+              string_of_int (Frame.length (Scheme.frame s));
+            ])
+      in
+      print_string
+        (Wave_util.Table_print.render
+           ~header:[ "arm"; "busy(model-s)"; "space(bytes)"; "wave(days)" ]
+           ~rows);
+      match Wave_obs.Metrics.lookup "shard.fanout" with
+      | Some (`Histogram (Some h)) ->
+        Printf.printf
+          "fan-out            mean %.2f  p95 %.0f  p99 %.0f  max %.0f over %d \
+           fan-outs\n"
+          h.Wave_obs.Metrics.mean h.Wave_obs.Metrics.p95
+          h.Wave_obs.Metrics.p99 h.Wave_obs.Metrics.max
+          h.Wave_obs.Metrics.count
+      | _ -> ()
+    end
+    else begin
+      Printf.printf "total maintenance  %10.4f model-seconds\n"
+        r.Wave_sim.Runner.total_maintenance_seconds;
+      Printf.printf "total queries      %10.4f model-seconds\n"
+        r.Wave_sim.Runner.total_query_seconds;
+      Printf.printf "total work         %10.4f model-seconds\n"
+        r.Wave_sim.Runner.total_work_seconds;
+      Printf.printf "avg space          %10.0f bytes\n" r.Wave_sim.Runner.avg_space_bytes;
+      Printf.printf "peak space         %10d bytes\n" r.Wave_sim.Runner.max_space_bytes;
+      let avg f =
+        List.fold_left (fun a d -> a +. f d) 0.0 r.Wave_sim.Runner.days
+        /. float_of_int (List.length r.Wave_sim.Runner.days)
+      in
+      Printf.printf "avg transition     %10.4f model-seconds/day\n"
+        (avg (fun d -> d.Wave_sim.Runner.transition_seconds));
+      Printf.printf "avg pre-compute    %10.4f model-seconds/day\n"
+        (avg (fun d -> d.Wave_sim.Runner.precompute_seconds));
+      Printf.printf "avg wave length    %10.1f days\n"
+        (avg (fun d -> float_of_int d.Wave_sim.Runner.wave_length));
+      let pp_pct label (p : Wave_sim.Runner.percentiles) =
+        Printf.printf "%s  p50 %.4f  p95 %.4f  p99 %.4f model-seconds/day\n" label
           p.Wave_sim.Runner.p50 p.Wave_sim.Runner.p95 p.Wave_sim.Runner.p99
       in
-      pp_lat "  concurrent      " cs.Wave_sim.Runner.concurrent_latency;
-      pp_lat "  stop-the-world  " cs.Wave_sim.Runner.stopworld_latency);
+      pp_pct "transition latency" r.Wave_sim.Runner.transition_percentiles;
+      pp_pct "query latency     " r.Wave_sim.Runner.query_percentiles;
+      (match r.Wave_sim.Runner.concurrent with
+      | None -> ()
+      | Some cs ->
+        Printf.printf
+          "mid-transition     %d queries (%d snapshot, %d drained, %d queued) \
+           at %g/model-s\n"
+          cs.Wave_sim.Runner.mid_queries cs.Wave_sim.Runner.snapshot_served
+          cs.Wave_sim.Runner.drained_served cs.Wave_sim.Runner.queued_served
+          query_rate;
+        let pp_lat label (p : Wave_sim.Runner.percentiles) =
+          Printf.printf "%s  p50 %.4f  p95 %.4f  p99 %.4f model-seconds\n" label
+            p.Wave_sim.Runner.p50 p.Wave_sim.Runner.p95 p.Wave_sim.Runner.p99
+        in
+        pp_lat "  concurrent      " cs.Wave_sim.Runner.concurrent_latency;
+        pp_lat "  stop-the-world  " cs.Wave_sim.Runner.stopworld_latency)
+    end;
     (match r.Wave_sim.Runner.cache_stats with
     | None -> ()
     | Some cs ->
@@ -757,7 +667,7 @@ let sim_cmd =
       $ probes $ scans $ cache_blocks $ cache_readahead $ write_back $ alerts
       $ alerts_out $ profile $ top $ disk $ stall_after $ stall_seconds
       $ flight_recorder $ concurrent $ query_rate $ shards $ partition
-      $ query_scale $ split_threshold $ series_out $ metrics_out $ dash)
+      $ split_threshold $ series_out $ metrics_out)
 
 let model_cmd =
   let doc =

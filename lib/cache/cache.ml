@@ -888,6 +888,25 @@ let reset_stats t =
   acc_reset t.st.global;
   acc_reset t.local
 
+let add_stats (a : stats) (b : stats) : stats =
+  {
+    hits = a.hits + b.hits;
+    misses = a.misses + b.misses;
+    meta_hits = a.meta_hits + b.meta_hits;
+    meta_misses = a.meta_misses + b.meta_misses;
+    evictions = a.evictions + b.evictions;
+    readaheads = a.readaheads + b.readaheads;
+    stale_drops = a.stale_drops + b.stale_drops;
+    writes_coalesced = a.writes_coalesced + b.writes_coalesced;
+    dirty_evictions = a.dirty_evictions + b.dirty_evictions;
+    flushes = a.flushes + b.flushes;
+    flush_writes = a.flush_writes + b.flush_writes;
+    flushed_blocks = a.flushed_blocks + b.flushed_blocks;
+    dirty_discards = a.dirty_discards + b.dirty_discards;
+    saved_seconds = a.saved_seconds +. b.saved_seconds;
+    meta_seconds = a.meta_seconds +. b.meta_seconds;
+  }
+
 let hit_ratio (s : stats) =
   Wave_util.Stats.ratio (float_of_int s.hits) (float_of_int (s.hits + s.misses))
 

@@ -257,6 +257,10 @@ val reset_stats : t -> unit
 (** Zero both the pool-wide totals and this view's slice.  (Other
     views of a shared pool keep their local slices.) *)
 
+val add_stats : stats -> stats -> stats
+(** Field-wise sum: the counters of several pools, one per arm of a
+    sharded run, as one. *)
+
 val hit_ratio : stats -> float
 (** Data-block hit ratio, 0 when no data blocks were touched. *)
 

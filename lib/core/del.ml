@@ -4,18 +4,7 @@ let name = "DEL"
 let hard_window = true
 let min_indexes = 1
 
-let start env =
-  let b = Scheme_base.create env in
-  let parts = Split.contiguous ~first_day:1 ~days:env.Env.w ~parts:env.Env.n in
-  List.iteri
-    (fun i (lo, hi) ->
-      let days = Dayset.range lo hi in
-      let idx = Update.build_days env (Dayset.elements days) in
-      Scheme_base.install b (i + 1) idx days)
-    parts;
-  b.Scheme_base.day <- env.Env.w;
-  Scheme_base.mark_visible b;
-  b
+let start = Scheme_base.start_contiguous
 
 let transition (b : t) =
   let env = b.Scheme_base.env in

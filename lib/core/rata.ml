@@ -16,57 +16,19 @@ let min_indexes = 2
    oldest day): T_m holds the m most recent days, so consuming the
    ladder top-down simulates day-by-day expiry. *)
 let initialize t ds =
-  let env = t.base.Scheme_base.env in
-  let c = Dayset.cardinal ds in
-  let temps = Array.make (c + 1) (Index.create_empty env.Env.disk env.Env.icfg) in
-  let tdays = Array.make (c + 1) Dayset.empty in
-  (if c > 0 then
-     match List.rev (Dayset.elements ds) with
-     | [] -> assert false
-     | k :: rest ->
-       temps.(1) <- Update.build_days env [ k ];
-       tdays.(1) <- Dayset.singleton k;
-       List.iteri
-         (fun i day ->
-           let m = i + 2 in
-           let next = Update.copy env temps.(m - 1) in
-           temps.(m) <- Update.add_days_fresh env next [ day ];
-           tdays.(m) <- Dayset.add day tdays.(m - 1))
-         rest);
+  let temps, tdays = Scheme_base.suffix_ladder t.base.Scheme_base.env ds in
   t.temps <- temps;
   t.tdays <- tdays;
-  t.temp_used <- c
+  t.temp_used <- Dayset.cardinal ds
 
 let start env =
   if env.Env.n < 2 then invalid_arg "Rata.start: RATA needs n >= 2";
-  let base = Scheme_base.create env in
-  let parts =
-    Split.contiguous ~first_day:1 ~days:(env.Env.w - 1) ~parts:(env.Env.n - 1)
-  in
-  List.iteri
-    (fun i (lo, hi) ->
-      let days = Dayset.range lo hi in
-      Scheme_base.install base (i + 1)
-        (Update.build_days env (Dayset.elements days))
-        days)
-    parts;
-  Scheme_base.install base env.Env.n
-    (Update.build_days env [ env.Env.w ])
-    (Dayset.singleton env.Env.w);
-  base.Scheme_base.day <- env.Env.w;
-  Scheme_base.mark_visible base;
+  let base = Scheme_base.start_wait env in
   let t =
     { base; last = env.Env.n; temps = [||]; tdays = [||]; temp_used = 0 }
   in
   initialize t (Dayset.remove 1 (Frame.slot_days base.Scheme_base.frame 1));
   t
-
-let others_cover_rest frame ~j ~w =
-  let total = ref 0 in
-  for i = 1 to Frame.n frame do
-    if i <> j then total := !total + Dayset.cardinal (Frame.slot_days frame i)
-  done;
-  !total = w - 1
 
 let transition t =
   let env = t.base.Scheme_base.env in
@@ -75,7 +37,7 @@ let transition t =
   let new_day = t.base.Scheme_base.day + 1 in
   let expired = new_day - env.Env.w in
   let j = Frame.find_slot_with_day frame expired in
-  if others_cover_rest frame ~j ~w:env.Env.w then begin
+  if Scheme_base.others_cover_rest frame ~j ~w:env.Env.w then begin
     (* ThrowAway, then prepare the ladder for the next cluster (the
        ladder work is pre-computation for future days). *)
     Scheme_base.data_arrives t.base;

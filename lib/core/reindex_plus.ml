@@ -12,17 +12,7 @@ let hard_window = true
 let min_indexes = 1
 
 let start env =
-  let base = Scheme_base.create env in
-  let parts = Split.contiguous ~first_day:1 ~days:env.Env.w ~parts:env.Env.n in
-  List.iteri
-    (fun i (lo, hi) ->
-      let days = Dayset.range lo hi in
-      Scheme_base.install base (i + 1)
-        (Update.build_days env (Dayset.elements days))
-        days)
-    parts;
-  base.Scheme_base.day <- env.Env.w;
-  Scheme_base.mark_visible base;
+  let base = Scheme_base.start_contiguous env in
   { base; temp = None; tdays = Dayset.empty; days_to_add = Dayset.empty }
 
 let transition t =

@@ -17,41 +17,14 @@ let min_indexes = 1
    T_m holds the m most recent days of [ds].  T_0 starts empty and will
    accumulate the new days of the coming cycle. *)
 let initialize t ds =
-  let env = t.base.Scheme_base.env in
-  let c = Dayset.cardinal ds in
-  let temps = Array.make (c + 1) (Index.create_empty env.Env.disk env.Env.icfg) in
-  let tdays = Array.make (c + 1) Dayset.empty in
-  (if c > 0 then
-     let desc = List.rev (Dayset.elements ds) in
-     match desc with
-     | [] -> assert false
-     | k :: rest ->
-       temps.(1) <- Update.build_days env [ k ];
-       tdays.(1) <- Dayset.singleton k;
-       List.iteri
-         (fun i day ->
-           let m = i + 2 in
-           let next = Update.copy env temps.(m - 1) in
-           temps.(m) <- Update.add_days_fresh env next [ day ];
-           tdays.(m) <- Dayset.add day tdays.(m - 1))
-         rest);
+  let temps, tdays = Scheme_base.suffix_ladder t.base.Scheme_base.env ds in
   t.temps <- temps;
   t.tdays <- tdays;
-  t.temp_used <- c;
+  t.temp_used <- Dayset.cardinal ds;
   t.days_to_add <- Dayset.empty
 
 let start env =
-  let base = Scheme_base.create env in
-  let parts = Split.contiguous ~first_day:1 ~days:env.Env.w ~parts:env.Env.n in
-  List.iteri
-    (fun i (lo, hi) ->
-      let days = Dayset.range lo hi in
-      Scheme_base.install base (i + 1)
-        (Update.build_days env (Dayset.elements days))
-        days)
-    parts;
-  base.Scheme_base.day <- env.Env.w;
-  Scheme_base.mark_visible base;
+  let base = Scheme_base.start_contiguous env in
   let t =
     {
       base;

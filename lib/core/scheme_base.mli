@@ -27,6 +27,30 @@ val install : t -> int -> Wave_storage.Index.t -> Dayset.t -> unit
 val days_list : Dayset.t -> int list
 (** Ascending day list, for feeding [Update] functions. *)
 
+(** {1 Shared Start phases and predicates} *)
+
+val start_contiguous : Env.t -> t
+(** The Start of DEL, REINDEX, REINDEX+ and REINDEX++: days [1..W] in
+    [n] contiguous clusters ({!Split.contiguous}), one built per slot
+    in slot order, then day [W] marked visible. *)
+
+val start_wait : Env.t -> t
+(** The Start of WATA* and RATA*: days [1..W-1] in [n-1] contiguous
+    clusters over the first [n-1] slots, then day [W] alone in slot
+    [n], then day [W] marked visible.  Needs [n >= 2]. *)
+
+val others_cover_rest : Frame.t -> j:int -> w:int -> bool
+(** The ThrowAway predicate of WATA* and RATA*: the slots other than
+    [j] jointly cover exactly the [W-1] most recent days, so slot [j]
+    holds only expired days.  Reads only the frame; {!Transition_plan}
+    predicts the same branch with it. *)
+
+val suffix_ladder : Env.t -> Dayset.t -> Wave_storage.Index.t array * Dayset.t array
+(** The ladder of REINDEX++ and RATA* over [ds], [c] days: rungs
+    [0..c], where rung [m >= 1] indexes the [m] most recent days of
+    [ds] (rung 1 built, each higher one a copy of the one below plus
+    the next older day) and rung 0 is an empty index with no days. *)
+
 val begin_transition : t -> unit
 (** Stamp the start of a daily maintenance step; also (until
     {!data_arrives} is called) the default arrival instant. *)

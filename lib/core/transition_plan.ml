@@ -2,17 +2,6 @@ type change = { slot : int; old_days : Dayset.t; new_days : Dayset.t }
 
 type t = { day_from : int; day_to : int; changes : change list }
 
-(* WATA/RATA branch predicate: the slots other than [j] jointly cover
-   exactly the W-1 most recent required days, so slot [j] holds only
-   expired days and will be thrown away.  (Same formula as the schemes
-   use internally; it only reads the frame.) *)
-let others_cover_rest frame ~j ~w =
-  let total = ref 0 in
-  for i = 1 to Frame.n frame do
-    if i <> j then total := !total + Dayset.cardinal (Frame.slot_days frame i)
-  done;
-  !total = w - 1
-
 let plan s =
   let frame = Scheme.frame s in
   let env = Scheme.env s in
@@ -33,7 +22,9 @@ let plan s =
          time-set. *)
       [ { slot = j; old_days = slot_days j; new_days = shifted j } ]
     | Scheme.Wata_star ->
-      if others_cover_rest frame ~j ~w then
+      (* The schemes' own ThrowAway predicate, so the intent cannot
+         disagree with the transition that runs. *)
+      if Scheme_base.others_cover_rest frame ~j ~w then
         (* ThrowAway: slot j restarts from the new day alone. *)
         [ { slot = j; old_days = slot_days j;
             new_days = Dayset.singleton day_to } ]
@@ -43,7 +34,7 @@ let plan s =
         [ { slot = l; old_days = slot_days l;
             new_days = Dayset.add day_to (slot_days l) } ]
     | Scheme.Rata_star ->
-      if others_cover_rest frame ~j ~w then
+      if Scheme_base.others_cover_rest frame ~j ~w then
         [ { slot = j; old_days = slot_days j;
             new_days = Dayset.singleton day_to } ]
       else

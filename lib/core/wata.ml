@@ -8,34 +8,7 @@ let length_bound ~w ~n = w + ((w - 1 + (n - 2)) / (n - 1)) - 1
 
 let start env =
   if env.Env.n < 2 then invalid_arg "Wata.start: WATA needs n >= 2";
-  let base = Scheme_base.create env in
-  (* Days 1..W-1 over the first n-1 slots, day W alone in slot n. *)
-  let parts =
-    Split.contiguous ~first_day:1 ~days:(env.Env.w - 1) ~parts:(env.Env.n - 1)
-  in
-  List.iteri
-    (fun i (lo, hi) ->
-      let days = Dayset.range lo hi in
-      Scheme_base.install base (i + 1)
-        (Update.build_days env (Dayset.elements days))
-        days)
-    parts;
-  Scheme_base.install base env.Env.n
-    (Update.build_days env [ env.Env.w ])
-    (Dayset.singleton env.Env.w);
-  base.Scheme_base.day <- env.Env.w;
-  Scheme_base.mark_visible base;
-  { base; last = env.Env.n }
-
-(* The slots other than [j] jointly cover exactly the W-1 most recent
-   required days iff their cardinalities sum to W-1 (clusters are
-   disjoint and, by construction, everything outside slot [j] is alive). *)
-let others_cover_rest frame ~j ~w =
-  let total = ref 0 in
-  for i = 1 to Frame.n frame do
-    if i <> j then total := !total + Dayset.cardinal (Frame.slot_days frame i)
-  done;
-  !total = w - 1
+  { base = Scheme_base.start_wait env; last = env.Env.n }
 
 let transition t =
   let env = t.base.Scheme_base.env in
@@ -44,7 +17,7 @@ let transition t =
   let new_day = t.base.Scheme_base.day + 1 in
   let expired = new_day - env.Env.w in
   let j = Frame.find_slot_with_day frame expired in
-  if others_cover_rest frame ~j ~w:env.Env.w then begin
+  if Scheme_base.others_cover_rest frame ~j ~w:env.Env.w then begin
     (* ThrowAway: every day in slot j has expired. *)
     Scheme_base.data_arrives t.base;
     (* Build the replacement before dropping the retired constituent so

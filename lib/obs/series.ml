@@ -140,24 +140,6 @@ let trend t name ~n =
     let slope, _ = Wave_util.Stats.linear_regression pts in
     Some slope
 
-let spark_levels = [| "\u{2581}"; "\u{2582}"; "\u{2583}"; "\u{2584}";
-                      "\u{2585}"; "\u{2586}"; "\u{2587}"; "\u{2588}" |]
-
-let sparkline ?(width = 32) t name =
-  match last_n t name width with
-  | [] -> ""
-  | ps ->
-    let xs = List.map (fun p -> p.value) ps in
-    let lo = List.fold_left Float.min (List.hd xs) xs in
-    let hi = List.fold_left Float.max (List.hd xs) xs in
-    let level v =
-      if hi = lo then 3
-      else
-        let k = int_of_float ((v -. lo) /. (hi -. lo) *. 7.0 +. 0.5) in
-        max 0 (min 7 k)
-    in
-    String.concat "" (List.map (fun v -> spark_levels.(level v)) xs)
-
 let to_json t =
   Json.Obj
     [

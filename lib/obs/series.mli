@@ -22,9 +22,7 @@
     day — the day-granular view {!Slo} burn rates are computed over).
 
     {!to_json} dumps the whole store as a validated
-    ["waveidx-series/1"] document ([sim --series-out]); {!sparkline}
-    renders a series as a fixed-width unicode strip for the live
-    dashboard ([sim --dash]). *)
+    ["waveidx-series/1"] document ([sim --series-out]). *)
 
 type point = {
   tick : int;  (** the store's sampling instant that recorded this *)
@@ -94,11 +92,6 @@ val trend : t -> string -> n:int -> float option
 (** Least-squares slope of value per sample over the most recent [n]
     points (x = 0, 1, ... within the window).  [None] with fewer than
     2 points. *)
-
-val sparkline : ?width:int -> t -> string -> string
-(** The most recent [width] (default 32) points as a unicode
-    eight-level strip, min-max normalized over the window; a flat
-    series renders mid-height, an empty one renders [""]. *)
 
 val to_json : t -> Json.t
 (** [{"schema": "waveidx-series/1", "cap": c, "ticks": t, "series":

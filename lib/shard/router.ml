@@ -4,6 +4,7 @@ open Wave_disk
 open Wave_epoch
 open Wave_model
 module Metrics = Wave_obs.Metrics
+module Cache = Wave_cache.Cache
 
 type arm_state = { id : int; mutable scheme : Scheme.t; disk : Disk.t }
 type intent = { victim_arm : int; sib_disk : Disk.t }
@@ -20,6 +21,7 @@ type t = {
   mutable part : Partition.t;
   mutable arms_arr : arm_state array;
   mutable day : int;
+  mutable flush_s : float;
   mutable n_splits : int;
   mutable intent : intent option;
   mutable served : Entry.t list list;
@@ -63,7 +65,8 @@ let update_gauges t =
   drop_stale (Array.length t.arms_arr)
 
 let create ?(icfg = Index.default_config) ?(technique = Env.In_place)
-    ?(allow_deletes = true) ~kind ~partition ~shards ~vocab ~store ~w ~n () =
+    ?(allow_deletes = true) ?(on_env = ignore) ~kind ~partition ~shards ~vocab
+    ~store ~w ~n () =
   let part = Partition.create partition ~arms:shards ~vocab in
   let arms_arr =
     Array.init shards (fun id ->
@@ -72,6 +75,7 @@ let create ?(icfg = Index.default_config) ?(technique = Env.In_place)
           Env.create ~disk ~icfg ~technique ~allow_deletes
             ~store:(filtered_store store part id) ~w ~n ()
         in
+        on_env env;
         { id; scheme = Scheme.start kind env; disk })
   in
   let t =
@@ -87,6 +91,7 @@ let create ?(icfg = Index.default_config) ?(technique = Env.In_place)
       part;
       arms_arr;
       day = w;
+      flush_s = 0.0;
       n_splits = 0;
       intent = None;
       served = [];
@@ -96,6 +101,7 @@ let create ?(icfg = Index.default_config) ?(technique = Env.In_place)
   t
 
 let partition t = t.part
+let last_flush_seconds t = t.flush_s
 let arms t = Array.length t.arms_arr
 let current_day t = t.day
 let clock t = t.clock
@@ -135,13 +141,22 @@ let scan t ~t1 ~t2 =
     (float_of_int (Array.length t.arms_arr));
   (entries, makespan)
 
+(* Each arm's transition ends at its write-back durability boundary:
+   right after it, the arm's pool drains its deferred writes, coalesced,
+   so the arm's delta includes them and no dirty frame outlives the
+   day's maintenance. *)
 let advance t =
+  t.flush_s <- 0.0;
   let deltas =
     Array.fold_left
       (fun ds a ->
         let before = Disk.elapsed a.disk in
         Scheme.transition a.scheme;
-        (a.id, Disk.elapsed a.disk -. before) :: ds)
+        let t_end = Disk.elapsed a.disk in
+        Option.iter Cache.flush (Cache.find a.disk);
+        let after = Disk.elapsed a.disk in
+        t.flush_s <- Float.max t.flush_s (after -. t_end);
+        (a.id, after -. before) :: ds)
       [] t.arms_arr
   in
   t.day <- t.day + 1;
@@ -281,25 +296,6 @@ let check_no_leaks t =
              a.id e.Disk.start e.Disk.length))
     t.arms_arr
 
-(* -------------------------------------------------------------------- *)
-(* Driving a sharded run                                                *)
-(* -------------------------------------------------------------------- *)
-
-type run_result = {
-  days_run : int;
-  queries : int;
-  query_makespan_s : float;
-  query_serial_s : float;
-  maintenance_makespan_s : float;
-  splits_done : int;
-  skew : float;
-  speedup : float;
-  throughput_qps : float;
-}
-
-let total_elapsed t =
-  Array.fold_left (fun acc a -> acc +. Disk.elapsed a.disk) 0.0 t.arms_arr
-
 let hottest_splittable t =
   let best = ref None in
   Array.iteri
@@ -312,40 +308,6 @@ let hottest_splittable t =
     t.arms_arr;
   Option.map fst !best
 
-let run ?split_threshold ?on_day t ~spec ~days =
-  let q_par = ref 0.0 and q_ser = ref 0.0 and m_par = ref 0.0 in
-  let nq = ref 0 in
-  for _ = 1 to days do
-    m_par := !m_par +. advance t;
-    (match split_threshold with
-    | Some thr when Parallel.skew_ratio t.clock > thr -> (
-      match hottest_splittable t with
-      | Some i -> m_par := !m_par +. split t ~arm:i
-      | None -> ())
-    | _ -> ());
-    List.iter
-      (fun q ->
-        incr nq;
-        let before = total_elapsed t in
-        let makespan =
-          match q with
-          | Wave_workload.Query_gen.Probe { value; t1; t2 } ->
-            snd (probe t ~value ~t1 ~t2)
-          | Wave_workload.Query_gen.Scan { t1; t2 } -> snd (scan t ~t1 ~t2)
-        in
-        q_par := !q_par +. makespan;
-        q_ser := !q_ser +. (total_elapsed t -. before))
-      (Wave_workload.Query_gen.day_queries spec ~day:t.day ~w:t.w);
-    match on_day with Some f -> f t.day | None -> ()
-  done;
-  {
-    days_run = days;
-    queries = !nq;
-    query_makespan_s = !q_par;
-    query_serial_s = !q_ser;
-    maintenance_makespan_s = !m_par;
-    splits_done = t.n_splits;
-    skew = Parallel.skew_ratio t.clock;
-    speedup = Parallel.speedup t.clock;
-    throughput_qps = (if !q_par > 0.0 then float_of_int !nq /. !q_par else 0.0);
-  }
+let rebalance t ~threshold =
+  if Parallel.skew_ratio t.clock > threshold then
+    Option.iter (fun arm -> ignore (split t ~arm)) (hottest_splittable t)

@@ -36,6 +36,7 @@ val create :
   ?icfg:Index.config ->
   ?technique:Env.technique ->
   ?allow_deletes:bool ->
+  ?on_env:(Env.t -> unit) ->
   kind:Scheme.kind ->
   partition:Partition.kind ->
   shards:int ->
@@ -47,11 +48,14 @@ val create :
   t
 (** Build [shards] arms, each [Scheme.start]ed over days [1..w] of its
     filtered store.  Every arm gets its own simulated disk compatible
-    with [icfg].  Publishing the per-arm gauges also {e retires} any
-    stale [shard.<i>.*] names beyond this router's arm count — the
-    metrics registry is process-global, so a previous wider router
-    would otherwise leave fossil gauges in every snapshot and
-    export. *)
+    with [icfg].  [on_env] is called with each arm's environment, in
+    arm order, after its disk exists and before its Start runs: the
+    hook for arming disk faults and for a model clock that must read
+    the disk from the Start's first operation on.  Publishing the
+    per-arm gauges also {e retires} any stale [shard.<i>.*] names
+    beyond this router's arm count — the metrics registry is
+    process-global, so a previous wider router would otherwise leave
+    fossil gauges in every snapshot and export. *)
 
 val partition : t -> Partition.t
 (** The committed partition (the only one queries ever route by). *)
@@ -79,8 +83,15 @@ val scan : t -> t1:int -> t2:int -> Entry.t list * float
 
 val advance : t -> float
 (** Absorb the next day on every arm (each arm's transition runs
-    concurrently with the others'); returns the makespan.  Updates the
-    per-arm gauges. *)
+    concurrently with the others'); returns the makespan.  Each arm's
+    transition ends at its write-back durability boundary: right after
+    it, the arm's buffer pool (if [icfg] attached one) drains its
+    deferred writes ({!Wave_cache.Cache.flush}), and the arm's delta
+    includes that flush.  Updates the per-arm gauges. *)
+
+val last_flush_seconds : t -> float
+(** Model-seconds the last {!advance} spent in those flushes, the max
+    over arms ([0.] without write-back). *)
 
 exception Split_in_progress
 
@@ -117,30 +128,8 @@ val check_no_leaks : t -> unit
     arm's committed constituents or scheme temporaries ([Failure]
     otherwise) — the sweep's post-recovery invariant. *)
 
-(** {1 Driving a sharded run} *)
-
-type run_result = {
-  days_run : int;
-  queries : int;
-  query_makespan_s : float;  (** parallel model-seconds serving queries *)
-  query_serial_s : float;  (** what one disk would have paid *)
-  maintenance_makespan_s : float;
-  splits_done : int;
-  skew : float;  (** {!Wave_model.Parallel.skew_ratio} at end *)
-  speedup : float;  (** serial / parallel over the whole run *)
-  throughput_qps : float;  (** queries per parallel model-second *)
-}
-
-val run :
-  ?split_threshold:float ->
-  ?on_day:(int -> unit) ->
-  t ->
-  spec:Wave_workload.Query_gen.spec ->
-  days:int ->
-  run_result
-(** Advance [days] days, serving each day's generated queries through
-    the router.  With [split_threshold], a day boundary where the busy
-    skew ratio exceeds the threshold splits the busiest splittable
-    arm.  [on_day] runs at the end of every day (after that day's
-    queries), with the current day number — the hook the CLI uses to
-    sample {!Wave_obs.Series} and redraw the live dashboard. *)
+val rebalance : t -> threshold:float -> unit
+(** The skew trigger: when the busy skew ratio
+    ({!Wave_model.Parallel.skew_ratio}) exceeds [threshold], {!split}
+    the busiest splittable arm, if any arm can split; the split's
+    makespan lands on {!clock} as every split's does. *)

@@ -1,6 +1,7 @@
 open Wave_core
 open Wave_disk
 module Cache = Wave_cache.Cache
+module Router = Wave_shard.Router
 
 type day_metrics = {
   day : int;
@@ -43,9 +44,11 @@ type result = {
   total_work_seconds : float;
   transition_percentiles : percentiles;
   query_percentiles : percentiles;
+  query_serial_seconds : float;
   cache_stats : Cache.stats option;
   concurrent : concurrent_stats option;
   alerts : Wave_obs.Alert.event list;
+  router : Router.t;
 }
 
 type config = {
@@ -63,6 +66,9 @@ type config = {
   alerts : Wave_obs.Alert.rule list;
   series : Wave_obs.Series.t option;
   on_env : (Env.t -> unit) option;
+  shards : int;
+  partition : Wave_shard.Partition.kind;
+  split_threshold : float option;
 }
 
 let default_config ~scheme ~store ~w ~n =
@@ -81,35 +87,23 @@ let default_config ~scheme ~store ~w ~n =
     alerts = [];
     series = None;
     on_env = None;
+    shards = 1;
+    partition = Wave_shard.Partition.Hash;
+    split_threshold = None;
   }
 
-(* Serve a query list against the live wave; returns (probe, scan)
-   entry counts.  The serial query phase and the concurrent drain of
+(* Serve a query list through the router; returns (probe, scan) entry
+   counts.  The serial query phase and the concurrent drain of
    In_place-queued arrivals both funnel through here. *)
-let serve_queries frame qs =
+let serve_queries r qs =
   let open Wave_workload.Query_gen in
-  let probe_entries = ref 0 and scan_entries = ref 0 in
-  List.iter
-    (fun q ->
+  List.fold_left
+    (fun (p, sc) q ->
       match q with
       | Probe { value; t1; t2 } ->
-        probe_entries :=
-          !probe_entries + List.length (Frame.timed_index_probe frame ~t1 ~t2 ~value)
-      | Scan { t1; t2 } ->
-        scan_entries :=
-          !scan_entries
-          + Option.get (Frame.timed_aggregate frame ~t1 ~t2 ~op:Frame.Count))
-    qs;
-  (!probe_entries, !scan_entries)
-
-let run_queries env frame spec ~day =
-  let disk = env.Env.disk in
-  let before = Disk.elapsed disk in
-  let probe_entries, scan_entries =
-    serve_queries frame
-      (Wave_workload.Query_gen.day_queries spec ~day ~w:env.Env.w)
-  in
-  (Disk.elapsed disk -. before, probe_entries, scan_entries)
+        (p + List.length (fst (Router.probe r ~value ~t1 ~t2)), sc)
+      | Scan { t1; t2 } -> (p, sc + List.length (fst (Router.scan r ~t1 ~t2))))
+    (0, 0) qs
 
 (* Per-day bookkeeping for a concurrent (epoch-isolated) day: the
    snapshot epoch, the arrival schedule still pending on the model
@@ -144,17 +138,49 @@ let span name tags f =
   if Wave_obs.Trace.is_enabled () then Wave_obs.Trace.with_span name ~tags:(tags ()) f
   else f ()
 
+let arm_schemes r = List.init (Router.arms r) (Router.arm_scheme r)
+let arm_disks r = List.init (Router.arms r) (Router.arm_disk r)
+let pools r = List.filter_map Cache.find (arm_disks r)
+
+(* Counts and bytes of several arms add up; a one-arm sum is exact. *)
+let sum_over xs f = List.fold_left (fun acc x -> acc + f x) 0 xs
+
+let counters r =
+  let cs = List.map Disk.counters (arm_disks r) in
+  Disk.
+    ( sum_over cs (fun c -> c.seeks),
+      sum_over cs (fun c -> c.blocks_read),
+      sum_over cs (fun c -> c.blocks_written) )
+
+let pool_stats r =
+  match List.map Cache.stats (pools r) with
+  | [] -> None
+  | s :: rest -> Some (List.fold_left Cache.add_stats s rest)
+
 let run config =
-  let disk = Wave_storage.Index.make_disk config.icfg in
-  (* Registered unconditionally: spans only exist while tracing is on,
-     but the flight recorder stamps every event with this clock, and it
-     runs whether or not tracing does. *)
-  Wave_obs.Trace.set_model_clock (fun () -> Disk.elapsed disk);
-  let env =
-    Env.create ~disk ~icfg:config.icfg ~technique:config.technique
-      ~store:config.store ~w:config.w ~n:config.n ()
+  let single = config.shards = 1 && config.split_threshold = None in
+  if
+    (not single)
+    && (config.concurrent
+       || config.icfg.Wave_storage.Index.disk_backend <> Disk.Sim)
+  then
+    invalid_arg
+      "Runner.run: concurrent serving and the file backend need one arm \
+       and no split threshold";
+  (* The tracer's model clock reads the arms' disks as [Router.create]
+     makes them, from the Start phase's first operation on: with one arm
+     that disk's clock, so span durations are the day_metrics fields bit
+     for bit; with several, the arms' summed busy time.  Registered
+     unconditionally: spans only exist while tracing is on, but the
+     flight recorder stamps every event with this clock, and it runs
+     whether or not tracing does. *)
+  let disks = ref [] in
+  Wave_obs.Trace.set_model_clock (fun () ->
+      List.fold_left (fun acc d -> acc +. Disk.elapsed d) 0.0 !disks);
+  let on_env env =
+    disks := !disks @ [ env.Env.disk ];
+    Option.iter (fun f -> f env) config.on_env
   in
-  (match config.on_env with Some f -> f env | None -> ());
   let run_tags day () =
     [
       ("scheme", Scheme.name config.scheme);
@@ -162,19 +188,36 @@ let run config =
       ("day", string_of_int day);
     ]
   in
-  let s =
-    span "phase.start" (run_tags config.w) (fun () -> Scheme.start config.scheme env)
+  (* A range partition slices the query values' domain. *)
+  let vocab =
+    match config.queries with
+    | Some { value_dist = Wave_workload.Query_gen.Zipfian { vocab; _ }; _ } ->
+      vocab
+    | Some { value_dist = Wave_workload.Query_gen.Uniform n; _ } -> n
+    | None -> 1
   in
-  Disk.reset_peak disk;
+  let r =
+    span "phase.start" (run_tags config.w) (fun () ->
+        Router.create ~icfg:config.icfg ~technique:config.technique ~on_env
+          ~kind:config.scheme ~partition:config.partition ~shards:config.shards
+          ~vocab ~store:config.store ~w:config.w ~n:config.n ())
+  in
+  List.iter Disk.reset_peak (arm_disks r);
+  (* Model-seconds are deltas of this clock.  One arm reads its own disk
+     clock: the parallel clock sums the same deltas with other rounding. *)
+  let clock () =
+    if single then Disk.elapsed (Router.arm_disk r 0)
+    else Wave_model.Parallel.elapsed (Router.clock r)
+  in
   let h_transition = Wave_obs.Metrics.histogram "runner.transition_seconds" in
   let h_query = Wave_obs.Metrics.histogram "runner.query_seconds" in
-  (* The buffer pool, when [icfg.cache_blocks] asked for one; it was
-     attached to the disk by the first index the Start phase built.
-     The initial wave is a durability boundary of its own: flush it
-     before the measured days so a write-back run's day-1 transition is
-     not billed for the whole Start phase's deferred writes. *)
-  let pool = Cache.find disk in
-  Option.iter Cache.flush pool;
+  (* The buffer pools, when [icfg.cache_blocks] asked for them; each was
+     attached to its arm's disk by the first index its Start built.  The
+     initial wave is a durability boundary of its own: flush it before
+     the measured days so a write-back run's day-1 transition is not
+     billed for the whole Start phase's deferred writes.  From then on
+     [Router.advance] flushes each arm after its transition. *)
+  List.iter Cache.flush (pools r);
   let g_hit = Wave_obs.Metrics.gauge "cache.hit_ratio" in
   let h_query_cached = Wave_obs.Metrics.histogram "runner.query_seconds.cached" in
   let h_query_uncached =
@@ -223,10 +266,11 @@ let run config =
   let sample_series ~day =
     Option.iter (fun st -> Wave_obs.Series.sample st ~day) series_store
   in
-  (* Concurrent serving: arm the epoch registry on this disk so
-     transitions run under snapshot isolation.  Without the flag the
-     registry is never attached, every gate answers "not claimed", and
-     the run is bit-identical to a build without epochs. *)
+  (* Concurrent serving (one arm): arm the epoch registry on the arm's
+     disk so transitions run under snapshot isolation.  Without the flag
+     the registry is never attached, every gate answers "not claimed",
+     and the run is bit-identical to a build without epochs. *)
+  let disk = Router.arm_disk r 0 in
   let concurrent_on =
     config.concurrent && Option.is_some config.queries && config.query_rate > 0.0
   in
@@ -265,10 +309,11 @@ let run config =
   and snap_total = ref 0
   and drained_total = ref 0
   and queued_total = ref 0 in
+  let query_serial = ref 0.0 in
   let days = ref [] in
   for _ = 1 to config.run_days do
-    let this_day = Scheme.current_day s + 1 in
-    let c0 = Disk.counters disk in
+    let this_day = Router.current_day r + 1 in
+    let s0, br0, bw0 = counters r in
     span "day" (run_tags this_day) (fun () ->
         (* Concurrent day: snapshot the pre-transition wave as an epoch
            and lay this day's queries out as arrivals on the model
@@ -286,7 +331,7 @@ let run config =
                   ( idx,
                     fun ~t1 ~t2 ->
                       Dayset.exists (fun d -> d >= t1 && d <= t2) ds ))
-                (Frame.snapshot (Scheme.frame s))
+                (Frame.snapshot (Scheme.frame (Router.arm_scheme r 0)))
             in
             let ep = Wave_epoch.Epoch.open_ disk ~slots in
             let t0 = Disk.elapsed disk in
@@ -311,31 +356,35 @@ let run config =
               }
           end
         in
-        let flush_tail = ref 0.0 in
-        let before = Disk.elapsed disk in
-        span "phase.maintenance" (run_tags this_day) (fun () ->
-            let body () =
-              Scheme.transition s;
-              (* Write-back durability boundary: the runner drives
-                 Scheme.transition directly (no Checkpoint), so it owns
-                 the flush — transition cost includes the coalesced
-                 deferred writes, not an ever-growing dirty pool. *)
-              let t_end = Disk.elapsed disk in
-              Option.iter Cache.flush pool;
-              flush_tail := Disk.elapsed disk -. t_end
-            in
-            match conc with
-            | Some st when config.technique <> Env.In_place ->
-              Wave_epoch.Epoch.Interleave.run disk
-                ~on_op:(fun () -> serve_due st)
-                body
-            | _ -> body ());
-        let maintenance = Disk.elapsed disk -. before in
-        let transition = Scheme.last_transition_seconds s in
+        let before = clock () in
+        let transition =
+          span "phase.maintenance" (run_tags this_day) (fun () ->
+              let body () = ignore (Router.advance r) in
+              (match conc with
+              | Some st when config.technique <> Env.In_place ->
+                Wave_epoch.Epoch.Interleave.run disk
+                  ~on_op:(fun () -> serve_due st)
+                  body
+              | _ -> body ());
+              (* Arrival to visibility on the slowest arm, taken before
+                 a split replaces the victim's scheme. *)
+              let transition =
+                List.fold_left
+                  (fun m s -> Float.max m (Scheme.last_transition_seconds s))
+                  neg_infinity (arm_schemes r)
+              in
+              Option.iter
+                (fun threshold ->
+                  Router.rebalance r ~threshold;
+                  disks := arm_disks r)
+                config.split_threshold;
+              transition)
+        in
+        let maintenance = clock () -. before in
         (* Intra-day alerting: publish this transition step's gauges and
            evaluate only the transition-scoped rules, here inside the
            day — a one-step spike must fire before the day boundary. *)
-        let cm = Disk.counters disk in
+        let sm, brm, bwm = counters r in
         (* The swap rides the end of maintenance: readers switch to the
            new wave once the flush has drained ([swap_seconds] is that
            flush tail).  Arrivals that landed before the swap but were
@@ -350,7 +399,8 @@ let run config =
         | None -> ()
         | Some st ->
           let t_commit = Disk.elapsed disk in
-          Wave_epoch.Epoch.commit ~swap_seconds:!flush_tail disk;
+          Wave_epoch.Epoch.commit ~swap_seconds:(Router.last_flush_seconds r)
+            disk;
           span "phase.drain" (run_tags this_day) (fun () ->
               let in_place = config.technique = Env.In_place in
               let rec drain () =
@@ -359,7 +409,7 @@ let run config =
                   st.arrivals <- rest;
                   let start = Disk.elapsed disk in
                   (if in_place then begin
-                     let p, sc = serve_queries (Scheme.frame s) [ q ] in
+                     let p, sc = serve_queries r [ q ] in
                      st.mid_probe_entries <- st.mid_probe_entries + p;
                      st.mid_scan_entries <- st.mid_scan_entries + sc;
                      st.queued_served <- st.queued_served + 1
@@ -406,11 +456,9 @@ let run config =
         Wave_obs.Metrics.set g_t_seconds transition;
         Wave_obs.Metrics.set g_t_precompute
           (Float.max 0.0 (maintenance -. transition));
-        Wave_obs.Metrics.set g_t_seeks (float_of_int (cm.Disk.seeks - c0.Disk.seeks));
-        Wave_obs.Metrics.set g_t_blocks_read
-          (float_of_int (cm.Disk.blocks_read - c0.Disk.blocks_read));
-        Wave_obs.Metrics.set g_t_blocks_written
-          (float_of_int (cm.Disk.blocks_written - c0.Disk.blocks_written));
+        Wave_obs.Metrics.set g_t_seeks (float_of_int (sm - s0));
+        Wave_obs.Metrics.set g_t_blocks_read (float_of_int (brm - br0));
+        Wave_obs.Metrics.set g_t_blocks_written (float_of_int (bwm - bw0));
         sample_series ~day:this_day;
         Option.iter
           (fun e ->
@@ -418,40 +466,47 @@ let run config =
               (Wave_obs.Alert.eval ~scope:Wave_obs.Alert.Transition e
                  ~day:this_day))
           engine;
-        if config.validate then begin
-          Scheme.check_window_invariant s;
-          Frame.validate (Scheme.frame s)
-        end;
-        let day = Scheme.current_day s in
-        let cs0 = Option.map Cache.stats pool in
+        if config.validate then
+          List.iter
+            (fun s ->
+              Scheme.check_window_invariant s;
+              Frame.validate (Scheme.frame s))
+            (arm_schemes r);
+        let day = Router.current_day r in
+        let cs0 = pool_stats r in
+        let serial0 = Wave_model.Parallel.serial (Router.clock r) in
         let query_seconds, probe_entries, scan_entries =
           span "phase.query" (run_tags this_day) (fun () ->
-              match (config.queries, conc) with
-              | None, _ -> (0.0, 0, 0)
-              | Some spec, None -> run_queries env (Scheme.frame s) spec ~day
-              | Some _, Some st ->
-                (* Arrivals past the swap run serially against the new
-                   wave, as the stop-the-world phase would; the day's
-                   entry counts include the mid-transition serves. *)
-                let before = Disk.elapsed disk in
-                let p, sc =
-                  serve_queries (Scheme.frame s) (List.map snd st.arrivals)
-                in
-                st.arrivals <- [];
-                ( Disk.elapsed disk -. before,
-                  p + st.mid_probe_entries,
-                  sc + st.mid_scan_entries ))
+              (* Arrivals past a concurrent day's swap run serially
+                 against the new wave, as the stop-the-world phase
+                 would; the day's entry counts include the
+                 mid-transition serves. *)
+              let qs, mid_p, mid_sc =
+                match (config.queries, conc) with
+                | None, _ -> ([], 0, 0)
+                | Some spec, None ->
+                  (Wave_workload.Query_gen.day_queries spec ~day ~w:config.w, 0, 0)
+                | Some _, Some st ->
+                  let qs = List.map snd st.arrivals in
+                  st.arrivals <- [];
+                  (qs, st.mid_probe_entries, st.mid_scan_entries)
+              in
+              let before = clock () in
+              let p, sc = serve_queries r qs in
+              (clock () -. before, p + mid_p, sc + mid_sc))
         in
-        let c1 = Disk.counters disk in
+        query_serial :=
+          !query_serial
+          +. (Wave_model.Parallel.serial (Router.clock r) -. serial0);
+        let s1, br1, bw1 = counters r in
         Wave_obs.Metrics.observe h_transition transition;
         Wave_obs.Metrics.observe h_query query_seconds;
-        (match (pool, cs0) with
-        | Some p, Some cs0 ->
-          (* What the day's queries would have cost without the pool:
-             add back the model-seconds the pool saved during the query
+        (match (pool_stats r, cs0) with
+        | Some cs1, Some cs0 ->
+          (* What the day's queries would have cost without the pools:
+             add back the model-seconds they saved during the query
              phase, net of the directory-metadata charges the uncached
              model never makes. *)
-          let cs1 = Cache.stats p in
           let saved = cs1.Cache.saved_seconds -. cs0.Cache.saved_seconds in
           let meta = cs1.Cache.meta_seconds -. cs0.Cache.meta_seconds in
           Wave_obs.Metrics.set g_hit (Cache.hit_ratio cs1);
@@ -468,11 +523,14 @@ let run config =
             query_seconds;
             probe_entries;
             scan_entries;
-            space_bytes = Scheme.allocated_bytes s;
-            wave_length = Frame.length (Scheme.frame s);
-            seeks = c1.Disk.seeks - c0.Disk.seeks;
-            blocks_read = c1.Disk.blocks_read - c0.Disk.blocks_read;
-            blocks_written = c1.Disk.blocks_written - c0.Disk.blocks_written;
+            space_bytes = sum_over (arm_schemes r) Scheme.allocated_bytes;
+            wave_length =
+              List.fold_left
+                (fun m s -> max m (Frame.length (Scheme.frame s)))
+                0 (arm_schemes r);
+            seeks = s1 - s0;
+            blocks_read = br1 - br0;
+            blocks_written = bw1 - bw0;
           }
           :: !days);
     (* Day-scoped alert rules are evaluated at the day boundary,
@@ -487,9 +545,11 @@ let run config =
       (match Wave_obs.Metrics.hist_summary h_query with
       | Some s -> Wave_obs.Metrics.set g_query_p95 s.Wave_obs.Metrics.p95
       | None -> ());
-      Option.iter
-        (fun p -> Wave_obs.Metrics.set g_dirty (float_of_int (Cache.dirty_frames p)))
-        pool;
+      (match pools r with
+      | [] -> ()
+      | ps ->
+        Wave_obs.Metrics.set g_dirty
+          (float_of_int (sum_over ps Cache.dirty_frames)));
       sample_series ~day:d.day;
       Option.iter
         (fun e ->
@@ -513,18 +573,20 @@ let run config =
     n = config.n;
     days;
     max_space_bytes =
-      Disk.peak_blocks disk * (Disk.params disk).Disk.block_size;
+      sum_over (arm_disks r) (fun d ->
+          Disk.peak_blocks d * (Disk.params d).Disk.block_size);
     avg_space_bytes = sum (fun d -> float_of_int d.space_bytes) /. nd;
     total_maintenance_seconds = maintenance;
     total_query_seconds = queries;
     total_work_seconds = maintenance +. queries;
     transition_percentiles = percentiles_of (series (fun d -> d.transition_seconds));
     query_percentiles = percentiles_of (series (fun d -> d.query_seconds));
+    query_serial_seconds = !query_serial;
     cache_stats =
-      (* The run's disk is unreachable once we return, so release its
-         registry slot; the counters live on in this snapshot. *)
-      (let snap = Option.map Cache.stats pool in
-       Cache.detach disk;
+      (* The pools' registry slots are released here; the counters live
+         on in this snapshot. *)
+      (let snap = pool_stats r in
+       List.iter Cache.detach (arm_disks r);
        snap);
     concurrent =
       (if not concurrent_on then None
@@ -543,4 +605,5 @@ let run config =
              stopworld_samples = stw;
            });
     alerts = (match engine with None -> [] | Some e -> Wave_obs.Alert.events e);
+    router = r;
   }

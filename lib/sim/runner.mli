@@ -8,15 +8,33 @@
     this library's index structures perform), so trends can be
     cross-checked against real data structures rather than formulas.
 
+    {2 One loop for one disk and many}
+
+    Every run drives a {!Wave_shard.Router} of {!config.shards} arms
+    (one by default; Section 8's wave index over several disks): each
+    day {!Wave_shard.Router.advance} (each arm's transition, then its
+    pool's write-back flush), with a {!config.split_threshold} the skew
+    split ({!Wave_shard.Router.rebalance}), then the day's queries
+    through {!Wave_shard.Router.probe} and {!Wave_shard.Router.scan}.
+    A day's counts and bytes are summed over the arms; its
+    model-seconds are deltas of the router's {!Wave_model.Parallel}
+    clock (makespans), its [transition_seconds] the slowest arm's, its
+    [wave_length] the longest arm's, and a split is maintenance of its
+    day.  With one arm and no split threshold the clock is that arm's
+    disk clock, so every figure is the single-disk expression bit for
+    bit.
+
     When tracing is enabled ({!Wave_obs.Trace.enable}), each simulated
     day is wrapped in a ["day"] span containing a
     ["phase.maintenance"] and a ["phase.query"] span (all tagged with
     the day, scheme and technique), and the runner registers the
     simulation disk's [elapsed] as the tracer's model clock, so span
-    timestamps are bit-identical to the metrics below.  Invariant: a
-    phase span's attributed model seconds equal the corresponding
-    [day_metrics] field exactly, and the ["day"] span's attributed
-    seeks/blocks/bytes equal the per-day counter deltas exactly. *)
+    timestamps are bit-identical to the metrics below.  Invariant (one
+    arm): a phase span's attributed model seconds equal the
+    corresponding [day_metrics] field exactly, and the ["day"] span's
+    attributed seeks/blocks/bytes equal the per-day counter deltas
+    exactly.  With several arms the tracer's clock is the arms' summed
+    disk time. *)
 
 open Wave_core
 
@@ -88,9 +106,13 @@ type result = {
       (** distribution of per-day [transition_seconds] *)
   query_percentiles : percentiles;
       (** distribution of per-day [query_seconds] *)
+  query_serial_seconds : float;
+      (** what one disk would have paid for every query phase: the
+          arms' busy model-seconds summed ({!Wave_model.Parallel.serial}) *)
   cache_stats : Wave_cache.Cache.stats option;
-      (** end-of-run buffer-pool counters when [icfg.cache_blocks]
-          attached a pool; [None] on an uncached run.  While a pool is
+      (** end-of-run buffer-pool counters, summed over the arms, when
+          [icfg.cache_blocks] attached pools; [None] on an uncached
+          run.  While a pool is
           attached the runner also maintains the ["cache.hit_ratio"]
           gauge and the ["runner.query_seconds.cached"] /
           ["runner.query_seconds.uncached_estimate"] histograms in
@@ -105,6 +127,10 @@ type result = {
           resolved, in firing order: by day, and within one day the
           transition-step firings first, then the day boundary's in
           rule order; [[]] when no rule was configured *)
+  router : Wave_shard.Router.t;
+      (** the run's router after the last day: its arms, parallel
+          clock and committed splits (its buffer pools already
+          detached) *)
 }
 
 type config = {
@@ -116,7 +142,7 @@ type config = {
   store : Env.day_store;
   queries : Wave_workload.Query_gen.spec option;
   concurrent : bool;
-      (** serve the day's queries {e during} the transition under
+      (** (one arm only) serve the day's queries {e during} the transition under
           {!Wave_epoch.Epoch} snapshot isolation instead of after it.
           Each day the runner opens an epoch over the pre-transition
           wave, lays the day's queries out as arrivals on the model
@@ -163,16 +189,27 @@ type config = {
           moves — so [days] is bit-identical with or without a
           store. *)
   on_env : (Env.t -> unit) option;
-      (** called once with the run's environment after it is created
-          and before the scheme starts — the hook for arming disk
+      (** called with each arm's environment after it is created and
+          before that arm's scheme starts — the hook for arming disk
           faults (e.g. a {!Wave_disk.Disk.Stall} plan) or inspecting
           the disk of a run whose environment is otherwise internal *)
+  shards : int;  (** router arms, each a full scheme on its own disk *)
+  partition : Wave_shard.Partition.kind;
+      (** how values map to arms; a range partition slices
+          [1..vocab] of the query spec's value distribution *)
+  split_threshold : float option;
+      (** split the busiest splittable arm after any day's advance
+          where the busy skew ratio exceeds the threshold *)
 }
 
 val default_config :
   scheme:Scheme.kind -> store:Env.day_store -> w:int -> n:int -> config
 (** 2w run days, in-place updating, default index config, no queries,
     stop-the-world serving (concurrent off, rate 4.0), validation on,
-    no alert rules, no series store. *)
+    no alert rules, no series store, one hash-partitioned arm, no
+    split threshold. *)
 
 val run : config -> result
+(** Raises [Invalid_argument] for a concurrent or file-backed run with
+    more than one arm or a split threshold (one block file cannot back
+    several arms, and epochs serve one disk). *)

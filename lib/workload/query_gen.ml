@@ -74,11 +74,3 @@ let tpcd_spec =
     scan_range = Whole_window;
     value_dist = Uniform 1_000;
   }
-
-let scale spec ~factor =
-  if factor < 1 then invalid_arg "Query_gen.scale: factor must be >= 1";
-  {
-    spec with
-    probes_per_day = spec.probes_per_day * factor;
-    scans_per_day = spec.scans_per_day * factor;
-  }

@@ -40,8 +40,3 @@ val wse_spec : spec
 
 val tpcd_spec : spec
 (** no probes, 10 whole-window scans. *)
-
-val scale : spec -> factor:int -> spec
-(** Multiplies the daily probe and scan counts by [factor] (>= 1),
-    keeping the seed, ranges and value distribution.  Lets the sim jump
-    a laptop-scale mix to million-user-scale rates ([--query-scale]). *)

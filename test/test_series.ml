@@ -1,5 +1,5 @@
 (* Tests for metric time-series (ring-buffer histories, window stats,
-   trends, sparklines), SLO multi-window burn-rate alerting (unit and
+   trends), SLO multi-window burn-rate alerting (unit and
    end-to-end through the runner and flight recorder), the OpenMetrics
    exposition and its validator, the waveidx-series/1 dump validator,
    and the Metrics snapshot/reservoir guarantees they build on. *)
@@ -83,7 +83,7 @@ let test_last_n_and_daily () =
     "daily days" [ 1; 2; 3 ]
     (List.map (fun p -> p.Series.day) (Series.daily st "m"))
 
-(* --- window stats, trend, sparkline -------------------------------- *)
+(* --- window stats and trend ----------------------------------------- *)
 
 let test_window_stats () =
   let st = Series.create () in
@@ -121,20 +121,6 @@ let test_trend () =
   Alcotest.(check bool)
     "single point has no trend" true
     (Series.trend st "one" ~n:10 = None)
-
-let test_sparkline () =
-  let st = Series.create () in
-  for i = 1 to 8 do
-    Series.record st ~name:"s" ~day:i (float_of_int i)
-  done;
-  let sp = Series.sparkline st "s" in
-  Alcotest.(check bool) "non-empty" true (String.length sp > 0);
-  (* 8 samples, each one UTF-8 block glyph (3 bytes). *)
-  Alcotest.(check int) "one glyph per point" (8 * 3) (String.length sp);
-  let sp2 = Series.sparkline ~width:4 st "s" in
-  Alcotest.(check int) "width truncates to tail" (4 * 3) (String.length sp2);
-  Alcotest.(check string) "empty series renders empty" ""
-    (Series.sparkline st "nope")
 
 (* --- waveidx-series/1 dumps ---------------------------------------- *)
 
@@ -652,7 +638,6 @@ let suites =
       [
         Alcotest.test_case "window stats" `Quick test_window_stats;
         Alcotest.test_case "trend slope" `Quick test_trend;
-        Alcotest.test_case "sparkline" `Quick test_sparkline;
       ] );
     ( "series.dump",
       [

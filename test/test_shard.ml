@@ -122,7 +122,7 @@ let test_parallel_max_not_sum () =
   Alcotest.(check (float 1e-9)) "empty fan-out costs nothing" 0.0
     (Parallel.record c [])
 
-(* --- Entry.batch_filter / Query_gen.scale -------------------------- *)
+(* --- Entry.batch_filter --------------------------------------------- *)
 
 let test_batch_filter () =
   let b = store 3 in
@@ -140,21 +140,6 @@ let test_batch_filter () =
   Alcotest.(check int) "partition covers the batch"
     (Wave_storage.Entry.batch_size b)
     total
-
-let test_query_gen_scale () =
-  let spec = Wave_workload.Query_gen.scam_spec in
-  let big = Wave_workload.Query_gen.scale spec ~factor:1000 in
-  Alcotest.(check int) "probes x1000"
-    (spec.Wave_workload.Query_gen.probes_per_day * 1000)
-    big.Wave_workload.Query_gen.probes_per_day;
-  Alcotest.(check int) "scans x1000"
-    (spec.Wave_workload.Query_gen.scans_per_day * 1000)
-    big.Wave_workload.Query_gen.scans_per_day;
-  Alcotest.(check int) "seed kept" spec.Wave_workload.Query_gen.seed
-    big.Wave_workload.Query_gen.seed;
-  Alcotest.check_raises "factor 0 rejected"
-    (Invalid_argument "Query_gen.scale: factor must be >= 1") (fun () ->
-      ignore (Wave_workload.Query_gen.scale spec ~factor:0))
 
 (* --- Router transparency ------------------------------------------- *)
 
@@ -423,6 +408,18 @@ let test_multidisk_balanced_arms () =
 
 (* --- Shard split --------------------------------------------------- *)
 
+module Runner = Wave_sim.Runner
+
+let zipf_spec ~probes =
+  {
+    Wave_workload.Query_gen.seed = 7;
+    probes_per_day = probes;
+    probe_range = Wave_workload.Query_gen.Whole_window;
+    scans_per_day = 1;
+    scan_range = Wave_workload.Query_gen.Whole_window;
+    value_dist = Wave_workload.Query_gen.Zipfian { vocab; s = 1.2 };
+  }
+
 let split_probes r ~w =
   let day = Router.current_day r in
   List.init vocab (fun i ->
@@ -481,35 +478,36 @@ let test_recover_without_split_is_noop () =
   Alcotest.(check int) "arms unchanged" 2 (Router.arms r);
   Alcotest.(check bool) "answers unchanged" true (split_probes r ~w:4 = before)
 
-(* Router.run's skew trigger: a Zipf probe stream loads the arms that
-   own the hottest values, the busy skew crosses the threshold at a day
-   boundary, and the run splits the busiest splittable arm.  Afterwards
-   the router still answers exactly like a 1-arm router over the same
-   store. *)
+(* The runner's skew trigger: a Zipf probe stream loads the arms that
+   own the hottest values, the busy skew crosses the threshold after a
+   day's advance, and the run splits the busiest splittable arm.
+   Afterwards the router still answers exactly like a 1-arm router over
+   the same store. *)
 let test_run_skew_triggers_split () =
   let w = 6 and n = 3 in
-  let make shards =
+  let res =
+    Runner.run
+      {
+        (Runner.default_config ~scheme:Scheme.Rata_star
+           ~store:(store ~vocab ~postings:12) ~w ~n)
+        with
+        Runner.technique = Env.Packed_shadow;
+        run_days = 4;
+        queries = Some (zipf_spec ~probes:60);
+        shards = 4;
+        split_threshold = Some 1.3;
+      }
+  in
+  let r = res.Runner.router in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d split(s) committed" (Router.splits r))
+    true
+    (Router.splits r >= 1 && Router.arms r > 4);
+  let one =
     Router.create ~kind:Scheme.Rata_star ~technique:Env.Packed_shadow
-      ~partition:Partition.Hash ~shards ~vocab
+      ~partition:Partition.Hash ~shards:1 ~vocab
       ~store:(store ~vocab ~postings:12) ~w ~n ()
   in
-  let spec =
-    {
-      Wave_workload.Query_gen.seed = 7;
-      probes_per_day = 60;
-      probe_range = Wave_workload.Query_gen.Whole_window;
-      scans_per_day = 1;
-      scan_range = Wave_workload.Query_gen.Whole_window;
-      value_dist = Wave_workload.Query_gen.Zipfian { vocab; s = 1.2 };
-    }
-  in
-  let r = make 4 in
-  let res = Router.run ~split_threshold:1.3 r ~spec ~days:4 in
-  Alcotest.(check bool)
-    (Printf.sprintf "%d split(s) committed" res.Router.splits_done)
-    true
-    (res.Router.splits_done >= 1 && Router.arms r > 4);
-  let one = make 1 in
   while Router.current_day one < Router.current_day r do
     ignore (Router.advance one)
   done;
@@ -608,6 +606,103 @@ let test_throughput_scaling () =
     true
     (l1 >= 2.0 *. l4)
 
+(* --- The runner's one loop on two arms -------------------------------- *)
+
+let two_arm_run ?(icfg = Wave_storage.Index.default_config) ?series rules =
+  Runner.run
+    {
+      (Runner.default_config ~scheme:Scheme.Del
+         ~store:(store ~vocab ~postings:12) ~w:6 ~n:3)
+      with
+      Runner.run_days = 10;
+      queries = Some (zipf_spec ~probes:20);
+      icfg;
+      alerts = rules;
+      series;
+      shards = 2;
+    }
+
+(* Router.advance is each arm's write-back durability boundary: every
+   day ends with no dirty frame in either arm's pool, and the deferred
+   writes left through coalescing flushes. *)
+let test_runner_write_back_flushed () =
+  let series = Wave_obs.Series.create () in
+  let icfg =
+    {
+      Wave_storage.Index.default_config with
+      Wave_storage.Index.cache_blocks = Some 512;
+      cache_write_back = true;
+    }
+  in
+  let r = two_arm_run ~icfg ~series [] in
+  let dirty = Wave_obs.Series.daily series "cache.dirty_frames" in
+  Alcotest.(check int) "a day-end sample per day" 10 (List.length dirty);
+  List.iter
+    (fun (p : Wave_obs.Series.point) ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "day %d ends clean" p.Wave_obs.Series.day)
+        0.0 p.Wave_obs.Series.value)
+    dirty;
+  match r.Runner.cache_stats with
+  | None -> Alcotest.fail "the write-back run lost its pool stats"
+  | Some cs ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%d flushes" cs.Wave_cache.Cache.flushes)
+      true
+      (cs.Wave_cache.Cache.flushes > 0)
+
+let fired name (r : Runner.result) =
+  List.exists
+    (fun (e : Wave_obs.Alert.event) ->
+      e.Wave_obs.Alert.e_rule.Wave_obs.Alert.name = name)
+    r.Runner.alerts
+
+(* The runner publishes runner.day.* on every arm count, so a burn-rate
+   rule written for single-disk runs judges a sharded one too. *)
+let test_runner_burn_rule_fires () =
+  let rule =
+    Wave_obs.Alert.burn ~name:"query-burn" ~metric:"runner.day.query_seconds"
+      ~window_days:4 Wave_obs.Alert.Gt 0.0
+  in
+  Alcotest.(check bool) "burn-rate rule fired" true
+    (fired "query-burn" (two_arm_run [ rule ]))
+
+let test_runner_transition_rule_fires () =
+  let rule =
+    Wave_obs.Alert.rule ~scope:Wave_obs.Alert.Transition ~name:"step-cost"
+      ~metric:"runner.transition.seconds" Wave_obs.Alert.Gt 0.0
+  in
+  Alcotest.(check bool) "transition-scoped rule fired" true
+    (fired "step-cost" (two_arm_run [ rule ]))
+
+(* Epochs serve one disk and one block file backs one arm. *)
+let test_runner_one_arm_features () =
+  let base =
+    {
+      (Runner.default_config ~scheme:Scheme.Del
+         ~store:(store ~vocab ~postings:12) ~w:6 ~n:3)
+      with
+      Runner.queries = Some (zipf_spec ~probes:4);
+      shards = 2;
+    }
+  in
+  let refused what cfg =
+    Alcotest.(check bool) (what ^ " refused on 2 arms") true
+      (match Runner.run cfg with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  refused "concurrent" { base with Runner.concurrent = true };
+  refused "file backend"
+    {
+      base with
+      Runner.icfg =
+        {
+          Wave_storage.Index.default_config with
+          Wave_storage.Index.disk_backend = Wave_disk.Disk.File "unused.blk";
+        };
+    }
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 (* The metrics registry is process-global: a router with fewer arms
@@ -684,8 +779,6 @@ let suites =
           test_parallel_max_not_sum;
         Alcotest.test_case "batch_filter partitions a day" `Quick
           test_batch_filter;
-        Alcotest.test_case "query_gen scale multiplies rates" `Quick
-          test_query_gen_scale;
         Alcotest.test_case "fan-out cost semantics" `Quick
           test_router_fanout_costs;
         Alcotest.test_case "query counters count queries" `Quick
@@ -694,6 +787,14 @@ let suites =
           test_multidisk_balanced_arms;
         Alcotest.test_case "stale per-arm gauges retired" `Quick
           test_stale_arm_gauges_retired;
+        Alcotest.test_case "runner: 2 arms flush write-back every day" `Quick
+          test_runner_write_back_flushed;
+        Alcotest.test_case "runner: 2 arms fire a burn-rate rule" `Quick
+          test_runner_burn_rule_fires;
+        Alcotest.test_case "runner: 2 arms fire a transition rule" `Quick
+          test_runner_transition_rule_fires;
+        Alcotest.test_case "runner: one-arm features refuse 2 arms" `Quick
+          test_runner_one_arm_features;
       ]
       @ qcheck [ prop_router_transparent ] );
     ( "shard.merge",
