@@ -1100,69 +1100,13 @@ let bench_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"PATH" ~doc:"write results as JSON to $(docv)")
   in
-  let runs =
-    Arg.(value & opt int 40 & info [ "runs" ] ~doc:"measurement runs per benchmark")
-  in
-  let w = Arg.(value & opt int 7 & info [ "window"; "w" ] ~doc:"window length") in
-  let n = Arg.(value & opt int 3 & info [ "indexes"; "n" ] ~doc:"constituents") in
-  let postings =
-    Arg.(value & opt int 200 & info [ "postings" ] ~doc:"mean postings per day")
-  in
-  let cache_blocks =
-    Arg.(
-      value & opt int 4096
-      & info [ "cache-blocks" ] ~docv:"N"
-          ~doc:"buffer-pool frames for the cached (+cache) series")
-  in
-  let validate =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "validate" ] ~docv:"PATH"
-          ~doc:
-            "validate an existing bench snapshot against the current \
-             schema instead of running benchmarks (exit 1 on failure)")
-  in
-  let compare_to =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "compare" ] ~docv:"BASELINE"
-          ~doc:
-            "regression gate: compare this run's p50/p95 per series against \
-             a committed snapshot; exit 1 on regressions beyond --threshold \
-             or vanished series")
-  in
-  let threshold =
-    Arg.(
-      value & opt float 10.0
-      & info [ "threshold" ] ~docv:"PCT"
-          ~doc:"allowed p50/p95 growth percentage for --compare")
-  in
-  let run json runs w n postings cache_blocks validate compare_to threshold =
-    (match validate with
-    | Some path -> (
-      match Wave_obs.Sink.validate_bench_file path with
-      | Ok count ->
-        Printf.printf "%s: valid %s snapshot (%d benchmarks)\n" path
-          Wave_obs.Sink.bench_schema count;
-        exit 0
-      | Error e ->
-        Printf.eprintf "%s: invalid bench snapshot: %s\n" path e;
-        exit 1)
-    | None -> ());
-    if runs < 1 then begin
-      Printf.eprintf "bench: need at least one run\n";
-      exit 2
-    end;
-    if n < 1 || n > w then begin
-      Printf.eprintf "bench: need 1 <= n <= w (got W=%d n=%d)\n" w n;
-      exit 2
-    end;
-    if cache_blocks < 1 then begin
-      Printf.eprintf "bench: need at least one cache frame\n";
-      exit 2
-    end;
+  (* The bench's geometry.  BENCH_wave.json is this run's output and
+     `dune runtest` diffs a fresh run against it, so these are
+     constants: changing one changes the snapshot, which `dune promote`
+     then accepts. *)
+  let runs = 40 and w = 7 and n = 3 and postings = 200 in
+  let cache_blocks = 4096 in
+  let run json =
     let store = demo_store postings in
     let results = ref [] in
     let record ?cache ?wb name samples =
@@ -1413,21 +1357,21 @@ let bench_cmd =
     (match json with
     | None -> ()
     | Some path ->
-      (* The /4 schema carries a profile summary: where a canonical
-         traced run (DEL, in-place) spends its model-seconds, so a
-         snapshot diff shows cost-attribution drift, not just endpoint
-         latencies. *)
+      (* The profile block: where a canonical traced run (DEL,
+         in-place) spends its model-seconds, so a snapshot diff shows
+         cost-attribution drift, not just endpoint latencies.  The
+         series block summarizes the same run's metric time-series.
+         The registry is process-global, so it is zeroed first, and a
+         metric that stays 0 through the run (a counter of some other
+         phase) is left out. *)
       let bench_series_store = Wave_obs.Series.create () in
+      Wave_obs.Metrics.reset_all ();
       let prof, pr =
         profiled_run ~series:bench_series_store ~scheme:Scheme.Del
           ~technique:Env.In_place ~w ~n:2 ~days:6 ~postings ()
       in
       ignore (check_conservation prof pr);
       let open Wave_obs.Json in
-      (* The /7 series block: per-metric time-series summaries from the
-         same canonical run the profile block measures, so a snapshot
-         diff can show trajectory drift (a metric trending up across
-         the run) on top of endpoint and attribution drift. *)
       let series_json =
         let tracked =
           List.filter_map
@@ -1435,8 +1379,9 @@ let bench_cmd =
               match
                 Wave_obs.Series.window_stats bench_series_store name ~n:max_int
               with
-              | None -> None
-              | Some ws ->
+              | Some ws
+                when ws.Wave_obs.Series.w_min <> 0.0
+                     || ws.Wave_obs.Series.w_max <> 0.0 ->
                 let last =
                   match Wave_obs.Series.last_n bench_series_store name 1 with
                   | [ p ] -> p.Wave_obs.Series.value
@@ -1449,22 +1394,17 @@ let bench_cmd =
                   | Some s when Float.is_finite s -> Num s
                   | _ -> Null
                 in
-                if
-                  Float.is_finite last
-                  && Float.is_finite ws.Wave_obs.Series.w_mean
-                  && Float.is_finite ws.Wave_obs.Series.w_p95
-                then
-                  Some
-                    (Obj
-                       [
-                         ("name", Str name);
-                         ("points", int ws.Wave_obs.Series.w_count);
-                         ("last", Num last);
-                         ("mean", Num ws.Wave_obs.Series.w_mean);
-                         ("p95", Num ws.Wave_obs.Series.w_p95);
-                         ("trend", trend);
-                       ])
-                else None)
+                Some
+                  (Obj
+                     [
+                       ("name", Str name);
+                       ("points", int ws.Wave_obs.Series.w_count);
+                       ("last", Num last);
+                       ("mean", Num ws.Wave_obs.Series.w_mean);
+                       ("p95", Num ws.Wave_obs.Series.w_p95);
+                       ("trend", trend);
+                     ])
+              | _ -> None)
             (Wave_obs.Series.names bench_series_store)
         in
         Obj
@@ -1499,7 +1439,7 @@ let bench_cmd =
       let j =
         Obj
           [
-            ("schema", Str Wave_obs.Sink.bench_schema);
+            ("schema", Str "waveidx-bench/7");
             ("unit", Str "model-seconds");
             ( "config",
               Obj
@@ -1556,71 +1496,9 @@ let bench_cmd =
       output_string oc (to_string ~pretty:true j);
       output_char oc '\n';
       close_out oc;
-      (match Wave_obs.Sink.validate_bench j with
-      | Ok _ -> ()
-      | Error e ->
-        Printf.eprintf "bench: emitted snapshot failed validation: %s\n" e;
-        exit 1);
-      Printf.printf "\nwrote %s (%d benchmarks)\n" path (List.length results));
-    match compare_to with
-    | None -> ()
-    | Some baseline_path -> (
-      let fail msg =
-        Printf.eprintf "bench --compare: %s\n" msg;
-        exit 1
-      in
-      match Wave_obs.Sink.bench_series_file baseline_path with
-      | Error e -> fail e
-      | Ok baseline ->
-          let current =
-            List.map
-              (fun (name, p50, p95, _, _, _) ->
-                {
-                  Wave_obs.Sink.series_name = name;
-                  series_p50 = p50;
-                  series_p95 = p95;
-                })
-              results
-          in
-          let cmp =
-            Wave_obs.Sink.compare_bench ~threshold_pct:threshold ~baseline
-              ~current
-          in
-          Printf.printf "\nregression gate vs %s (threshold %.1f%%):\n%s"
-            baseline_path threshold
-            (Wave_obs.Sink.comparison_report cmp);
-          (* Profile-node gate: re-profile the snapshot's canonical run
-             and hold each committed hot node's self/total model-seconds
-             to the same threshold — a cost migration between phases
-             fails here even when every series total is flat.  On
-             failure, a full tree diff against the committed nodes shows
-             where the time went. *)
-          let profile_ok =
-            match Wave_obs.Sink.bench_profile_top_file baseline_path with
-            | Error e ->
-              (* pre-/4 baselines have no profile block; the series gate
-                 above already covers them *)
-              Printf.printf "profile-node gate: skipped (%s)\n" e;
-              true
-            | Ok top_nodes ->
-              let prof, pr =
-                profiled_run ~scheme:Scheme.Del ~technique:Env.In_place ~w ~n:2
-                  ~days:6 ~postings ()
-              in
-              ignore (check_conservation prof pr);
-              let gate =
-                Wave_obs.Sink.compare_profile_top ~threshold_pct:threshold
-                  ~baseline:top_nodes ~current:prof
-              in
-              print_string (Wave_obs.Sink.profile_gate_report gate);
-              Wave_obs.Sink.profile_gate_ok gate
-          in
-          if not (Wave_obs.Sink.bench_ok cmp && profile_ok) then exit 1)
+      Printf.printf "\nwrote %s (%d benchmarks)\n" path (List.length results))
   in
-  Cmd.v (Cmd.info "bench" ~doc)
-    Term.(
-      const run $ json $ runs $ w $ n $ postings $ cache_blocks $ validate
-      $ compare_to $ threshold)
+  Cmd.v (Cmd.info "bench" ~doc) Term.(const run $ json)
 
 let checkpoint_cmd =
   let doc = "Run a scheme for some days, then write its manifest to a file." in

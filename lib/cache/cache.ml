@@ -142,23 +142,6 @@ let acc_create () =
     meta_seconds = 0.0;
   }
 
-let acc_reset a =
-  a.hits <- 0;
-  a.misses <- 0;
-  a.meta_hits <- 0;
-  a.meta_misses <- 0;
-  a.evictions <- 0;
-  a.readaheads <- 0;
-  a.stale_drops <- 0;
-  a.writes_coalesced <- 0;
-  a.dirty_evictions <- 0;
-  a.flushes <- 0;
-  a.flush_writes <- 0;
-  a.flushed_blocks <- 0;
-  a.dirty_discards <- 0;
-  a.saved_seconds <- 0.0;
-  a.meta_seconds <- 0.0
-
 let acc_stats (a : acc) : stats =
   {
     hits = a.hits;
@@ -883,10 +866,6 @@ let validate t =
 
 let stats t = acc_stats t.st.global
 let local_stats t = acc_stats t.local
-
-let reset_stats t =
-  acc_reset t.st.global;
-  acc_reset t.local
 
 let add_stats (a : stats) (b : stats) : stats =
   {

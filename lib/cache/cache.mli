@@ -253,10 +253,6 @@ val local_stats : t -> stats
 (** This view's slice: only accesses issued through this view.  Equal
     to {!stats} for a non-shared pool. *)
 
-val reset_stats : t -> unit
-(** Zero both the pool-wide totals and this view's slice.  (Other
-    views of a shared pool keep their local slices.) *)
-
 val add_stats : stats -> stats -> stats
 (** Field-wise sum: the counters of several pools, one per arm of a
     sharded run, as one. *)

@@ -63,15 +63,6 @@ let int_at_least b =
     (fun v -> Float.is_integer v && v >= float_of_int b)
     (Printf.sprintf "must be an integer >= %d" b)
 
-let between lo hi =
-  number_where (fun v -> v >= lo && v <= hi) (Printf.sprintf "outside [%g, %g]" lo hi)
-
-let finite_or_null =
-  scalar "numeric" (function
-    | Json.Null -> None
-    | Json.Num v when Float.is_finite v -> None
-    | _ -> Some "must be a finite number or null")
-
 (* --- objects ------------------------------------------------------ *)
 
 (* A field check gets the object's own label and the object. *)
@@ -114,8 +105,8 @@ let satisfies p label o = Result.map_error (located label) (p o)
 type label = ctx -> int -> Json.t -> string
 
 let id el =
-  match (Json.member "name" el, Json.member "path" el) with
-  | Some (Json.Str s), _ | _, Some (Json.Str s) -> Printf.sprintf " (%S)" s
+  match Json.member "name" el with
+  | Some (Json.Str s) -> Printf.sprintf " (%S)" s
   | _ -> ""
 
 let indexed ctx i el = Printf.sprintf "%s[%d]%s" (label_of ctx) i (id el)
@@ -126,7 +117,7 @@ let nested ctx i el =
   | Some (Json.Str s) -> ctx.where ^ "/" ^ s
   | _ -> Printf.sprintf "%s/[%d]" ctx.where i
 
-let arr ?(nonempty = false) ?(label = indexed) t =
+let arr ?(label = indexed) t =
   let rec each ctx i = function
     | [] -> Ok ()
     | el :: rest ->
@@ -139,8 +130,6 @@ let arr ?(nonempty = false) ?(label = indexed) t =
     run =
       (fun ctx j ->
         match j with
-        | Json.Arr [] when nonempty ->
-          Error (located ctx.where ("empty " ^ subject ctx ^ "array"))
         | Json.Arr els -> each ctx 0 els
         | _ -> fail ctx "must be an array");
   }

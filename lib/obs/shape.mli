@@ -1,11 +1,11 @@
 (** Declarative JSON shapes: the one checker behind the document
-    validators and readers in {!Sink} and the rule parser in {!Alert}.
+    validators in {!Sink} and the rule parser in {!Alert}.
 
     A shape says what a value must look like — its type, a bound, the
     fields of an object, the elements of an array.  {!check} walks a
     document against it and reports the first violation, naming the
     value's path and the field:
-    [benchmark 0 ("probe/DEL").cache: "hit_ratio" outside [0, 1]].
+    [event 0 ("x"): missing numeric "dur"].
     Rules that relate several values (counts that must agree, an
     ordering across elements) stay in the callers, after the shape
     holds. *)
@@ -39,11 +39,6 @@ val at_least : float -> t
 val int_at_least : int -> t
 (** An integral number [>=] the bound. *)
 
-val between : float -> float -> t
-(** A number in the closed interval. *)
-
-val finite_or_null : t
-
 (** {1 Objects} *)
 
 type field
@@ -70,16 +65,16 @@ type label
 
 val numbered : string -> label
 (** [kind i], for a document's top-level collections
-    ([benchmark 3], [rule 0], [event 12]). *)
+    ([series 3], [rule 0], [event 12]). *)
 
 val nested : label
 (** [parent/name] — a tree of named nodes ([/day/phase.query]). *)
 
-val arr : ?nonempty:bool -> ?label:label -> t -> t
+val arr : ?label:label -> t -> t
 (** An array whose elements all have the shape.  Elements are named
     [parent.key[i]] unless [label] says otherwise; that default and
-    {!numbered} append [ ("…")] with the element's string ["name"] or
-    ["path"] field when there is one. *)
+    {!numbered} append [ ("…")] with the element's string ["name"]
+    field when there is one. *)
 
 val fix : (t -> t) -> t
 (** [fix (fun self -> ...)] — a recursive shape (a node whose children

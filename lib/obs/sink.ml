@@ -136,9 +136,9 @@ let write_chrome ?(clock = `Model) ~path ~spans ~instants () =
 
 (* --- document shapes ------------------------------------------------ *)
 
-(* Every validator and reader below is a Shape plus, where the rules
-   span values, a few lines of code after the shape holds.  Once a
-   shape has checked a document, the accessors below cannot miss. *)
+(* Every validator below is a Shape plus, where the rules span values,
+   a few lines of code after the shape holds.  Once a shape has checked
+   a document, the accessors below cannot miss. *)
 
 let ( let* ) = Result.bind
 let field k j = Option.get (Json.member k j)
@@ -182,87 +182,6 @@ let validate_chrome j =
 
 let validate_chrome_file = from_file validate_chrome
 
-(* /5 adds the concurrent-serving series (probe+concurrent/...,
-   probe+stopworld/...) measured by the epoch-interleaved runner.
-   /6 adds the sharded throughput scaling curve: the four
-   throughput+shards/{1,2,4,8} series are required, so a snapshot
-   that silently lost its scaling curve fails validation by name.
-   /7 adds a required "series" block: per-metric time-series summaries
-   (points, last, mean, p95, trend) from the canonical profiled run,
-   so a snapshot also shows the trend shape, not just the endpoint
-   percentiles. *)
-let bench_schema = "waveidx-bench/7"
-let series_schema = "waveidx-series/1"
-
-let required_bench_series =
-  [
-    "throughput+shards/1"; "throughput+shards/2"; "throughput+shards/4";
-    "throughput+shards/8";
-  ]
-
-let bench_shape =
-  Shape.(
-    obj
-      [
-        req "schema" (exactly bench_schema);
-        req "unit" (exactly "model-seconds");
-        req "benchmarks"
-          (arr ~nonempty:true ~label:(numbered "benchmark")
-             (obj
-                ((req "name" str :: non_negative [ "p50"; "p95" ])
-                @ [
-                    req "runs" (at_least 1.0);
-                    opt "cache"
-                      (obj
-                         (req "hit_ratio" (between 0.0 1.0)
-                         :: non_negative [ "hits"; "misses"; "frames" ]));
-                    opt "writeback"
-                      (obj
-                         (non_negative
-                            [ "writes_coalesced"; "flushes"; "flushed_blocks" ]));
-                  ])));
-        req "profile"
-          (obj
-             [
-               req "scheme" str;
-               req "technique" str;
-               req "days" (at_least 1.0);
-               req "total_model_s" (at_least 0.0);
-               req "top"
-                 (arr ~nonempty:true
-                    (obj
-                       ([ req "path" str; req "calls" (at_least 1.0) ]
-                       @ non_negative
-                           [ "self_model_s"; "total_model_s"; "seeks" ])));
-             ]);
-        (* A compact per-metric summary of the canonical run's
-           time-series; the full ring dump belongs to sim --series-out. *)
-        req "series"
-          (obj
-             [
-               req "schema" (exactly series_schema);
-               req "ticks" (at_least 1.0);
-               req "tracked"
-                 (arr ~nonempty:true
-                    (obj
-                       ([ req "name" str; req "points" (at_least 1.0) ]
-                       @ required [ "last"; "mean"; "p95" ] finite
-                       @ [ req "trend" finite_or_null ])));
-             ]);
-      ])
-
-let validate_bench j =
-  let* () = Shape.check bench_shape j in
-  let names = List.map (field_str "name") (field_list "benchmarks" j) in
-  match List.filter (fun s -> not (List.mem s names)) required_bench_series with
-  | [] -> Ok (List.length names)
-  | missing ->
-    Error
-      (Printf.sprintf "missing required series %s"
-         (String.concat ", " (List.map (Printf.sprintf "%S") missing)))
-
-let validate_bench_file = from_file validate_bench
-
 let profile_schema = "waveidx-profile/1"
 
 let profile_node =
@@ -295,6 +214,8 @@ let validate_profile j =
   Ok (List.fold_left (fun acc r -> acc + subtree_size r) 0 (field_list "roots" j))
 
 let validate_profile_file = from_file validate_profile
+
+let series_schema = "waveidx-series/1"
 
 let series_shape =
   Shape.(
@@ -419,174 +340,6 @@ let validate_flight_file path =
   | exception Sys_error msg -> Error msg
   | text -> validate_flight text
 
-(* --- readers for the gates ------------------------------------------ *)
-
-(* Lenient on purpose: the gates read only the fields they compare, in
-   any snapshot version, so old baselines survive schema bumps. *)
-
-type bench_series = { series_name : string; series_p50 : float; series_p95 : float }
-
-let bench_series_shape =
-  Shape.(
-    obj
-      [
-        req "benchmarks"
-          (arr ~label:(numbered "benchmark")
-             (obj [ req "name" str; req "p50" num; req "p95" num ]));
-      ])
-
-let bench_series j =
-  let* () = Shape.check bench_series_shape j in
-  Ok
-    (List.map
-       (fun b ->
-         {
-           series_name = field_str "name" b;
-           series_p50 = field_num "p50" b;
-           series_p95 = field_num "p95" b;
-         })
-       (field_list "benchmarks" j))
-
-type profile_top_node = {
-  top_path : string;
-  top_calls : int;
-  top_self : float;
-  top_total : float;
-}
-
-let profile_top_shape =
-  Shape.(
-    obj
-      [
-        req "profile"
-          (obj
-             [
-               req "top"
-                 (arr
-                    (obj
-                       (req "path" str
-                       :: required
-                            [ "calls"; "self_model_s"; "total_model_s" ] num)));
-             ]);
-      ])
-
-let bench_profile_top j =
-  let* () = Shape.check profile_top_shape j in
-  Ok
-    (List.map
-       (fun n ->
-         {
-           top_path = field_str "path" n;
-           top_calls = int_of_float (field_num "calls" n);
-           top_self = field_num "self_model_s" n;
-           top_total = field_num "total_model_s" n;
-         })
-       (field_list "top" (field "profile" j)))
-
-let reader f path =
-  from_file (fun j -> Result.map_error (Printf.sprintf "%s: %s" path) (f j)) path
-
-let bench_series_file = reader bench_series
-let bench_profile_top_file = reader bench_profile_top
-
-(* --- bench regression gate -------------------------------------------- *)
-
-type bench_delta = {
-  delta_name : string;
-  delta_field : string;  (* "p50" | "p95" *)
-  baseline_value : float;
-  current_value : float;
-  delta_pct : float;
-}
-
-type bench_comparison = {
-  compared : int;
-  missing : string list;
-  added : string list;
-  regressions : bench_delta list;
-  improvements : bench_delta list;
-}
-
-let pct_delta base cur =
-  if base = 0.0 then if cur = 0.0 then 0.0 else infinity
-  else (cur -. base) /. base *. 100.0
-
-let compare_bench ~threshold_pct ~baseline ~current =
-  let find name xs = List.find_opt (fun s -> String.equal s.series_name name) xs in
-  let regressions = ref [] and improvements = ref [] and compared = ref 0 in
-  let consider name field base cur =
-    let d =
-      {
-        delta_name = name;
-        delta_field = field;
-        baseline_value = base;
-        current_value = cur;
-        delta_pct = pct_delta base cur;
-      }
-    in
-    (* The epsilon keeps exact-equal model-second reruns from tripping
-       the gate on float formatting noise. *)
-    if cur > (base *. (1.0 +. (threshold_pct /. 100.0))) +. 1e-9 then
-      regressions := d :: !regressions
-    else if base > (cur *. (1.0 +. (threshold_pct /. 100.0))) +. 1e-9 then
-      improvements := d :: !improvements
-  in
-  let missing =
-    List.filter_map
-      (fun b ->
-        match find b.series_name current with
-        | None -> Some b.series_name
-        | Some c ->
-          incr compared;
-          consider b.series_name "p50" b.series_p50 c.series_p50;
-          consider b.series_name "p95" b.series_p95 c.series_p95;
-          None)
-      baseline
-  in
-  let added =
-    List.filter_map
-      (fun c ->
-        match find c.series_name baseline with
-        | None -> Some c.series_name
-        | Some _ -> None)
-      current
-  in
-  {
-    compared = !compared;
-    missing;
-    added;
-    regressions = List.rev !regressions;
-    improvements = List.rev !improvements;
-  }
-
-let bench_ok c = c.regressions = [] && c.missing = []
-
-let comparison_report c =
-  let buf = Buffer.create 512 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line
-    "compared %d series (model-seconds): %d regression(s), %d \
-     improvement(s), %d missing, %d new"
-    c.compared
-    (List.length c.regressions)
-    (List.length c.improvements)
-    (List.length c.missing) (List.length c.added);
-  List.iter
-    (fun d ->
-      line "  REGRESSION %-40s %s %.6f -> %.6f (%+.1f%%)" d.delta_name
-        d.delta_field d.baseline_value d.current_value d.delta_pct)
-    c.regressions;
-  List.iter
-    (fun n -> line "  MISSING    %-40s (present in baseline, absent now)" n)
-    c.missing;
-  List.iter
-    (fun d ->
-      line "  improved   %-40s %s %.6f -> %.6f (%+.1f%%)" d.delta_name
-        d.delta_field d.baseline_value d.current_value d.delta_pct)
-    c.improvements;
-  List.iter (fun n -> line "  new        %s" n) c.added;
-  Buffer.contents buf
-
 let write_folded ~path profile = write_file path (Profile.folded profile)
 
 let write_profile ~path profile =
@@ -625,86 +378,6 @@ let flush_traces ~reason =
       write_file path (Buffer.contents buf)
     with Sys_error _ -> ())
 
-
-(* --- profile-node gate ------------------------------------------------ *)
-
-type profile_gate = {
-  pg_compared : int;
-  pg_missing : string list;
-  pg_regressions : bench_delta list;
-  pg_improvements : bench_delta list;
-}
-
-(* Self model-seconds carry float-subtraction noise (self = total -
-   children, clamped at zero), so the gate's absolute epsilon is the
-   profiler's own conservation tolerance, not the series gate's 1e-9 —
-   a baseline node with self 0.0 must not trip on 1e-12 of rounding. *)
-let profile_epsilon = 1e-6
-
-let compare_profile_top ~threshold_pct ~baseline ~(current : Profile.t) =
-  let regressions = ref [] and improvements = ref [] and compared = ref 0 in
-  let consider path field base cur =
-    let d =
-      {
-        delta_name = path;
-        delta_field = field;
-        baseline_value = base;
-        current_value = cur;
-        delta_pct = pct_delta base cur;
-      }
-    in
-    if cur > (base *. (1.0 +. (threshold_pct /. 100.0))) +. profile_epsilon then
-      regressions := d :: !regressions
-    else if base > (cur *. (1.0 +. (threshold_pct /. 100.0))) +. profile_epsilon
-    then improvements := d :: !improvements
-  in
-  let missing =
-    List.filter_map
-      (fun b ->
-        match Profile.find current (String.split_on_char '/' b.top_path) with
-        | None -> Some b.top_path
-        | Some n ->
-          incr compared;
-          consider b.top_path "self_model_s" b.top_self
-            n.Profile.self_model;
-          consider b.top_path "total_model_s" b.top_total
-            n.Profile.total_model;
-          None)
-      baseline
-  in
-  {
-    pg_compared = !compared;
-    pg_missing = missing;
-    pg_regressions = List.rev !regressions;
-    pg_improvements = List.rev !improvements;
-  }
-
-let profile_gate_ok g = g.pg_regressions = [] && g.pg_missing = []
-
-let profile_gate_report g =
-  let buf = Buffer.create 512 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line
-    "profile-node gate: %d node(s) compared, %d regression(s), %d \
-     improvement(s), %d missing"
-    g.pg_compared
-    (List.length g.pg_regressions)
-    (List.length g.pg_improvements)
-    (List.length g.pg_missing);
-  List.iter
-    (fun d ->
-      line "  REGRESSION %-58s %s %.6f -> %.6f (%+.1f%%)" d.delta_name
-        d.delta_field d.baseline_value d.current_value d.delta_pct)
-    g.pg_regressions;
-  List.iter
-    (fun p -> line "  MISSING    %s (baseline hot node absent from this run)" p)
-    g.pg_missing;
-  List.iter
-    (fun d ->
-      line "  improved   %-58s %s %.6f -> %.6f (%+.1f%%)" d.delta_name
-        d.delta_field d.baseline_value d.current_value d.delta_pct)
-    g.pg_improvements;
-  Buffer.contents buf
 
 (* --- OpenMetrics text exposition -------------------------------------- *)
 

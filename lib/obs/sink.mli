@@ -41,102 +41,14 @@ val validate_chrome : Json.t -> (int, string) result
     and — for "X" events — a non-negative numeric ["dur"].  Returns the
     event count.
 
-    This and every other validator and reader below checks a
-    {!Shape}: errors name the path ([event 3 ("day")]) and the field.
-    The rules a shape cannot state — required series present, header
-    count equal to the event lines, strictly increasing ["seq"],
-    non-decreasing ["tick"], at most ["cap"] points — are checked after
-    the shape holds. *)
+    This and every other validator below checks a {!Shape}: errors
+    name the path ([event 3 ("day")]) and the field.  The rules a shape
+    cannot state — header count equal to the event lines, strictly
+    increasing ["seq"], non-decreasing ["tick"], at most ["cap"] points
+    — are checked after the shape holds. *)
 
 val validate_chrome_file : string -> (int, string) result
 (** Read and parse [path], then {!validate_chrome}. *)
-
-val bench_schema : string
-(** The current [waveidx bench --json] schema tag,
-    ["waveidx-bench/7"].  /7 adds a required ["series"] block of
-    per-metric time-series summaries (points, last, mean, p95, trend)
-    sampled from the canonical profiled run. *)
-
-val required_bench_series : string list
-(** Series every /6 snapshot must carry — the sharded throughput
-    scaling curve [throughput+shards/{1,2,4,8}].  {!validate_bench}
-    fails with the missing names otherwise. *)
-
-val validate_bench : Json.t -> (int, string) result
-(** Check a [BENCH_wave.json] snapshot against {!bench_schema}: the
-    exact schema tag, ["unit"] = "model-seconds", a non-empty
-    ["benchmarks"] array whose records carry a string ["name"],
-    non-negative ["p50"]/["p95"], ["runs"] >= 1, an optional ["cache"]
-    object (["hit_ratio"] in [0, 1]; non-negative ["hits"],
-    ["misses"], ["frames"]) and an optional ["writeback"] object
-    (non-negative ["writes_coalesced"], ["flushes"],
-    ["flushed_blocks"]), plus a required ["profile"] summary block
-    (string ["scheme"]/["technique"], ["days"] >= 1, non-negative
-    ["total_model_s"], and a non-empty ["top"] array of hot nodes each
-    with a string ["path"], ["calls"] >= 1, non-negative
-    ["self_model_s"]/["total_model_s"]/["seeks"]).  Every error names
-    the offending series ([benchmark i ("name")]) and field.  Returns
-    the benchmark count. *)
-
-val validate_bench_file : string -> (int, string) result
-(** Read and parse [path], then {!validate_bench}. *)
-
-val series_schema : string
-(** ["waveidx-series/1"] — the {!Series.to_json} schema tag. *)
-
-(** {1 Bench regression gate}
-
-    [bench --compare BASELINE.json --threshold PCT] re-parses a
-    committed snapshot, matches series by name against a fresh run, and
-    fails on regressions: {!bench_series} extracts the comparable
-    series (leniently — any snapshot version with a ["benchmarks"]
-    array works, so old baselines survive schema bumps), and
-    {!compare_bench} classifies each p50/p95 pair. *)
-
-type bench_series = {
-  series_name : string;
-  series_p50 : float;
-  series_p95 : float;
-}
-
-val bench_series : Json.t -> (bench_series list, string) result
-(** Extract name/p50/p95 from a snapshot's ["benchmarks"] array,
-    without checking the schema tag.  Errors name the series. *)
-
-val bench_series_file : string -> (bench_series list, string) result
-(** Read and parse [path], then {!bench_series}. *)
-
-type bench_delta = {
-  delta_name : string;
-  delta_field : string;  (** ["p50"] or ["p95"] *)
-  baseline_value : float;
-  current_value : float;
-  delta_pct : float;  (** (current - baseline) / baseline * 100 *)
-}
-
-type bench_comparison = {
-  compared : int;  (** series present on both sides *)
-  missing : string list;  (** in baseline, vanished from current — a failure *)
-  added : string list;  (** new series, informational *)
-  regressions : bench_delta list;
-  improvements : bench_delta list;
-}
-
-val compare_bench :
-  threshold_pct:float ->
-  baseline:bench_series list ->
-  current:bench_series list ->
-  bench_comparison
-(** A p50 or p95 that grew beyond [threshold_pct] percent (with a 1e-9
-    absolute epsilon so bit-identical reruns never trip) is a
-    regression; shrunk beyond it, an improvement. *)
-
-val bench_ok : bench_comparison -> bool
-(** No regressions and no vanished series. *)
-
-val comparison_report : bench_comparison -> string
-(** Human-readable per-series delta report: a summary line, then one
-    line per regression / missing / improvement / new series. *)
 
 (** {1 Profile documents} *)
 
@@ -194,57 +106,10 @@ val validate_flight : string -> (int, string) result
 val validate_flight_file : string -> (int, string) result
 (** Read [path], then {!validate_flight}. *)
 
-(** {1 Profile-node gate}
-
-    The series gate above watches end-to-end latency; this one watches
-    {e where the time goes}.  [bench --compare] additionally extracts
-    the committed snapshot's ["profile"]["top"] hot-node list and
-    re-resolves each path against a freshly profiled run: a node whose
-    self model-seconds grew beyond the threshold fails the gate even
-    when every series total is flat — the cost migrated between phases
-    rather than growing in aggregate. *)
-
-type profile_top_node = {
-  top_path : string;  (** '/'-joined span-stack path *)
-  top_calls : int;
-  top_self : float;  (** self model-seconds *)
-  top_total : float;  (** inclusive model-seconds *)
-}
-
-val bench_profile_top : Json.t -> (profile_top_node list, string) result
-(** Extract the hot-node list from a bench snapshot's ["profile"]
-    block.  Errors name the offending node. *)
-
-val bench_profile_top_file : string -> (profile_top_node list, string) result
-
-type profile_gate = {
-  pg_compared : int;  (** baseline nodes resolved in the current tree *)
-  pg_missing : string list;
-      (** baseline hot paths absent from the current tree — a failure *)
-  pg_regressions : bench_delta list;
-      (** [delta_field] is ["self_model_s"] or ["total_model_s"] *)
-  pg_improvements : bench_delta list;
-}
-
-val compare_profile_top :
-  threshold_pct:float ->
-  baseline:profile_top_node list ->
-  current:Profile.t ->
-  profile_gate
-(** Compare each baseline hot node's self and total model-seconds
-    against the node at the same path in [current].  The absolute
-    epsilon is 1e-6 (not the series gate's 1e-9): self = total −
-    children carries float-subtraction noise, and a baseline node with
-    self 0.0 must not trip on rounding dust. *)
-
-val profile_gate_ok : profile_gate -> bool
-(** No regressions and no missing nodes. *)
-
-val profile_gate_report : profile_gate -> string
-(** Human-readable summary line plus one row per regression / missing /
-    improved node. *)
-
 (** {1 Series dumps} *)
+
+val series_schema : string
+(** ["waveidx-series/1"] — the {!Series.to_json} schema tag. *)
 
 val validate_series : Json.t -> (int, string) result
 (** Check a [sim --series-out] dump against {!series_schema}: the

@@ -39,22 +39,32 @@ let m_probes = lazy (Metrics.counter "shard.probes")
 let m_scans = lazy (Metrics.counter "shard.scans")
 let m_splits = lazy (Metrics.counter "shard.splits")
 
+(* One arm is a single-disk run, whose runner publishes the same
+   figures under runner.*: a one-arm router publishes no shard.* metric
+   of its own. *)
 let update_gauges t =
-  Metrics.set (Metrics.gauge "shard.arms")
-    (float_of_int (Array.length t.arms_arr));
-  Metrics.set (Metrics.gauge "shard.skew_ratio") (Parallel.skew_ratio t.clock);
-  Array.iteri
-    (fun i a ->
-      let g fmt = Metrics.gauge (Printf.sprintf fmt i) in
-      Metrics.set (g "shard.%d.busy_seconds") (Parallel.busy_arm t.clock i);
-      Metrics.set (g "shard.%d.space_bytes")
-        (float_of_int (Scheme.allocated_bytes a.scheme));
-      Metrics.set (g "shard.%d.wave_length")
-        (float_of_int (Frame.length (Scheme.frame a.scheme))))
-    t.arms_arr;
+  let live = Array.length t.arms_arr in
+  let published = if live > 1 then live else 0 in
+  if published > 0 then begin
+    Metrics.set (Metrics.gauge "shard.arms") (float_of_int live);
+    Metrics.set (Metrics.gauge "shard.skew_ratio") (Parallel.skew_ratio t.clock)
+  end
+  else begin
+    ignore (Metrics.remove "shard.arms");
+    ignore (Metrics.remove "shard.skew_ratio")
+  end;
+  for i = 0 to published - 1 do
+    let a = t.arms_arr.(i) in
+    let g fmt = Metrics.gauge (Printf.sprintf fmt i) in
+    Metrics.set (g "shard.%d.busy_seconds") (Parallel.busy_arm t.clock i);
+    Metrics.set (g "shard.%d.space_bytes")
+      (float_of_int (Scheme.allocated_bytes a.scheme));
+    Metrics.set (g "shard.%d.wave_length")
+      (float_of_int (Frame.length (Scheme.frame a.scheme)))
+  done;
   (* The registry is process-global: a previous, wider router (or this
      one before a future shrink) may have published per-arm gauges for
-     indices this router doesn't own.  Retire every contiguous stale
+     indices this router doesn't publish.  Retire every contiguous stale
      index so a snapshot/export never mixes live arms with fossils. *)
   let rec drop_stale i =
     let r1 = Metrics.remove (Printf.sprintf "shard.%d.busy_seconds" i) in
@@ -62,7 +72,7 @@ let update_gauges t =
     let r3 = Metrics.remove (Printf.sprintf "shard.%d.wave_length" i) in
     if r1 || r2 || r3 then drop_stale (i + 1)
   in
-  drop_stale (Array.length t.arms_arr)
+  drop_stale published
 
 let create ?(icfg = Index.default_config) ?(technique = Env.In_place)
     ?(allow_deletes = true) ?(on_env = ignore) ~kind ~partition ~shards ~vocab
@@ -119,8 +129,10 @@ let probe t ~value ~t1 ~t2 =
   let makespan =
     Parallel.record t.clock [ (a.id, Disk.elapsed a.disk -. before) ]
   in
-  Metrics.inc (Lazy.force m_probes);
-  Metrics.observe (Lazy.force fanout_hist) 1.0;
+  if Array.length t.arms_arr > 1 then begin
+    Metrics.inc (Lazy.force m_probes);
+    Metrics.observe (Lazy.force fanout_hist) 1.0
+  end;
   (entries, makespan)
 
 (* Each arm owns its disk and the merge charges nothing, so sampling
@@ -136,9 +148,11 @@ let scan t ~t1 ~t2 =
     Array.mapi (fun i a -> (a.id, Disk.elapsed a.disk -. before.(i))) t.arms_arr
   in
   let makespan = Parallel.record t.clock (Array.to_list deltas) in
-  Metrics.inc (Lazy.force m_scans);
-  Metrics.observe (Lazy.force fanout_hist)
-    (float_of_int (Array.length t.arms_arr));
+  if Array.length t.arms_arr > 1 then begin
+    Metrics.inc (Lazy.force m_scans);
+    Metrics.observe (Lazy.force fanout_hist)
+      (float_of_int (Array.length t.arms_arr))
+  end;
   (entries, makespan)
 
 (* Each arm's transition ends at its write-back durability boundary:

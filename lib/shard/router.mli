@@ -12,7 +12,9 @@
     Costs use parallel semantics via {!Wave_model.Parallel}: a fan-out
     is charged the max over the touched arms' disk-clock deltas (its
     makespan), while per-arm busy totals feed utilisation/skew gauges
-    ([shard.<i>.*], [shard.skew_ratio], [shard.fanout]).
+    ([shard.<i>.*], [shard.skew_ratio], [shard.fanout]).  A one-arm
+    router is a single-disk run and publishes no [shard.*] metric: the
+    runner's [runner.*] gauges already carry its figures.
 
     {2 Rebalancing}
 
@@ -53,7 +55,8 @@ val create :
     hook for arming disk faults and for a model clock that must read
     the disk from the Start's first operation on.  Publishing the
     per-arm gauges also {e retires} any stale [shard.<i>.*] names
-    beyond this router's arm count — the metrics registry is
+    beyond this router's arm count (all of them, and [shard.arms] and
+    [shard.skew_ratio] too, on one arm) — the metrics registry is
     process-global, so a previous wider router would otherwise leave
     fossil gauges in every snapshot and export. *)
 

@@ -12,8 +12,6 @@ let stopword_set = Hashtbl.create 64
 
 let () = List.iter (fun w -> Hashtbl.replace stopword_set w ()) stopword_list
 
-let is_stopword w = Hashtbl.mem stopword_set (String.lowercase_ascii w)
-
 let is_word_char c =
   (c >= 'a' && c <= 'z')
   || (c >= 'A' && c <= 'Z')

@@ -14,8 +14,5 @@ val tokens : ?min_length:int -> ?stopwords:bool -> string -> token list
     digits and apostrophes, lowercased; apostrophes are kept inside
     words ("don't") but trimmed at the edges. *)
 
-val is_stopword : string -> bool
-(** Membership in the built-in list (lowercase). *)
-
 val distinct_words : ?min_length:int -> ?stopwords:bool -> string -> string list
 (** Sorted distinct words of the text. *)

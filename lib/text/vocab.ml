@@ -27,5 +27,3 @@ let find t w = Hashtbl.find_opt t.by_word w
 
 let word_of t id =
   if id < 1 || id >= t.next then raise Not_found else t.by_id.(id - 1)
-
-let intern_all t ws = List.map (intern t) ws

@@ -20,5 +20,3 @@ val find : t -> string -> int option
 
 val word_of : t -> int -> string
 (** Reverse lookup; raises [Not_found] for unknown ids. *)
-
-val intern_all : t -> string list -> int list

@@ -53,10 +53,6 @@ let float t bound =
 
 let bool t = Int64.compare (int64 t) 0L < 0
 
-let choose t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

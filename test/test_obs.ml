@@ -745,273 +745,6 @@ let test_metrics_default_cap () =
         (fun () -> Metrics.set_default_histogram_cap 0))
 
 (* ------------------------------------------------------------------ *)
-(* Bench snapshot validation corpus                                   *)
-(* ------------------------------------------------------------------ *)
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
-(* A minimal document that satisfies every waveidx-bench/7 rule; the
-   corpus below perturbs it one field at a time.  [shard_series] lists
-   the required scaling-curve series appended after the perturbable
-   benchmark (drop one and validation must name it). *)
-let valid_bench_doc ?(schema = Sink.bench_schema) ?(unit_ = "model-seconds")
-    ?(p50 = 0.5) ?(runs = 5.0) ?(hit_ratio = 0.9) ?(flushes = 3.0)
-    ?(name = Some "probe/DEL") ?(benchmarks = None) ?(profile = None)
-    ?(series_block = None) ?(shard_series = Sink.required_bench_series) () =
-  let bench =
-    Json.Obj
-      ((match name with Some n -> [ ("name", Json.Str n) ] | None -> [])
-      @ [
-          ("p50", Json.Num p50);
-          ("p95", Json.Num 0.9);
-          ("runs", Json.Num runs);
-          ( "cache",
-            Json.Obj
-              [
-                ("hit_ratio", Json.Num hit_ratio);
-                ("hits", Json.Num 10.0);
-                ("misses", Json.Num 2.0);
-                ("frames", Json.Num 64.0);
-              ] );
-          ( "writeback",
-            Json.Obj
-              [
-                ("writes_coalesced", Json.Num 4.0);
-                ("flushes", Json.Num flushes);
-                ("flushed_blocks", Json.Num 9.0);
-              ] );
-        ])
-  in
-  let default_profile =
-    Json.Obj
-      [
-        ("scheme", Json.Str "DEL");
-        ("technique", Json.Str "in-place");
-        ("days", Json.Num 6.0);
-        ("total_model_s", Json.Num 37.0);
-        ( "top",
-          Json.Arr
-            [
-              Json.Obj
-                [
-                  ("path", Json.Str "day;maintenance");
-                  ("calls", Json.Num 6.0);
-                  ("self_model_s", Json.Num 20.0);
-                  ("total_model_s", Json.Num 30.0);
-                  ("seeks", Json.Num 120.0);
-                ];
-            ] );
-      ]
-  in
-  let shard_bench s =
-    Json.Obj
-      [
-        ("name", Json.Str s);
-        ("p50", Json.Num 0.1);
-        ("p95", Json.Num 0.2);
-        ("runs", Json.Num 5.0);
-      ]
-  in
-  let default_series =
-    Json.Obj
-      [
-        ("schema", Json.Str Sink.series_schema);
-        ("ticks", Json.Num 12.0);
-        ( "tracked",
-          Json.Arr
-            [
-              Json.Obj
-                [
-                  ("name", Json.Str "runner.day.query_seconds");
-                  ("points", Json.Num 12.0);
-                  ("last", Json.Num 1.5);
-                  ("mean", Json.Num 1.4);
-                  ("p95", Json.Num 1.6);
-                  ("trend", Json.Num 0.01);
-                ];
-            ] );
-      ]
-  in
-  Json.Obj
-    [
-      ("schema", Json.Str schema);
-      ("unit", Json.Str unit_);
-      ( "benchmarks",
-        match benchmarks with
-        | Some bs -> bs
-        | None -> Json.Arr (bench :: List.map shard_bench shard_series) );
-      ( "profile",
-        match profile with Some p -> p | None -> default_profile );
-      ( "series",
-        match series_block with Some s -> s | None -> default_series );
-    ]
-
-let test_sink_validate_bench_accepts_valid () =
-  match Sink.validate_bench (valid_bench_doc ()) with
-  | Ok n ->
-    Alcotest.(check int) "benchmark count"
-      (1 + List.length Sink.required_bench_series)
-      n
-  | Error e -> Alcotest.failf "valid /7 document rejected: %s" e
-
-let expect_error name doc frags =
-  match Sink.validate_bench doc with
-  | Ok _ -> Alcotest.failf "%s: accepted" name
-  | Error e ->
-    List.iter
-      (fun frag ->
-        if not (contains ~sub:frag e) then
-          Alcotest.failf "%s: error %S does not mention %S" name e frag)
-      frags
-
-let test_sink_validate_bench_bad_corpus () =
-  (* One case per validation class; every error must name the series
-     (or the profile path) and the offending field. *)
-  expect_error "wrong schema"
-    (valid_bench_doc ~schema:"waveidx-bench/3" ())
-    [ "schema"; Sink.bench_schema ];
-  expect_error "wrong unit"
-    (valid_bench_doc ~unit_:"wall-seconds" ())
-    [ "unit"; "model-seconds" ];
-  expect_error "empty benchmarks"
-    (valid_bench_doc ~benchmarks:(Some (Json.Arr [])) ())
-    [ "empty \"benchmarks\"" ];
-  expect_error "missing series name"
-    (valid_bench_doc ~name:None ())
-    [ "benchmark 0"; "\"name\"" ];
-  expect_error "vanished shard series"
-    (valid_bench_doc
-       ~shard_series:
-         (List.filter
-            (fun s -> s <> "throughput+shards/4")
-            Sink.required_bench_series)
-       ())
-    [ "required series"; "throughput+shards/4" ];
-  expect_error "negative p50"
-    (valid_bench_doc ~p50:(-0.1) ())
-    [ "probe/DEL"; "p50" ];
-  expect_error "runs below 1"
-    (valid_bench_doc ~runs:0.0 ())
-    [ "probe/DEL"; "runs" ];
-  expect_error "hit_ratio above 1"
-    (valid_bench_doc ~hit_ratio:1.5 ())
-    [ "probe/DEL"; "hit_ratio" ];
-  expect_error "negative writeback field"
-    (valid_bench_doc ~flushes:(-1.0) ())
-    [ "probe/DEL"; "flushes" ];
-  expect_error "missing profile block"
-    (match valid_bench_doc () with
-    | Json.Obj kvs -> Json.Obj (List.remove_assoc "profile" kvs)
-    | _ -> assert false)
-    [ "profile" ];
-  expect_error "profile missing total"
-    (valid_bench_doc
-       ~profile:
-         (Some
-            (Json.Obj
-               [
-                 ("scheme", Json.Str "DEL");
-                 ("technique", Json.Str "in-place");
-                 ("days", Json.Num 6.0);
-                 ("top", Json.Arr []);
-               ]))
-       ())
-    [ "profile"; "total_model_s" ];
-  expect_error "bad profile.top entry"
-    (valid_bench_doc
-       ~profile:
-         (Some
-            (Json.Obj
-               [
-                 ("scheme", Json.Str "DEL");
-                 ("technique", Json.Str "in-place");
-                 ("days", Json.Num 6.0);
-                 ("total_model_s", Json.Num 37.0);
-                 ( "top",
-                   Json.Arr
-                     [
-                       Json.Obj
-                         [
-                           ("path", Json.Str "day");
-                           ("calls", Json.Num 0.0);
-                           ("self_model_s", Json.Num 1.0);
-                           ("total_model_s", Json.Num 1.0);
-                           ("seeks", Json.Num 0.0);
-                         ];
-                     ] );
-               ]))
-       ())
-    [ "profile.top[0]"; "calls" ];
-  expect_error "missing series block"
-    (match valid_bench_doc () with
-    | Json.Obj kvs -> Json.Obj (List.remove_assoc "series" kvs)
-    | _ -> assert false)
-    [ "series" ];
-  expect_error "series block wrong schema"
-    (valid_bench_doc
-       ~series_block:
-         (Some
-            (Json.Obj
-               [
-                 ("schema", Json.Str "waveidx-series/0");
-                 ("ticks", Json.Num 12.0);
-                 ( "tracked",
-                   Json.Arr
-                     [
-                       Json.Obj
-                         [
-                           ("name", Json.Str "runner.day.query_seconds");
-                           ("points", Json.Num 12.0);
-                           ("last", Json.Num 1.5);
-                           ("mean", Json.Num 1.4);
-                           ("p95", Json.Num 1.6);
-                           ("trend", Json.Null);
-                         ];
-                     ] );
-               ]))
-       ())
-    [ "series"; "schema" ];
-  expect_error "series block empty tracked"
-    (valid_bench_doc
-       ~series_block:
-         (Some
-            (Json.Obj
-               [
-                 ("schema", Json.Str Sink.series_schema);
-                 ("ticks", Json.Num 12.0);
-                 ("tracked", Json.Arr []);
-               ]))
-       ())
-    [ "series"; "tracked" ];
-  expect_error "series entry non-finite p95"
-    (valid_bench_doc
-       ~series_block:
-         (Some
-            (Json.Obj
-               [
-                 ("schema", Json.Str Sink.series_schema);
-                 ("ticks", Json.Num 12.0);
-                 ( "tracked",
-                   Json.Arr
-                     [
-                       Json.Obj
-                         [
-                           ("name", Json.Str "runner.day.query_seconds");
-                           ("points", Json.Num 12.0);
-                           ("last", Json.Num 1.5);
-                           ("mean", Json.Num 1.4);
-                           ("p95", Json.Num nan);
-                           ("trend", Json.Num 0.01);
-                         ];
-                     ] );
-               ]))
-       ())
-    [ "series.tracked[0]"; "p95" ]
-
-(* ------------------------------------------------------------------ *)
 (* Flight recorder                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1279,10 +1012,6 @@ let suites =
         Alcotest.test_case "chrome rejects malformed" `Quick
           test_sink_chrome_rejects_malformed;
         Alcotest.test_case "jsonl" `Quick test_sink_jsonl;
-        Alcotest.test_case "validate_bench accepts valid /5" `Quick
-          test_sink_validate_bench_accepts_valid;
-        Alcotest.test_case "validate_bench bad corpus" `Quick
-          test_sink_validate_bench_bad_corpus;
         Alcotest.test_case "flush traces" `Quick test_sink_flush_traces;
       ] );
     ( "obs.runner",

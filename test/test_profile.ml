@@ -1,8 +1,8 @@
-(* Tests for the PR-5 observability additions: the call-tree profiler
+(* Tests for the profiler and alerts: the call-tree profiler
    (structure, self/total attribution, folded stacks, JSON shape), the
-   conservation cross-check against the runner's day metrics, the alert
-   engine (debounce, resolution, rule parsing), the runner's alert
-   integration, and the bench regression gate. *)
+   conservation cross-check against the runner's day metrics, profile
+   diffs, the alert engine (debounce, resolution, rule parsing) and the
+   runner's alert integration. *)
 
 open Wave_obs
 open Wave_core
@@ -540,106 +540,6 @@ let test_runner_alerts () =
     (List.length r2.Wave_sim.Runner.alerts)
 
 (* ------------------------------------------------------------------ *)
-(* Bench regression gate                                              *)
-(* ------------------------------------------------------------------ *)
-
-let series name p50 p95 =
-  { Sink.series_name = name; series_p50 = p50; series_p95 = p95 }
-
-let test_gate_passes_within_threshold () =
-  let baseline = [ series "probe/DEL" 1.0 2.0; series "scan/DEL" 3.0 4.0 ] in
-  let current = [ series "probe/DEL" 1.05 2.0; series "scan/DEL" 2.9 4.3 ] in
-  let cmp = Sink.compare_bench ~threshold_pct:10.0 ~baseline ~current in
-  Alcotest.(check bool) "within threshold passes" true (Sink.bench_ok cmp);
-  Alcotest.(check int) "compared both" 2 cmp.Sink.compared;
-  Alcotest.(check int) "no regressions" 0 (List.length cmp.Sink.regressions)
-
-let test_gate_fails_on_regression () =
-  let baseline = [ series "probe/DEL" 1.0 2.0 ] in
-  let current = [ series "probe/DEL" 1.12 2.0 ] in
-  let cmp = Sink.compare_bench ~threshold_pct:10.0 ~baseline ~current in
-  Alcotest.(check bool) "12% p50 growth fails at 10%" false (Sink.bench_ok cmp);
-  (match cmp.Sink.regressions with
-  | [ d ] ->
-    Alcotest.(check string) "series" "probe/DEL" d.Sink.delta_name;
-    Alcotest.(check string) "field" "p50" d.Sink.delta_field;
-    Alcotest.(check (float 1e-9)) "delta pct" 12.0 d.Sink.delta_pct
-  | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l));
-  (* The same drift passes a looser gate. *)
-  Alcotest.(check bool) "passes at 15%" true
-    (Sink.bench_ok (Sink.compare_bench ~threshold_pct:15.0 ~baseline ~current));
-  let report = Sink.comparison_report cmp in
-  Alcotest.(check bool) "report flags the series" true
-    (contains report "REGRESSION probe/DEL")
-
-let test_gate_fails_on_vanished_series () =
-  let baseline = [ series "probe/DEL" 1.0 2.0; series "gone/X" 1.0 1.0 ] in
-  let current = [ series "probe/DEL" 1.0 2.0; series "brand/new" 1.0 1.0 ] in
-  let cmp = Sink.compare_bench ~threshold_pct:10.0 ~baseline ~current in
-  Alcotest.(check bool) "vanished series fails" false (Sink.bench_ok cmp);
-  Alcotest.(check (list string)) "missing names" [ "gone/X" ] cmp.Sink.missing;
-  Alcotest.(check (list string)) "added names" [ "brand/new" ] cmp.Sink.added
-
-let test_gate_reports_improvements () =
-  let baseline = [ series "probe/DEL" 2.0 4.0 ] in
-  let current = [ series "probe/DEL" 1.0 4.0 ] in
-  let cmp = Sink.compare_bench ~threshold_pct:10.0 ~baseline ~current in
-  Alcotest.(check bool) "improvement still passes" true (Sink.bench_ok cmp);
-  match cmp.Sink.improvements with
-  | [ d ] ->
-    Alcotest.(check string) "field" "p50" d.Sink.delta_field;
-    Alcotest.(check (float 1e-9)) "delta pct" (-50.0) d.Sink.delta_pct
-  | l -> Alcotest.failf "expected 1 improvement, got %d" (List.length l)
-
-let test_gate_exact_rerun_is_clean () =
-  (* Bit-identical model-second reruns must never trip the gate, even
-     at threshold 0. *)
-  let xs = [ series "a" 0.1 0.2; series "b" 0.0 0.0 ] in
-  let cmp = Sink.compare_bench ~threshold_pct:0.0 ~baseline:xs ~current:xs in
-  Alcotest.(check bool) "identical passes at 0%" true (Sink.bench_ok cmp);
-  Alcotest.(check int) "no improvements either" 0
-    (List.length cmp.Sink.improvements)
-
-let test_gate_series_extraction () =
-  let j =
-    Json.Obj
-      [
-        ("schema", Json.Str "waveidx-bench/1");
-        ( "benchmarks",
-          Json.Arr
-            [
-              Json.Obj
-                [
-                  ("name", Json.Str "probe/DEL");
-                  ("p50", Json.Num 0.5);
-                  ("p95", Json.Num 0.7);
-                  ("runs", Json.int 10);
-                ];
-            ] );
-      ]
-  in
-  (match Sink.bench_series j with
-  | Ok [ s ] ->
-    Alcotest.(check string) "name" "probe/DEL" s.Sink.series_name;
-    exact "p50" 0.5 s.Sink.series_p50
-  | Ok l -> Alcotest.failf "expected 1 series, got %d" (List.length l)
-  | Error e -> Alcotest.failf "extraction failed: %s" e);
-  match
-    Sink.bench_series
-      (Json.Obj
-         [
-           ( "benchmarks",
-             Json.Arr [ Json.Obj [ ("name", Json.Str "half/series"); ("p50", Json.Num 1.0) ] ]
-           );
-         ])
-  with
-  | Ok _ -> Alcotest.fail "accepted a series without p95"
-  | Error e ->
-    Alcotest.(check bool)
-      "error names the series" true
-      (contains e "half/series")
-
-(* ------------------------------------------------------------------ *)
 (* Differential profiles                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -758,147 +658,6 @@ let test_diff_report_and_json () =
   match Json.parse (Json.to_string j) with
   | Ok j' -> Alcotest.(check bool) "roundtrip" true (Json.equal j j')
   | Error e -> Alcotest.failf "reparse: %s" e
-
-(* ------------------------------------------------------------------ *)
-(* Profile-node gate                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let topn path calls self total =
-  { Sink.top_path = path; top_calls = calls; top_self = self; top_total = total }
-
-let test_profile_gate_passes () =
-  let current = Profile.of_spans sample_spans in
-  (* Exactly the current tree's own numbers: a bit-identical rerun must
-     pass even at threshold 0. *)
-  let baseline = [ topn "root" 2 4.0 12.0; topn "root/a" 2 5.0 5.0 ] in
-  let g = Sink.compare_profile_top ~threshold_pct:0.0 ~baseline ~current in
-  Alcotest.(check bool) "identical passes at 0%" true (Sink.profile_gate_ok g);
-  Alcotest.(check int) "compared both" 2 g.Sink.pg_compared;
-  Alcotest.(check int) "no regressions" 0 (List.length g.Sink.pg_regressions);
-  Alcotest.(check int) "no improvements" 0 (List.length g.Sink.pg_improvements)
-
-let test_profile_gate_regression () =
-  let current = Profile.of_spans sample_spans in
-  (* root/a's self is 5.0; a baseline of 4.0 makes this a +25% cost
-     migration into the node. *)
-  let baseline = [ topn "root/a" 2 4.0 4.0 ] in
-  let g = Sink.compare_profile_top ~threshold_pct:10.0 ~baseline ~current in
-  Alcotest.(check bool) "25% self growth fails at 10%" false
-    (Sink.profile_gate_ok g);
-  Alcotest.(check bool) "self field reported" true
-    (List.exists
-       (fun r ->
-         r.Sink.delta_name = "root/a" && r.Sink.delta_field = "self_model_s")
-       g.Sink.pg_regressions);
-  let report = Sink.profile_gate_report g in
-  Alcotest.(check bool) "report flags it" true (contains report "REGRESSION");
-  Alcotest.(check bool) "report names the node" true (contains report "root/a");
-  (* The same drift passes a looser gate. *)
-  Alcotest.(check bool) "passes at 30%" true
-    (Sink.profile_gate_ok
-       (Sink.compare_profile_top ~threshold_pct:30.0 ~baseline ~current))
-
-let test_profile_gate_missing_node () =
-  let current = Profile.of_spans sample_spans in
-  let baseline = [ topn "root" 2 4.0 12.0; topn "root/zzz" 1 1.0 1.0 ] in
-  let g = Sink.compare_profile_top ~threshold_pct:10.0 ~baseline ~current in
-  Alcotest.(check bool) "vanished hot node fails" false
-    (Sink.profile_gate_ok g);
-  Alcotest.(check (list string)) "missing names" [ "root/zzz" ] g.Sink.pg_missing;
-  Alcotest.(check int) "the resolvable node still compared" 1 g.Sink.pg_compared;
-  Alcotest.(check bool) "report flags it" true
-    (contains (Sink.profile_gate_report g) "MISSING")
-
-let test_profile_gate_epsilon_absorbs_noise () =
-  (* Self = total - children carries float-subtraction dust, so the
-     gate uses an absolute 1e-6 epsilon on top of the percentage
-     threshold.  Sub-epsilon drift must not trip even a 0% gate... *)
-  let current = Profile.of_spans sample_spans in
-  let baseline = [ topn "root" 2 (4.0 -. 1e-8) (12.0 -. 1e-8) ] in
-  let g = Sink.compare_profile_top ~threshold_pct:0.0 ~baseline ~current in
-  Alcotest.(check bool) "sub-epsilon drift passes at 0%" true
-    (Sink.profile_gate_ok g);
-  (* ...and in particular a baseline node with self 0.0, where any
-     percentage threshold is vacuous, must tolerate rounding dust in
-     the fresh run's subtraction. *)
-  let dusty =
-    Profile.of_spans
-      [
-        mk ~id:1 ~parent:0 ~name:"r" ~m:5.0 ();
-        mk ~id:2 ~parent:1 ~name:"k" ~m:(5.0 -. 1e-9) ();
-      ]
-  in
-  let g2 =
-    Sink.compare_profile_top ~threshold_pct:0.0
-      ~baseline:[ topn "r" 1 0.0 5.0 ]
-      ~current:dusty
-  in
-  Alcotest.(check bool) "zero-self baseline ignores dust" true
-    (Sink.profile_gate_ok g2)
-
-let test_profile_gate_reports_improvements () =
-  let current = Profile.of_spans sample_spans in
-  let baseline = [ topn "root/a" 2 8.0 8.0 ] in
-  let g = Sink.compare_profile_top ~threshold_pct:10.0 ~baseline ~current in
-  Alcotest.(check bool) "improvement still passes" true
-    (Sink.profile_gate_ok g);
-  Alcotest.(check bool) "self improvement reported" true
-    (List.exists
-       (fun r -> r.Sink.delta_field = "self_model_s")
-       g.Sink.pg_improvements)
-
-let test_profile_gate_extraction () =
-  let node path calls self total =
-    Json.Obj
-      [
-        ("path", Json.Str path);
-        ("calls", Json.int calls);
-        ("self_model_s", Json.Num self);
-        ("total_model_s", Json.Num total);
-      ]
-  in
-  let j =
-    Json.Obj
-      [
-        ("schema", Json.Str "waveidx-bench/1");
-        ( "profile",
-          Json.Obj [ ("top", Json.Arr [ node "day/phase.query" 8 1.5 2.0 ]) ] );
-      ]
-  in
-  (match Sink.bench_profile_top j with
-  | Ok [ n ] ->
-    Alcotest.(check string) "path" "day/phase.query" n.Sink.top_path;
-    Alcotest.(check int) "calls" 8 n.Sink.top_calls;
-    exact "self" 1.5 n.Sink.top_self;
-    exact "total" 2.0 n.Sink.top_total
-  | Ok l -> Alcotest.failf "expected 1 node, got %d" (List.length l)
-  | Error e -> Alcotest.failf "extraction failed: %s" e);
-  (* A baseline without a profile block is an error the caller turns
-     into a gate skip, not a crash. *)
-  (match Sink.bench_profile_top (Json.Obj [ ("schema", Json.Str "x") ]) with
-  | Ok _ -> Alcotest.fail "accepted a baseline without profile"
-  | Error e ->
-    Alcotest.(check bool) "error names the block" true (contains e "profile"));
-  (* A half-written node errors with its index and path. *)
-  match
-    Sink.bench_profile_top
-      (Json.Obj
-         [
-           ( "profile",
-             Json.Obj
-               [
-                 ( "top",
-                   Json.Arr
-                     [
-                       Json.Obj
-                         [ ("path", Json.Str "day"); ("calls", Json.int 1) ];
-                     ] );
-               ] );
-         ])
-  with
-  | Ok _ -> Alcotest.fail "accepted a node without self/total"
-  | Error e ->
-    Alcotest.(check bool) "error names the node" true (contains e "\"day\"")
 
 (* ------------------------------------------------------------------ *)
 (* Alert scopes                                                       *)
@@ -1094,35 +853,5 @@ let suites =
           test_diff_added_removed_reordered;
         Alcotest.test_case "of_json roundtrip" `Quick test_diff_of_json_roundtrip;
         Alcotest.test_case "report and json" `Quick test_diff_report_and_json;
-      ] );
-    ( "profile.node_gate",
-      [
-        Alcotest.test_case "passes on identical tree" `Quick
-          test_profile_gate_passes;
-        Alcotest.test_case "fails on self regression" `Quick
-          test_profile_gate_regression;
-        Alcotest.test_case "fails on missing node" `Quick
-          test_profile_gate_missing_node;
-        Alcotest.test_case "epsilon absorbs noise" `Quick
-          test_profile_gate_epsilon_absorbs_noise;
-        Alcotest.test_case "reports improvements" `Quick
-          test_profile_gate_reports_improvements;
-        Alcotest.test_case "baseline extraction" `Quick
-          test_profile_gate_extraction;
-      ] );
-    ( "profile.gate",
-      [
-        Alcotest.test_case "passes within threshold" `Quick
-          test_gate_passes_within_threshold;
-        Alcotest.test_case "fails on regression" `Quick
-          test_gate_fails_on_regression;
-        Alcotest.test_case "fails on vanished series" `Quick
-          test_gate_fails_on_vanished_series;
-        Alcotest.test_case "reports improvements" `Quick
-          test_gate_reports_improvements;
-        Alcotest.test_case "exact rerun is clean" `Quick
-          test_gate_exact_rerun_is_clean;
-        Alcotest.test_case "series extraction" `Quick
-          test_gate_series_extraction;
       ] );
   ]

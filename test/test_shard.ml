@@ -709,7 +709,7 @@ let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
    than a predecessor must retire the predecessor's per-arm gauges, or
    every snapshot/export mixes live arms with fossils. *)
 let test_stale_arm_gauges_retired () =
-  let gauge_names snapshot =
+  let shard_names snapshot =
     List.filter
       (fun (name, _) ->
         String.length name > 6 && String.sub name 0 6 = "shard.")
@@ -756,7 +756,28 @@ let test_stale_arm_gauges_retired () =
             true (i < Router.arms r2)
         | None -> ())
       | _ -> ())
-    (gauge_names (Wave_obs.Metrics.snapshot ()))
+    (shard_names (Wave_obs.Metrics.snapshot ()));
+  (* A one-arm router is a single-disk run: it retires every shard
+     gauge the wider router left, and its advance, probe and scan move
+     no shard counter or histogram that earlier routers registered. *)
+  let before = Wave_obs.Metrics.snapshot () in
+  let r1 =
+    Router.create ~kind:Scheme.Del ~partition:Partition.Hash ~shards:1 ~vocab
+      ~store:(store ~vocab ~postings:12) ~w:6 ~n:3 ()
+  in
+  ignore (Router.advance r1);
+  ignore (Router.probe r1 ~value:1 ~t1:2 ~t2:7);
+  ignore (Router.scan r1 ~t1:2 ~t2:7);
+  let after = Wave_obs.Metrics.snapshot () in
+  List.iter
+    (fun name ->
+      let v = List.assoc name after in
+      Alcotest.(check bool)
+        (name ^ " untouched by the one-arm run")
+        true
+        ((match v with `Gauge _ -> false | _ -> true)
+        && List.assoc_opt name before = Some v))
+    (shard_names after)
 
 let suites =
   [
