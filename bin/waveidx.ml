@@ -717,9 +717,9 @@ let model_cmd =
   Cmd.v (Cmd.info "model" ~doc)
     Term.(const run $ scenario $ technique $ w $ n $ sf)
 
-(* Deterministic Netnews store shared by the trace/checkpoint/recover/
-   bench demos: the day store is the system of record, so a wave can be
-   rebuilt anywhere the store is reachable. *)
+(* Deterministic Netnews store shared by the trace and bench demos: the
+   day store is the system of record, so a wave can be rebuilt anywhere
+   the store is reachable. *)
 let demo_store postings =
   Wave_workload.Netnews.store
     {
@@ -1409,7 +1409,7 @@ let bench_cmd =
         in
         Obj
           [
-            ("schema", Str Wave_obs.Sink.series_schema);
+            ("schema", Str Wave_obs.Series.schema);
             ("ticks", int (Wave_obs.Series.tick bench_series_store));
             ("tracked", Arr tracked);
           ]
@@ -1499,55 +1499,6 @@ let bench_cmd =
       Printf.printf "\nwrote %s (%d benchmarks)\n" path (List.length results))
   in
   Cmd.v (Cmd.info "bench" ~doc) Term.(const run $ json)
-
-let checkpoint_cmd =
-  let doc = "Run a scheme for some days, then write its manifest to a file." in
-  let scheme =
-    Arg.(value & opt scheme_conv Scheme.Wata_star & info [ "scheme" ] ~docv:"SCHEME" ~doc:"scheme")
-  in
-  let w = Arg.(value & opt int 7 & info [ "window" ] ~doc:"window length") in
-  let n = Arg.(value & opt int 3 & info [ "indexes"; "n" ] ~doc:"constituents") in
-  let days = Arg.(value & opt int 20 & info [ "days" ] ~doc:"days to run") in
-  let out =
-    Arg.(required & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc:"manifest path")
-  in
-  let run scheme w n days out =
-    let env = Env.create ~store:(demo_store 200) ~w ~n () in
-    let s = Scheme.start scheme env in
-    Scheme.advance_to s (w + days);
-    let m = Manifest.capture s in
-    let oc = open_out out in
-    output_string oc (Manifest.to_string m);
-    close_out oc;
-    Printf.printf "checkpointed %s at day %d into %s\n" (Scheme.name scheme)
-      (Scheme.current_day s) out
-  in
-  Cmd.v (Cmd.info "checkpoint" ~doc) Term.(const run $ scheme $ w $ n $ days $ out)
-
-let recover_cmd =
-  let doc = "Rebuild a wave index from a manifest file and report its state." in
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"MANIFEST" ~doc:"manifest path")
-  in
-  let run file =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    match Manifest.of_string contents with
-    | Error e ->
-      Printf.eprintf "bad manifest: %s\n" e;
-      exit 1
-    | Ok m ->
-      let env = Env.create ~store:(demo_store 200) ~w:m.Manifest.w ~n:m.Manifest.n () in
-      let frame = Manifest.restore_frame m env in
-      Frame.validate frame;
-      Printf.printf "recovered %s wave at day %d: %d constituents, %d entries, days %s\n"
-        (Scheme.name m.Manifest.scheme) m.Manifest.day (Frame.n frame)
-        (Frame.entry_count frame)
-        (Dayset.to_string (Frame.covered_days frame))
-  in
-  Cmd.v (Cmd.info "recover" ~doc) Term.(const run $ file)
 
 module Crash_harness = Wave_sim.Crash_harness
 
@@ -1829,7 +1780,7 @@ let () =
     Cmd.group info
       [
         list_cmd; run_cmd; all_cmd; sim_cmd; model_cmd; trace_cmd;
-        profile_cmd; bench_cmd; checkpoint_cmd; recover_cmd; crashtest_cmd;
+        profile_cmd; bench_cmd; crashtest_cmd;
         shardtest_cmd;
       ]
   in

@@ -6,19 +6,19 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Cache_error s)) fmt
 
 (* A frame caches one block, named by a packed int key (DESIGN.md §5c):
 
-     key = ns lsl 33  lor  field lsl 1  lor  tag
+     data block:  key = addr lsl 1
+     metadata:    key = dir lsl 33  lor  node lsl 1  lor  1
 
-   Data blocks have tag 0, [ns] the slot of the view (one per disk) they
-   belong to and [field] the block address; they are tagged with the
-   allocation generation of the extent that covered them when loaded,
-   and go stale when the extent is freed and the address reallocated
-   (generation mismatch).  Metadata blocks (B+tree nodes) have tag 1,
-   [ns] the directory's namespace and [field] the node id; node ids are
-   never reused, so metadata frames cannot go stale.  Block addresses
-   and node ids must lie in [0, 2^31) and namespaces in [0, 2^29), so
-   every key is a distinct non-negative int.
+   Data blocks (tag 0) are tagged with the allocation generation of the
+   extent that covered them when loaded, and go stale when the extent
+   is freed and the address reallocated (generation mismatch).
+   Metadata blocks (B+tree nodes, tag 1) are named by the directory's
+   namespace and the node id; node ids are never reused, so metadata
+   frames cannot go stale.  Block addresses and node ids must lie in
+   [0, 2^31) and namespaces in [0, 2^29), so every key is a distinct
+   non-negative int.
 
-   Residency needs no hashing.  Each view maps a block address straight
+   Residency needs no hashing.  The pool maps a block address straight
    to its frame through an int array ([map], -1 when absent), and
    metadata frames sit in a table keyed by the packed key.  A frame's
    key names the entry that points back at it, so an eviction clears
@@ -31,10 +31,10 @@ let check_ns what ns =
   if ns < 0 || ns >= ns_limit then
     fail "%s %d outside the pool's key range [0, 2^29)" what ns
 
-let data_key slot addr =
+let data_key addr =
   if addr < 0 || addr >= field_limit then
     fail "block address %d outside the pool's key range [0, 2^31)" addr;
-  (slot lsl 33) lor (addr lsl 1)
+  addr lsl 1
 
 let meta_key dir node =
   if node < 0 || node >= field_limit then
@@ -42,8 +42,7 @@ let meta_key dir node =
   (dir lsl 33) lor (node lsl 1) lor 1
 
 let is_data key = key land 1 = 0
-let addr_of_key key = (key lsr 1) land (field_limit - 1)
-let slot_of_key key = key lsr 33
+let addr_of_key key = key lsr 1
 
 module Meta = Hashtbl.Make (Int)
 
@@ -65,10 +64,29 @@ type stats = {
   meta_seconds : float;
 }
 
-(* Mutable accumulator behind [stats].  Each pool [state] holds one
-   global accumulator and each attached view holds a local one, so a
-   shared pool can report both fleet totals and per-arm slices. *)
-type acc = {
+(* The frames, as parallel arrays indexed by frame number, their
+   policy, and the pool's counters (the mutable twin of [stats]). *)
+type t = {
+  disk : Disk.t;
+  keys : int array; (* packed key, [free_key] when unoccupied *)
+  gens : int array;
+  pins : int array;
+  refbits : Bytes.t; (* '\001' = referenced since the hand last passed *)
+  dirty : Bytes.t; (* '\001' = deferred (write-back) contents not on disk *)
+  meta : int Meta.t; (* packed metadata key -> frame number *)
+  readahead : int;
+  write_back : bool;
+  mutable in_flush : bool; (* reentrancy guard: eviction inside a flush
+                              must not start a nested drain *)
+  mutable hand : int;
+  mutable map : int array;
+      (* block address -> frame, -1 when absent; as long as the highest
+         address installed, or up to twice that *)
+  mutable pending : int array;
+      (* stack of block addresses a charged read has yet to install;
+         each read pushes above [top] and pops back on exit, so a read
+         re-entered from a disk-operation observer keeps its own span *)
+  mutable top : int;
   mutable hits : int;
   mutable misses : int;
   mutable meta_hits : int;
@@ -86,45 +104,38 @@ type acc = {
   mutable meta_seconds : float;
 }
 
-(* Shared pool state: the frames, as parallel arrays indexed by frame
-   number, and their policy.  Several views (one per attached disk) may
-   share one state. *)
-type state = {
-  keys : int array; (* packed key, [free_key] when unoccupied *)
-  gens : int array;
-  pins : int array;
-  refbits : Bytes.t; (* '\001' = referenced since the hand last passed *)
-  dirty : Bytes.t;
-      (* '\001' = deferred (write-back) contents not on disk; the write
-         targets the view the frame's key names *)
-  meta : int Meta.t; (* packed metadata key -> frame number *)
-  readahead : int;
-  write_back : bool;
-  mutable in_flush : bool; (* reentrancy guard: eviction inside a flush
-                              must not start a nested drain *)
-  mutable hand : int;
-  global : acc;
-  mutable views : t array; (* by view slot *)
-  mutable pending : int array;
-      (* stack of block addresses a charged read has yet to install;
-         each read pushes above [top] and pops back on exit, so a read
-         re-entered from a disk-operation observer keeps its own span *)
-  mutable top : int;
-}
+(* Fleet-wide counters: pools also feed the always-on metrics registry
+   so perf artifacts can report hit ratios without a pool handle. *)
+let m_hits = Wave_obs.Metrics.counter "cache.hits"
+let m_misses = Wave_obs.Metrics.counter "cache.misses"
+let m_meta_hits = Wave_obs.Metrics.counter "cache.meta_hits"
+let m_meta_misses = Wave_obs.Metrics.counter "cache.meta_misses"
+let m_evictions = Wave_obs.Metrics.counter "cache.evictions"
+let m_readaheads = Wave_obs.Metrics.counter "cache.readaheads"
+let m_writes_coalesced = Wave_obs.Metrics.counter "cache.writes_coalesced"
+let m_dirty_evictions = Wave_obs.Metrics.counter "cache.dirty_evictions"
+let m_flushes = Wave_obs.Metrics.counter "cache.flushes"
+let m_flushed_blocks = Wave_obs.Metrics.counter "cache.flushed_blocks"
+let m_dirty_discards = Wave_obs.Metrics.counter "cache.dirty_discards"
 
-and t = {
-  st : state;
-  disk : Disk.t;
-  uid : int;
-  slot : int;
-  local : acc;
-  mutable map : int array;
-      (* block address -> frame, -1 when absent; as long as the highest
-         address installed, or up to twice that *)
-}
-
-let acc_create () =
+let create disk ~frames ?(readahead = 0) ?(write_back = false) () =
+  if frames < 1 then fail "create: need at least one frame (got %d)" frames;
+  if readahead < 0 then fail "create: negative readahead";
   {
+    disk;
+    keys = Array.make frames free_key;
+    gens = Array.make frames 0;
+    pins = Array.make frames 0;
+    refbits = Bytes.make frames '\000';
+    dirty = Bytes.make frames '\000';
+    meta = Meta.create 16;
+    readahead;
+    write_back;
+    in_flush = false;
+    hand = 0;
+    map = [||];
+    pending = Array.make 64 0;
+    top = 0;
     hits = 0;
     misses = 0;
     meta_hits = 0;
@@ -142,75 +153,6 @@ let acc_create () =
     meta_seconds = 0.0;
   }
 
-let acc_stats (a : acc) : stats =
-  {
-    hits = a.hits;
-    misses = a.misses;
-    meta_hits = a.meta_hits;
-    meta_misses = a.meta_misses;
-    evictions = a.evictions;
-    readaheads = a.readaheads;
-    stale_drops = a.stale_drops;
-    writes_coalesced = a.writes_coalesced;
-    dirty_evictions = a.dirty_evictions;
-    flushes = a.flushes;
-    flush_writes = a.flush_writes;
-    flushed_blocks = a.flushed_blocks;
-    dirty_discards = a.dirty_discards;
-    saved_seconds = a.saved_seconds;
-    meta_seconds = a.meta_seconds;
-  }
-
-(* Mirror every counter mutation into both the view's local slice and
-   the pool-wide accumulator.  Callers pass closed functions (no free
-   variables), which the compiler allocates statically. *)
-let bump t f =
-  f t.local;
-  f t.st.global
-
-(* Fleet-wide counters: pools also feed the always-on metrics registry
-   so perf artifacts can report hit ratios without a pool handle. *)
-let m_hits = Wave_obs.Metrics.counter "cache.hits"
-let m_misses = Wave_obs.Metrics.counter "cache.misses"
-let m_meta_hits = Wave_obs.Metrics.counter "cache.meta_hits"
-let m_meta_misses = Wave_obs.Metrics.counter "cache.meta_misses"
-let m_evictions = Wave_obs.Metrics.counter "cache.evictions"
-let m_readaheads = Wave_obs.Metrics.counter "cache.readaheads"
-let m_writes_coalesced = Wave_obs.Metrics.counter "cache.writes_coalesced"
-let m_dirty_evictions = Wave_obs.Metrics.counter "cache.dirty_evictions"
-let m_flushes = Wave_obs.Metrics.counter "cache.flushes"
-let m_flushed_blocks = Wave_obs.Metrics.counter "cache.flushed_blocks"
-let m_dirty_discards = Wave_obs.Metrics.counter "cache.dirty_discards"
-
-let state_create ~frames ~readahead ~write_back =
-  if frames < 1 then fail "create: need at least one frame (got %d)" frames;
-  if readahead < 0 then fail "create: negative readahead";
-  {
-    keys = Array.make frames free_key;
-    gens = Array.make frames 0;
-    pins = Array.make frames 0;
-    refbits = Bytes.make frames '\000';
-    dirty = Bytes.make frames '\000';
-    meta = Meta.create 16;
-    readahead;
-    write_back;
-    in_flush = false;
-    hand = 0;
-    global = acc_create ();
-    views = [||];
-    pending = Array.make 64 0;
-    top = 0;
-  }
-
-let view st disk =
-  let slot = Array.length st.views in
-  let v = { st; disk; uid = Disk.id disk; slot; local = acc_create (); map = [||] } in
-  st.views <- Array.append st.views [| v |];
-  v
-
-let create disk ~frames ?(readahead = 0) ?(write_back = false) () =
-  view (state_create ~frames ~readahead ~write_back) disk
-
 (* --- per-disk attachment -------------------------------------------- *)
 
 let pools : (int, t) Hashtbl.t = Hashtbl.create 16
@@ -223,34 +165,16 @@ let attach disk ~frames ?(readahead = 0) ?(write_back = false) () =
     Hashtbl.replace pools (Disk.id disk) pool;
     pool
 
-let attach_shared disks ~frames ?(readahead = 0) ?(write_back = false) () =
-  if disks = [] then fail "attach_shared: no disks";
-  List.iter
-    (fun d ->
-      if Hashtbl.mem pools (Disk.id d) then
-        fail "attach_shared: disk %d already has a pool" (Disk.id d))
-    disks;
-  let st = state_create ~frames ~readahead ~write_back in
-  List.map
-    (fun d ->
-      let v = view st d in
-      Hashtbl.replace pools (Disk.id d) v;
-      v)
-    disks
-
 let find disk = Hashtbl.find_opt pools (Disk.id disk)
 let detach disk = Hashtbl.remove pools (Disk.id disk)
 
 (* --- frame management ----------------------------------------------- *)
 
-let occupied st i = st.keys.(i) <> free_key
-let referenced st i = Bytes.get st.refbits i <> '\000'
-let set_refbit st i b = Bytes.set st.refbits i (if b then '\001' else '\000')
-let is_dirty st i = Bytes.get st.dirty i <> '\000'
-let clean st i = Bytes.set st.dirty i '\000'
-
-(* The view a data frame belongs to. *)
-let owner st i = st.views.(slot_of_key st.keys.(i))
+let occupied t i = t.keys.(i) <> free_key
+let referenced t i = Bytes.get t.refbits i <> '\000'
+let set_refbit t i b = Bytes.set t.refbits i (if b then '\001' else '\000')
+let is_dirty t i = Bytes.get t.dirty i <> '\000'
+let clean t i = Bytes.set t.dirty i '\000'
 
 let params t = Disk.params t.disk
 
@@ -258,42 +182,42 @@ let block_seconds t blocks =
   float_of_int (blocks * (params t).Disk.block_size)
   /. (params t).Disk.transfer_rate
 
-let note_discard v =
-  bump v (fun a -> a.dirty_discards <- a.dirty_discards + 1);
+let note_discard t =
+  t.dirty_discards <- t.dirty_discards + 1;
   Wave_obs.Metrics.inc m_dirty_discards
 
 (* Deferred write of one dirty frame, performed at eviction (or
    discarded if the covering extent is gone or reallocated — its
    contents belong to a dead extent and must never reach the disk). *)
-let evict_dirty st i =
-  let v = owner st i and addr = addr_of_key st.keys.(i) in
-  (match Disk.extent_covering v.disk ~addr with
-  | Some ext when Disk.generation_at v.disk ~start:ext.Disk.start = Some st.gens.(i) ->
-    Disk.write_run v.disk ext ~off:(addr - ext.Disk.start) ~blocks:1;
-    bump v (fun a -> a.dirty_evictions <- a.dirty_evictions + 1);
+let evict_dirty t i =
+  let addr = addr_of_key t.keys.(i) in
+  (match Disk.extent_covering t.disk ~addr with
+  | Some ext when Disk.generation_at t.disk ~start:ext.Disk.start = Some t.gens.(i) ->
+    Disk.write_run t.disk ext ~off:(addr - ext.Disk.start) ~blocks:1;
+    t.dirty_evictions <- t.dirty_evictions + 1;
     Wave_obs.Metrics.inc m_dirty_evictions
-  | _ -> note_discard v);
-  clean st i
+  | _ -> note_discard t);
+  clean t i
 
 (* CLOCK second chance: sweep from the hand, skipping pinned frames and
    giving referenced frames one more revolution.  Two full revolutions
    ([budget]) guarantee a victim unless every frame is pinned.  The
    sweep takes everything it reads as an argument, so an eviction
    allocates no closure. *)
-let rec sweep st budget =
-  let n = Array.length st.keys in
+let rec sweep t budget =
+  let n = Array.length t.keys in
   if budget = 0 then fail "no evictable frame: all %d frames pinned" n;
-  let i = st.hand in
-  st.hand <- (if i + 1 = n then 0 else i + 1);
-  if not (occupied st i) then i
-  else if st.pins.(i) > 0 then sweep st (budget - 1)
-  else if referenced st i then begin
-    set_refbit st i false;
-    sweep st (budget - 1)
+  let i = t.hand in
+  t.hand <- (if i + 1 = n then 0 else i + 1);
+  if not (occupied t i) then i
+  else if t.pins.(i) > 0 then sweep t (budget - 1)
+  else if referenced t i then begin
+    set_refbit t i false;
+    sweep t (budget - 1)
   end
   else i
 
-(* Frame of data block [addr] in this view, or -1. *)
+(* Frame of data block [addr], or -1. *)
 let data_frame t addr = if addr >= 0 && addr < Array.length t.map then t.map.(addr) else -1
 
 (* Point [addr]'s map entry at frame [i], first growing the map
@@ -310,25 +234,23 @@ let map_set t addr i =
 (* Take the CLOCK victim's frame for [key], evicting its block: the
    deferred write, if dirty, then its residency entry. *)
 let claim t key ~gen ~refbit =
-  let st = t.st in
-  let i = sweep st (2 * Array.length st.keys) in
-  if occupied st i then begin
-    if is_dirty st i then evict_dirty st i;
-    let old = st.keys.(i) in
-    if is_data old then (owner st i).map.(addr_of_key old) <- -1
-    else Meta.remove st.meta old;
-    bump t (fun a -> a.evictions <- a.evictions + 1);
+  let i = sweep t (2 * Array.length t.keys) in
+  if occupied t i then begin
+    if is_dirty t i then evict_dirty t i;
+    let old = t.keys.(i) in
+    if is_data old then t.map.(addr_of_key old) <- -1 else Meta.remove t.meta old;
+    t.evictions <- t.evictions + 1;
     Wave_obs.Metrics.inc m_evictions
   end;
-  st.keys.(i) <- key;
-  st.gens.(i) <- gen;
-  st.pins.(i) <- 0;
-  set_refbit st i refbit;
-  clean st i;
+  t.keys.(i) <- key;
+  t.gens.(i) <- gen;
+  t.pins.(i) <- 0;
+  set_refbit t i refbit;
+  clean t i;
   i
 
 let install t addr ~gen ~refbit =
-  let i = claim t (data_key t.slot addr) ~gen ~refbit in
+  let i = claim t (data_key addr) ~gen ~refbit in
   map_set t addr i;
   i
 
@@ -340,8 +262,8 @@ let live_gen t (ext : Disk.extent) =
 (* A stale frame refreshed in place carries deferred contents of a
    {e dead} extent: discard them, never write them. *)
 let drop_stale_dirty t i =
-  if is_dirty t.st i then begin
-    clean t.st i;
+  if is_dirty t i then begin
+    clean t i;
     note_discard t
   end
 
@@ -349,9 +271,9 @@ let drop_stale_dirty t i =
    its reference bit set and answers [true]; a stale or absent block
    answers [false] and is left for the caller to fetch in one batched
    charge. *)
-let classify st i ~gen =
-  if i >= 0 && st.gens.(i) = gen then begin
-    set_refbit st i true;
+let classify t i ~gen =
+  if i >= 0 && t.gens.(i) = gen then begin
+    set_refbit t i true;
     true
   end
   else false
@@ -361,53 +283,46 @@ let classify st i ~gen =
    may have evicted a frame the read classified as stale, and a read
    re-entered from a disk-operation observer may have installed it. *)
 let settle t addr ~gen ~refbit =
-  let st = t.st in
   let i = data_frame t addr in
   if i >= 0 then begin
     (* Stale frame refreshed in place: same key, new generation. *)
     drop_stale_dirty t i;
-    st.gens.(i) <- gen;
-    set_refbit st i refbit;
-    bump t (fun a -> a.stale_drops <- a.stale_drops + 1)
+    t.gens.(i) <- gen;
+    set_refbit t i refbit;
+    t.stale_drops <- t.stale_drops + 1
   end
   else ignore (install t addr ~gen ~refbit)
 
-let push st x =
-  if st.top = Array.length st.pending then begin
-    let bigger = Array.make (2 * st.top) 0 in
-    Array.blit st.pending 0 bigger 0 st.top;
-    st.pending <- bigger
+let push t x =
+  if t.top = Array.length t.pending then begin
+    let bigger = Array.make (2 * t.top) 0 in
+    Array.blit t.pending 0 bigger 0 t.top;
+    t.pending <- bigger
   end;
-  st.pending.(st.top) <- x;
-  st.top <- st.top + 1
+  t.pending.(t.top) <- x;
+  t.top <- t.top + 1
 
 (* Run [f] with the pending stack's height restored afterwards, also
    when a charge raises. *)
 let with_pending t f x =
-  let st = t.st in
-  let mark = st.top in
+  let mark = t.top in
   match f t x mark with
-  | () -> st.top <- mark
+  | () -> t.top <- mark
   | exception e ->
-    st.top <- mark;
+    t.top <- mark;
     raise e
 
 (* [saved] accumulates as [saved + uncached - charged], in that order,
    so the float totals repeat the uncached model's rounding. *)
 let note_data t ~hits ~misses ~uncached ~charged =
-  let add (a : acc) =
-    a.saved_seconds <- a.saved_seconds +. uncached -. charged;
-    a.hits <- a.hits + hits;
-    a.misses <- a.misses + misses
-  in
-  add t.local;
-  add t.st.global;
+  t.saved_seconds <- t.saved_seconds +. uncached -. charged;
+  t.hits <- t.hits + hits;
+  t.misses <- t.misses + misses;
   if hits > 0 then Wave_obs.Metrics.inc ~by:(float_of_int hits) m_hits;
   if misses > 0 then Wave_obs.Metrics.inc ~by:(float_of_int misses) m_misses
 
 let note_readaheads t n =
-  t.local.readaheads <- t.local.readaheads + n;
-  t.st.global.readaheads <- t.st.global.readaheads + n;
+  t.readaheads <- t.readaheads + n;
   if n > 0 then Wave_obs.Metrics.inc ~by:(float_of_int n) m_readaheads
 
 (* --- charged accesses ----------------------------------------------- *)
@@ -416,29 +331,28 @@ let note_readaheads t n =
    and then readahead candidates are pushed above [mark], charged as
    one seek plus one transfer, and installed in address order. *)
 let read_blocks t ((ext : Disk.extent), off, blocks) mark =
-  let st = t.st in
   let gen = live_gen t ext in
   let base = ext.Disk.start + off in
   let hits = ref 0 in
   for a = base to base + blocks - 1 do
-    if classify st (data_frame t a) ~gen then incr hits else push st a
+    if classify t (data_frame t a) ~gen then incr hits else push t a
   done;
-  let m = st.top - mark in
-  if m > 0 && st.readahead > 0 then begin
+  let m = t.top - mark in
+  if m > 0 && t.readahead > 0 then begin
     (* Prefetch up to [readahead] blocks following the demand range
        inside the same extent — the arm is already positioned, so they
        ride the same seek (extra transfer only). *)
-    let last = ext.Disk.start + min ext.Disk.length (off + blocks + st.readahead) - 1 in
+    let last = ext.Disk.start + min ext.Disk.length (off + blocks + t.readahead) - 1 in
     for a = base + blocks to last do
-      if not (classify st (data_frame t a) ~gen) then push st a
+      if not (classify t (data_frame t a) ~gen) then push t a
     done
   end;
-  let n_ra = st.top - mark - m in
+  let n_ra = t.top - mark - m in
   if m > 0 then begin
     Disk.charge_seek t.disk;
     Disk.charge_read_transfer t.disk ~blocks:(m + n_ra);
     for k = 0 to m + n_ra - 1 do
-      settle t st.pending.(mark + k) ~gen ~refbit:(k < m)
+      settle t t.pending.(mark + k) ~gen ~refbit:(k < m)
     done;
     note_readaheads t n_ra
   end;
@@ -464,20 +378,19 @@ let read t ext = read_range t ext ~off:0 ~blocks:ext.Disk.length
    pushed above [mark] as an (address, generation) pair, then the lot
    is charged behind one seek and installed cold in scan order. *)
 let scan_blocks t exts mark =
-  let st = t.st in
   let total = ref 0 and hits = ref 0 and runs = ref 0 and in_run = ref false in
   List.iter
     (fun (e : Disk.extent) ->
       let gen = live_gen t e in
       for a = e.Disk.start to e.Disk.start + e.Disk.length - 1 do
         incr total;
-        if classify st (data_frame t a) ~gen then begin
+        if classify t (data_frame t a) ~gen then begin
           incr hits;
           in_run := false
         end
         else begin
-          push st a;
-          push st gen;
+          push t a;
+          push t gen;
           if not !in_run then begin
             incr runs;
             in_run := true
@@ -485,7 +398,7 @@ let scan_blocks t exts mark =
         end
       done)
     exts;
-  let m = (st.top - mark) / 2 in
+  let m = (t.top - mark) / 2 in
   if m > 0 then begin
     Disk.charge_seek t.disk;
     Disk.charge_read_transfer t.disk ~blocks:m;
@@ -494,7 +407,7 @@ let scan_blocks t exts mark =
        the probe working set — drop-behind readahead. *)
     for k = 0 to m - 1 do
       let p = mark + (2 * k) in
-      settle t st.pending.(p) ~gen:st.pending.(p + 1) ~refbit:false
+      settle t t.pending.(p) ~gen:t.pending.(p + 1) ~refbit:false
     done;
     note_readaheads t (m - !runs)
   end;
@@ -514,11 +427,10 @@ let sequential_read t exts =
    next {!flush} drain, where contiguous dirty runs coalesce into one
    physical write each. *)
 let write_back_range t (ext : Disk.extent) ~off ~blocks =
-  let st = t.st in
   if not (Disk.live_at t.disk ~start:ext.Disk.start ~length:ext.Disk.length)
   then raise (Disk.Disk_error "write: extent is not live");
   if blocks > 0 then
-    if blocks > Array.length st.keys then begin
+    if blocks > Array.length t.keys then begin
       (* The range cannot be held dirty: fall back to write-through for
          this one write (same cost and fault point as uncached). *)
       Disk.write_run t.disk ext ~off ~blocks;
@@ -528,8 +440,8 @@ let write_back_range t (ext : Disk.extent) ~off ~blocks =
         let i = data_frame t a in
         if i >= 0 then begin
           drop_stale_dirty t i;
-          st.gens.(i) <- gen;
-          set_refbit st i true
+          t.gens.(i) <- gen;
+          set_refbit t i true
         end
       done
     end
@@ -540,24 +452,24 @@ let write_back_range t (ext : Disk.extent) ~off ~blocks =
         let i = data_frame t a in
         let i =
           if i < 0 then install t a ~gen ~refbit:true
-          else if st.gens.(i) = gen then begin
-            if is_dirty st i then begin
+          else if t.gens.(i) = gen then begin
+            if is_dirty t i then begin
               (* A rewrite absorbed by an already-dirty frame: the
                  whole point of write-back. *)
-              bump t (fun a -> a.writes_coalesced <- a.writes_coalesced + 1);
+              t.writes_coalesced <- t.writes_coalesced + 1;
               Wave_obs.Metrics.inc m_writes_coalesced
             end;
             i
           end
           else begin
             drop_stale_dirty t i;
-            st.gens.(i) <- gen;
-            bump t (fun a -> a.stale_drops <- a.stale_drops + 1);
+            t.gens.(i) <- gen;
+            t.stale_drops <- t.stale_drops + 1;
             i
           end
         in
-        set_refbit st i true;
-        Bytes.set st.dirty i '\001'
+        set_refbit t i true;
+        Bytes.set t.dirty i '\001'
       done
     end
 
@@ -565,21 +477,20 @@ let write_range t (ext : Disk.extent) ~off ~blocks =
   if off < 0 || blocks < 0 || off + blocks > ext.Disk.length then
     fail "write_range: [%d, %d) outside extent of %d blocks" off (off + blocks)
       ext.Disk.length;
-  if t.st.write_back then write_back_range t ext ~off ~blocks
+  if t.write_back then write_back_range t ext ~off ~blocks
   else begin
     (* Write-through: the disk is charged exactly as an uncached write —
        same seek, same write op, same fault point.  Only if it succeeds
        do resident frames pick up the new contents (and generation). *)
     Disk.write_run t.disk ext ~off ~blocks;
     if blocks > 0 then begin
-      let st = t.st in
       let gen = live_gen t ext in
       let base = ext.Disk.start + off in
       for a = base to base + blocks - 1 do
         let i = data_frame t a in
         if i >= 0 then begin
-          st.gens.(i) <- gen;
-          set_refbit st i true
+          t.gens.(i) <- gen;
+          set_refbit t i true
         end
         (* no write allocation *)
       done
@@ -590,89 +501,71 @@ let write t ext = write_range t ext ~off:0 ~blocks:ext.Disk.length
 
 (* --- flush ----------------------------------------------------------- *)
 
-let count_frames st p =
+let count_frames t p =
   let n = ref 0 in
-  for i = 0 to Array.length st.keys - 1 do
-    if p st i then incr n
+  for i = 0 to Array.length t.keys - 1 do
+    if p t i then incr n
   done;
   !n
 
-let dirty_frames t = count_frames t.st (fun st i -> occupied st i && is_dirty st i)
-
-let write_back t = t.st.write_back
+let dirty_frames t = count_frames t (fun t i -> occupied t i && is_dirty t i)
 
 (* Drain every dirty frame: one {!Disk.note_flush} fault point, then
-   the dirty set sorted by (owning disk, address) and written as
-   contiguous runs — a shadow build's repeated bucket rewrites land as
-   one physical write per bucket.  Frames are marked clean only after
-   their run's write succeeds, so an injected fault mid-drain leaves
-   the remaining frames dirty and a later flush resumes exactly there.
-   Reentrant calls (an eviction during the drain installing frames) are
-   no-ops, as is any flush of a write-through pool or a clean pool. *)
+   the dirty set sorted by address and written as contiguous runs — a
+   shadow build's repeated bucket rewrites land as one physical write
+   per bucket.  Frames are marked clean only after their run's write
+   succeeds, so an injected fault mid-drain leaves the remaining frames
+   dirty and a later flush resumes exactly there.  Reentrant calls (an
+   eviction during the drain installing frames) are no-ops, as is any
+   flush of a write-through pool or a clean pool. *)
 let flush t =
-  let st = t.st in
-  if st.write_back && not st.in_flush then begin
+  if t.write_back && not t.in_flush then begin
     let dirty = ref [] in
-    for i = 0 to Array.length st.keys - 1 do
-      if occupied st i && is_dirty st i then
-        dirty := (owner st i, addr_of_key st.keys.(i), i) :: !dirty
+    for i = 0 to Array.length t.keys - 1 do
+      if occupied t i && is_dirty t i then dirty := (addr_of_key t.keys.(i), i) :: !dirty
     done;
-    let dirty =
-      List.sort
-        (fun (v1, a1, _) (v2, a2, _) ->
-          match Int.compare v1.uid v2.uid with
-          | 0 -> Int.compare a1 a2
-          | c -> c)
-        !dirty
-    in
+    let dirty = List.sort (fun (a1, _) (a2, _) -> Int.compare a1 a2) !dirty in
     if dirty <> [] then begin
-      st.in_flush <- true;
+      t.in_flush <- true;
       Fun.protect
-        ~finally:(fun () -> st.in_flush <- false)
+        ~finally:(fun () -> t.in_flush <- false)
         (fun () ->
           Disk.note_flush t.disk;
-          bump t (fun a -> a.flushes <- a.flushes + 1);
+          t.flushes <- t.flushes + 1;
           Wave_obs.Metrics.inc m_flushes;
           (* Resolve each frame to its covering live extent; a frame
              whose extent is gone or reallocated is discarded. *)
           let writable =
             List.filter_map
-              (fun (v, addr, i) ->
-                match Disk.extent_covering v.disk ~addr with
+              (fun (addr, i) ->
+                match Disk.extent_covering t.disk ~addr with
                 | Some ext
-                  when Disk.generation_at v.disk ~start:ext.Disk.start
-                       = Some st.gens.(i) ->
-                  Some (v, addr, i, ext)
+                  when Disk.generation_at t.disk ~start:ext.Disk.start = Some t.gens.(i) ->
+                  Some (addr, i, ext)
                 | _ ->
-                  clean st i;
-                  note_discard v;
+                  clean t i;
+                  note_discard t;
                   None)
               dirty
           in
-          (* Coalesce into maximal contiguous runs within one extent of
-             one disk, then write each run with a single operation. *)
+          (* Coalesce into maximal contiguous runs within one extent,
+             then write each run with a single operation. *)
           let write_run_group = function
             | [] -> ()
-            | (v, addr0, _, (ext : Disk.extent)) :: _ as group ->
+            | (addr0, _, (ext : Disk.extent)) :: _ as group ->
               let n = List.length group in
-              Disk.write_run v.disk ext
-                ~off:(addr0 - ext.Disk.start)
-                ~blocks:n;
-              List.iter (fun (_, _, i, _) -> clean st i) group;
-              v.local.flush_writes <- v.local.flush_writes + 1;
-              v.local.flushed_blocks <- v.local.flushed_blocks + n;
-              st.global.flush_writes <- st.global.flush_writes + 1;
-              st.global.flushed_blocks <- st.global.flushed_blocks + n;
+              Disk.write_run t.disk ext ~off:(addr0 - ext.Disk.start) ~blocks:n;
+              List.iter (fun (_, i, _) -> clean t i) group;
+              t.flush_writes <- t.flush_writes + 1;
+              t.flushed_blocks <- t.flushed_blocks + n;
               Wave_obs.Metrics.inc ~by:(float_of_int n) m_flushed_blocks
           in
           let rec drain group = function
             | [] -> write_run_group (List.rev group)
-            | ((v, addr, _, (ext : Disk.extent)) as item) :: rest -> (
+            | ((addr, _, (ext : Disk.extent)) as item) :: rest -> (
               match group with
-              | (v0, prev, _, (ext0 : Disk.extent)) :: _
-                when v0.uid = v.uid
-                     && addr = prev + 1
-                     && ext0.Disk.start = ext.Disk.start ->
+              | (prev, _, (ext0 : Disk.extent)) :: _
+                when addr = prev + 1 && ext0.Disk.start = ext.Disk.start ->
                 drain (item :: group) rest
               | [] -> drain [ item ] rest
               | _ ->
@@ -684,41 +577,34 @@ let flush t =
   end
 
 let discard_dirty t =
-  let st = t.st in
   let n = ref 0 in
-  for i = 0 to Array.length st.keys - 1 do
-    if occupied st i && is_dirty st i then begin
-      note_discard (owner st i);
-      clean st i;
+  for i = 0 to Array.length t.keys - 1 do
+    if occupied t i && is_dirty t i then begin
+      note_discard t;
+      clean t i;
       incr n
     end
   done;
   !n
 
-let add_meta_miss (a : acc) ~seek ~block =
-  a.meta_seconds <- a.meta_seconds +. seek +. block;
-  a.meta_misses <- a.meta_misses + 1
-
 let rec meta_read_nodes t dir = function
   | [] -> ()
   | node :: rest ->
-    let st = t.st in
     let key = meta_key dir node in
-    (match Meta.find st.meta key with
+    (match Meta.find t.meta key with
     | i ->
-      set_refbit st i true;
-      bump t (fun a -> a.meta_hits <- a.meta_hits + 1);
+      set_refbit t i true;
+      t.meta_hits <- t.meta_hits + 1;
       Wave_obs.Metrics.inc m_meta_hits
     | exception Not_found ->
       (* A cold upper-level block: pointer-chased, so each miss pays
          its own seek — exactly the term a warm pool removes. *)
       Disk.charge_seek t.disk;
       Disk.charge_read_transfer t.disk ~blocks:1;
-      let seek = (params t).Disk.seek_time and block = block_seconds t 1 in
-      add_meta_miss t.local ~seek ~block;
-      add_meta_miss st.global ~seek ~block;
+      t.meta_seconds <- t.meta_seconds +. (params t).Disk.seek_time +. block_seconds t 1;
+      t.meta_misses <- t.meta_misses + 1;
       Wave_obs.Metrics.inc m_meta_misses;
-      Meta.replace st.meta key (claim t key ~gen:0 ~refbit:true));
+      Meta.replace t.meta key (claim t key ~gen:0 ~refbit:true));
     meta_read_nodes t dir rest
 
 let meta_read t ~dir ~nodes =
@@ -727,73 +613,27 @@ let meta_read t ~dir ~nodes =
 
 (* --- pinning --------------------------------------------------------- *)
 
-(* Frame of every block in [start, start+length) whose frame satisfies
-   [ok], or the first block that does not. *)
-let first_block_not t ~start ~length ok =
-  let rec go a =
-    if a = start + length then -1
-    else
-      let i = data_frame t a in
-      if i >= 0 && ok i then go (a + 1) else a
-  in
-  go start
-
-(* Add [d] to the pin count of every block of an extent whose blocks
-   the caller has checked are all resident. *)
-let add_pins t (ext : Disk.extent) d =
-  let st = t.st in
-  for a = ext.Disk.start to ext.Disk.start + ext.Disk.length - 1 do
-    let i = data_frame t a in
-    st.pins.(i) <- st.pins.(i) + d
-  done
-
-let pin_extent t (ext : Disk.extent) =
-  read t ext;
-  let st = t.st in
-  let gen = live_gen t ext in
-  (* Validate the whole extent first so a failed pin changes nothing. *)
-  if
-    first_block_not t ~start:ext.Disk.start ~length:ext.Disk.length (fun i ->
-        st.gens.(i) = gen)
-    >= 0
-  then fail "pin_extent: extent of %d blocks does not fit the pool" ext.Disk.length;
-  add_pins t ext 1
-
-let unpin_extent t (ext : Disk.extent) =
-  let st = t.st in
-  (* Validate the whole range first so a failed unpin changes nothing. *)
-  let bad =
-    first_block_not t ~start:ext.Disk.start ~length:ext.Disk.length (fun i ->
-        st.pins.(i) > 0)
-  in
-  if bad >= 0 then
-    if data_frame t bad >= 0 then
-      fail "unpin_extent: block %d pin count would drop below zero" bad
-    else fail "unpin_extent: block %d is not resident" bad;
-  add_pins t ext (-1)
-
 (* Epoch pinning: keep what is already resident of a snapshot extent in
-   the pool for the epoch's lifetime, without charging any I/O (unlike
-   [pin_extent], which reads the extent in).  Only frames whose
-   generation matches the extent's current live generation are pinned —
-   a stale frame is not snapshot contents.  [budget] bounds how many
-   frames one epoch may pin so that a small pool can never end up fully
-   pinned (eviction would then have no victim); the returned addresses
-   are exactly the blocks pinned, to be released with [unpin_blocks].
+   the pool for the epoch's lifetime, without charging any I/O.  Only
+   frames whose generation matches the extent's current live generation
+   are pinned — a stale frame is not snapshot contents.  [budget] bounds
+   how many frames one epoch may pin so that a small pool can never end
+   up fully pinned (eviction would then have no victim); the returned
+   addresses are exactly the blocks pinned, to be released with
+   [unpin_blocks].
 
    Eviction invariant (see [sweep]): a frame with [pins > 0] is never
    selected, whatever its reference bit — so a frame pinned by a
    retired-but-undrained epoch survives any amount of cache pressure
    until the epoch's last reader drains and unpins it. *)
 let pin_resident_blocks t (ext : Disk.extent) ~budget =
-  let st = t.st in
   let gen = live_gen t ext in
   let pinned = ref [] in
   let left = ref budget in
   for a = ext.Disk.start to ext.Disk.start + ext.Disk.length - 1 do
     let i = data_frame t a in
-    if !left > 0 && i >= 0 && st.gens.(i) = gen then begin
-      st.pins.(i) <- st.pins.(i) + 1;
+    if !left > 0 && i >= 0 && t.gens.(i) = gen then begin
+      t.pins.(i) <- t.pins.(i) + 1;
       decr left;
       pinned := a :: !pinned
     end
@@ -801,71 +641,83 @@ let pin_resident_blocks t (ext : Disk.extent) ~budget =
   List.rev !pinned
 
 let unpin_blocks t addrs =
-  let st = t.st in
   (* Validate first so a failed unpin changes nothing; pinned frames
      cannot be evicted, so every address must still be resident. *)
   List.iter
     (fun addr ->
       let i = data_frame t addr in
       if i < 0 then fail "unpin_blocks: pinned block %d is not resident" addr
-      else if st.pins.(i) <= 0 then
+      else if t.pins.(i) <= 0 then
         fail "unpin_blocks: block %d pin count would drop below zero" addr)
     addrs;
   List.iter
     (fun addr ->
       let i = data_frame t addr in
-      st.pins.(i) <- st.pins.(i) - 1)
+      t.pins.(i) <- t.pins.(i) - 1)
     addrs
 
-let pinned_frames t = count_frames t.st (fun st i -> st.pins.(i) > 0)
+let pinned_frames t = count_frames t (fun t i -> t.pins.(i) > 0)
 
 (* --- observation ----------------------------------------------------- *)
 
-let capacity t = Array.length t.st.keys
-let resident t = count_frames t.st occupied
+let capacity t = Array.length t.keys
+let resident t = count_frames t occupied
 
 let contains t (ext : Disk.extent) =
   match Disk.generation_at t.disk ~start:ext.Disk.start with
   | None -> false
   | Some gen ->
-    first_block_not t ~start:ext.Disk.start ~length:ext.Disk.length (fun i ->
-        t.st.gens.(i) = gen)
-    < 0
+    let rec go a =
+      a = ext.Disk.start + ext.Disk.length
+      ||
+      let i = data_frame t a in
+      i >= 0 && t.gens.(i) = gen && go (a + 1)
+    in
+    go ext.Disk.start
 
 (* Every occupied frame is the entry of its key, and every entry points
    back at a frame holding its key. *)
 let validate t =
-  let st = t.st in
-  let n = Array.length st.keys in
-  let holds key i = i >= 0 && i < n && st.keys.(i) = key in
+  let n = Array.length t.keys in
+  let holds key i = i >= 0 && i < n && t.keys.(i) = key in
   let entry key =
-    if not (is_data key) then Option.value (Meta.find_opt st.meta key) ~default:(-1)
-    else if slot_of_key key < Array.length st.views then
-      data_frame st.views.(slot_of_key key) (addr_of_key key)
-    else -1
+    if is_data key then data_frame t (addr_of_key key)
+    else Option.value (Meta.find_opt t.meta key) ~default:(-1)
   in
   Array.iteri
     (fun i key ->
       if key <> free_key && entry key <> i then
         fail "validate: frame %d holds key %d, whose entry is %d" i key (entry key))
-    st.keys;
-  Array.iter
-    (fun v ->
-      Array.iteri
-        (fun addr i ->
-          if i <> -1 && not (holds (data_key v.slot addr) i) then
-            fail "validate: view %d maps block %d to frame %d, which holds another key"
-              v.slot addr i)
-        v.map)
-    st.views;
+    t.keys;
+  Array.iteri
+    (fun addr i ->
+      if i <> -1 && not (holds (data_key addr) i) then
+        fail "validate: block %d maps to frame %d, which holds another key" addr i)
+    t.map;
   Meta.iter
     (fun key i ->
       if not (holds key i) then
         fail "validate: node key %d maps to frame %d, which holds another key" key i)
-    st.meta
+    t.meta
 
-let stats t = acc_stats t.st.global
-let local_stats t = acc_stats t.local
+let stats t : stats =
+  {
+    hits = t.hits;
+    misses = t.misses;
+    meta_hits = t.meta_hits;
+    meta_misses = t.meta_misses;
+    evictions = t.evictions;
+    readaheads = t.readaheads;
+    stale_drops = t.stale_drops;
+    writes_coalesced = t.writes_coalesced;
+    dirty_evictions = t.dirty_evictions;
+    flushes = t.flushes;
+    flush_writes = t.flush_writes;
+    flushed_blocks = t.flushed_blocks;
+    dirty_discards = t.dirty_discards;
+    saved_seconds = t.saved_seconds;
+    meta_seconds = t.meta_seconds;
+  }
 
 let add_stats (a : stats) (b : stats) : stats =
   {
@@ -888,11 +740,6 @@ let add_stats (a : stats) (b : stats) : stats =
 
 let hit_ratio (s : stats) =
   Wave_util.Stats.ratio (float_of_int s.hits) (float_of_int (s.hits + s.misses))
-
-let meta_hit_ratio (s : stats) =
-  Wave_util.Stats.ratio
-    (float_of_int s.meta_hits)
-    (float_of_int (s.meta_hits + s.meta_misses))
 
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf

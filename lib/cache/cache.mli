@@ -17,11 +17,11 @@
       bit, set on hit; the hand sweeps, clearing reference bits and
       skipping pinned frames, and evicts the first unreferenced,
       unpinned frame.
-    - {b Pinning.}  {!pin_extent} faults an extent in and makes its
-      frames ineligible for eviction until {!unpin_extent}.  Pins
-      nest; unpinning below zero raises {!Cache_error}, as does an
-      allocation request when every frame is pinned.  Pinned frames can
-      still be {e flushed} — pinning defers eviction, not durability.
+    - {b Pinning.}  {!pin_resident_blocks} makes resident frames
+      ineligible for eviction until {!unpin_blocks}.  Pins nest;
+      unpinning below zero raises {!Cache_error}, as does an allocation
+      request when every frame is pinned.  Pinned frames can still be
+      {e flushed} — pinning defers eviction, not durability.
     - {b Write-through} (default).  Writes charge the disk exactly as
       uncached — same seeks, same write operations, same
       fault-injection points, so PR 1's crash-consistency guarantees
@@ -50,26 +50,22 @@
       working set.  Demand reads can additionally prefetch up to
       [readahead] following blocks of the same extent.
 
-    Pools attach one per disk ({!attach}) so that every index sharing a
-    disk shares the pool.  {!attach_shared} instead backs {e several}
-    disks with one set of frames — a global buffer manager across
-    {!Wave_sim.Multi_disk} arms — with per-disk stats slices via
-    {!local_stats}.
+    A pool serves one disk.  Pools attach one per disk ({!attach}) so
+    that every index sharing a disk shares the pool; a multi-disk run
+    has one pool per arm.
 
-    Memory: besides one entry per frame in a handful of arrays, each
-    view keeps an int array from block address to frame, one int per
+    Memory: besides one entry per frame in a handful of arrays, the
+    pool keeps an int array from block address to frame, one int per
     block address up to the highest address installed (at most twice
-    that after geometric growth), and the pool keeps a table with one
-    binding per resident metadata block. *)
+    that after geometric growth), and a table with one binding per
+    resident metadata block. *)
 
 open Wave_disk
 
 exception Cache_error of string
 
 type t
-(** A view of a buffer pool through one disk.  Plain {!attach}/{!create}
-    pools have exactly one view; {!attach_shared} pools have one view
-    per backing disk, all sharing the same frames. *)
+(** A buffer pool over one disk. *)
 
 type stats = {
   hits : int;  (** data blocks served from the pool *)
@@ -113,24 +109,11 @@ val attach :
     geometry on first use.  Subsequent calls return the existing pool
     (its geometry wins). *)
 
-val attach_shared :
-  Disk.t list -> frames:int -> ?readahead:int -> ?write_back:bool -> unit ->
-  t list
-(** One shared pool state backing every listed disk, returned as one
-    view per disk (in order).  Raises {!Cache_error} if the list is
-    empty or any disk already has a pool attached.  Each view maps its
-    own disk's block addresses, so
-    same-numbered blocks of different arms never collide; eviction
-    pressure, however, is global — a hot arm can evict a cold arm's
-    frames, which is the contention {!Wave_sim.Multi_disk}'s shared
-    mode exists to expose. *)
-
 val find : Disk.t -> t option
-(** The pool view attached to this disk, if any. *)
+(** The pool attached to this disk, if any. *)
 
 val detach : Disk.t -> unit
-(** Drop any pool view attached to this disk.  Idempotent.  Detaching
-    one arm of a shared pool leaves the other arms attached. *)
+(** Drop any pool attached to this disk.  Idempotent. *)
 
 (** {1 Charged accesses}
 
@@ -175,19 +158,15 @@ val meta_read : t -> dir:int -> nodes:int list -> unit
 
 (** {1 Write-back durability} *)
 
-val write_back : t -> bool
-(** Whether this pool defers writes. *)
-
 val dirty_frames : t -> int
 (** Frames currently holding a deferred write (0 for write-through). *)
 
 val flush : t -> unit
-(** Drain every dirty frame of the pool (all views of a shared pool):
-    one {!Disk.note_flush} fault point on this view's disk, then the
-    dirty set sorted by (disk, block address) and written as maximal
-    contiguous runs via {!Disk.write_run} — each run one seek and one
-    write operation, so a shadow build's repeated bucket rewrites reach
-    the disk as one physical write per bucket.  Frames are marked clean
+(** Drain every dirty frame of the pool: one {!Disk.note_flush} fault
+    point, then the dirty set sorted by block address and written as
+    maximal contiguous runs via {!Disk.write_run} — each run one seek
+    and one write operation, so a shadow build's repeated bucket
+    rewrites reach the disk as one physical write per bucket.  Frames are marked clean
     only after their run succeeds: an injected fault mid-drain leaves
     the rest dirty, and a later flush resumes with exactly those.
     No-op on a write-through pool, on a clean pool (no fault point, no
@@ -201,15 +180,6 @@ val discard_dirty : t -> int
     disk).  Idempotent. *)
 
 (** {1 Pinning} *)
-
-val pin_extent : t -> Disk.extent -> unit
-(** Fault the whole extent in (charged like {!read}) and pin every
-    frame.  Pins nest.  Raises {!Cache_error} if the extent does not
-    fit the unpinned frames. *)
-
-val unpin_extent : t -> Disk.extent -> unit
-(** Undo one {!pin_extent}.  Raises {!Cache_error} if any block is not
-    resident with a positive pin count (a pin/unpin imbalance). *)
 
 val pin_resident_blocks : t -> Disk.extent -> budget:int -> int list
 (** Pin whatever blocks of the extent are {e already} resident with the
@@ -240,18 +210,14 @@ val contains : t -> Disk.extent -> bool
     current allocation generation. *)
 
 val validate : t -> unit
-(** Residency invariants of the whole pool (all views of a shared
-    pool): every occupied frame is the entry of its key — its view's
-    map entry at its block address, or the metadata table's binding —
-    and every map entry and binding names a frame that holds that key.
+(** Residency invariants of the pool: every occupied frame is the
+    entry of its key — the map entry at its block address, or the
+    metadata table's binding — and every map entry and binding names a
+    frame that holds that key.
     Raises {!Cache_error} on violation.  Used by the test suite. *)
 
 val stats : t -> stats
-(** Pool-wide totals (all views of a shared pool). *)
-
-val local_stats : t -> stats
-(** This view's slice: only accesses issued through this view.  Equal
-    to {!stats} for a non-shared pool. *)
+(** The pool's counters since it was created. *)
 
 val add_stats : stats -> stats -> stats
 (** Field-wise sum: the counters of several pools, one per arm of a
@@ -259,7 +225,5 @@ val add_stats : stats -> stats -> stats
 
 val hit_ratio : stats -> float
 (** Data-block hit ratio, 0 when no data blocks were touched. *)
-
-val meta_hit_ratio : stats -> float
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -8,10 +8,6 @@
 
 type t
 
-val name : string
-val hard_window : bool
-val min_indexes : int
-
 val start : Env.t -> t
 (** Builds the initial wave over days [1..W] (the paper's Start). *)
 

@@ -35,7 +35,6 @@ let set_slot t j idx days =
 
 let slot_index t j = (slot t j).index
 let slot_days t j = (slot t j).days
-let update_days t j days = (slot t j).days <- days
 
 (* The constituent set as an immutable value: what an epoch snapshot
    captures at open time.  Probes resolved against the returned pairs

@@ -28,7 +28,6 @@ val set_slot : t -> int -> Index.t -> Dayset.t -> unit
 
 val slot_index : t -> int -> Index.t
 val slot_days : t -> int -> Dayset.t
-val update_days : t -> int -> Dayset.t -> unit
 
 val snapshot : t -> (Index.t * Dayset.t) list
 (** The constituent set as an immutable value — one [(index, days)]

@@ -120,23 +120,3 @@ let of_string s =
     | _, _, _, _, (Error _ as e), _ -> e
     | _, _, _, _, _, (Error _ as e) -> e)
   | _ -> err "bad or missing manifest header"
-
-let restore_frame t env =
-  if env.Env.w <> t.w || env.Env.n <> t.n then
-    invalid_arg "Manifest.restore_frame: geometry mismatch";
-  let frame = Frame.create env in
-  List.iteri
-    (fun i ds ->
-      if not (Dayset.is_empty ds) then
-        Frame.set_slot frame (i + 1)
-          (Update.build_days env (Dayset.elements ds))
-          ds)
-    t.slots;
-  frame
-
-let restart t env =
-  if env.Env.w <> t.w || env.Env.n <> t.n then
-    invalid_arg "Manifest.restart: geometry mismatch";
-  let s = Scheme.start t.scheme env in
-  Scheme.advance_to s t.day;
-  s

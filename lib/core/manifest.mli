@@ -1,12 +1,12 @@
-(** Wave-index manifests: checkpoint and restart.
+(** Wave-index manifests: the durable record of a wave.
 
     The day store is the system of record (the indexes are derived
-    data), so recovery after a restart is: read the manifest — which
-    scheme, geometry, current day and per-slot time-sets were active —
-    and rebuild each constituent from the store.  Scheme-private
-    temporaries are not checkpointed; the restarted scheme re-enters at
-    a cluster boundary equivalent state by replaying recent transitions
-    when needed.
+    data), so a manifest holds only what recovery needs to rebuild the
+    wave from the store: which scheme, geometry, current day and
+    per-slot time-sets were active.  {!Checkpoint} writes one at every
+    committed transition ({!Store_dir} on disk), and {!Checkpoint.recover}
+    and {!Checkpoint.reopen} rebuild the constituents from it.
+    Scheme-private temporaries are not checkpointed.
 
     The format is a plain, versioned, line-oriented text file so
     operators can read it. *)
@@ -35,16 +35,3 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Parses what {!to_string} produces; returns a diagnostic on bad
     version lines, unknown schemes, or malformed day sets. *)
-
-val restore_frame : t -> Env.t -> Frame.t
-(** Rebuild the constituents recorded in the manifest from the
-    environment's day store ([BuildIndex] per slot).  The environment's
-    [w]/[n] must match the manifest's.  The result serves queries for
-    the manifest's window immediately. *)
-
-val restart : t -> Env.t -> Scheme.t
-(** Full recovery: restart the scheme from scratch at the manifest's
-    window by replaying its Start phase shifted to the manifest's day —
-    i.e. a fresh [Scheme.start] advanced to [t.day].  Query-equivalent
-    to the pre-crash wave (hard schemes exactly; WATA* covers at least
-    the window). *)

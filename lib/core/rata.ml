@@ -8,10 +8,6 @@ type t = {
   mutable temp_used : int;
 }
 
-let name = "RATA*"
-let hard_window = true
-let min_indexes = 2
-
 (* Build suffix indexes of [ds] (the next-to-expire cluster minus its
    oldest day): T_m holds the m most recent days, so consuming the
    ladder top-down simulates day-by-day expiry. *)

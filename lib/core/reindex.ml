@@ -1,9 +1,5 @@
 type t = Scheme_base.t
 
-let name = "REINDEX"
-let hard_window = true
-let min_indexes = 1
-
 let start = Scheme_base.start_contiguous
 
 let transition (b : t) =

@@ -7,9 +7,6 @@
 
 type t
 
-val name : string
-val hard_window : bool
-val min_indexes : int
 val start : Env.t -> t
 val transition : t -> unit
 val frame : t -> Frame.t

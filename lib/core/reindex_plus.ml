@@ -7,10 +7,6 @@ type t = {
   mutable days_to_add : Dayset.t;
 }
 
-let name = "REINDEX+"
-let hard_window = true
-let min_indexes = 1
-
 let start env =
   let base = Scheme_base.start_contiguous env in
   { base; temp = None; tdays = Dayset.empty; days_to_add = Dayset.empty }

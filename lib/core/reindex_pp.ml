@@ -8,10 +8,6 @@ type t = {
   mutable days_to_add : Dayset.t;
 }
 
-let name = "REINDEX++"
-let hard_window = true
-let min_indexes = 1
-
 (* Prepare the ladder for cluster-minus-first-day [ds]: T_1 holds the
    cluster's largest day, each higher rung adds the next older day, so
    T_m holds the m most recent days of [ds].  T_0 starts empty and will

@@ -25,8 +25,6 @@ let mark_visible t =
 
 let install t j idx days = Frame.set_slot t.frame j idx days
 
-let days_list ds = Dayset.elements ds
-
 (* Slot i+1 gets a fresh index over the i-th cluster, slot by slot;
    then day W is the newest day absorbed and visible. *)
 let start_clusters env clusters =
@@ -88,6 +86,3 @@ let begin_transition t =
 let data_arrives t =
   t.arrived <- Wave_disk.Disk.elapsed t.env.Env.disk;
   report t Env.Arrived
-
-let arrival t = t.arrived
-let transition_started t = t.started

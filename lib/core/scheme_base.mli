@@ -24,9 +24,6 @@ val mark_visible : t -> unit
 val install : t -> int -> Wave_storage.Index.t -> Dayset.t -> unit
 (** [install t j idx days] sets slot [j] of the frame. *)
 
-val days_list : Dayset.t -> int list
-(** Ascending day list, for feeding [Update] functions. *)
-
 (** {1 Shared Start phases and predicates} *)
 
 val start_contiguous : Env.t -> t
@@ -60,6 +57,3 @@ val data_arrives : t -> unit
     before this is pre-computation, work between this and
     {!mark_visible} is the paper's Transition Time.  Reports
     {!Env.Arrived} to the observer. *)
-
-val arrival : t -> float
-val transition_started : t -> float

@@ -1,9 +1,5 @@
 type t = { base : Scheme_base.t; mutable last : int }
 
-let name = "WATA*"
-let hard_window = false
-let min_indexes = 2
-
 let length_bound ~w ~n = w + ((w - 1 + (n - 2)) / (n - 1)) - 1
 
 let start env =

@@ -15,10 +15,6 @@
 
 type t
 
-val name : string
-val hard_window : bool
-val min_indexes : int
-
 val start : Env.t -> t
 (** Raises [Invalid_argument] when [env.n < 2]. *)
 

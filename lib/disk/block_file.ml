@@ -191,11 +191,3 @@ let verify_range t ~start ~blocks ~ext_start ~gen =
         next := first + n);
     !ok
   end
-
-let truncate_tail t ~blocks =
-  if blocks < t.size_blocks then begin
-    (try Unix.ftruncate (fd t) (blocks * t.block_size)
-     with Unix.Unix_error (e, _, _) ->
-       raise (Io.Io_error (Printf.sprintf "ftruncate: %s" (Unix.error_message e))));
-    t.size_blocks <- blocks
-  end

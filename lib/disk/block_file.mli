@@ -98,7 +98,3 @@ val chunk_bytes : int
     of at most this many bytes, rounded down to whole blocks (one block
     when a block is larger); no call allocates a buffer the size of its
     range. *)
-
-val truncate_tail : t -> blocks:int -> unit
-(** Cut the file down to this many blocks — the harness's torn-tail
-    crash: the last write's blocks vanish entirely. *)

@@ -10,8 +10,6 @@ let y ~w ~n =
 
 let theorem2_length_bound ~w ~n = w + ((w - 1 + (n - 2)) / (n - 1)) - 1
 
-let theorem3_competitive_ratio = 2.0
-
 let kmrv_competitive_ratio ~n =
   if n < 2 then invalid_arg "Formulas.kmrv_competitive_ratio: need n >= 2";
   fl n /. fl (n - 1)

@@ -20,9 +20,6 @@ val y : w:int -> n:int -> float
 val theorem2_length_bound : w:int -> n:int -> int
 (** Maximum wave length of WATA*: [W + ceil((W-1)/(n-1)) - 1]. *)
 
-val theorem3_competitive_ratio : float
-(** WATA*'s index-size competitive ratio: 2.0. *)
-
 val kmrv_competitive_ratio : n:int -> float
 (** The size-hinted online variant's ratio: n/(n-1). *)
 

@@ -238,21 +238,3 @@ let to_json registry =
                       ] ))
             | _ -> None)) );
     ]
-
-let dump registry =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (name, item) ->
-      match item with
-      | C c -> Buffer.add_string buf (Printf.sprintf "counter   %-32s %g\n" name c.count)
-      | G g -> Buffer.add_string buf (Printf.sprintf "gauge     %-32s %g\n" name g.value)
-      | H h -> (
-        match hist_summary h with
-        | None -> Buffer.add_string buf (Printf.sprintf "histogram %-32s (empty)\n" name)
-        | Some s ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "histogram %-32s n=%d mean=%g p50=%g p95=%g p99=%g max=%g\n" name
-               s.count s.mean s.p50 s.p95 s.p99 s.max)))
-    (sorted_items registry);
-  Buffer.contents buf

@@ -93,7 +93,7 @@ val lookup : ?registry:registry -> string -> value option
 
 val remove : ?registry:registry -> string -> bool
 (** Drop [name]'s binding from the registry (true when it existed) so
-    it no longer appears in {!lookup}/{!snapshot}/{!dump}.  An
+    it no longer appears in {!lookup}/{!snapshot}/{!to_json}.  An
     outstanding handle keeps working but is detached: re-registering
     the name creates a fresh metric.  The shard router uses this to
     retire stale [shard.<i>.*] gauges when the live arm count is
@@ -116,6 +116,3 @@ val snapshot : ?registry:registry -> unit -> (string * value) list
 val to_json : registry -> Json.t
 (** [{"counters": {...}, "gauges": {...}, "histograms": {name:
     {count, mean, min, max, p50, p95, p99}}}] with names sorted. *)
-
-val dump : registry -> string
-(** Human-readable one-line-per-metric rendering, names sorted. *)

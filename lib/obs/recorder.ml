@@ -46,7 +46,6 @@ let dump_target : string option ref = ref None
 
 let set_model_clock f = model_clock := f
 let set_enabled b = enabled := b
-let is_enabled () = !enabled
 let capacity () = Array.length !ring
 
 let set_capacity c =

@@ -70,7 +70,6 @@ val set_model_clock : (unit -> float) -> unit
     its own clock at module init; tests may override. *)
 
 val set_enabled : bool -> unit
-val is_enabled : unit -> bool
 
 val capacity : unit -> int
 (** Ring size (default 512). *)

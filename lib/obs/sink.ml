@@ -215,13 +215,11 @@ let validate_profile j =
 
 let validate_profile_file = from_file validate_profile
 
-let series_schema = "waveidx-series/1"
-
 let series_shape =
   Shape.(
     obj
       [
-        req "schema" (exactly series_schema);
+        req "schema" (exactly Series.schema);
         req "cap" (at_least 1.0);
         req "ticks" (at_least 0.0);
         req "series"
@@ -269,13 +267,11 @@ let validate_series j =
 
 let validate_series_file = from_file validate_series
 
-let flight_schema = "waveidx-flight/1"
-
 let flight_header =
   Shape.(
     obj
       [
-        req "schema" (exactly flight_schema);
+        req "schema" (exactly Recorder.schema);
         req "reason" str;
         req "events" (at_least 0.0);
         req "dropped" (at_least 0.0);

@@ -92,13 +92,10 @@ val flush_traces : reason:string -> unit
 
 (** {1 Flight-recorder dumps} *)
 
-val flight_schema : string
-(** ["waveidx-flight/1"] — the {!Recorder.to_jsonl} schema tag. *)
-
 val validate_flight : string -> (int, string) result
 (** Validate a flight-recorder dump (raw JSONL text, not parsed JSON):
-    a header line with the schema tag, a string ["reason"] and
-    non-negative ["events"]/["dropped"] counts, followed by exactly
+    a header line with the {!Recorder.schema} tag, a string ["reason"]
+    and non-negative ["events"]/["dropped"] counts, followed by exactly
     [events] event lines, each a well-typed object
     (span/metric/alert/io payload fields present) with strictly
     increasing ["seq"].  Returns the event count. *)
@@ -108,11 +105,8 @@ val validate_flight_file : string -> (int, string) result
 
 (** {1 Series dumps} *)
 
-val series_schema : string
-(** ["waveidx-series/1"] — the {!Series.to_json} schema tag. *)
-
 val validate_series : Json.t -> (int, string) result
-(** Check a [sim --series-out] dump against {!series_schema}: the
+(** Check a [sim --series-out] dump against {!Series.schema}: the
     exact schema tag, ["cap"] >= 1, ["ticks"] >= 0, and a ["series"]
     array whose entries carry a string ["name"] and a ["points"] array
     of at most [cap] points, each with a non-negative integer ["tick"]

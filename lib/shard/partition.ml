@@ -99,30 +99,6 @@ let split t ~arm =
   in
   { t with map; n_arms = new_arm + 1; generation = t.generation + 1 }
 
-let equal a b =
-  a.vocab = b.vocab && a.n_arms = b.n_arms && a.generation = b.generation
-  &&
-  match (a.map, b.map) with
-  | Hash_map x, Hash_map y -> x = y
-  | Range_map x, Range_map y -> x = y
-  | _ -> false
-
-let pp ppf t =
-  match t.map with
-  | Hash_map owner ->
-    Format.fprintf ppf "hash[gen %d, %d arms:" t.generation t.n_arms;
-    for a = 0 to t.n_arms - 1 do
-      Format.fprintf ppf " %d=%db" a (List.length (owned_buckets owner a))
-    done;
-    Format.fprintf ppf "]"
-  | Range_map slices ->
-    Format.fprintf ppf "range[gen %d," t.generation;
-    Array.iteri (fun a (lo, hi) -> Format.fprintf ppf " %d=%d..%d" a lo hi)
-      slices;
-    Format.fprintf ppf "]"
-
-let to_string t = Format.asprintf "%a" pp t
-
 let place ~weights ~arms =
   if arms < 1 then invalid_arg "Partition.place: need at least one arm";
   let order =

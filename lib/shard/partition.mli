@@ -52,11 +52,6 @@ val split : t -> arm:int -> t
     its slice (Range) move to the new arm; every other arm's ownership
     is untouched.  [Invalid_argument] if [not (can_split t ~arm)]. *)
 
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
-
 val place : weights:float array -> arms:int -> int array
 (** Longest-processing-time greedy placement of weighted slots onto
     [arms] arms: heaviest slot first, each to the currently

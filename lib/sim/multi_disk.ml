@@ -1,6 +1,7 @@
 open Wave_core
 open Wave_storage
 open Wave_disk
+module Parallel = Wave_model.Parallel
 
 type slot = {
   mutable index : Index.t;
@@ -16,25 +17,9 @@ type t = {
   mutable day : int;
 }
 
-type timing = { serial : float; parallel : float }
-
-let create ?(icfg = Index.default_config) ?(shared_pool = false) ~store ~w ~n
-    ~disks () =
+let create ?(icfg = Index.default_config) ~store ~w ~n ~disks () =
   if disks < 1 then invalid_arg "Multi_disk.create: need at least one disk";
   let disk_arr = Array.init disks (fun _ -> Index.make_disk icfg) in
-  (* A global buffer manager: one set of frames backs every arm.
-     Registering the shared views before any [Index.build] runs means
-     [Index.cache_of_config]'s [Cache.attach] finds them instead of
-     creating per-arm pools. *)
-  (if shared_pool then
-     match icfg.Index.cache_blocks with
-     | None -> invalid_arg "Multi_disk.create: shared_pool needs cache_blocks"
-     | Some frames ->
-       ignore
-         (Wave_cache.Cache.attach_shared
-            (Array.to_list disk_arr)
-            ~frames ~readahead:icfg.Index.cache_readahead
-            ~write_back:icfg.Index.cache_write_back ()));
   let parts = Split.contiguous ~first_day:1 ~days:w ~parts:n in
   (* LPT placement over per-slot day counts: [Split.contiguous] hands
      the first slots the larger ranges, so round-robin (slot [i] on
@@ -67,24 +52,18 @@ let n_disks t = Array.length t.disks
 let n_constituents t = Array.length t.slots
 let current_day t = t.day
 
-(* Per-arm slices: [local_stats] counts only the accesses issued
-   through that arm's view, so the breakdown stays per-arm even when
-   one shared pool backs every disk. *)
-let pool_stats t =
-  Array.to_list t.disks
-  |> List.mapi (fun i d -> (i, Wave_cache.Cache.find d))
-  |> List.filter_map (fun (i, p) ->
-         Option.map (fun p -> (i, Wave_cache.Cache.local_stats p)) p)
-
-(* Run [f], measuring per-disk elapsed deltas; serial = sum, parallel =
-   max (each disk's work happens concurrently with the others'). *)
+(* Run [f] on a fresh parallel clock over the arms, recording each
+   disk's elapsed delta: each disk's work happens concurrently with the
+   others'. *)
 let timed t f =
   let before = Array.map Disk.elapsed t.disks in
   let result = f () in
-  let deltas = Array.mapi (fun i b -> Disk.elapsed t.disks.(i) -. b) before in
-  let serial = Array.fold_left ( +. ) 0.0 deltas in
-  let parallel = Array.fold_left Float.max 0.0 deltas in
-  (result, { serial; parallel })
+  let clock = Parallel.create ~arms:(Array.length t.disks) in
+  ignore
+    (Parallel.record clock
+       (List.init (Array.length t.disks) (fun i ->
+            (i, Disk.elapsed t.disks.(i) -. before.(i)))));
+  (result, clock)
 
 let probe t ~value =
   timed t (fun () ->
@@ -125,17 +104,14 @@ let speedup_table ~store ~w ~n ~disks =
         done;
         let _, pt = probe m ~value:1 in
         let _, st = scan m in
-        let speedup (x : timing) =
-          if x.parallel > 0.0 then x.serial /. x.parallel else 1.0
-        in
         [
           string_of_int d;
-          Printf.sprintf "%.4f" pt.serial;
-          Printf.sprintf "%.4f" pt.parallel;
-          Printf.sprintf "%.2fx" (speedup pt);
-          Printf.sprintf "%.4f" st.serial;
-          Printf.sprintf "%.4f" st.parallel;
-          Printf.sprintf "%.2fx" (speedup st);
+          Printf.sprintf "%.4f" (Parallel.serial pt);
+          Printf.sprintf "%.4f" (Parallel.elapsed pt);
+          Printf.sprintf "%.2fx" (Parallel.speedup pt);
+          Printf.sprintf "%.4f" (Parallel.serial st);
+          Printf.sprintf "%.4f" (Parallel.elapsed st);
+          Printf.sprintf "%.2fx" (Parallel.speedup st);
         ])
       disks
   in

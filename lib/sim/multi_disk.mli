@@ -19,46 +19,35 @@ open Wave_storage
 type t
 
 val create :
-  ?icfg:Index.config -> ?shared_pool:bool -> store:Env.day_store -> w:int ->
-  n:int -> disks:int -> unit -> t
+  ?icfg:Index.config -> store:Env.day_store -> w:int -> n:int -> disks:int ->
+  unit -> t
 (** Builds the initial wave (days [1..w] split in [n] clusters as DEL's
     Start does), constituents placed on disks by LPT over their day
-    counts so arm loads stay balanced even when [W mod n <> 0].
-    [shared_pool] (default [false]) backs {e all} arms with one
-    {!Wave_cache.Cache.attach_shared} pool of [icfg.cache_blocks]
-    frames — a global buffer manager in which a hot arm's working set
-    evicts a cold arm's — instead of one pool per disk; it requires
-    [icfg.cache_blocks] to be set (raises [Invalid_argument]
-    otherwise). *)
+    counts so arm loads stay balanced even when [W mod n <> 0].  With
+    [icfg.cache_blocks] set, each disk gets its own buffer pool. *)
 
 val n_disks : t -> int
 val n_constituents : t -> int
 
-type timing = {
-  serial : float;  (** total model-seconds across all disks *)
-  parallel : float;  (** max model-seconds on any one disk *)
-}
+(** Each operation returns its cost as a fresh
+    {!Wave_model.Parallel.t} over the disks, holding that operation
+    alone: {!Wave_model.Parallel.serial} is the total model-seconds
+    across all disks, {!Wave_model.Parallel.elapsed} the most any one
+    disk spent. *)
 
-val probe : t -> value:int -> Entry.t list * timing
+val probe : t -> value:int -> Entry.t list * Wave_model.Parallel.t
 (** IndexProbe over all constituents, fanned out per disk. *)
 
-val scan : t -> Entry.t list * timing
+val scan : t -> Entry.t list * Wave_model.Parallel.t
 (** SegmentScan over all constituents. *)
 
-val advance : t -> timing
+val advance : t -> Wave_model.Parallel.t
 (** One DEL-style daily transition: delete the expired day and add the
     new one in its constituent; other disks stay idle, so the parallel
     time equals that disk's work — no contention with queries on other
     disks, the paper's second advantage. *)
 
 val current_day : t -> int
-
-val pool_stats : t -> (int * Wave_cache.Cache.stats) list
-(** Per-arm buffer-pool counters, [(disk number, stats)], for arms
-    whose disk has a pool attached (i.e. when [icfg.cache_blocks] was
-    set).  Counters are the arm's own accesses
-    ({!Wave_cache.Cache.local_stats}), so the per-arm breakdown holds
-    under [shared_pool] too.  Empty when running uncached. *)
 
 val speedup_table : store:Env.day_store -> w:int -> n:int -> disks:int list -> string
 (** Render probe/scan serial-vs-parallel speedups for several disk

@@ -64,13 +64,3 @@ let wse_spec =
     scan_range = Whole_window;
     value_dist = Zipfian { vocab = 5_000; s = 1.0 };
   }
-
-let tpcd_spec =
-  {
-    seed = 1003;
-    probes_per_day = 0;
-    probe_range = Whole_window;
-    scans_per_day = 10;
-    scan_range = Whole_window;
-    value_dist = Uniform 1_000;
-  }

@@ -37,6 +37,3 @@ val scam_spec : spec
 
 val wse_spec : spec
 (** 340 whole-window probes, no scans. *)
-
-val tpcd_spec : spec
-(** no probes, 10 whole-window scans. *)

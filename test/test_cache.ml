@@ -94,7 +94,8 @@ let test_pinned_never_evicted () =
   let disk, pool = mk_pool ~frames:3 () in
   let p = Disk.alloc disk ~blocks:1 in
   Disk.write disk p;
-  Cache.pin_extent pool p;
+  Cache.read pool p;
+  let pinned = Cache.pin_resident_blocks pool p ~budget:1 in
   Alcotest.(check int) "one pinned frame" 1 (Cache.pinned_frames pool);
   for _ = 1 to 10 do
     let e = Disk.alloc disk ~blocks:1 in
@@ -103,7 +104,7 @@ let test_pinned_never_evicted () =
   done;
   Alcotest.(check bool) "pinned frame still resident" true
     (Cache.contains pool p);
-  Cache.unpin_extent pool p;
+  Cache.unpin_blocks pool pinned;
   Alcotest.(check int) "unpinned" 0 (Cache.pinned_frames pool)
 
 let test_all_pinned_raises () =
@@ -111,32 +112,25 @@ let test_all_pinned_raises () =
   let a = Disk.alloc disk ~blocks:1 and b = Disk.alloc disk ~blocks:1 in
   Disk.write disk a;
   Disk.write disk b;
-  Cache.pin_extent pool a;
-  Cache.pin_extent pool b;
+  Cache.read pool a;
+  Cache.read pool b;
+  ignore (Cache.pin_resident_blocks pool a ~budget:1);
+  ignore (Cache.pin_resident_blocks pool b ~budget:1);
   let c = Disk.alloc disk ~blocks:1 in
   Disk.write disk c;
   Alcotest.check_raises "no evictable frame"
     (Cache.Cache_error "no evictable frame: all 2 frames pinned") (fun () ->
       Cache.read pool c)
 
-let test_oversized_pin_raises () =
-  let disk, pool = mk_pool ~frames:2 () in
-  let e = Disk.alloc disk ~blocks:3 in
-  Disk.write disk e;
-  Alcotest.(check bool) "pin larger than pool raises" true
-    (match Cache.pin_extent pool e with
-    | () -> false
-    | exception Cache.Cache_error _ -> true);
-  Alcotest.(check int) "no pins leaked" 0 (Cache.pinned_frames pool)
-
 let test_unpin_below_zero_raises () =
   let disk, pool = mk_pool ~frames:4 () in
   let e = Disk.alloc disk ~blocks:2 in
   Disk.write disk e;
-  Cache.pin_extent pool e;
-  Cache.unpin_extent pool e;
+  Cache.read pool e;
+  let pinned = Cache.pin_resident_blocks pool e ~budget:2 in
+  Cache.unpin_blocks pool pinned;
   Alcotest.(check bool) "second unpin raises" true
-    (match Cache.unpin_extent pool e with
+    (match Cache.unpin_blocks pool pinned with
     | () -> false
     | exception Cache.Cache_error _ -> true)
 
@@ -345,7 +339,8 @@ let test_wb_eviction_writes_only_victim () =
 let test_wb_pinned_dirty_flushable () =
   let disk, pool = mk_wb_pool ~frames:3 () in
   let p = Disk.alloc disk ~blocks:1 in
-  Cache.pin_extent pool p;
+  Cache.read pool p;
+  let pinned = Cache.pin_resident_blocks pool p ~budget:1 in
   Cache.write pool p;
   check_stat "dirty" 1 (Cache.dirty_frames pool);
   (* Eviction pressure cannot claim the pinned dirty frame... *)
@@ -365,7 +360,7 @@ let test_wb_pinned_dirty_flushable () =
   check_stat "flushed one block" 1 (Cache.stats pool).Cache.flushed_blocks;
   Alcotest.(check int) "still pinned" 1 (Cache.pinned_frames pool);
   Alcotest.(check bool) "still resident" true (Cache.contains pool p);
-  Cache.unpin_extent pool p
+  Cache.unpin_blocks pool pinned
 
 let test_wb_dirty_discarded_on_free () =
   let disk, pool = mk_wb_pool () in
@@ -465,32 +460,6 @@ let test_wb_torn_flush_heals_on_rewrite () =
     (Disk.is_torn disk e);
   check_stat "clean" 0 (Cache.dirty_frames pool)
 
-let test_shared_pool_cross_arm_eviction () =
-  let da = mk_disk () and db = mk_disk () in
-  let va, vb =
-    match Cache.attach_shared [ da; db ] ~frames:2 () with
-    | [ va; vb ] -> (va, vb)
-    | _ -> Alcotest.fail "expected two views"
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Cache.detach da;
-      Cache.detach db)
-    (fun () ->
-      let a = Disk.alloc da ~blocks:1 in
-      let b = Disk.alloc db ~blocks:2 in
-      Cache.read va a;
-      Alcotest.(check bool) "a resident" true (Cache.contains va a);
-      (* Arm B's working set squeezes arm A out of the shared frames. *)
-      Cache.read vb b;
-      Alcotest.(check bool) "cross-arm eviction" false (Cache.contains va a);
-      (* Per-arm slices versus pool-wide totals. *)
-      let sa = Cache.local_stats va and sb = Cache.local_stats vb in
-      check_stat "arm A slice" 1 sa.Cache.misses;
-      check_stat "arm B slice" 2 sb.Cache.misses;
-      check_stat "pool total" 3 (Cache.stats va).Cache.misses;
-      check_stat "B's install evicted" 1 sb.Cache.evictions)
-
 (* --- residency ---------------------------------------------------------- *)
 
 let test_map_grows_to_far_address () =
@@ -511,38 +480,6 @@ let test_map_grows_to_far_address () =
   check_stat "hits" 3 s.Cache.hits;
   check_stat "misses" 3 s.Cache.misses;
   check_stat "resident" 3 (Cache.resident pool)
-
-let test_shared_views_separate_entries () =
-  (* Two disks of one shared pool hand out the same address.  Evicting
-     A's block must clear A's entry only: B's block at the same address
-     stays resident and hits. *)
-  let da = mk_disk () and db = mk_disk () in
-  let va, vb =
-    match Cache.attach_shared [ da; db ] ~frames:2 () with
-    | [ va; vb ] -> (va, vb)
-    | _ -> Alcotest.fail "expected two views"
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Cache.detach da;
-      Cache.detach db)
-    (fun () ->
-      let a = Disk.alloc da ~blocks:1 and a' = Disk.alloc da ~blocks:1 in
-      let b = Disk.alloc db ~blocks:1 in
-      List.iter (Disk.write da) [ a; a' ];
-      Disk.write db b;
-      Alcotest.(check int) "same address" a.Disk.start b.Disk.start;
-      Cache.read va a;
-      Cache.read vb b;
-      Cache.read va a';
-      check_stat "a' evicted one block" 1 (Cache.stats va).Cache.evictions;
-      Alcotest.(check bool) "A's block evicted" false (Cache.contains va a);
-      Alcotest.(check bool) "B's block resident" true (Cache.contains vb b);
-      Cache.validate va;
-      let u0 = Disk.elapsed db in
-      Cache.read vb b;
-      Alcotest.(check (float 0.0)) "B's block hits" 0.0 (Disk.elapsed db -. u0);
-      check_stat "B: one miss, one hit" 1 (Cache.local_stats vb).Cache.hits)
 
 let test_eviction_allocates_nothing () =
   (* Bytecode boxes what native code keeps in registers, so only native
@@ -573,50 +510,6 @@ let test_eviction_allocates_nothing () =
 (* Each test below puts another block, or no block, in the frame after
    the frame of a block's predecessor (the "hint" frame its comments
    name): a lookup must find each block's own frame and nothing else. *)
-
-let test_hint_other_disk () =
-  (* Two fresh disks hand out the same addresses under the same
-     generations.  A's block 0 lands in frame 0 and B's block 1 in frame
-     1: the frame a walk of A tries for A's block 1, and the walk of B
-     tries frame 0 (A's block 0) for B's block 0. *)
-  let da = mk_disk () and db = mk_disk () in
-  let va, vb =
-    match Cache.attach_shared [ da; db ] ~frames:8 () with
-    | [ va; vb ] -> (va, vb)
-    | _ -> Alcotest.fail "expected two views"
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Cache.detach da;
-      Cache.detach db)
-    (fun () ->
-      let a = Disk.alloc da ~blocks:2 and b = Disk.alloc db ~blocks:2 in
-      Disk.write da a;
-      Disk.write db b;
-      Alcotest.(check int) "same addresses" a.Disk.start b.Disk.start;
-      Alcotest.(check (option int))
-        "same generation"
-        (Disk.generation_at da ~start:a.Disk.start)
-        (Disk.generation_at db ~start:b.Disk.start);
-      Cache.read_range va a ~off:0 ~blocks:1;
-      Cache.read_range vb b ~off:1 ~blocks:1;
-      let t0 = Disk.elapsed da in
-      Cache.read va a;
-      Alcotest.(check bool) "A's block 1 charged to A" true
-        (Disk.elapsed da > t0);
-      let sa = Cache.local_stats va in
-      check_stat "A: block 0 hit" 1 sa.Cache.hits;
-      check_stat "A: block 1 missed past B's frame" 2 sa.Cache.misses;
-      let u0 = Disk.elapsed db in
-      Cache.sequential_read vb [ b ];
-      Alcotest.(check bool) "B's block 0 charged to B" true
-        (Disk.elapsed db > u0);
-      let sb = Cache.local_stats vb in
-      check_stat "B: block 1 hit" 1 sb.Cache.hits;
-      check_stat "B: block 0 missed past A's frame" 2 sb.Cache.misses;
-      Alcotest.(check bool) "A resident" true (Cache.contains va a);
-      Alcotest.(check bool) "B resident" true (Cache.contains vb b);
-      check_stat "four frames, one per block" 4 (Cache.resident va))
 
 let test_hint_run_broken_by_eviction () =
   (* Four one-block extents scanned into frames 0-3, then a demand read
@@ -663,10 +556,11 @@ let test_hint_run_wraps_last_frame () =
   let t0 = Disk.elapsed disk in
   Cache.read pool e;
   Cache.sequential_read pool [ e ];
-  Cache.pin_extent pool e;
+  Cache.read pool e;
+  let pinned = Cache.pin_resident_blocks pool e ~budget:4 in
   check_stat "pinned" 4 (Cache.pinned_frames pool);
   Cache.write pool e;
-  Cache.unpin_extent pool e;
+  Cache.unpin_blocks pool pinned;
   check_stat "unpinned" 0 (Cache.pinned_frames pool);
   let s = Cache.stats pool in
   check_stat "every reread hit" 12 s.Cache.hits;
@@ -1377,28 +1271,6 @@ module Ref_pool = struct
       end
     end
 
-  let pin_extent t (ext : Disk.extent) =
-    read_range t ext ~off:0 ~blocks:ext.Disk.length;
-    let gen = live_gen t ext in
-    let frames =
-      List.init ext.Disk.length (fun i ->
-          match frame_of t (Data (ext.Disk.start + i)) with
-          | Some f when f.gen = gen -> f
-          | _ -> fail "pin_extent: extent of %d blocks does not fit the pool" ext.Disk.length)
-    in
-    List.iter (fun f -> f.pins <- f.pins + 1) frames
-
-  let unpin_extent t (ext : Disk.extent) =
-    let frames =
-      List.init ext.Disk.length (fun i ->
-          let a = ext.Disk.start + i in
-          match frame_of t (Data a) with
-          | Some f when f.pins > 0 -> f
-          | Some _ -> fail "unpin_extent: block %d pin count would drop below zero" a
-          | None -> fail "unpin_extent: block %d is not resident" a)
-    in
-    List.iter (fun f -> f.pins <- f.pins - 1) frames
-
   let pin_resident_blocks t (ext : Disk.extent) ~budget =
     let gen = live_gen t ext in
     let pinned = ref [] and left = ref budget in
@@ -1440,8 +1312,6 @@ type op =
   | Scan of int list
   | Write of int * int * int
   | Meta of int * int list
-  | Pin of int
-  | Unpin of int
   | Pin_resident of int * int (* extent, budget *)
   | Unpin_resident
   | Flush
@@ -1454,8 +1324,6 @@ let pp_op = function
   | Write (e, o, b) -> Printf.sprintf "write #%d +%d x%d" e o b
   | Meta (d, ns) ->
     Printf.sprintf "meta %d [%s]" d (String.concat ";" (List.map string_of_int ns))
-  | Pin e -> Printf.sprintf "pin #%d" e
-  | Unpin e -> Printf.sprintf "unpin #%d" e
   | Pin_resident (e, b) -> Printf.sprintf "pin-resident #%d budget %d" e b
   | Unpin_resident -> "unpin-resident"
   | Flush -> "flush"
@@ -1474,10 +1342,8 @@ let gen_trace =
         (2, map (fun es -> Scan es) (list_size (int_range 1 3) ext));
         (4, map3 (fun e o b -> Write (e, o, b)) ext (int_bound 5) (int_range 0 6));
         (2, map2 (fun d ns -> Meta (d, ns)) (int_range 1 2) (list_size (int_range 1 3) (int_range 0 4)));
-        (1, map (fun e -> Pin e) ext);
-        (1, map (fun e -> Unpin e) ext);
-        (1, map2 (fun e b -> Pin_resident (e, b)) ext (int_range 1 3));
-        (1, pure Unpin_resident);
+        (2, map2 (fun e b -> Pin_resident (e, b)) ext (int_range 1 3));
+        (2, pure Unpin_resident);
         (1, pure Flush);
       ]
   in
@@ -1543,16 +1409,6 @@ let run_against_reference tr =
       both
         (fun () -> Cache.meta_read pool ~dir ~nodes)
         (fun () -> Ref_pool.meta_read rf ~dir ~nodes)
-    | Pin i -> (
-      match ext i with
-      | Some (e, e') ->
-        both (fun () -> Cache.pin_extent pool e) (fun () -> Ref_pool.pin_extent rf e')
-      | None -> ("ok", "ok"))
-    | Unpin i -> (
-      match ext i with
-      | Some (e, e') ->
-        both (fun () -> Cache.unpin_extent pool e) (fun () -> Ref_pool.unpin_extent rf e')
-      | None -> ("ok", "ok"))
     | Pin_resident (i, budget) -> (
       match ext i with
       | Some (e, e') ->
@@ -1641,8 +1497,6 @@ let suites =
         Alcotest.test_case "pinned never evicted" `Quick
           test_pinned_never_evicted;
         Alcotest.test_case "all pinned raises" `Quick test_all_pinned_raises;
-        Alcotest.test_case "oversized pin raises" `Quick
-          test_oversized_pin_raises;
         Alcotest.test_case "unpin below zero raises" `Quick
           test_unpin_below_zero_raises;
         Alcotest.test_case "resident pins survive pressure" `Quick
@@ -1660,8 +1514,6 @@ let suites =
         Alcotest.test_case "metadata caching" `Quick test_meta_read;
         Alcotest.test_case "map grows to a far address" `Quick
           test_map_grows_to_far_address;
-        Alcotest.test_case "shared views keep separate entries" `Quick
-          test_shared_views_separate_entries;
         Alcotest.test_case "eviction allocates nothing" `Quick
           test_eviction_allocates_nothing;
       ] );
@@ -1686,13 +1538,9 @@ let suites =
           test_wb_flush_fault_point_precedes_drain;
         Alcotest.test_case "torn flush heals on rewrite" `Quick
           test_wb_torn_flush_heals_on_rewrite;
-        Alcotest.test_case "shared pool cross-arm eviction" `Quick
-          test_shared_pool_cross_arm_eviction;
       ] );
     ( "cache.hint",
       [
-        Alcotest.test_case "same address, other disk" `Quick
-          test_hint_other_disk;
         Alcotest.test_case "run broken by an eviction" `Quick
           test_hint_run_broken_by_eviction;
         Alcotest.test_case "run wraps past the last frame" `Quick

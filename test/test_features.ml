@@ -3,6 +3,7 @@
 
 open Wave_core
 open Wave_sim
+module Parallel = Wave_model.Parallel
 
 let store day =
   Wave_storage.Entry.batch_create ~day
@@ -26,22 +27,22 @@ let test_multidisk_parallel_speedup () =
   let m = Multi_disk.create ~store ~w:8 ~n:4 ~disks:4 () in
   let _, t = Multi_disk.scan m in
   Alcotest.(check bool)
-    (Printf.sprintf "scan speedup %.2f > 2" (t.Multi_disk.serial /. t.Multi_disk.parallel))
+    (Printf.sprintf "scan speedup %.2f > 2" (Parallel.speedup t))
     true
-    (t.Multi_disk.serial > 2.0 *. t.Multi_disk.parallel);
+    (Parallel.serial t > 2.0 *. Parallel.elapsed t);
   (* With a single disk, serial = parallel. *)
   let m1 = Multi_disk.create ~store ~w:8 ~n:4 ~disks:1 () in
   let _, t1 = Multi_disk.scan m1 in
-  Alcotest.(check (float 1e-9)) "one disk: no speedup" t1.Multi_disk.serial
-    t1.Multi_disk.parallel
+  Alcotest.(check (float 1e-9)) "one disk: no speedup" (Parallel.serial t1)
+    (Parallel.elapsed t1)
 
 let test_multidisk_advance_isolated () =
   let m = Multi_disk.create ~store ~w:8 ~n:4 ~disks:4 () in
   let t = Multi_disk.advance m in
   (* Daily maintenance touches one constituent, hence one disk: the
      parallel elapsed equals the serial. *)
-  Alcotest.(check (float 1e-9)) "maintenance on one disk" t.Multi_disk.serial
-    t.Multi_disk.parallel;
+  Alcotest.(check (float 1e-9)) "maintenance on one disk" (Parallel.serial t)
+    (Parallel.elapsed t);
   Alcotest.(check int) "day advanced" 9 (Multi_disk.current_day m)
 
 let test_multidisk_window_maintained () =
@@ -64,49 +65,6 @@ let test_multidisk_validation () =
 let test_multidisk_speedup_table () =
   let out = Multi_disk.speedup_table ~store ~w:8 ~n:4 ~disks:[ 1; 2; 4 ] in
   Alcotest.(check bool) "has rows" true (String.length out > 100)
-
-let test_multidisk_shared_pool () =
-  let icfg =
-    {
-      Wave_storage.Index.default_config with
-      Wave_storage.Index.cache_blocks = Some 4;
-      cache_readahead = 0;
-    }
-  in
-  let m =
-    Multi_disk.create ~icfg ~shared_pool:true ~store ~w:8 ~n:4 ~disks:4 ()
-  in
-  Alcotest.(check int) "one stats slice per arm" 4
-    (List.length (Multi_disk.pool_stats m));
-  let misses () =
-    List.fold_left
-      (fun acc (_, s) -> acc + s.Wave_cache.Cache.misses)
-      0 (Multi_disk.pool_stats m)
-  in
-  ignore (Multi_disk.scan m);
-  let m1 = misses () in
-  (* Four arms' working sets cannot share four frames: each arm's scan
-     evicts the previous arms' blocks, so a re-scan misses again —
-     the cross-arm eviction pressure a global buffer manager trades
-     for its single allocation knob. *)
-  ignore (Multi_disk.scan m);
-  let m2 = misses () in
-  Alcotest.(check bool)
-    (Printf.sprintf "re-scan still misses under pressure (%d -> %d)" m1 m2)
-    true (m2 > m1);
-  List.iter
-    (fun (arm, s) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "arm %d slice saw its own traffic" arm)
-        true
-        (s.Wave_cache.Cache.hits + s.Wave_cache.Cache.misses > 0))
-    (Multi_disk.pool_stats m)
-
-let test_multidisk_shared_pool_needs_frames () =
-  Alcotest.check_raises "shared pool without cache_blocks"
-    (Invalid_argument "Multi_disk.create: shared_pool needs cache_blocks")
-    (fun () ->
-      ignore (Multi_disk.create ~shared_pool:true ~store ~w:4 ~n:2 ~disks:2 ()))
 
 (* --- Legacy no-delete constraint ----------------------------------- *)
 
@@ -311,9 +269,6 @@ let suites =
         Alcotest.test_case "window maintained" `Quick test_multidisk_window_maintained;
         Alcotest.test_case "validation" `Quick test_multidisk_validation;
         Alcotest.test_case "speedup table" `Quick test_multidisk_speedup_table;
-        Alcotest.test_case "shared pool" `Quick test_multidisk_shared_pool;
-        Alcotest.test_case "shared pool needs frames" `Quick
-          test_multidisk_shared_pool_needs_frames;
       ] );
     ( "ext.legacy",
       [

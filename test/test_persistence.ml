@@ -1,5 +1,5 @@
-(* Tests for the batch codec and the wave manifest (checkpoint /
-   restart). *)
+(* Tests for the batch codec, the wave manifest format and the
+   file-backed day store. *)
 
 open Wave_core
 open Wave_storage
@@ -176,64 +176,6 @@ let test_manifest_bad_inputs () =
   check_err "unknown scheme" "wave-manifest v1\nscheme NOPE\ntechnique in-place\nw 5\nn 2\nday 5\nslot 1 1,2\nslot 2 3,4,5\n";
   check_err "slot mismatch" "wave-manifest v1\nscheme DEL\ntechnique in-place\nw 5\nn 2\nday 5\nslot 1 1,2\n";
   check_err "bad int" "wave-manifest v1\nscheme DEL\ntechnique in-place\nw five\nn 2\nday 5\nslot 1 1\nslot 2 2\n"
-
-let sorted_scan frame = List.sort Entry.compare (Frame.segment_scan frame)
-
-let test_manifest_restore_frame () =
-  let env = Env.create ~store ~w:8 ~n:3 () in
-  let s = Scheme.start Scheme.Del env in
-  Scheme.advance_to s 20;
-  let m = Manifest.capture s in
-  (* restore on a fresh disk/env *)
-  let env' = Env.create ~store ~w:8 ~n:3 () in
-  let frame = Manifest.restore_frame m env' in
-  Frame.validate frame;
-  Alcotest.(check bool) "same contents" true
-    (sorted_scan frame = sorted_scan (Scheme.frame s))
-
-let test_manifest_restart () =
-  let env = Env.create ~store ~w:6 ~n:2 () in
-  let s = Scheme.start Scheme.Reindex_pp env in
-  Scheme.advance_to s 17;
-  let m = Manifest.capture s in
-  let env' = Env.create ~store ~w:6 ~n:2 () in
-  let s' = Manifest.restart m env' in
-  Alcotest.(check int) "same day" 17 (Scheme.current_day s');
-  Scheme.check_window_invariant s';
-  (* hard window: identical query results *)
-  Alcotest.(check bool) "query equivalent" true
-    (sorted_scan (Scheme.frame s') = sorted_scan (Scheme.frame s));
-  (* and the restarted scheme keeps running *)
-  Scheme.transition s';
-  Scheme.check_window_invariant s'
-
-let test_manifest_geometry_mismatch () =
-  let env = Env.create ~store ~w:6 ~n:2 () in
-  let s = Scheme.start Scheme.Del env in
-  let m = Manifest.capture s in
-  let env' = Env.create ~store ~w:7 ~n:2 () in
-  Alcotest.check_raises "mismatch"
-    (Invalid_argument "Manifest.restore_frame: geometry mismatch") (fun () ->
-      ignore (Manifest.restore_frame m env'))
-
-let prop_manifest_restart_equivalence =
-  QCheck2.Test.make ~name:"manifest restart is query-equivalent" ~count:30
-    QCheck2.Gen.(triple (int_range 0 5) (int_range 3 9) (int_range 2 4))
-    (fun (kind_i, w, n) ->
-      let kind = List.nth Scheme.all kind_i in
-      let n = max (Scheme.min_indexes kind) (min n w) in
-      QCheck2.assume (n <= w);
-      let env = Env.create ~store ~w ~n () in
-      let s = Scheme.start kind env in
-      Scheme.advance_to s (w + 9);
-      let m = Manifest.capture s in
-      match Manifest.of_string (Manifest.to_string m) with
-      | Error _ -> false
-      | Ok m' ->
-        let env' = Env.create ~store ~w ~n () in
-        let frame = Manifest.restore_frame m' env' in
-        Frame.validate frame;
-        sorted_scan frame = sorted_scan (Scheme.frame s))
 
 (* Random *valid* manifests built directly from the record type (not
    via a running scheme), so the parser is exercised over the whole
@@ -419,14 +361,10 @@ let suites =
       [
         Alcotest.test_case "roundtrip" `Quick test_manifest_roundtrip;
         Alcotest.test_case "bad inputs" `Quick test_manifest_bad_inputs;
-        Alcotest.test_case "restore frame" `Quick test_manifest_restore_frame;
-        Alcotest.test_case "restart" `Quick test_manifest_restart;
-        Alcotest.test_case "geometry mismatch" `Quick test_manifest_geometry_mismatch;
         Alcotest.test_case "bad corpus" `Quick test_manifest_bad_corpus;
       ]
       @ qcheck
           [
-            prop_manifest_restart_equivalence;
             prop_manifest_roundtrip_random;
             prop_manifest_parser_total;
           ] );

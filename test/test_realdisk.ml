@@ -921,7 +921,8 @@ let test_runner_stall_alert () =
 
 (* --- checkpoint directory: atomicity under syscall faults ------------ *)
 
-let dir_instance dir =
+let dir_instance ?(kind = Scheme.Del) ?(technique = Env.Packed_shadow) ?(w = 6)
+    ?(n = 3) dir =
   Store_dir.init dir;
   let icfg =
     {
@@ -930,10 +931,8 @@ let dir_instance dir =
     }
   in
   let disk = Index.make_disk icfg in
-  let env =
-    Env.create ~disk ~icfg ~technique:Env.Packed_shadow ~store ~w:6 ~n:3 ()
-  in
-  Checkpoint.start ~dir Scheme.Del env
+  let env = Env.create ~disk ~icfg ~technique ~store ~w ~n () in
+  Checkpoint.start ~dir kind env
 
 let kill cp =
   let disk = (Checkpoint.env cp).Env.disk in
@@ -951,6 +950,32 @@ let reopened_consistent dir ~day =
   in
   kill cp2;
   ok
+
+let sorted_scan frame = List.sort Entry.compare (Frame.segment_scan frame)
+
+(* The day store is the system of record: a wave killed between
+   transitions and reopened from its checkpoint directory answers a
+   whole-window scan exactly as before the kill, for every scheme. *)
+let prop_reopen_query_equivalent =
+  QCheck2.Test.make ~name:"reopen is query-equivalent" ~count:30
+    ~print:QCheck2.Print.(quad int int int int)
+    QCheck2.Gen.(
+      quad (int_range 0 5) (int_range 0 2) (int_range 3 9) (int_range 2 4))
+    (fun (kind_i, tech_i, w, n) ->
+      let kind = List.nth Scheme.all kind_i in
+      let technique =
+        List.nth [ Env.In_place; Env.Simple_shadow; Env.Packed_shadow ] tech_i
+      in
+      let n = max (Scheme.min_indexes kind) (min n w) in
+      with_dir "rd_equiv" @@ fun dir ->
+      let cp = dir_instance ~kind ~technique ~w ~n dir in
+      Checkpoint.advance_to cp (w + 9);
+      let before = sorted_scan (Checkpoint.frame cp) in
+      kill cp;
+      let cp2, rcv = Checkpoint.reopen ~dir ~store () in
+      let after = sorted_scan (Checkpoint.frame cp2) in
+      kill cp2;
+      rcv.Checkpoint.recovered_day = w + 9 && after = before)
 
 (* Kill the transition at every fsync and every rename it performs —
    counted on a clean twin — and prove a committed manifest plus a
@@ -1227,6 +1252,7 @@ let suites =
           test_checkpoint_stale_tmp_cleanup;
         Alcotest.test_case "corrupt manifest falls back" `Quick
           test_checkpoint_corrupt_manifest_falls_back;
+        QCheck_alcotest.to_alcotest prop_reopen_query_equivalent;
       ] );
     ( "sim.kill_recover",
       [

@@ -147,7 +147,7 @@ let test_series_validator_rejects () =
   let point tick day value =
     Obj [ ("tick", int tick); ("day", int day); ("value", Num value) ]
   in
-  let doc ?(schema = Sink.series_schema) ?(cap = 8) points =
+  let doc ?(schema = Series.schema) ?(cap = 8) points =
     Obj
       [
         ("schema", Str schema);
@@ -173,7 +173,7 @@ let test_series_validator_rejects () =
   expect_err "points exceed cap"
     (doc ~cap:1 [ point 1 1 1.0; point 2 1 2.0 ]);
   expect_err "missing series array"
-    (Obj [ ("schema", Str Sink.series_schema); ("cap", int 8); ("ticks", int 0) ])
+    (Obj [ ("schema", Str Series.schema); ("cap", int 8); ("ticks", int 0) ])
 
 (* --- Burn-rate rules: burn rates and episodes ------------------------ *)
 

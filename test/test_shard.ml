@@ -399,8 +399,8 @@ let test_multidisk_balanced_arms () =
       ~disks:2 ()
   in
   let _, t = Wave_sim.Multi_disk.scan m in
-  let busy = t.Wave_sim.Multi_disk.parallel in
-  let other = t.Wave_sim.Multi_disk.serial -. busy in
+  let busy = Parallel.elapsed t in
+  let other = Parallel.serial t -. busy in
   Alcotest.(check bool)
     (Printf.sprintf "disk loads %.4f vs %.4f within 2x" busy other)
     true

@@ -1,7 +1,7 @@
 (* Simulation-harness tests: end-to-end runs over realistic workloads,
    cross-scheme agreement of simulated trends with the analytic model's
-   qualitative claims, and the size-only WATA replay used by Figure 11
-   and Theorem 3. *)
+   qualitative claims, the size-only WATA replay used by Figure 11
+   and Theorem 3, and the query/update contention model. *)
 
 open Wave_core
 open Wave_sim
@@ -209,6 +209,47 @@ let soak_cases =
         (soak kind))
     Scheme.all
 
+(* --- Contention ------------------------------------------------------ *)
+
+let cstore day =
+  Wave_storage.Entry.batch_create ~day
+    (Array.init 40 (fun i ->
+         {
+           Wave_storage.Entry.value = 1 + (i mod 10);
+           entry = { Wave_storage.Entry.rid = (day * 100) + i; day; info = 0 };
+         }))
+
+let test_contention_shadow_beats_inplace () =
+  let measure technique =
+    Wave_sim.Contention.measure ~day_seconds:10.0 ~scheme:Scheme.Del ~technique
+      ~store:cstore ~w:6 ~n:2 ~days:12 ~queries_per_day:50 ()
+  in
+  let ip = measure Env.In_place in
+  let ss = measure Env.Simple_shadow in
+  Alcotest.(check bool)
+    (Printf.sprintf "in-place wait %.4f > shadow wait %.4f"
+       ip.Wave_sim.Contention.avg_wait_seconds ss.Wave_sim.Contention.avg_wait_seconds)
+    true
+    (ip.Wave_sim.Contention.avg_wait_seconds
+    > ss.Wave_sim.Contention.avg_wait_seconds);
+  Alcotest.(check bool) "in-place blocks someone" true
+    (ip.Wave_sim.Contention.blocked_fraction > 0.0)
+
+let test_contention_table () =
+  let out =
+    Wave_sim.Contention.compare_table ~day_seconds:10.0 ~scheme:Scheme.Del
+      ~store:cstore ~w:6 ~n:2 ~days:6 ~queries_per_day:20 ()
+  in
+  Alcotest.(check bool) "renders" true (String.length out > 100)
+
+let test_contention_validation () =
+  Alcotest.check_raises "bad days"
+    (Invalid_argument "Contention.measure: need positive days and queries")
+    (fun () ->
+      ignore
+        (Wave_sim.Contention.measure ~scheme:Scheme.Del ~technique:Env.In_place
+           ~store:cstore ~w:4 ~n:2 ~days:0 ~queries_per_day:1 ()))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -235,5 +276,12 @@ let suites =
       ]
       @ qcheck [ prop_theorem3_random_traces ] );
     ("sim.soak", soak_cases);
+    ( "sim.contention",
+      [
+        Alcotest.test_case "shadow beats in-place" `Quick
+          test_contention_shadow_beats_inplace;
+        Alcotest.test_case "table renders" `Quick test_contention_table;
+        Alcotest.test_case "validation" `Quick test_contention_validation;
+      ] );
   ]
 

@@ -127,7 +127,7 @@ let test_multidisk_round_robin () =
   in
   Alcotest.(check int) "12 days covered" 12 (List.length days);
   Alcotest.(check bool) "some parallelism" true
-    (t.Wave_sim.Multi_disk.serial > 1.2 *. t.Wave_sim.Multi_disk.parallel)
+    (Wave_model.Parallel.serial t > 1.2 *. Wave_model.Parallel.elapsed t)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
