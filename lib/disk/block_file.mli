@@ -67,8 +67,11 @@ val write_range :
     ({!Io.pwrite_chunked}) that streams through a buffer of at most
     {!chunk_bytes} allocated for this call, restamped for each piece.
     The 20 bytes every stamp of the range shares (magic, extent start,
-    generation) and their CRC state are built once; per block only the
-    index, the sequence and a 16-byte CRC continuation remain. *)
+    generation) are built once, with their CRC state continued over the
+    index's 8 bytes as zeros and then over the sequence.  Per block the
+    shared bytes are stored as three words, and the CRC is that state
+    plus the index's term ({!Wave_util.Crc32.field}): a table lookup per
+    non-zero byte of the index, no walk over the bytes. *)
 
 val write_torn_prefix :
   t -> start:int -> blocks:int -> ext_start:int -> gen:int -> seq:int -> int
@@ -88,9 +91,14 @@ val verify_range :
     retry inside {!Io}; a permanent failure raises.
 
     A block's first 20 bytes are compared with the range's shared
-    prefix, and its CRC continues the prefix's state over bytes
-    [\[20, 36)] — the same predicate as checking magic, CRC of bytes
-    [\[0, 36)], extent, generation and index one by one. *)
+    prefix as three words and its index with the block's, and its
+    stored CRC with the prefix's state continued over 8 zero bytes and
+    the 8 sequence bytes the block carries, plus the index's term.  The
+    state over the sequence is recomputed only when a block's sequence
+    bytes differ from the previous block's.  Once the prefix and index
+    match, that is the CRC of bytes [\[0, 36)] (CRC-32 is affine), so
+    this is the same predicate as checking magic, CRC, extent,
+    generation and index one by one. *)
 
 val chunk_bytes : int
 (** {!verify_range}, {!write_range}, {!write_torn_prefix} and

@@ -182,9 +182,30 @@ let rec insert_node t node k v =
       n.isize <- n.isize + 1;
       if n.isize > t.ord then Some (split_internal t n) else None)
 
-let insert t k v =
-  Wave_obs.Metrics.inc m_inserts;
-  match t.root with
+(* [insert_node] for a key above every key in the tree: [child_index]
+   picks the last child at every level and [lower_bound] the end of the
+   leaf, so the walk follows the right spine and splits as [insert]
+   does.  The rightmost leaf holds the maximum, so the check that the
+   key lies above it is made there, before anything changes. *)
+let rec add_last_node t node k v =
+  match node with
+  | Leaf l ->
+    if l.lsize > 0 && l.lkeys.(l.lsize - 1) >= k then
+      invalid_arg "Btree.add_last: key not above the maximum";
+    leaf_insert_at l l.lsize k v;
+    t.count <- t.count + 1;
+    if l.lsize > t.ord then Some (split_leaf t l) else None
+  | Internal n -> (
+    match add_last_node t n.children.(n.isize) k v with
+    | None -> None
+    | Some (sep, right) ->
+      n.seps.(n.isize) <- sep;
+      n.children.(n.isize + 1) <- right;
+      n.isize <- n.isize + 1;
+      if n.isize > t.ord then Some (split_internal t n) else None)
+
+let[@inline] insert_with walk t k v =
+  (match t.root with
   | None ->
     let l = new_leaf t in
     l.lkeys.(0) <- k;
@@ -193,7 +214,7 @@ let insert t k v =
     t.root <- Some (Leaf l);
     t.count <- 1
   | Some root -> (
-    match insert_node t root k v with
+    match walk t root k v with
     | None -> ()
     | Some (sep, right) ->
       let n = new_internal t in
@@ -201,7 +222,11 @@ let insert t k v =
       n.children.(0) <- root;
       n.children.(1) <- right;
       n.isize <- 1;
-      t.root <- Some (Internal n))
+      t.root <- Some (Internal n)));
+  Wave_obs.Metrics.inc m_inserts
+
+let insert t k v = insert_with insert_node t k v
+let add_last t k v = insert_with add_last_node t k v
 
 (* ------------------------------------------------------------------ *)
 (* remove                                                             *)

@@ -40,6 +40,15 @@ val search_path : 'a t -> int -> int list
 val insert : 'a t -> int -> 'a -> unit
 (** Adds a binding; replaces the value if the key is already present. *)
 
+val add_last : 'a t -> int -> 'a -> unit
+(** [add_last t k v] adds a binding for a key above every key in [t]:
+    {!insert}'s walk restricted to the right spine, with no search at
+    any level.  The tree it leaves — node ids, fill and every
+    {!search_path} — is the one {!insert} leaves, and [btree.inserts]
+    counts it as one insert, so a tree built by ascending [add_last]s
+    is the tree ascending {!insert}s build.  Raises [Invalid_argument]
+    (and changes nothing) when [k] is not above the current maximum. *)
+
 val remove : 'a t -> int -> bool
 (** [remove t k] deletes the binding for [k]; returns whether a binding
     was present. *)

@@ -197,7 +197,7 @@ let install_packed t (values, groups) =
           { value = v; entries = es; home = In_shared (s, !off); cap = Array.length es }
         in
         off := !off + Array.length es;
-        Btree.insert t.dir v b)
+        Btree.add_last t.dir v b)
       groups;
     t.shared <- Some s;
     t.total_alloc <- t.total_alloc + total;
@@ -543,7 +543,7 @@ let copy t =
         let ext = Disk.alloc t'.dsk ~blocks:cap in
         t'.total_alloc <- t'.total_alloc + cap;
         written := !written + used_of b;
-        Btree.insert t'.dir v
+        Btree.add_last t'.dir v
           { value = v; entries = b.entries; home = Own ext; cap });
     if !written > 0 then begin
       Disk.charge_seek t.dsk;

@@ -1,10 +1,12 @@
-(* Slicing-by-8 (Kounavis & Berry, ISCC 2005): eight 256-entry tables
-   laid end to end.  Table 0 is the classic byte table; table k maps a
-   byte to its contribution to the CRC once k more bytes follow it, so
-   the eight lookups of an 8-byte step are independent of each other
-   instead of each waiting on the previous one. *)
+(* Sixteen 256-entry tables laid end to end.  Table 0 is the classic
+   byte table; table k maps a byte to its contribution to the CRC once
+   k more bytes follow it.  [update] is slicing-by-8 (Kounavis & Berry,
+   ISCC 2005): tables 0-7 make the eight lookups of an 8-byte step
+   independent of each other instead of each waiting on the previous
+   one.  Tables 8-15 serve [field], whose bytes may have up to 15 more
+   bytes after them. *)
 let tables =
-  let t = Array.make (8 * 256) 0 in
+  let t = Array.make (16 * 256) 0 in
   for n = 0 to 255 do
     let c = ref n in
     for _ = 0 to 7 do
@@ -12,7 +14,7 @@ let tables =
     done;
     t.(n) <- !c
   done;
-  for k = 1 to 7 do
+  for k = 1 to 15 do
     for n = 0 to 255 do
       let prev = t.(((k - 1) * 256) + n) in
       t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
@@ -49,6 +51,29 @@ let update crc b ~off ~len =
   while !i < stop do
     crc := tbl 0 ((!crc lxor byte b !i) land 0xFF) lxor (!crc lsr 8);
     incr i
+  done;
+  !crc
+
+(* [update] over zero bytes, a byte at a time: it runs once per block
+   range, not per block. *)
+let zeros crc n =
+  if n < 0 then invalid_arg "Crc32.zeros: negative length";
+  let crc = ref crc in
+  for _ = 1 to n do
+    crc := tbl 0 (!crc land 0xFF) lxor (!crc lsr 8)
+  done;
+  !crc
+
+(* Byte i of [Int64.of_int x] is [(x asr (8 * i)) land 0xFF]: [asr]
+   repeats the sign into byte 7, as [Int64.of_int] does.  A
+   non-negative value stops at its last non-zero byte. *)
+let field crc x ~after =
+  if after < 0 || after > 8 then invalid_arg "Crc32.field: after outside [0, 8]";
+  let crc = ref crc and x = ref x and k = ref (after + 7) in
+  while !x <> 0 && !k >= after do
+    crc := !crc lxor tbl !k (!x land 0xFF);
+    x := !x asr 8;
+    decr k
   done;
   !crc
 

@@ -197,6 +197,53 @@ let prop_range_matches_filter =
       in
       Btree.range t ~lo ~hi = expect)
 
+(* Ascending keys with random gaps, built once by [insert] and once by
+   [add_last]: the same bindings, height and invariants, one
+   [btree.inserts] per key, and the same search path (node ids
+   included) for every key and for keys below, between and above
+   them.  A key not above the maximum is refused and changes nothing. *)
+let prop_add_last_matches_insert =
+  QCheck2.Test.make ~name:"add_last builds the tree ascending inserts build"
+    ~count:100
+    ~print:QCheck2.Print.(triple int int (list int))
+    QCheck2.Gen.(
+      triple (int_range 4 64) (int_range (-1000) 1000)
+        (list_size (int_range 0 3000) (int_range 1 4)))
+    (fun (order, first, gaps) ->
+      let keys =
+        List.fold_left (fun (k, acc) g -> (k + g, (k + g) :: acc)) (first, []) gaps
+        |> snd |> List.rev
+      in
+      let by_insert = Btree.create ~order () and by_add = Btree.create ~order () in
+      List.iter (fun k -> Btree.insert by_insert k (k * 3)) keys;
+      let inserts = Wave_obs.Metrics.counter "btree.inserts" in
+      let before = Wave_obs.Metrics.counter_value inserts in
+      List.iter (fun k -> Btree.add_last by_add k (k * 3)) keys;
+      let counted = Wave_obs.Metrics.counter_value inserts -. before in
+      Btree.check_invariants by_add;
+      let top = List.fold_left max min_int keys in
+      let refused k =
+        match Btree.add_last by_add k 0 with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      let same_path k = Btree.search_path by_insert k = Btree.search_path by_add k in
+      (* Called last in the chain below, after the refusals ran: a
+         refused [add_last] changed neither the bindings nor the count. *)
+      let unchanged_after_refusals () =
+        Btree.to_list by_add = Btree.to_list by_insert
+        && Wave_obs.Metrics.counter_value inserts -. before = counted
+      in
+      counted = float_of_int (List.length keys)
+      && Btree.to_list by_add = Btree.to_list by_insert
+      && Btree.height by_add = Btree.height by_insert
+      && List.for_all (fun k -> same_path (k - 1) && same_path k && same_path (k + 1)) keys
+      && same_path (first - 5) && same_path (top + 5)
+      && (match keys with
+         | [] -> true
+         | least :: _ -> refused top && refused least && refused (least - 1))
+      && unchanged_after_refusals ())
+
 (* [clear] empties the tree at once, counts one removal per key, and
    nodes made afterwards get ids no earlier node had. *)
 let test_clear () =
@@ -258,5 +305,6 @@ let suites =
             prop_model_order5;
             prop_model_order32;
             prop_range_matches_filter;
+            prop_add_last_matches_insert;
           ] );
   ]

@@ -686,6 +686,48 @@ let test_verify_matches_reference () =
                   ~ext_start:4 ~gen:9);
         poke ((5 * block_size) + pos) '\000'
       done;
+      (* Blocks 6-10: one range of an extent whose start and generation
+         lie above 2^32, its blocks under different write sequences —
+         the whole range at one, a sub-range at another, one block back
+         at the first, then -1 and a sequence above 2^56 (top bytes
+         set). *)
+      let base = 6 and blocks = 5 in
+      let ext_start = (1 lsl 33) + 6 and gen = (1 lsl 40) + 0x5A in
+      let want = Bytes.make (blocks * block_size) '\000' in
+      List.iter
+        (fun (off, n, seq) ->
+          Block_file.write_range bf ~start:(base + off) ~blocks:n ~ext_start ~gen ~seq;
+          for i = off to off + n - 1 do
+            reference_stamp_into want ~boff:(i * block_size) ~block:(base + i) ~ext_start
+              ~gen ~seq
+          done;
+          let name = Printf.sprintf "seq %d over blocks %d-%d" seq off (off + n - 1) in
+          Alcotest.(check string)
+            (Printf.sprintf "bs %d: %s as the reference encoder writes it" block_size name)
+            (Bytes.to_string want)
+            (Bytes.sub_string (file ()) (base * block_size) (blocks * block_size));
+          Alcotest.(check bool) name true (agree name ~start:base ~blocks ~ext_start ~gen))
+        [ (0, 5, 3); (1, 3, 4); (2, 1, 3); (0, 2, -1); (3, 2, (1 lsl 56) + 3) ];
+      Alcotest.(check bool) "extent start off by 2^33" false
+        (agree "extent start off by 2^33" ~start:base ~blocks ~ext_start:6 ~gen);
+      Alcotest.(check bool) "generation off by 2^40" false
+        (agree "generation off by 2^40" ~start:base ~blocks ~ext_start ~gen:0x5A);
+      (* damage to a sequence byte, in blocks whose neighbours carry the
+         same sequence and in blocks whose neighbours do not *)
+      for b = base to base + blocks - 1 do
+        for pos = 28 to 35 do
+          let off = (b * block_size) + pos in
+          let orig = byte_at off in
+          List.iter
+            (fun x ->
+              poke off (Char.chr (Char.code orig lxor x));
+              ignore
+                (agree (Printf.sprintf "block %d byte %d xor %d" b pos x) ~start:base
+                   ~blocks ~ext_start ~gen))
+            [ 0x01; 0x80 ];
+          poke off orig
+        done
+      done;
       Block_file.close bf)
     [ Block_file.stamp_bytes; 64; 100 ]
 

@@ -339,7 +339,12 @@ let test_crc32_known_answer () =
   Alcotest.(check int) "empty" 0 (Crc32.string "" ~off:0 ~len:0);
   Alcotest.check_raises "range outside the buffer"
     (Invalid_argument "Crc32: range outside the buffer") (fun () ->
-      ignore (Crc32.string "abc" ~off:2 ~len:2))
+      ignore (Crc32.string "abc" ~off:2 ~len:2));
+  Alcotest.check_raises "field with 9 bytes after"
+    (Invalid_argument "Crc32.field: after outside [0, 8]") (fun () ->
+      ignore (Crc32.field Crc32.init 1 ~after:9));
+  Alcotest.check_raises "negative zeros" (Invalid_argument "Crc32.zeros: negative length")
+    (fun () -> ignore (Crc32.zeros Crc32.init (-1)))
 
 (* Bit at a time, straight from the reflected polynomial: no table. *)
 let crc32_reference s =
@@ -361,6 +366,7 @@ let prop_crc32_update_matches_reference =
     QCheck2.Gen.(triple (string_size (int_range 0 100)) (int_range 0 9) (int_range 0 9))
   in
   QCheck2.Test.make ~name:"update/finish = bytes = bitwise reference" ~count:500
+    ~long_factor:10
     QCheck2.Gen.(pair piece piece)
     (fun ((a, pa, qa), (b, pb, qb)) ->
       let embed s pre post =
@@ -376,6 +382,55 @@ let prop_crc32_update_matches_reference =
       let ab = embed (a ^ b) pa qb in
       streamed = Crc32.bytes ab ~off:pa ~len:(String.length a + String.length b)
       && streamed = crc32_reference (a ^ b))
+
+(* A prefix of 0-40 bytes and a run of 0-20 zeros (state [p]), then
+   two 8-byte fields, [a] and [c], checksummed as the block stamps are:
+   [p] over 8 zero bytes and then [c]'s bytes, plus [a]'s term with 8
+   bytes after it.  And [a] alone, followed by 0-8 zeros: [p] over
+   8 + after zeros, plus [a]'s term.  Both must equal [bytes] and the
+   bitwise reference.  [a] ranges over every int and [c] over the whole
+   int64 range: uniform draws (negative half the time, high bytes
+   set), small values whose high bytes are zero, and the extremes. *)
+let prop_crc32_split_matches_reference =
+  let open QCheck2.Gen in
+  let a =
+    oneof [ int; int_range 0 100_000; oneofl [ 0; -1; min_int; max_int; 1 lsl 56 ] ]
+  in
+  let c =
+    oneof
+      [
+        int64;
+        map Int64.of_int (int_range 0 100_000);
+        oneofl [ 0L; -1L; Int64.min_int; Int64.max_int; 0x8000_0000_0000_0001L ];
+      ]
+  in
+  QCheck2.Test.make ~name:"zeros/field split = bytes = bitwise reference" ~count:500
+    ~long_factor:10
+    ~print:QCheck2.Print.(tup5 string int int int64 int)
+    (tup5 (string_size (int_range 0 40)) (int_range 0 20) a c (int_range 0 8))
+    (fun (prefix, gap, a, c, after) ->
+      let n = String.length prefix + gap in
+      let p =
+        Crc32.zeros
+          (Crc32.update Crc32.init (Bytes.of_string prefix) ~off:0
+             ~len:(String.length prefix))
+          gap
+      in
+      let agrees msg split =
+        split = Crc32.bytes msg ~off:0 ~len:(Bytes.length msg)
+        && split = crc32_reference (Bytes.to_string msg)
+      in
+      let msg = Bytes.make (n + 16) '\000' in
+      Bytes.blit_string prefix 0 msg 0 (String.length prefix);
+      Bytes.set_int64_le msg n (Int64.of_int a);
+      Bytes.set_int64_le msg (n + 8) c;
+      let both =
+        Crc32.field (Crc32.update (Crc32.zeros p 8) msg ~off:(n + 8) ~len:8) a ~after:8
+      in
+      let alone = Bytes.sub msg 0 (n + 8 + after) in
+      Bytes.fill alone (n + 8) after '\000';
+      agrees msg (Crc32.finish both)
+      && agrees alone (Crc32.finish (Crc32.field (Crc32.zeros p (8 + after)) a ~after)))
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -426,7 +481,8 @@ let suites =
       @ qcheck [ prop_percentile_bounded ] );
     ( "util.crc32",
       [ Alcotest.test_case "known answer" `Quick test_crc32_known_answer ]
-      @ qcheck [ prop_crc32_update_matches_reference ] );
+      @ qcheck
+          [ prop_crc32_update_matches_reference; prop_crc32_split_matches_reference ] );
     ( "util.table_print",
       [
         Alcotest.test_case "render" `Quick test_table_render;
