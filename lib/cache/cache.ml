@@ -64,15 +64,24 @@ type stats = {
   meta_seconds : float;
 }
 
+(* The model-seconds totals, in a record of floats only, whose fields
+   OCaml stores unboxed: adding to them allocates nothing. *)
+type seconds = { mutable saved : float; mutable meta : float }
+
 (* The frames, as parallel arrays indexed by frame number, their
-   policy, and the pool's counters (the mutable twin of [stats]). *)
+   policy, and the pool's counters (the mutable twin of [stats]).  The
+   arrays cover the frames the hand has reached so far and grow
+   fourfold up to [frames] as it reaches further: every frame past
+   their end is unoccupied, so a pool sized for its worst case costs
+   what it holds, at most four times over. *)
 type t = {
   disk : Disk.t;
-  keys : int array; (* packed key, [free_key] when unoccupied *)
-  gens : int array;
-  pins : int array;
-  refbits : Bytes.t; (* '\001' = referenced since the hand last passed *)
-  dirty : Bytes.t; (* '\001' = deferred (write-back) contents not on disk *)
+  frames : int;
+  mutable keys : int array; (* packed key, [free_key] when unoccupied *)
+  mutable gens : int array;
+  mutable pins : int array;
+  mutable refbits : Bytes.t; (* '\001' = referenced since the hand last passed *)
+  mutable dirty : Bytes.t; (* '\001' = deferred (write-back) contents not on disk *)
   meta : int Meta.t; (* packed metadata key -> frame number *)
   readahead : int;
   write_back : bool;
@@ -100,8 +109,7 @@ type t = {
   mutable flush_writes : int;
   mutable flushed_blocks : int;
   mutable dirty_discards : int;
-  mutable saved_seconds : float;
-  mutable meta_seconds : float;
+  seconds : seconds;
 }
 
 (* Fleet-wide counters: pools also feed the always-on metrics registry
@@ -123,11 +131,12 @@ let create disk ~frames ?(readahead = 0) ?(write_back = false) () =
   if readahead < 0 then fail "create: negative readahead";
   {
     disk;
-    keys = Array.make frames free_key;
-    gens = Array.make frames 0;
-    pins = Array.make frames 0;
-    refbits = Bytes.make frames '\000';
-    dirty = Bytes.make frames '\000';
+    frames;
+    keys = [||];
+    gens = [||];
+    pins = [||];
+    refbits = Bytes.empty;
+    dirty = Bytes.empty;
     meta = Meta.create 16;
     readahead;
     write_back;
@@ -149,8 +158,7 @@ let create disk ~frames ?(readahead = 0) ?(write_back = false) () =
     flush_writes = 0;
     flushed_blocks = 0;
     dirty_discards = 0;
-    saved_seconds = 0.0;
-    meta_seconds = 0.0;
+    seconds = { saved = 0.0; meta = 0.0 };
   }
 
 (* --- per-disk attachment -------------------------------------------- *)
@@ -178,7 +186,7 @@ let clean t i = Bytes.set t.dirty i '\000'
 
 let params t = Disk.params t.disk
 
-let block_seconds t blocks =
+let[@inline] block_seconds t blocks =
   float_of_int (blocks * (params t).Disk.block_size)
   /. (params t).Disk.transfer_rate
 
@@ -199,17 +207,44 @@ let evict_dirty t i =
   | _ -> note_discard t);
   clean t i
 
+(* Grow the frame arrays, [i] frames long, to take frame [i]: four
+   times longer (at least 16 frames), capped at [frames].  A growth is
+   paid inside whichever operation's install reached the end, so the
+   arrays take few, large steps. *)
+let grow_frames t i =
+  let n = min t.frames (max 16 (4 * i)) in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 i;
+    b
+  in
+  let extend_bytes b =
+    let c = Bytes.make n '\000' in
+    Bytes.blit b 0 c 0 i;
+    c
+  in
+  t.keys <- extend t.keys free_key;
+  t.gens <- extend t.gens 0;
+  t.pins <- extend t.pins 0;
+  t.refbits <- extend_bytes t.refbits;
+  t.dirty <- extend_bytes t.dirty
+
 (* CLOCK second chance: sweep from the hand, skipping pinned frames and
    giving referenced frames one more revolution.  Two full revolutions
    ([budget]) guarantee a victim unless every frame is pinned.  The
    sweep takes everything it reads as an argument, so an eviction
-   allocates no closure. *)
+   allocates no closure.  A hand at the arrays' end has reached a frame
+   never used: the arrays grow to hold it. *)
 let rec sweep t budget =
-  let n = Array.length t.keys in
+  let n = t.frames in
   if budget = 0 then fail "no evictable frame: all %d frames pinned" n;
   let i = t.hand in
   t.hand <- (if i + 1 = n then 0 else i + 1);
-  if not (occupied t i) then i
+  if i = Array.length t.keys then begin
+    grow_frames t i;
+    i
+  end
+  else if not (occupied t i) then i
   else if t.pins.(i) > 0 then sweep t (budget - 1)
   else if referenced t i then begin
     set_refbit t i false;
@@ -234,7 +269,7 @@ let map_set t addr i =
 (* Take the CLOCK victim's frame for [key], evicting its block: the
    deferred write, if dirty, then its residency entry. *)
 let claim t key ~gen ~refbit =
-  let i = sweep t (2 * Array.length t.keys) in
+  let i = sweep t (2 * t.frames) in
   if occupied t i then begin
     if is_dirty t i then evict_dirty t i;
     let old = t.keys.(i) in
@@ -302,36 +337,27 @@ let push t x =
   t.pending.(t.top) <- x;
   t.top <- t.top + 1
 
-(* Run [f] with the pending stack's height restored afterwards, also
-   when a charge raises. *)
-let with_pending t f x =
-  let mark = t.top in
-  match f t x mark with
-  | () -> t.top <- mark
-  | exception e ->
-    t.top <- mark;
-    raise e
-
 (* [saved] accumulates as [saved + uncached - charged], in that order,
-   so the float totals repeat the uncached model's rounding. *)
-let note_data t ~hits ~misses ~uncached ~charged =
-  t.saved_seconds <- t.saved_seconds +. uncached -. charged;
+   so the float totals repeat the uncached model's rounding.  Inlined,
+   so the two floats are never boxed. *)
+let[@inline] note_data t ~hits ~misses ~uncached ~charged =
+  t.seconds.saved <- t.seconds.saved +. uncached -. charged;
   t.hits <- t.hits + hits;
   t.misses <- t.misses + misses;
-  if hits > 0 then Wave_obs.Metrics.inc ~by:(float_of_int hits) m_hits;
-  if misses > 0 then Wave_obs.Metrics.inc ~by:(float_of_int misses) m_misses
+  if hits > 0 then Wave_obs.Metrics.add m_hits hits;
+  if misses > 0 then Wave_obs.Metrics.add m_misses misses
 
 let note_readaheads t n =
   t.readaheads <- t.readaheads + n;
-  if n > 0 then Wave_obs.Metrics.inc ~by:(float_of_int n) m_readaheads
+  if n > 0 then Wave_obs.Metrics.add m_readaheads n
 
 (* --- charged accesses ----------------------------------------------- *)
 
-(* The body of [read_range] for a live, readable extent: demand misses
-   and then readahead candidates are pushed above [mark], charged as
-   one seek plus one transfer, and installed in address order. *)
-let read_blocks t ((ext : Disk.extent), off, blocks) mark =
-  let gen = live_gen t ext in
+(* The body of [read_range] for a live, readable extent of generation
+   [gen]: demand misses and then readahead candidates are pushed above
+   [mark], charged as one seek plus one transfer, and installed in
+   address order. *)
+let read_blocks t (ext : Disk.extent) ~off ~blocks ~gen mark =
   let base = ext.Disk.start + off in
   let hits = ref 0 in
   for a = base to base + blocks - 1 do
@@ -368,8 +394,15 @@ let read_range t (ext : Disk.extent) ~off ~blocks =
     fail "read_range: [%d, %d) outside extent of %d blocks" off (off + blocks)
       ext.Disk.length;
   if blocks > 0 then begin
-    Disk.assert_readable t.disk ext;
-    with_pending t read_blocks (ext, off, blocks)
+    let gen = Disk.readable_generation t.disk ext in
+    (* The pending stack's height is restored afterwards, also when a
+       charge raises.  A full hit allocates nothing on this path. *)
+    let mark = t.top in
+    match read_blocks t ext ~off ~blocks ~gen mark with
+    | () -> t.top <- mark
+    | exception e ->
+      t.top <- mark;
+      raise e
   end
 
 let read t ext = read_range t ext ~off:0 ~blocks:ext.Disk.length
@@ -419,7 +452,12 @@ let scan_blocks t exts mark =
 let sequential_read t exts =
   if exts <> [] then begin
     List.iter (fun e -> Disk.assert_readable t.disk e) exts;
-    with_pending t scan_blocks exts
+    let mark = t.top in
+    match scan_blocks t exts mark with
+    | () -> t.top <- mark
+    | exception e ->
+      t.top <- mark;
+      raise e
   end
 
 (* Write-back: dirty the resident frames instead of charging the disk;
@@ -430,7 +468,7 @@ let write_back_range t (ext : Disk.extent) ~off ~blocks =
   if not (Disk.live_at t.disk ~start:ext.Disk.start ~length:ext.Disk.length)
   then raise (Disk.Disk_error "write: extent is not live");
   if blocks > 0 then
-    if blocks > Array.length t.keys then begin
+    if blocks > t.frames then begin
       (* The range cannot be held dirty: fall back to write-through for
          this one write (same cost and fault point as uncached). *)
       Disk.write_run t.disk ext ~off ~blocks;
@@ -558,7 +596,7 @@ let flush t =
               List.iter (fun (_, i, _) -> clean t i) group;
               t.flush_writes <- t.flush_writes + 1;
               t.flushed_blocks <- t.flushed_blocks + n;
-              Wave_obs.Metrics.inc ~by:(float_of_int n) m_flushed_blocks
+              Wave_obs.Metrics.add m_flushed_blocks n
           in
           let rec drain group = function
             | [] -> write_run_group (List.rev group)
@@ -601,7 +639,7 @@ let rec meta_read_nodes t dir = function
          its own seek — exactly the term a warm pool removes. *)
       Disk.charge_seek t.disk;
       Disk.charge_read_transfer t.disk ~blocks:1;
-      t.meta_seconds <- t.meta_seconds +. (params t).Disk.seek_time +. block_seconds t 1;
+      t.seconds.meta <- t.seconds.meta +. (params t).Disk.seek_time +. block_seconds t 1;
       t.meta_misses <- t.meta_misses + 1;
       Wave_obs.Metrics.inc m_meta_misses;
       Meta.replace t.meta key (claim t key ~gen:0 ~refbit:true));
@@ -660,7 +698,7 @@ let pinned_frames t = count_frames t (fun t i -> t.pins.(i) > 0)
 
 (* --- observation ----------------------------------------------------- *)
 
-let capacity t = Array.length t.keys
+let capacity t = t.frames
 let resident t = count_frames t occupied
 
 let contains t (ext : Disk.extent) =
@@ -675,10 +713,13 @@ let contains t (ext : Disk.extent) =
     in
     go ext.Disk.start
 
-(* Every occupied frame is the entry of its key, and every entry points
+(* The frame arrays cover the hand and no more than the pool's frames;
+   every occupied frame is the entry of its key, and every entry points
    back at a frame holding its key. *)
 let validate t =
   let n = Array.length t.keys in
+  if n > t.frames || t.hand > n then
+    fail "validate: frame arrays of %d for %d frames, hand at %d" n t.frames t.hand;
   let holds key i = i >= 0 && i < n && t.keys.(i) = key in
   let entry key =
     if is_data key then data_frame t (addr_of_key key)
@@ -715,8 +756,8 @@ let stats t : stats =
     flush_writes = t.flush_writes;
     flushed_blocks = t.flushed_blocks;
     dirty_discards = t.dirty_discards;
-    saved_seconds = t.saved_seconds;
-    meta_seconds = t.meta_seconds;
+    saved_seconds = t.seconds.saved;
+    meta_seconds = t.seconds.meta;
   }
 
 let add_stats (a : stats) (b : stats) : stats =

@@ -54,11 +54,11 @@
     that every index sharing a disk shares the pool; a multi-disk run
     has one pool per arm.
 
-    Memory: besides one entry per frame in a handful of arrays, the
-    pool keeps an int array from block address to frame, one int per
-    block address up to the highest address installed (at most twice
-    that after geometric growth), and a table with one binding per
-    resident metadata block. *)
+    Memory: besides one entry per frame reached in a handful of
+    arrays, the pool keeps an int array from block address to frame,
+    one int per block address up to the highest address installed (at
+    most twice that after geometric growth), and a table with one
+    binding per resident metadata block. *)
 
 open Wave_disk
 
@@ -99,7 +99,10 @@ val create :
   Disk.t -> frames:int -> ?readahead:int -> ?write_back:bool -> unit -> t
 (** A pool of [frames] one-block frames over the disk.  [frames >= 1];
     [readahead >= 0] (default 0) blocks of demand-read prefetch;
-    [write_back] (default [false]) enables deferred writes. *)
+    [write_back] (default [false]) enables deferred writes.  The
+    per-frame arrays are allocated as the CLOCK hand first reaches
+    frames, growing fourfold, so an oversized pool costs at most four
+    times what it holds. *)
 
 (** {1 Per-disk attachment} *)
 

@@ -273,11 +273,14 @@ let alloc t ~blocks =
   | None -> ());
   { start; length = blocks }
 
+(* [Live.find] rather than [find_opt]: a pool hit checks the extent
+   through here and allocates nothing. *)
 let lookup_live t ext =
-  match Live.find_opt ext.start t.live with
-  | Some len when len = ext.length -> ()
-  | Some _ -> raise (Disk_error "extent shape mismatch (stale handle?)")
-  | None -> raise (Disk_error "extent is not live")
+  match Live.find ext.start t.live with
+  | len ->
+    if len <> ext.length then
+      raise (Disk_error "extent shape mismatch (stale handle?)")
+  | exception Not_found -> raise (Disk_error "extent is not live")
 
 let is_live t ext =
   match Live.find_opt ext.start t.live with
@@ -373,6 +376,11 @@ let backed_write t ext ~off ~blocks =
 let assert_readable t ext =
   lookup_live t ext;
   check_readable t ext
+
+(* Every live extent has a generation, so the [find] cannot fail. *)
+let readable_generation t ext =
+  assert_readable t ext;
+  Hashtbl.find t.gen ext.start
 
 let charge_read_transfer t ~blocks =
   if blocks < 0 then raise (Disk_error "negative transfer");

@@ -185,6 +185,11 @@ val assert_readable : t -> extent -> unit
     resident reads at zero cost while still refusing to satisfy reads
     that the disk itself would refuse. *)
 
+val readable_generation : t -> extent -> int
+(** {!assert_readable}, then the extent's allocation generation (see
+    {!generation_at}), allocating nothing: the check a cache hit
+    makes. *)
+
 val charge_delay : t -> float -> unit
 (** Advance the model clock by a non-disk cost (e.g. CPU time spent
     parsing and sorting a batch while building an index).  The paper's

@@ -194,7 +194,7 @@ let pread_chunked fd ~off ~len ~chunk deliver =
     ignore (Unix.lseek fd (off + moved) Unix.SEEK_SET);
     let n = Unix.read fd chunk (moved - !base) want in
     if n = 0 then raise (Io_error "pread: unexpected end of file");
-    M.inc ~by:(float_of_int n) m_bytes_read;
+    M.add m_bytes_read n;
     n
   in
   retry_exact ~what:"pread" ~len (fun moved ->
@@ -246,7 +246,7 @@ let pwrite_chunked fd ~off ~len ~chunk fill =
       let n = Int.min (refill ()) (torn - !base) in
       ignore (Unix.lseek fd (off + !base) Unix.SEEK_SET);
       let w = Unix.write fd chunk 0 n in
-      M.inc ~by:(float_of_int w) m_bytes_written;
+      M.add m_bytes_written w;
       base := !base + n
     done;
     R.record_io ~syscall:"pwrite" ~outcome:"torn" ~bytes:torn;
@@ -259,7 +259,7 @@ let pwrite_chunked fd ~off ~len ~chunk fill =
   let write_from moved want =
     ignore (Unix.lseek fd (off + moved) Unix.SEEK_SET);
     let n = Unix.write fd chunk (moved - !base) want in
-    M.inc ~by:(float_of_int n) m_bytes_written;
+    M.add m_bytes_written n;
     (* the chunk is written out: take the next one *)
     if n > 0 && moved + n - !base = !filled && moved + n < len then begin
       let now = Unix.gettimeofday () in

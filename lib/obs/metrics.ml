@@ -88,6 +88,10 @@ let inc ?(by = 1.0) c =
   if by < 0.0 then invalid_arg "Metrics.inc: negative increment";
   c.count <- c.count +. by
 
+let add c n =
+  if n < 0 then invalid_arg "Metrics.add: negative increment";
+  c.count <- c.count +. float_of_int n
+
 let counter_value c = c.count
 
 let set g v =

@@ -49,6 +49,11 @@ val set_default_histogram_cap : int -> unit
 val inc : ?by:float -> counter -> unit
 (** [by] defaults to [1.] and must be non-negative. *)
 
+val add : counter -> int -> unit
+(** [add c n] is [inc ~by:(float_of_int n) c] without boxing a float,
+    so a hot path can count [n] events allocating nothing.  [n] must be
+    non-negative. *)
+
 val counter_value : counter -> float
 
 val set : gauge -> float -> unit

@@ -359,7 +359,7 @@ let remove t k =
    key by key.  The removal counter still counts each key, as [remove]
    would have. *)
 let clear t =
-  Wave_obs.Metrics.inc ~by:(float_of_int t.count) m_removes;
+  Wave_obs.Metrics.add m_removes t.count;
   t.root <- None;
   t.count <- 0
 

@@ -22,8 +22,26 @@ let batch_create ~day postings =
 
 let batch_size b = Array.length b.postings
 
+(* Counted, then copied: [keep] runs twice per posting, and a batch
+   that keeps every posting is returned as it is. *)
 let batch_filter b ~keep =
-  { b with postings = Array.of_list (List.filter (fun p -> keep p.value) (Array.to_list b.postings)) }
+  let ps = b.postings in
+  let kept = ref 0 in
+  for i = 0 to Array.length ps - 1 do
+    if keep ps.(i).value then incr kept
+  done;
+  if !kept = Array.length ps then b
+  else begin
+    let out = Array.make !kept ps.(0) and j = ref 0 in
+    for i = 0 to Array.length ps - 1 do
+      let p = ps.(i) in
+      if keep p.value then begin
+        out.(!j) <- p;
+        incr j
+      end
+    done;
+    { b with postings = out }
+  end
 
 (* Search values to dense group numbers, in order of first appearance:
    linear probing over a power-of-two slot array at most half full.  A
@@ -76,11 +94,64 @@ let count_in g v =
     k
   end
 
-(* Two passes.  The first looks each posting's value up once, noting
-   its group and counting the group's postings; the second copies every
-   entry into its group's array, allocated at its exact size when the
-   group's first entry arrives.  Sorting the group numbers by value
-   gives the value order. *)
+let digit_bits = 11
+let digit_mask = (1 lsl digit_bits) - 1
+
+(* The first [n] of [values], distinct, sorted ascending, and their
+   indexes in the same order: an LSD radix sort of [v - lo] in 11-bit
+   digits, one stable counting pass per digit up to the span's highest
+   set bit.  The span is read unsigned, as [lsr] reads it: from
+   [min_int] to [max_int] it wraps to -1, all 63 bits set. *)
+let sort_values values n =
+  let vs = ref (Array.sub values 0 n) and ids = ref (Array.init n Fun.id) in
+  if n > 1 then begin
+    let lo = ref values.(0) and hi = ref values.(0) in
+    for k = 1 to n - 1 do
+      let v = values.(k) in
+      if v < !lo then lo := v else if v > !hi then hi := v
+    done;
+    let lo = !lo and span = !hi - !lo in
+    let vs' = ref (Array.make n 0) and ids' = ref (Array.make n 0) in
+    let starts = Array.make (digit_mask + 1) 0 in
+    let next = ref 0 in
+    while !next < Sys.int_size && span lsr !next <> 0 do
+      let src = !vs and dst = !vs' and src_ids = !ids and dst_ids = !ids' in
+      let shift = !next in
+      next := shift + digit_bits;
+      Array.fill starts 0 (digit_mask + 1) 0;
+      for k = 0 to n - 1 do
+        let d = ((src.(k) - lo) lsr shift) land digit_mask in
+        starts.(d) <- starts.(d) + 1
+      done;
+      let sum = ref 0 in
+      for d = 0 to digit_mask do
+        let c = starts.(d) in
+        starts.(d) <- !sum;
+        sum := !sum + c
+      done;
+      for k = 0 to n - 1 do
+        let v = src.(k) in
+        let d = ((v - lo) lsr shift) land digit_mask in
+        let j = starts.(d) in
+        starts.(d) <- j + 1;
+        dst.(j) <- v;
+        dst_ids.(j) <- src_ids.(k)
+      done;
+      vs := dst;
+      vs' := src;
+      ids := dst_ids;
+      ids' := src_ids
+    done
+  end;
+  (!vs, !ids)
+
+(* Two passes over the postings around a radix sort of the distinct
+   values, and no comparison.  The first pass looks each posting's value
+   up once, noting its group and counting the group's postings.  The
+   sort gives each group its rank in value order.  The second pass
+   walks the postings back to front, so each group's array, allocated
+   at its exact size when its last entry arrives, fills from its count
+   down to 0. *)
 let group_by_value batches =
   let total = List.fold_left (fun n b -> n + Array.length b.postings) 0 batches in
   let g =
@@ -90,25 +161,28 @@ let group_by_value batches =
   let group = Array.make total 0 and i = ref 0 in
   List.iter
     (fun b ->
-      Array.iter
-        (fun p ->
-          group.(!i) <- count_in g p.value;
-          incr i)
-        b.postings)
+      let ps = b.postings in
+      for j = 0 to Array.length ps - 1 do
+        group.(!i + j) <- count_in g ps.(j).value
+      done;
+      i := !i + Array.length ps)
     batches;
-  let arrays = Array.make g.n [||] and filled = Array.make g.n 0 in
-  i := 0;
+  let values, ids = sort_values g.values g.n in
+  let rank = Array.make g.n 0 in
+  for r = 0 to g.n - 1 do
+    rank.(ids.(r)) <- r
+  done;
+  let groups = Array.make g.n [||] in
   List.iter
     (fun b ->
-      Array.iter
-        (fun p ->
-          let k = group.(!i) in
-          if filled.(k) = 0 then arrays.(k) <- Array.make g.counts.(k) p.entry
-          else arrays.(k).(filled.(k)) <- p.entry;
-          filled.(k) <- filled.(k) + 1;
-          incr i)
-        b.postings)
-    batches;
-  let order = Array.init g.n Fun.id in
-  Array.sort (fun a b -> Int.compare g.values.(a) g.values.(b)) order;
-  (Array.map (fun k -> g.values.(k)) order, Array.map (fun k -> arrays.(k)) order)
+      let ps = b.postings in
+      for j = Array.length ps - 1 downto 0 do
+        decr i;
+        let k = group.(!i) and e = ps.(j).entry in
+        let c = g.counts.(k) and r = rank.(k) in
+        if Array.length groups.(r) = 0 then groups.(r) <- Array.make c e
+        else groups.(r).(c - 1) <- e;
+        g.counts.(k) <- c - 1
+      done)
+    (List.rev batches);
+  (values, groups)

@@ -35,10 +35,17 @@ val batch_size : batch -> int
 val batch_filter : batch -> keep:(int -> bool) -> batch
 (** Restricts a batch to the postings whose search value satisfies
     [keep], preserving order.  Used by the shard router to carve one
-    day store into per-arm stores. *)
+    day store into per-arm stores.  The kept postings are counted, then
+    copied into an array of that size, so [keep] is applied twice to
+    each posting; when it keeps them all, the result is the batch
+    itself. *)
 
 val group_by_value : batch list -> int array * t array array
 (** Groups the batches' postings by search value: [(values, groups)]
     holds the distinct values ascending, and [groups.(i)] the entries
-    of [values.(i)] in input order (batches in list order).  Two passes:
-    one hash lookup per posting, then a fill of exact-size arrays. *)
+    of [values.(i)] in input order (batches in list order), each group
+    a fresh array.  Linear passes and no comparison sort: one probe of
+    an open-addressing table per posting, an LSD radix sort of the
+    distinct values (11-bit digits of [value - min], as many passes as
+    the span has digits), then a back-to-front fill of exact-size
+    arrays. *)

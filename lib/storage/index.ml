@@ -50,13 +50,15 @@ let make_disk ?(seek_time = 0.014) ?(transfer_rate = 10e6) cfg =
 
 type shared_ext = { sext : Disk.extent; mutable refs : int }
 
-type home = Own of Disk.extent | In_shared of shared_ext * int
+(* A packed install gives all its buckets one [In_shared] home. *)
+type home = Own of Disk.extent | In_shared of shared_ext
 
 type bucket = {
   value : int;
   mutable entries : Entry.t array; (* length = used, copied on change *)
   mutable home : home;
   mutable cap : int; (* capacity in entries *)
+  off : int; (* offset in the shared extent, while the home is shared *)
 }
 
 type t = {
@@ -127,7 +129,7 @@ let release_home t b =
   | Own e ->
     Disk.free t.dsk e;
     t.total_alloc <- t.total_alloc - e.Disk.length
-  | In_shared (s, _) -> decref_shared t s
+  | In_shared s -> decref_shared t s
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
@@ -138,14 +140,14 @@ let bucket_read_charge t b =
   if used > 0 then
     match (t.cache, b.home) with
     | None, Own e -> Disk.read_blocks t.dsk e ~blocks:used
-    | None, In_shared (s, _) ->
+    | None, In_shared s ->
       Disk.read_blocks t.dsk s.sext ~blocks:(min used s.sext.Disk.length)
     | Some c, Own e -> Cache.read_range c e ~off:0 ~blocks:used
-    | Some c, In_shared (s, off) ->
+    | Some c, In_shared s ->
       (* The pool is block-granular, so unlike the prefix-proxy charge
          above it can use the bucket's true address range. *)
-      Cache.read_range c s.sext ~off
-        ~blocks:(min used (s.sext.Disk.length - off))
+      Cache.read_range c s.sext ~off:b.off
+        ~blocks:(min used (s.sext.Disk.length - b.off))
 
 (* Directory lookups are free in the paper's model (the directory is
    memory-resident).  With a pool attached, the model instead treats
@@ -189,16 +191,13 @@ let install_packed t (values, groups) =
     let ext = Disk.alloc t.dsk ~blocks:total in
     charged_write_blocks t ext ~off:0 ~blocks:total;
     let s = { sext = ext; refs = Array.length groups } in
-    let off = ref 0 in
-    Array.iteri
-      (fun i es ->
-        let v = values.(i) in
-        let b =
-          { value = v; entries = es; home = In_shared (s, !off); cap = Array.length es }
-        in
-        off := !off + Array.length es;
-        Btree.add_last t.dir v b)
-      groups;
+    let home = In_shared s and off = ref 0 in
+    for i = 0 to Array.length groups - 1 do
+      let v = values.(i) and es = groups.(i) in
+      Btree.add_last t.dir v
+        { value = v; entries = es; home; cap = Array.length es; off = !off };
+      off := !off + Array.length es
+    done;
     t.shared <- Some s;
     t.total_alloc <- t.total_alloc + total;
     t.total_used <- total;
@@ -388,7 +387,7 @@ let add_group t v es =
     let ext = Disk.alloc t.dsk ~blocks:cap in
     charged_write_blocks t ext ~off:0 ~blocks:n_new;
     t.total_alloc <- t.total_alloc + cap;
-    Btree.insert t.dir v { value = v; entries = es; home = Own ext; cap }
+    Btree.insert t.dir v { value = v; entries = es; home = Own ext; cap; off = 0 }
   | Some b ->
     let used = used_of b in
     let fits = match b.home with Own _ -> used + n_new <= b.cap | In_shared _ -> false in
@@ -427,9 +426,9 @@ let delete_days t expired =
         else begin
           (match b.home with
           | Own e -> charged_write_blocks t e ~off:0 ~blocks:used
-          | In_shared (s, off) ->
-            charged_write_blocks t s.sext ~off
-              ~blocks:(min used (s.sext.Disk.length - off)));
+          | In_shared s ->
+            charged_write_blocks t s.sext ~off:b.off
+              ~blocks:(min used (s.sext.Disk.length - b.off)));
           (* CONTIGUOUS shrink: if mostly empty, move to a tighter home. *)
           let g = t.cfg.growth_factor in
           let shrink_below = float_of_int b.cap /. (g *. g) in
@@ -472,7 +471,7 @@ let drop t =
       | Own e ->
         Disk.free t.dsk e;
         t.total_alloc <- t.total_alloc - e.Disk.length
-      | In_shared (s, _) ->
+      | In_shared s ->
         if not (List.memq s !seen_shared) then seen_shared := s :: !seen_shared);
   List.iter
     (fun s ->
@@ -544,7 +543,7 @@ let copy t =
         t'.total_alloc <- t'.total_alloc + cap;
         written := !written + used_of b;
         Btree.add_last t'.dir v
-          { value = v; entries = b.entries; home = Own ext; cap });
+          { value = v; entries = b.entries; home = Own ext; cap; off = 0 });
     if !written > 0 then begin
       Disk.charge_seek t.dsk;
       Disk.charge_transfer_bytes t.dsk (!written * t.cfg.entry_bytes)
@@ -621,9 +620,9 @@ let validate t =
           fail "cap %d <> extent length %d for value %d" b.cap e.Disk.length v;
         if u > b.cap then fail "overfull bucket for value %d" v;
         alloc := !alloc + b.cap
-      | In_shared (s, off) ->
+      | In_shared s ->
         if not (Disk.is_live t.dsk s.sext) then fail "dead shared extent";
-        if off < 0 || off + b.cap > s.sext.Disk.length then
+        if b.off < 0 || b.off + b.cap > s.sext.Disk.length then
           fail "bucket for value %d overflows shared extent" v;
         if u > b.cap then fail "overfull shared bucket for value %d" v;
         if not (List.memq s !shared_seen) then shared_seen := s :: !shared_seen);

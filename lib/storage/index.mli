@@ -71,7 +71,8 @@ val build : Disk.t -> config -> Entry.batch list -> t
 (** [build disk config batches] is the paper's [BuildIndex]: scan the
     batches counting entries per value, allocate one contiguous packed
     extent, and write it with a single seek.  The postings are grouped
-    by {!Entry.group_by_value} (two passes, exact-size bucket arrays).
+    by {!Entry.group_by_value} (a table probe per posting, a radix
+    sort of the distinct values, exact-size bucket arrays).
     Charges [build_cpu_per_entry] per entry plus the sequential
     write. *)
 

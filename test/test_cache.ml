@@ -507,14 +507,55 @@ let test_eviction_allocates_nothing () =
   check_stat "every miss past the first 64 evicted" (6_000 - 64) s.Cache.evictions;
   Alcotest.(check (float 0.0)) "2,000 misses allocate what 1,000 do" w_small w_large
 
-(* Each test below puts another block, or no block, in the frame after
-   the frame of a block's predecessor (the "hint" frame its comments
-   name): a lookup must find each block's own frame and nothing else. *)
+let test_full_hit_allocates_nothing () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let disk, pool = mk_pool ~frames:8 () in
+  let e = Disk.alloc disk ~blocks:4 in
+  Disk.write disk e;
+  Cache.read pool e;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    Cache.read_range pool e ~off:0 ~blocks:4
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_stat "every read after the first hit every block" 400_000
+    (Cache.stats pool).Cache.hits;
+  Alcotest.(check (float 0.0)) "100,000 full hits allocate nothing" 0.0 words
+
+(* A pool sized far past its use allocates its frame arrays only as
+   frames are first taken, so creating it costs no per-frame memory and
+   holding 100 blocks costs about 100 frames' worth. *)
+let test_pool_grows_on_demand () =
+  let disk = mk_disk () in
+  let e = Disk.alloc disk ~blocks:100 in
+  Disk.write disk e;
+  let b0 = Gc.allocated_bytes () in
+  let pool = Cache.create disk ~frames:1_000_000 () in
+  let created = Gc.allocated_bytes () -. b0 in
+  Cache.read pool e;
+  let held = Gc.allocated_bytes () -. b0 in
+  check_stat "capacity" 1_000_000 (Cache.capacity pool);
+  check_stat "resident" 100 (Cache.resident pool);
+  Cache.validate pool;
+  Alcotest.(check bool)
+    (Printf.sprintf "creating allocates %.0f bytes, under 4 KB" created)
+    true (created < 4_096.);
+  Alcotest.(check bool)
+    (Printf.sprintf "holding 100 blocks allocated %.0f bytes, under 64 KB" held)
+    true (held < 65_536.)
+
+(* Map residency.  The pool finds a block's frame through its address
+   map alone.  Each test below leaves a run of blocks in frames that an
+   eviction, a wrap past the last frame or a reallocation has disturbed:
+   every map entry must point at the block's own frame, under the
+   block's own generation, or at no frame.  (The suite keeps the name of
+   the frame-after-predecessor hint these cases were written for; the
+   pool no longer has one.) *)
 
 let test_hint_run_broken_by_eviction () =
   (* Four one-block extents scanned into frames 0-3, then a demand read
-     evicts the second: frames [a0; z; a2; a3].  A rescan must miss a1
-     at z's frame and still find a2 and a3. *)
+     evicts the second: frames [a0; z; a2; a3].  a1's map entry is
+     cleared, so a rescan misses a1 and still finds a2 and a3. *)
   let disk, pool = mk_pool ~frames:4 () in
   let a = List.init 4 (fun _ -> Disk.alloc disk ~blocks:1) in
   let z = Disk.alloc disk ~blocks:1 in
@@ -543,8 +584,9 @@ let test_hint_run_broken_by_eviction () =
 
 let test_hint_run_wraps_last_frame () =
   (* A four-block extent read after one other block fills frames 1-3
-     and wraps to frame 0: [e3; e0; e1; e2].  The walk reaches e2 in the
-     pool's last frame, so e3's hint points past the end. *)
+     and wraps to frame 0: [e3; e0; e1; e2].  The extent's blocks sit in
+     frames out of address order, and every reread, scan, pin and write
+     must still find all four through the map. *)
   let disk, pool = mk_pool ~frames:4 () in
   let x = Disk.alloc disk ~blocks:1 in
   let e = Disk.alloc disk ~blocks:4 in
@@ -572,8 +614,8 @@ let test_hint_run_wraps_last_frame () =
 
 let test_hint_stale_run () =
   (* Frames still hold a freed extent's blocks, in consecutive frames,
-     when the address is reallocated: every block's hint finds its key
-     under the old generation. *)
+     when the address is reallocated: every block's map entry finds its
+     frame under the old generation, which must not count as resident. *)
   let disk, pool = mk_pool ~frames:8 () in
   let e = Disk.alloc disk ~blocks:3 in
   Disk.write disk e;
@@ -1516,6 +1558,10 @@ let suites =
           test_map_grows_to_far_address;
         Alcotest.test_case "eviction allocates nothing" `Quick
           test_eviction_allocates_nothing;
+        Alcotest.test_case "full hit allocates nothing" `Quick
+          test_full_hit_allocates_nothing;
+        Alcotest.test_case "a million-frame pool costs what it holds" `Quick
+          test_pool_grows_on_demand;
       ] );
     ( "cache.write_back",
       [

@@ -292,9 +292,14 @@ let test_metrics_counter () =
   let c' = Metrics.counter ~registry:r "test.hits" in
   Metrics.inc c';
   exact "interned by name" 4.5 (Metrics.counter_value c);
+  Metrics.add c 3;
+  Metrics.add c 0;
+  exact "add counts an int" 7.5 (Metrics.counter_value c);
   Alcotest.check_raises "negative increment rejected"
     (Invalid_argument "Metrics.inc: negative increment") (fun () ->
-      Metrics.inc ~by:(-1.0) c)
+      Metrics.inc ~by:(-1.0) c);
+  Alcotest.check_raises "negative int increment rejected"
+    (Invalid_argument "Metrics.add: negative increment") (fun () -> Metrics.add c (-1))
 
 let test_metrics_gauge_and_kinds () =
   let r = Metrics.create () in

@@ -141,6 +141,30 @@ let test_batch_filter () =
     (Wave_storage.Entry.batch_size b)
     total
 
+(* For random batches and arm counts, the arms' batches partition the
+   batch, each in input order; one arm keeps the batch itself. *)
+let prop_batch_filter_partitions =
+  QCheck2.Test.make ~name:"batch_filter arms partition a batch in order" ~count:200
+    QCheck2.Gen.(pair (int_range 1 6) (list_size (int_range 0 100) (int_range (-40) 40)))
+    (fun (arms, values) ->
+      let module E = Wave_storage.Entry in
+      let b =
+        E.batch_create ~day:1
+          (Array.of_list
+             (List.mapi
+                (fun rid value -> { E.value; entry = { E.rid; day = 1; info = 0 } })
+                values))
+      in
+      let arm v = ((v mod arms) + arms) mod arms in
+      let parts = List.init arms (fun a -> E.batch_filter b ~keep:(fun v -> arm v = a)) in
+      List.for_all
+        (fun a ->
+          Array.to_list (List.nth parts a).E.postings
+          = List.filter (fun (p : E.posting) -> arm p.E.value = a) (Array.to_list b.E.postings))
+        (List.init arms Fun.id)
+      && List.fold_left (fun n p -> n + E.batch_size p) 0 parts = E.batch_size b
+      && (arms > 1 || List.hd parts == b))
+
 (* --- Router transparency ------------------------------------------- *)
 
 let vocab = 24
@@ -817,7 +841,7 @@ let suites =
         Alcotest.test_case "runner: one-arm features refuse 2 arms" `Quick
           test_runner_one_arm_features;
       ]
-      @ qcheck [ prop_router_transparent ] );
+      @ qcheck [ prop_router_transparent; prop_batch_filter_partitions ] );
     ( "shard.merge",
       [
         Alcotest.test_case "a value in two frames keeps frame order" `Quick

@@ -60,7 +60,22 @@ let test_group_by_value () =
     Alcotest.(check int) "value-5 order b" 12 e5b.Entry.rid
   | _ -> Alcotest.fail "unexpected grouping"
 
-(* The list grouping the two-pass one replaced, kept as the reference:
+(* One batch spanning the whole int range: [max_int - min_int] wraps to
+   -1, so the radix order must read the span unsigned. *)
+let test_group_extremes () =
+  let vs = [ max_int; 0; min_int; 1; -1; 0; max_int; min_int ] in
+  let b =
+    Entry.batch_create ~day:1
+      (Array.of_list (List.mapi (fun rid v -> posting v (entry ~rid ~day:1 ())) vs))
+  in
+  let values, groups = Entry.group_by_value [ b ] in
+  Alcotest.(check (array int)) "values ascending" [| min_int; -1; 0; 1; max_int |] values;
+  Alcotest.(check (list (list int))) "each value's rids in input order"
+    [ [ 2; 7 ]; [ 4 ]; [ 1; 5 ]; [ 3 ]; [ 0; 6 ] ]
+    (Array.to_list groups
+    |> List.map (fun es -> Array.to_list es |> List.map (fun e -> e.Entry.rid)))
+
+(* The list grouping [Entry.group_by_value] replaced, kept as the reference:
    a [Hashtbl] of reversed lists, then a sort of the values. *)
 let reference_group_by_value postings =
   let tbl = Hashtbl.create 64 in
@@ -105,6 +120,55 @@ let prop_group_matches_reference =
                     vs)))
           values
       in
+      let want =
+        reference_group_by_value
+          (Array.concat (List.map (fun (b : Entry.batch) -> b.Entry.postings) batches))
+      in
+      let values, groups = Entry.group_by_value batches in
+      List.combine (Array.to_list values) (List.map Array.to_list (Array.to_list groups))
+      = want)
+
+(* Large groupings: 1k-20k postings over a few hundred to several
+   thousand distinct values, so the radix passes sort many values per
+   digit bucket.  The values come from one of five draws: one 11-bit
+   digit (every bucket, both ends), three digits with negatives, pairs
+   straddling multiples of 2048 (the digit-bucket boundaries), the whole
+   int range (six passes), and the extremes mixed into it (a span that
+   wraps).  Built from a seed rather than generated whole, so a
+   counterexample prints in one line. *)
+let gen_large =
+  QCheck2.Gen.(
+    quad (int_range 1_000 20_000) (int_range 200 5_000) (int_range 0 4) int)
+
+let large_batches (postings, distinct, draw, seed) =
+  let rng = Random.State.make [| seed |] in
+  let any () = Int64.to_int (Random.State.bits64 rng) in
+  let value () =
+    match draw with
+    | 0 -> Random.State.int rng 2048
+    | 1 -> Random.State.full_int rng (1 lsl 33) - (1 lsl 32)
+    | 2 -> ((Random.State.int rng 1_000 - 500) * 2048) + Random.State.int rng 2 - 1
+    | 3 -> any ()
+    | _ ->
+      if Random.State.int rng 4 = 0 then
+        [| min_int; min_int + 1; max_int; max_int - 1; -1; 0 |].(Random.State.int rng 6)
+      else any ()
+  in
+  let pool = Array.init distinct (fun _ -> value ()) in
+  let days = 1 + Random.State.int rng 4 and rid = ref 0 in
+  List.init days (fun day ->
+      Entry.batch_create ~day
+        (Array.init (postings / days) (fun _ ->
+             incr rid;
+             let v = pool.(Random.State.int rng distinct) in
+             posting v (entry ~rid:!rid ~day ~info:v ()))))
+
+let prop_group_large =
+  QCheck2.Test.make ~name:"large groupings match the list grouping" ~count:20
+    ~long_factor:10
+    ~print:(fun (p, d, k, s) -> Printf.sprintf "postings %d, distinct %d, draw %d, seed %d" p d k s)
+    gen_large (fun params ->
+      let batches = large_batches params in
       let want =
         reference_group_by_value
           (Array.concat (List.map (fun (b : Entry.batch) -> b.Entry.postings) batches))
@@ -635,8 +699,9 @@ let suites =
       [
         Alcotest.test_case "batch day validation" `Quick test_batch_day_validation;
         Alcotest.test_case "group by value" `Quick test_group_by_value;
+        Alcotest.test_case "group the int range's extremes" `Quick test_group_extremes;
       ]
-      @ qcheck [ prop_group_matches_reference ] );
+      @ qcheck [ prop_group_matches_reference; prop_group_large ] );
     ( "storage.directory",
       [
         Alcotest.test_case "bplus roundtrip" `Quick test_directory_roundtrip;
