@@ -12,7 +12,7 @@ let transition (b : t) =
   (* DeleteFromIndex(d_{new-W}, I_j) can be prepared before the new data
      arrives (pre-computation); AddToIndex(d_new, I_j) cannot.  Packed
      shadowing fuses both into one smart copy at completion time. *)
-  let pending = Update.prepare_replace env idx ~expire:(fun d -> d = expired) in
+  let pending = Update.prepare_replace env idx ~expire:[ expired ] in
   Scheme_base.data_arrives b;
   let idx = Update.complete_replace env pending ~add:[ new_day ] in
   let days =

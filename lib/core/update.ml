@@ -30,7 +30,8 @@ let op_span env name days f =
    replay) behind one match: with no observer the day counts are never
    taken. *)
 let day_count idx = List.length (Index.days idx)
-let expiring idx expire = List.length (List.filter expire (Index.days idx))
+let expiring idx expire =
+  List.length (List.filter (fun d -> List.mem d expire) (Index.days idx))
 
 (* Technique barrier for write-back pools: the moment a shadow replaces
    the old constituent (the old index is dropped), the shadow is the
@@ -52,13 +53,14 @@ let add_in_place env idx days =
   List.iter (fun b -> Index.add_batch idx b) (fetch env days);
   idx
 
-(* [SMCP]: stream [idx] minus [drop_days] plus the new days into a
-   fresh packed index, which replaces [idx]. *)
-let smart_copy env ~live idx ~drop_days days =
+(* [SMCP]: stream [idx] minus the [expire] days plus the new days into
+   a fresh packed index, which replaces [idx]. *)
+let smart_copy env ~live idx ~expire days =
   (match env.Env.observer with
   | Some f -> f (Env.Smart_copy { days = day_count idx; add = List.length days; live })
   | None -> ());
-  let fresh = Index.pack idx ~drop_days ~extra:(fetch env days) in
+  let expire = fetch env expire in
+  let fresh = Index.pack idx ~expire ~extra:(fetch env days) in
   flush_barrier env;
   Index.drop idx;
   fresh
@@ -75,7 +77,7 @@ let add_days env idx days =
     flush_barrier env;
     Index.drop idx;
     shadow
-  | Env.Packed_shadow -> smart_copy env ~live:true idx ~drop_days:(fun _ -> false) days
+  | Env.Packed_shadow -> smart_copy env ~live:true idx ~expire:[] days
 
 let copy env idx =
   (match env.Env.observer with
@@ -87,12 +89,12 @@ let add_days_fresh env idx days =
   op_span env "AddToIndex" days @@ fun () ->
   match env.Env.technique with
   | Env.In_place | Env.Simple_shadow -> add_in_place env idx days
-  | Env.Packed_shadow -> smart_copy env ~live:false idx ~drop_days:(fun _ -> false) days
+  | Env.Packed_shadow -> smart_copy env ~live:false idx ~expire:[] days
 
 type pending = {
   old_idx : Index.t;
   staged : Index.t option; (* None: work deferred to completion (packed shadow) *)
-  expire : int -> bool;
+  expire : int list;
 }
 
 let prepare_replace env idx ~expire =
@@ -103,7 +105,7 @@ let prepare_replace env idx ~expire =
     (match env.Env.observer with
     | Some f -> f (Env.Delete (expiring idx expire))
     | None -> ());
-    ignore (Index.delete_days idx expire);
+    ignore (Index.delete_days idx (fetch env expire));
     { old_idx = idx; staged = Some idx; expire }
   | Env.Simple_shadow ->
     (match env.Env.observer with
@@ -112,20 +114,20 @@ let prepare_replace env idx ~expire =
       f (Env.Delete (expiring idx expire))
     | None -> ());
     let shadow = Index.copy idx in
-    ignore (Index.delete_days shadow expire);
+    ignore (Index.delete_days shadow (fetch env expire));
     { old_idx = idx; staged = Some shadow; expire }
   | Env.Packed_shadow -> { old_idx = idx; staged = None; expire }
 
 let prepare_add env idx =
   (* No expiry: skip the legacy-deletes guard and the delete pass. *)
   match env.Env.technique with
-  | Env.In_place -> { old_idx = idx; staged = Some idx; expire = (fun _ -> false) }
+  | Env.In_place -> { old_idx = idx; staged = Some idx; expire = [] }
   | Env.Simple_shadow ->
     (match env.Env.observer with
     | Some f -> f (Env.Copy { days = day_count idx; live = true })
     | None -> ());
-    { old_idx = idx; staged = Some (Index.copy idx); expire = (fun _ -> false) }
-  | Env.Packed_shadow -> { old_idx = idx; staged = None; expire = (fun _ -> false) }
+    { old_idx = idx; staged = Some (Index.copy idx); expire = [] }
+  | Env.Packed_shadow -> { old_idx = idx; staged = None; expire = [] }
 
 let complete_replace env p ~add =
   op_span env "AddToIndex" add @@ fun () ->
@@ -137,4 +139,4 @@ let complete_replace env p ~add =
       Index.drop p.old_idx
     end;
     staged
-  | None -> smart_copy env ~live:true p.old_idx ~drop_days:p.expire add
+  | None -> smart_copy env ~live:true p.old_idx ~expire:p.expire add

@@ -43,10 +43,14 @@ type pending
     copy, expiry deletion).  Completing it with the new day is the
     paper's Transition; preparing it is Pre-computation. *)
 
-val prepare_replace : Env.t -> Index.t -> expire:(int -> bool) -> pending
-(** Prepare a delete+add maintenance step.  Raises
-    {!Deletes_not_supported} under the legacy constraint (see
-    {!Env.t.allow_deletes}). *)
+val prepare_replace : Env.t -> Index.t -> expire:int list -> pending
+(** Prepare a delete+add maintenance step that expires the [expire]
+    days.  Their batches are fetched from the store and handed to
+    {!Index.delete_days} (in place, simple shadow) or {!Index.pack}
+    (packed shadow, at completion), so the index must hold exactly the
+    store's postings for those days (the contract stated under
+    {e Expiry} in {!Index}).  Raises {!Deletes_not_supported} under
+    the legacy constraint (see {!Env.t.allow_deletes}). *)
 
 val prepare_add : Env.t -> Index.t -> pending
 (** Like {!prepare_replace} with no expiry — pure insertion (what WATA

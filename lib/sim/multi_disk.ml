@@ -86,7 +86,7 @@ let advance t =
   let (), timing =
     timed t (fun () ->
         let s = t.slots.(j) in
-        ignore (Index.delete_days s.index (fun d -> d = expired));
+        ignore (Index.delete_days s.index [ t.store expired ]);
         Index.add_batch s.index (t.store new_day);
         s.days <- Dayset.add new_day (Dayset.remove expired s.days))
   in

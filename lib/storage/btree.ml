@@ -122,9 +122,13 @@ let search_path t k =
 (* insert                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* An append ([i = lsize], every [add_last]) moves nothing, so it makes
+   no blit calls. *)
 let leaf_insert_at l i k v =
-  Array.blit l.lkeys i l.lkeys (i + 1) (l.lsize - i);
-  Array.blit l.lvals i l.lvals (i + 1) (l.lsize - i);
+  if i < l.lsize then begin
+    Array.blit l.lkeys i l.lkeys (i + 1) (l.lsize - i);
+    Array.blit l.lvals i l.lvals (i + 1) (l.lsize - i)
+  end;
   l.lkeys.(i) <- k;
   l.lvals.(i) <- Some v;
   l.lsize <- l.lsize + 1

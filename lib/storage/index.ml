@@ -204,7 +204,8 @@ let install_packed t (values, groups) =
     t.packed <- true
   end
 
-let build dsk cfg batches =
+(* [build], also returning the groups it installed. *)
+let build_grouped dsk cfg batches =
   span "index.build" (fun () ->
       check_disk_compat dsk cfg;
       let t = create_empty dsk cfg in
@@ -212,7 +213,9 @@ let build dsk cfg batches =
       Disk.charge_delay dsk
         (cfg.build_cpu_per_entry *. float_of_int (entries_in (snd groups)));
       install_packed t groups;
-      t)
+      (t, groups))
+
+let build dsk cfg batches = fst (build_grouped dsk cfg batches)
 
 (* ------------------------------------------------------------------ *)
 (* Observation                                                        *)
@@ -263,10 +266,13 @@ let probe_timed t v ~t1 ~t2 = timed_onto (probe_bucket t v) ~t1 ~t2 []
 let scan_extents t =
   (* Every extent this index holds: the shared home (live part or not —
      a scan of an unpacked index pays for its slack and dead space, the
-     paper's S' accounting) plus each bucket-owned extent. *)
+     paper's S' accounting) plus each bucket-owned extent.  A packed
+     index has no bucket-owned extent, so its buckets are not walked. *)
   let own =
-    Btree.fold t.dir ~init:[] ~f:(fun acc _ b ->
-        match b.home with Own e -> e :: acc | In_shared _ -> acc)
+    if t.packed then []
+    else
+      Btree.fold t.dir ~init:[] ~f:(fun acc _ b ->
+          match b.home with Own e -> e :: acc | In_shared _ -> acc)
   in
   match t.shared with Some s -> s.sext :: List.rev own | None -> List.rev own
 
@@ -400,6 +406,32 @@ let add_group t v es =
     end
     else relocate t b ~new_cap:(grow_target t (used + n_new)) ~extra_entries:es
 
+(* [es] without its expiring entries, [c] of which the expiring batches
+   hold.  In DEL's day order they lead the bucket: when its first [c]
+   entries all carry expiring days, they are all of them (the batches
+   hold every expiring entry), and one [Array.sub] cuts them.  Any other
+   bucket is filtered by day. *)
+let cut (es : Entry.t array) c expired =
+  let n = Array.length es in
+  let rec leads i = i = c || (expired es.(i).Entry.day && leads (i + 1)) in
+  if c <= n && leads 0 then Array.sub es c (n - c) else survivors es expired
+
+(* The expiring [batches] as a cut per bucket, asked in ascending value
+   order: [expiry batches v es] is the entries [es] of value [v] without
+   those of the batches' days.  The batches' postings, grouped by value,
+   name the buckets to cut; a bucket they do not name is returned
+   unread. *)
+let expiry (batches : Entry.batch list) =
+  let named, groups = Entry.group_by_value batches in
+  let days = List.map (fun (b : Entry.batch) -> b.Entry.day) batches in
+  let expired day = List.mem day days in
+  let next = ref 0 in
+  fun v es ->
+    while !next < Array.length named && named.(!next) < v do incr next done;
+    if !next < Array.length named && named.(!next) = v then
+      cut es (Array.length groups.(!next)) expired
+    else es
+
 let add_batch t (batch : Entry.batch) =
   span "index.add" (fun () ->
       let values, groups = Entry.group_by_value [ batch ] in
@@ -409,12 +441,13 @@ let add_batch t (batch : Entry.batch) =
       t.total_used <- t.total_used + Entry.batch_size batch;
       if Entry.batch_size batch > 0 then t.packed <- false)
 
-let delete_days t expired =
+let delete_days t batches =
   span "index.delete" (fun () ->
+  let expire = expiry batches in
   let removed = ref 0 in
   let to_delete = ref [] in
   Btree.iter t.dir (fun v b ->
-      let keep = survivors b.entries expired in
+      let keep = expire v b.entries in
       let dropped = used_of b - Array.length keep in
       if dropped > 0 then begin
         removed := !removed + dropped;
@@ -464,15 +497,18 @@ let set_drop_gate f = drop_gate := f
 let drop t =
   if !drop_gate t then ()
   else begin
-  (* Constant-time unlink: free every extent without transfer charges. *)
+  (* Constant-time unlink: free every extent without transfer charges.
+     A packed index's one extent is its shared home, freed below, so its
+     buckets are not walked. *)
   let seen_shared = ref [] in
-  Btree.iter t.dir (fun _ b ->
-      match b.home with
-      | Own e ->
-        Disk.free t.dsk e;
-        t.total_alloc <- t.total_alloc - e.Disk.length
-      | In_shared s ->
-        if not (List.memq s !seen_shared) then seen_shared := s :: !seen_shared);
+  if not t.packed then
+    Btree.iter t.dir (fun _ b ->
+        match b.home with
+        | Own e ->
+          Disk.free t.dsk e;
+          t.total_alloc <- t.total_alloc - e.Disk.length
+        | In_shared s ->
+          if not (List.memq s !seen_shared) then seen_shared := s :: !seen_shared);
   List.iter
     (fun s ->
       Disk.free t.dsk s.sext;
@@ -497,20 +533,16 @@ let drop t =
 (* Shadow operations                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The values of [t]'s buckets, ascending, and [f] of each bucket's
-   entries, leaving out the buckets [f] empties: the arrays
-   [install_packed] takes. *)
-let buckets t f =
+(* The values of [t]'s buckets, ascending, and their entries: the
+   arrays [install_packed] takes. *)
+let buckets t =
   let n = Btree.length t.dir in
   let values = Array.make n 0 and groups = Array.make n [||] and k = ref 0 in
   Btree.iter t.dir (fun v b ->
-      let es = f b.entries in
-      if Array.length es > 0 then begin
-        values.(!k) <- v;
-        groups.(!k) <- es;
-        incr k
-      end);
-  if !k = n then (values, groups) else (Array.sub values 0 !k, Array.sub groups 0 !k)
+      values.(!k) <- v;
+      groups.(!k) <- b.entries;
+      incr k);
+  (values, groups)
 
 let copy t =
   span "index.copy" (fun () ->
@@ -531,7 +563,7 @@ let copy t =
   charged_sequential_read t exts;
   (* The copy's buckets share the source's entry arrays: they are never
      mutated in place, so neither index can change the other's. *)
-  if t.packed then install_packed t' (buckets t Fun.id)
+  if t.packed then install_packed t' (buckets t)
   else begin
     (* Reproduce the unpacked layout bucket by bucket (same caps), but
        charge the flush as one sequential write: a shadow copy streams
@@ -553,51 +585,49 @@ let copy t =
   end;
   t')
 
-(* Merge two value-ordered bucket sets; a value in both gets [a]'s
-   entries followed by [b]'s. *)
-let merge_groups (av, ag) (bv, bg) =
-  let na = Array.length av and nb = Array.length bv in
-  let values = Array.make (na + nb) 0 and groups = Array.make (na + nb) [||] in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
+let pack t ~expire ~extra =
+  span "index.pack" (fun () ->
+  (* Packed shadow update (Section 2.1, technique 3): build a temporary
+     packed index for the inserts, then stream the source cutting the
+     expiring entries while merging the temporary in, producing a fresh
+     packed index.  The source is left untouched. *)
+  let temp, (added, add_groups) = build_grouped t.dsk t.cfg extra in
+  (* Stream the source (one sequential read), then the temporary. *)
+  charged_sequential_read t (scan_extents t);
+  charged_sequential_read t (scan_extents temp);
+  drop temp;
+  (* One walk of the source's directory, cutting the buckets the
+     expiring batches name and merging in the new groups: a value in
+     both keeps its survivors first, then the new entries. *)
+  let expire = expiry expire in
+  let n = Btree.length t.dir + Array.length added in
+  let values = Array.make n 0 and groups = Array.make n [||] in
+  let k = ref 0 and j = ref 0 in
   let take v es =
     values.(!k) <- v;
     groups.(!k) <- es;
     incr k
   in
-  while !i < na || !j < nb do
-    if !j = nb || (!i < na && av.(!i) < bv.(!j)) then begin
-      take av.(!i) ag.(!i);
-      incr i
-    end
-    else if !i = na || bv.(!j) < av.(!i) then begin
-      take bv.(!j) bg.(!j);
+  let take_added_below v =
+    while !j < Array.length added && added.(!j) < v do
+      take added.(!j) add_groups.(!j);
       incr j
-    end
-    else begin
-      take av.(!i) (Array.append ag.(!i) bg.(!j));
-      incr i;
-      incr j
-    end
+    done
+  in
+  Btree.iter t.dir (fun v b ->
+      take_added_below v;
+      let es = expire v b.entries in
+      if !j < Array.length added && added.(!j) = v then begin
+        take v (if Array.length es = 0 then add_groups.(!j) else Array.append es add_groups.(!j));
+        incr j
+      end
+      else if Array.length es > 0 then take v es);
+  for j = !j to Array.length added - 1 do
+    take added.(j) add_groups.(j)
   done;
-  if !k = na + nb then (values, groups) else (Array.sub values 0 !k, Array.sub groups 0 !k)
-
-let pack t ~drop_days ~extra =
-  span "index.pack" (fun () ->
-  (* Packed shadow update (Section 2.1, technique 3): build a temporary
-     packed index for the inserts, then stream the source dropping
-     expired entries while merging the temporary in, producing a fresh
-     packed index.  The source is left untouched. *)
-  let temp = build t.dsk t.cfg extra in
-  (* Stream the source: one sequential read, dropping expired days. *)
-  charged_sequential_read t (scan_extents t);
-  let kept = buckets t (fun es -> survivors es drop_days) in
-  (* Stream the temporary index in (one sequential read) and merge its
-     buckets behind the survivors of the same value. *)
-  charged_sequential_read t (scan_extents temp);
-  let added = buckets temp Fun.id in
-  drop temp;
   let t' = create_empty t.dsk t.cfg in
-  install_packed t' (merge_groups kept added);
+  install_packed t'
+    (if !k = n then (values, groups) else (Array.sub values 0 !k, Array.sub groups 0 !k));
   t')
 
 (* ------------------------------------------------------------------ *)
@@ -615,6 +645,9 @@ let validate t =
       used := !used + u;
       match b.home with
       | Own e ->
+        (* [scan_extents] and [drop] read a packed index's one extent
+           off [t.shared]. *)
+        if t.packed then fail "packed index with an own extent for value %d" v;
         if not (Disk.is_live t.dsk e) then fail "dead extent for value %d" v;
         if b.cap <> e.Disk.length then
           fail "cap %d <> extent length %d for value %d" b.cap e.Disk.length v;
@@ -643,6 +676,7 @@ let validate t =
     (* Packedness also requires a single shared extent (or emptiness). *)
     match (t.shared, !shared_seen) with
     | None, [] -> if t.total_used <> 0 then fail "packed, no extent, but entries"
-    | Some _, [ _ ] | Some _, [] -> ()
+    | Some s, [ s' ] when s == s' -> ()
+    | Some _, [] -> ()
     | _ -> fail "packed index with multiple homes"
   end

@@ -83,16 +83,30 @@ val copy : t -> t
     entry arrays, which are never mutated in place, so editing either
     index leaves the other as it was. *)
 
-val pack : t -> drop_days:(int -> bool) -> extra:Entry.batch list -> t
+(** {2:expiry Expiry}
+
+    {!pack} and {!delete_days} remove the entries of the days of a list
+    of {e expiring} batches, fetched from the day store, and read only
+    the buckets those batches name.  They rely on one contract: the
+    batches hold every entry the index holds with one of their days,
+    once for each copy the index holds (a day added twice is passed
+    twice).  Postings beyond that are harmless.  For each value the
+    batches name, let [c] be the number of its postings in them.  When
+    the bucket's first [c] entries all carry expiring days, as DEL's
+    day order leaves them, one [Array.sub] cuts them; any other named
+    bucket is filtered by day.  A bucket the batches do not name keeps
+    its entry array, and none of its entries is read. *)
+
+val pack : t -> expire:Entry.batch list -> extra:Entry.batch list -> t
 (** Packed-shadow update, the paper's smart copy [SMCP]: builds a
-    temporary packed index for [extra], streams the old index dropping
-    entries whose day satisfies [drop_days], merges in the temporary
-    index, and writes the result packed.  The source is left intact
-    (the caller drops it after swapping).  Both inputs are already in
-    value order, so the merge is linear: a value in both keeps the
-    surviving entries first, then the new ones.  A bucket with no
-    expired entry shares its entry array with the source (entry arrays
-    are never mutated in place). *)
+    temporary packed index for [extra], streams the old index without
+    the entries of [expire]'s days (see {e Expiry}), merges in the
+    temporary index, and writes the result packed.  The source is left
+    intact (the caller drops it after swapping).  One walk of the
+    source's directory merges its buckets with the new ones: a value
+    in both keeps the surviving entries first, then the new ones.  A
+    bucket that neither loses nor gains an entry shares its entry
+    array with the source (entry arrays are never mutated in place). *)
 
 (** {1 Mutation (in place)} *)
 
@@ -100,11 +114,13 @@ val add_batch : t -> Entry.batch -> unit
 (** The paper's [AddToIndex] with in-place updating under CONTIGUOUS.
     The index becomes (or remains) unpacked. *)
 
-val delete_days : t -> (int -> bool) -> int
-(** [delete_days t expired] removes every entry whose day satisfies
-    [expired]; returns how many entries were removed.  Buckets are
+val delete_days : t -> Entry.batch list -> int
+(** [delete_days t batches] removes every entry of [batches]' days (see
+    {e Expiry}); returns how many entries were removed.  Buckets are
     rewritten in place, shrunk when mostly empty, and removed from the
-    directory when empty — the "complex deletion code" DEL needs. *)
+    directory when empty — the "complex deletion code" DEL needs.  The
+    buckets that lose entries are charged in ascending value order, and
+    those emptied are then released in descending order. *)
 
 val drop : t -> unit
 (** Release all disk space and empty the index — the paper's
@@ -210,4 +226,5 @@ val extents : t -> Disk.extent list
 val validate : t -> unit
 (** Structural invariants: per-bucket fill within capacity, directory
     consistent with buckets, packedness implies minimal contiguous
-    allocation, all extents live.  Raises [Index_error] on violation. *)
+    allocation in one shared extent and no bucket-owned extent, all
+    extents live.  Raises [Index_error] on violation. *)

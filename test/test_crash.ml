@@ -386,11 +386,13 @@ let rec rm_rf path =
    after the first: the uncrashed twin sees the canonical data, every
    crashed replay sees an extra posting, so roll-forward recovery
    disagrees with the twin and the point fails — on purpose, to
-   exercise the failure-artifact path. *)
+   exercise the failure-artifact path.  An instantiation is counted when
+   it fetches day 2, which only the initial build reads: a DEL
+   transition also fetches its expiring day 1. *)
 let divergent_store ~poison_day =
   let instances = ref 0 in
   fun day ->
-    if day = 1 then incr instances;
+    if day = 2 then incr instances;
     if day = poison_day && !instances > 1 then
       Entry.batch_create ~day
         (Array.init 9 (fun i ->

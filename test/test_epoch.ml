@@ -541,7 +541,9 @@ let build_twin ~seed ~pool plans =
         (if plan.p_mode = `Expired && plan.p_days <> [] then
            let oldest = List.fold_left min max_int plan.p_days in
            let expired d = d = oldest in
-           ignore (Index.delete_days m.m_idx expired);
+           ignore
+             (Index.delete_days m.m_idx
+                (List.filter (fun (b : Entry.batch) -> expired b.Entry.day) batches));
            m.m_buckets <-
              List.filter_map
                (fun (v, es) ->

@@ -1160,11 +1160,14 @@ let test_kill_sweep_write_back () =
 (* A store that poisons [poison_day]'s batch for every instantiation
    after the first: the twin sees canonical data, every kill replay an
    extra posting, so roll-forward recovery disagrees with the twin and
-   the point fails — on purpose, to exercise the failure artifacts. *)
+   the point fails — on purpose, to exercise the failure artifacts.  An
+   instantiation is counted when it fetches day 2, which only the
+   initial build reads: a DEL transition also fetches its expiring
+   day 1. *)
 let divergent_store ~poison_day =
   let instances = ref 0 in
   fun day ->
-    if day = 1 then incr instances;
+    if day = 2 then incr instances;
     if day = poison_day && !instances > 1 then
       Entry.batch_create ~day
         (Array.init 9 (fun i ->

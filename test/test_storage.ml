@@ -400,7 +400,7 @@ let test_delete_days () =
       [ batch ~day:1 ~values:[ 1; 2 ] ~per_value:2;
         batch ~day:2 ~values:[ 2; 3 ] ~per_value:2 ]
   in
-  let removed = Index.delete_days idx (fun day -> day = 1) in
+  let removed = Index.delete_days idx [ batch ~day:1 ~values:[ 1; 2 ] ~per_value:2 ] in
   Alcotest.(check int) "removed" 4 removed;
   Alcotest.(check int) "left" 4 (Index.entry_count idx);
   Alcotest.(check (list int)) "days" [ 2 ] (Index.days idx);
@@ -413,7 +413,7 @@ let test_delete_nothing () =
   let d = fresh_disk () in
   let idx = Index.build d cfg [ batch ~day:1 ~values:[ 1 ] ~per_value:3 ] in
   Disk.reset_counters d;
-  let removed = Index.delete_days idx (fun day -> day = 9) in
+  let removed = Index.delete_days idx [ batch ~day:9 ~values:[ 1 ] ~per_value:3 ] in
   Alcotest.(check int) "none removed" 0 removed;
   Alcotest.(check bool) "still packed" true (Index.is_packed idx);
   Alcotest.(check int) "no disk work" 0 (Disk.counters d).Disk.seeks
@@ -425,8 +425,8 @@ let test_delete_shrinks () =
   Index.add_batch idx (batch ~day:1 ~values:[ 7 ] ~per_value:50);
   Index.add_batch idx (batch ~day:2 ~values:[ 7 ] ~per_value:50);
   let before = Index.allocated_blocks idx in
-  let _ = Index.delete_days idx (fun day -> day = 2) in
-  let _ = Index.delete_days idx (fun day -> day = 1) in
+  let _ = Index.delete_days idx [ batch ~day:2 ~values:[ 7 ] ~per_value:50 ] in
+  let _ = Index.delete_days idx [ batch ~day:1 ~values:[ 7 ] ~per_value:50 ] in
   Alcotest.(check int) "all gone" 0 (Index.entry_count idx);
   Alcotest.(check bool) "space reclaimed" true (Index.allocated_blocks idx < before);
   Alcotest.(check int) "fully reclaimed" 0 (Index.allocated_blocks idx);
@@ -440,13 +440,13 @@ let test_delete_from_shared_keeps_dead_space () =
   in
   (* Delete day 1: value 1's bucket drains, but value 2 still pins the
      shared extent, so its space stays allocated (dead space). *)
-  let _ = Index.delete_days idx (fun day -> day = 1) in
+  let _ = Index.delete_days idx [ batch ~day:1 ~values:[ 1 ] ~per_value:4 ] in
   Alcotest.(check int) "entries" 4 (Index.entry_count idx);
   Alcotest.(check int) "dead space retained" 8 (Index.allocated_blocks idx);
   Alcotest.(check bool) "not packed" false (Index.is_packed idx);
   Index.validate idx;
   (* Deleting day 2 drains the shared extent entirely. *)
-  let _ = Index.delete_days idx (fun day -> day = 2) in
+  let _ = Index.delete_days idx [ batch ~day:2 ~values:[ 2 ] ~per_value:4 ] in
   Alcotest.(check int) "all reclaimed" 0 (Index.allocated_blocks idx);
   Index.validate idx
 
@@ -500,7 +500,7 @@ let test_copy_edits_leave_source () =
             (Index.probe_bucket dup v == es))
         arrays;
       Alcotest.(check int) (name ^ ": day 1 deleted") 6
-        (Index.delete_days dup (fun day -> day = 1));
+        (Index.delete_days dup [ batch ~day:1 ~values:[ 1; 2; 3 ] ~per_value:2 ]);
       Index.add_batch dup (batch ~day:4 ~values:[ 1; 3; 7 ] ~per_value:2);
       Alcotest.(check bool) (name ^ ": source scan unchanged") true (Index.scan idx = scan);
       List.iter2
@@ -547,7 +547,7 @@ let test_pack_drops_and_merges () =
       [ batch ~day:1 ~values:[ 1; 2 ] ~per_value:2; batch ~day:2 ~values:[ 2 ] ~per_value:2 ]
   in
   let packed =
-    Index.pack idx ~drop_days:(fun day -> day = 1)
+    Index.pack idx ~expire:[ batch ~day:1 ~values:[ 1; 2 ] ~per_value:2 ]
       ~extra:[ batch ~day:3 ~values:[ 2; 9 ] ~per_value:1 ]
   in
   Alcotest.(check bool) "packed result" true (Index.is_packed packed);
@@ -569,7 +569,7 @@ let test_pack_order_and_sharing () =
       [ batch ~day:1 ~values:[ 1; 2 ] ~per_value:2; batch ~day:2 ~values:[ 1; 3 ] ~per_value:2 ]
   in
   let packed =
-    Index.pack idx ~drop_days:(fun day -> day = 1)
+    Index.pack idx ~expire:[ batch ~day:1 ~values:[ 1; 2 ] ~per_value:2 ]
       ~extra:[ batch ~day:3 ~values:[ 1; 4 ] ~per_value:2 ]
   in
   let rids v = List.map (fun (e : Entry.t) -> e.Entry.rid) (Index.probe packed v) in
@@ -589,7 +589,9 @@ let test_pack_order_and_sharing () =
 let test_pack_all_expired () =
   let d = fresh_disk () in
   let idx = Index.build d cfg [ batch ~day:1 ~values:[ 1 ] ~per_value:5 ] in
-  let packed = Index.pack idx ~drop_days:(fun _ -> true) ~extra:[] in
+  let packed =
+    Index.pack idx ~expire:[ batch ~day:1 ~values:[ 1 ] ~per_value:5 ] ~extra:[]
+  in
   Alcotest.(check int) "empty result" 0 (Index.entry_count packed);
   Alcotest.(check bool) "packed" true (Index.is_packed packed);
   Index.validate packed
@@ -626,6 +628,8 @@ let prop_index_matches_model =
       let prng = Wave_util.Prng.create seed in
       let d = fresh_disk () in
       let idx = ref (Index.create_empty d cfg) in
+      (* The batches the index holds, once per add: what expiry passes. *)
+      let live = ref [] in
       let model : (int, Entry.t list) Hashtbl.t = Hashtbl.create 64 in
       let model_add (b : Entry.batch) =
         Array.iter
@@ -658,15 +662,22 @@ let prop_index_matches_model =
           | Add day ->
             let b = mk_batch day in
             Index.add_batch !idx b;
+            live := b :: !live;
             model_add b
           | Delete day ->
-            ignore (Index.delete_days !idx (fun d -> d = day));
+            let gone, kept = List.partition (fun (b : Entry.batch) -> b.Entry.day = day) !live in
+            ignore (Index.delete_days !idx gone);
+            live := kept;
             model_delete (fun d -> d = day)
           | Pack_shadow day ->
             let b = mk_batch day in
-            let fresh = Index.pack !idx ~drop_days:(fun d -> d < day - 5) ~extra:[ b ] in
+            let gone, kept =
+              List.partition (fun (b : Entry.batch) -> b.Entry.day < day - 5) !live
+            in
+            let fresh = Index.pack !idx ~expire:gone ~extra:[ b ] in
             Index.drop !idx;
             idx := fresh;
+            live := b :: kept;
             model_delete (fun d -> d < day - 5);
             model_add b
           | Copy_shadow ->
@@ -690,6 +701,209 @@ let prop_index_matches_model =
       (* Disk accounting closes: the index is the only tenant. *)
       if Disk.live_blocks d <> Index.allocated_blocks !idx then ok := false;
       !ok)
+
+(* ------------------------------------------------------------------ *)
+(* Batch-directed expiry against the day filter                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A random index over days 1..[days], each day a batch of a few
+   postings on values 0..7, added ascending (DEL's order, so expiring
+   entries lead their buckets), descending or shuffled, one day
+   possibly added a second time.  The first [built] adds go through
+   [Index.build], the rest through [add_batch]; the index may then be
+   repacked or copied.  Some days expire: the oldest, a middle one, the
+   newest, several, or an absent one.  Their batches are the very
+   records the index was built from (a store that caches them) or
+   fresh copies (a store that rebuilds them). *)
+type expiry_case = {
+  x_seed : int;
+  x_days : int;
+  x_order : [ `Ascending | `Descending | `Shuffled ];
+  x_built : int;
+  x_twice : bool;
+  x_layout : [ `As_built | `Repacked | `Copied ];
+  x_pick : [ `Oldest | `Middle | `Newest | `Several | `Absent ];
+  x_fresh : bool;
+  x_pack : bool;  (** [pack] with a new day's batch, else [delete_days] *)
+}
+
+let gen_expiry_case =
+  QCheck2.Gen.(
+    let* x_seed = int_bound 1_000_000 in
+    let* x_days = int_range 1 6 in
+    let* x_order = oneofl [ `Ascending; `Descending; `Shuffled ] in
+    let* x_built = int_range 0 (x_days + 1) in
+    let* x_twice = bool in
+    let* x_layout = oneofl [ `As_built; `Repacked; `Copied ] in
+    let* x_pick = oneofl [ `Oldest; `Middle; `Newest; `Several; `Absent ] in
+    let* x_fresh = bool in
+    let+ x_pack = bool in
+    { x_seed; x_days; x_order; x_built; x_twice; x_layout; x_pick; x_fresh; x_pack })
+
+let print_expiry_case c =
+  Printf.sprintf "seed %d, %d days %s%s, %d built, %s, expire %s%s, %s" c.x_seed c.x_days
+    (match c.x_order with
+    | `Ascending -> "ascending"
+    | `Descending -> "descending"
+    | `Shuffled -> "shuffled")
+    (if c.x_twice then " (one twice)" else "")
+    c.x_built
+    (match c.x_layout with
+    | `As_built -> "as built"
+    | `Repacked -> "repacked"
+    | `Copied -> "copied")
+    (match c.x_pick with
+    | `Oldest -> "oldest"
+    | `Middle -> "middle"
+    | `Newest -> "newest"
+    | `Several -> "several"
+    | `Absent -> "absent")
+    (if c.x_fresh then " (fresh records)" else "")
+    (if c.x_pack then "pack" else "delete_days")
+
+let expiry_values = 8
+
+(* Deletion charges the CPU per entry, so [Disk.elapsed] also counts
+   what was removed. *)
+let expiry_cfg = { cfg with Index.build_cpu_per_entry = 1e-5; add_cpu_per_entry = 1e-4 }
+
+(* The case's index, built from scratch on [disk]: the same calls give
+   twins, and the batches' records are the ones [adds] holds. *)
+let expiry_index c disk adds =
+  let built = List.filteri (fun i _ -> i < c.x_built) adds
+  and added = List.filteri (fun i _ -> i >= c.x_built) adds in
+  let idx = Index.build disk expiry_cfg built in
+  List.iter (Index.add_batch idx) added;
+  match c.x_layout with
+  | `As_built -> idx
+  | `Repacked ->
+    let fresh = Index.pack idx ~expire:[] ~extra:[] in
+    Index.drop idx;
+    fresh
+  | `Copied ->
+    let dup = Index.copy idx in
+    Index.drop idx;
+    dup
+
+(* The same postings in new records, as a store that rebuilds its
+   batches returns them. *)
+let fresh_records (b : Entry.batch) =
+  Entry.batch_create ~day:b.Entry.day
+    (Array.map
+       (fun (p : Entry.posting) ->
+         let e = p.Entry.entry in
+         posting p.Entry.value (entry ~rid:e.Entry.rid ~day:e.Entry.day ~info:e.Entry.info ()))
+       b.Entry.postings)
+
+(* Batches that expire [days] through the day filter: the first names
+   one posting more than each of [buckets] holds, so no bucket is a
+   prefix to cut. *)
+let filter_batches days buckets =
+  match days with
+  | [] -> []
+  | d0 :: rest ->
+    let over v es =
+      if es = [||] then [||]
+      else Array.init (Array.length es + 1) (fun i -> posting v (entry ~rid:(-1 - i) ~day:d0 ()))
+    in
+    Entry.batch_create ~day:d0 (Array.concat (Array.to_list (Array.mapi over buckets)))
+    :: List.map (fun d -> Entry.batch_create ~day:d [||]) rest
+
+let prop_expiry_matches_day_filter =
+  QCheck2.Test.make ~name:"batch-directed expiry matches the day filter" ~count:300
+    ~long_factor:10 ~print:print_expiry_case gen_expiry_case (fun c ->
+      let rng = Random.State.make [| c.x_seed |] in
+      let day_batch day =
+        Entry.batch_create ~day
+          (Array.init (1 + Random.State.int rng 6) (fun i ->
+               let info = Random.State.int rng 1000 in
+               posting (Random.State.int rng expiry_values)
+                 (entry ~rid:((day * 100) + i) ~day ~info ())))
+      in
+      let batches = List.init c.x_days (fun i -> day_batch (i + 1)) in
+      let order =
+        match c.x_order with
+        | `Ascending -> batches
+        | `Descending -> List.rev batches
+        | `Shuffled ->
+          List.map (fun b -> (Random.State.bits rng, b)) batches
+          |> List.sort compare |> List.map snd
+      in
+      let adds =
+        if c.x_twice then order @ [ List.nth order (Random.State.int rng c.x_days) ]
+        else order
+      in
+      let days =
+        match c.x_pick with
+        | `Oldest -> [ 1 ]
+        | `Middle -> [ (c.x_days + 1) / 2 ]
+        | `Newest -> [ c.x_days ]
+        | `Several -> List.filter (fun _ -> Random.State.bool rng) (List.init c.x_days succ)
+        | `Absent -> [ c.x_days + 7 ]
+      in
+      let expired d = List.mem d days in
+      (* Once per add, as the contract asks; an absent day's batch names
+         postings the index does not hold. *)
+      let expire =
+        List.filter (fun (b : Entry.batch) -> expired b.Entry.day) adds
+        @ (if c.x_pick = `Absent then [ day_batch (c.x_days + 7) ] else [])
+        |> List.map (fun b -> if c.x_fresh then fresh_records b else b)
+      in
+      let extra = day_batch (c.x_days + 1) in
+      let d = Index.make_disk expiry_cfg and d' = Index.make_disk expiry_cfg in
+      let idx = expiry_index c d adds and twin = expiry_index c d' adds in
+      let before = Array.init expiry_values (Index.probe_bucket idx) in
+      let contents = Array.map Array.copy before in
+      Array.iteri (fun v _ -> ignore (Index.probe_bucket twin v)) before;
+      let by_filter = filter_batches days before in
+      let result, result' =
+        if c.x_pack then
+          ( Index.pack idx ~expire ~extra:[ extra ],
+            Index.pack twin ~expire:by_filter ~extra:[ extra ] )
+        else begin
+          let n = Index.delete_days idx expire and n' = Index.delete_days twin by_filter in
+          let want =
+            Array.fold_left
+              (Array.fold_left (fun a (e : Entry.t) -> if expired e.Entry.day then a + 1 else a))
+              0 before
+          in
+          if n <> want || n' <> want then
+            QCheck2.Test.fail_reportf "removed %d, twin %d, want %d" n n' want;
+          (idx, twin)
+        end
+      in
+      if Disk.counters d <> Disk.counters d' then
+        QCheck2.Test.fail_reportf "charges %a against the day filter's %a" Disk.pp_counters
+          (Disk.counters d) Disk.pp_counters (Disk.counters d');
+      if Disk.live_blocks d <> Disk.live_blocks d' then
+        QCheck2.Test.fail_report "allocations differ";
+      Index.validate result;
+      Index.validate result';
+      for v = 0 to expiry_values - 1 do
+        let kept =
+          List.filter (fun (e : Entry.t) -> not (expired e.Entry.day)) (Array.to_list contents.(v))
+        in
+        let added =
+          if c.x_pack then
+            Array.to_list extra.Entry.postings
+            |> List.filter_map (fun (p : Entry.posting) ->
+                   if p.Entry.value = v then Some p.Entry.entry else None)
+          else []
+        in
+        let got = Index.probe_bucket result v in
+        if Array.to_list got <> kept @ added
+           || Array.to_list (Index.probe_bucket result' v) <> kept @ added
+        then QCheck2.Test.fail_reportf "value %d: wrong entries or order" v;
+        (* Entry arrays are never edited in place, and a bucket that
+           neither loses nor gains an entry keeps its array. *)
+        if before.(v) <> contents.(v) then QCheck2.Test.fail_reportf "value %d: array edited" v;
+        if kept <> [] && List.length kept = Array.length before.(v) && added = []
+           && got != before.(v)
+        then QCheck2.Test.fail_reportf "value %d: array not shared" v;
+        if c.x_pack && Index.probe_bucket idx v != before.(v) then
+          QCheck2.Test.fail_reportf "value %d: source changed" v
+      done;
+      Index.scan result = Index.scan result')
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -753,5 +967,5 @@ let suites =
         Alcotest.test_case "pack order and sharing" `Quick test_pack_order_and_sharing;
         Alcotest.test_case "pack all expired" `Quick test_pack_all_expired;
       ]
-      @ qcheck [ prop_index_matches_model ] );
+      @ qcheck [ prop_index_matches_model; prop_expiry_matches_day_filter ] );
   ]

@@ -28,8 +28,8 @@ let test_update_semantic_equivalence () =
     let replace idx ~expire ~add =
       Update.complete_replace env (Update.prepare_replace env idx ~expire) ~add
     in
-    let idx = replace idx ~expire:(fun d -> d <= 2) ~add:[] in
-    let idx = replace idx ~expire:(fun d -> d = 3) ~add:[ 6 ] in
+    let idx = replace idx ~expire:[ 1; 2 ] ~add:[] in
+    let idx = replace idx ~expire:[ 3 ] ~add:[ 6 ] in
     Index.validate idx;
     (sorted (Index.scan idx), Index.days idx, Index.is_packed idx)
   in
@@ -70,7 +70,7 @@ let test_prepare_replace_respects_legacy () =
   let idx = Update.build_days env [ 1 ] in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Update.prepare_replace env idx ~expire:(fun d -> d = 1));
+       ignore (Update.prepare_replace env idx ~expire:[ 1 ]);
        false
      with Update.Deletes_not_supported _ -> true)
 
